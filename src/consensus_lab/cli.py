@@ -13,10 +13,10 @@ variable supplies the default seed.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from typing import Optional
 
@@ -31,8 +31,16 @@ from .dynamics import (
     VicsekHeading,
     build_update_matrix,
 )
-from .graphs import IntervalSpec, read_graph_file
-from .lyapunov import monitor_stream
+from .graphs import (
+    IntervalSpec,
+    find_root,
+    is_bidirectional,
+    is_weakly_connected,
+    read_graph_file,
+    union_across,
+    weakly_connected_oracle,
+)
+from .lyapunov import DEFAULT_SLACK, monitor_stream
 from .scenarios import (
     counterexample_limit,
     counterexample_schedule,
@@ -44,7 +52,6 @@ from .simulator import (
     GraphSchedule,
     attractivity_probe,
     constant_schedule,
-    disagreement,
     iter_states,
 )
 
@@ -251,40 +258,25 @@ def cmd_simulate(args) -> int:
     t0_raw = _resolved(args, "t0")
     t0 = schedule.first_time if t0_raw is None else int(t0_raw)
     tol = float(_resolved(args, "tol", 1e-6))
-    slack = float(_resolved(args, "slack", 1e-9))
+    slack = float(_resolved(args, "slack", DEFAULT_SLACK))
     csv_path = _resolved(args, "csv")
 
     n, d = x0.n, x0.d
-    header = ["t"]
-    header += [f"x{k}" for k in range(1, n + 1)]
-    if d == 2:
-        header += [f"y{k}" for k in range(1, n + 1)]
-    header += ["diameter", "contained", "vertices"]
-
     violations = 0
     consensus_time: Optional[int] = None
-    final_dis = 0.0
-    rows = []
-    s1, s2 = itertools.tee(iter_states(schedule, update, x0, steps, t0))
-    for (t, x), rec in zip(s1, monitor_stream(s2, slack)):
-        dis = disagreement(x)
-        final_dis = dis
-        if consensus_time is None and dis < tol:
-            consensus_time = t
-        if not rec.contained:
-            violations += 1
-        row = [str(rec.t)]
-        row += [_fmt(v) for v in x.points[:, 0]]
-        if d == 2:
-            row += [_fmt(v) for v in x.points[:, 1]]
-        row += [_fmt(rec.diameter), _bool(rec.contained), str(rec.vertex_count)]
-        rows.append(",".join(row))
-
-    if csv_path is not None:
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            for line in rows:
-                fh.write(line + "\n")
+    out = nullcontext() if csv_path is None else open(csv_path, "w", encoding="utf-8")
+    with out as fh:
+        if fh is not None:
+            header = ["t"] + [f"{a}{k}" for a in "xy"[:d] for k in range(1, n + 1)]
+            fh.write(",".join(header + ["diameter", "contained", "vertices"]) + "\n")
+        for rec in monitor_stream(iter_states(schedule, update, x0, steps, t0), slack):
+            if consensus_time is None and rec.diameter < tol:
+                consensus_time = rec.t
+            violations += not rec.contained
+            if fh is not None:
+                row = [str(rec.t)] + [_fmt(v) for v in rec.state.points.T.ravel()]
+                row += [_fmt(rec.diameter), _bool(rec.contained), str(rec.vertex_count)]
+                fh.write(",".join(row) + "\n")
 
     summary = {
         "schedule": schedule.name,
@@ -293,7 +285,7 @@ def cmd_simulate(args) -> int:
         "steps": steps,
         "n": n,
         "d": d,
-        "final_disagreement": final_dis,
+        "final_disagreement": rec.diameter,
         "consensus_time": consensus_time,
         "monitor_violations": violations,
         "tol": tol,
@@ -304,14 +296,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_connectivity(args) -> int:
-    from .graphs import (
-        find_root,
-        is_bidirectional,
-        is_weakly_connected,
-        union_across,
-        weakly_connected_oracle,
-    )
-
     seed = args.seed if args.seed is not None else _default_seed()
     interval = parse_interval(args.interval) if args.interval else None
     graph_path = args.graph

@@ -25,6 +25,7 @@ from typing import Callable, Mapping, Optional, Union
 import numpy as np
 
 from .graphs import Arc, DirectedGraph, WeightedDigraph, as_directed
+from .lyapunov import diameter, hull
 
 GainFn = Callable[[float], float]
 
@@ -587,15 +588,9 @@ def _strict_violation_1d(out: float, nb: np.ndarray) -> Optional[str]:
 
 
 def _strict_violation_2d(out: np.ndarray, nb: np.ndarray) -> Optional[str]:
-    # Local lazy import: the hull helpers live with the monitoring code.
-    from .lyapunov import hull_vertices_2d
-
-    verts = hull_vertices_2d(nb)
-    dia = 0.0
-    for a in range(len(verts)):
-        for b in range(a + 1, len(verts)):
-            dia = max(dia, float(np.hypot(*(verts[a] - verts[b]))))
-    eps = _STRICT_MARGIN * dia
+    h = hull(nb)
+    verts = h.vertices
+    eps = _STRICT_MARGIN * diameter(h)
     if len(verts) == 2:
         # Degenerate hull: relative interior of a segment.
         a, b = verts

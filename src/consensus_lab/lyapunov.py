@@ -24,6 +24,8 @@ def _as_points(x) -> np.ndarray:
         pts = np.asarray(x, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("state coordinates must be finite")
     if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] not in (1, 2):
         raise ValueError(f"expected (n,) or (n, d) points with d in {{1, 2}}")
     return pts
@@ -149,13 +151,15 @@ def diameter(h: HullPolytope) -> float:
 
 @dataclass(frozen=True)
 class MonitorRecord:
-    """One monitored step: time, hull diameter, containment in the
-    previous recorded hull, and hull vertex count."""
+    """One monitored step: time, hull diameter (bit-identical to the
+    state's `disagreement`), containment in the previous recorded hull,
+    hull vertex count, and the state itself."""
 
     t: int
     diameter: float
     contained: bool
     vertex_count: int
+    state: object
 
 
 DEFAULT_SLACK = 1e-9
@@ -170,14 +174,14 @@ def monitor_stream(
     previously *recorded* hull (within `slack`); the first record is
     vacuously contained.  Because hull shrinkage composes, the check
     remains meaningful when the stream samples a trajectory sparsely.
+    Records carry their state and its disagreement as `diameter`, so
+    `monitor_stream(iter_states(...))` is a whole monitored run loop.
     """
     prev: Optional[HullPolytope] = None
     for t, st in items:
         h = hull(st)
         ok = True if prev is None else contains(prev, h, slack)
-        yield MonitorRecord(
-            t=int(t), diameter=diameter(h), contained=ok, vertex_count=h.vertex_count
-        )
+        yield MonitorRecord(int(t), diameter(h), ok, h.vertex_count, st)
         prev = h
 
 

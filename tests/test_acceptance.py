@@ -7,7 +7,6 @@ connectivity oracle, hull-containment monitoring, and integrator
 integrity.  Each criterion prints one visible PASS/FAIL line.
 """
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -32,7 +31,6 @@ from consensus_lab import (
     constant_schedule,
     counterexample_initial_state,
     counterexample_schedule,
-    disagreement,
     find_root,
     is_connected_from,
     is_weakly_connected,
@@ -77,16 +75,13 @@ def run_monitored(schedule, update_map, x0, steps, t0=None, tol=1e-6,
     consensus_time = None
     final = math.nan
     collected = [] if collect else None
-    s1, s2 = itertools.tee(iter_states(schedule, update_map, x0, steps, t0))
-    for (t, x), rec in zip(s1, monitor_stream(s2, slack)):
-        dis = disagreement(x)
-        final = dis
+    for rec in monitor_stream(iter_states(schedule, update_map, x0, steps, t0), slack):
+        final = rec.diameter
         if collect:
-            collected.append(dis)
-        if consensus_time is None and dis < tol:
-            consensus_time = t
-        if not rec.contained:
-            violations += 1
+            collected.append(rec.diameter)
+        if consensus_time is None and rec.diameter < tol:
+            consensus_time = rec.t
+        violations += not rec.contained
     return RunSummary(
         label=label,
         steps=steps,

@@ -252,6 +252,19 @@ def test_simulate_planar_max_map_flags_violation(tmp_path, capsys):
     assert summary["monitor_violations"] == 1
 
 
+def test_simulate_planar_csv_rows(tmp_path):
+    graph, csv_path = tmp_path / "complete3.graph", tmp_path / "run.csv"
+    graph.write_text("n=3\narc 1 2\narc 1 3\narc 2 1\narc 2 3\narc 3 1\narc 3 2\n")
+    assert main(["simulate", "--graph", str(graph), "--map", "max", "--x0", "0 0; 1 0; 0.5 1",
+                 "--steps", "2", "--csv", str(csv_path)]) == 2
+    assert csv_path.read_text() == (
+        "t,x1,x2,x3,y1,y2,y3,diameter,contained,vertices\n"
+        "0,0,1,0.5,0,0,1,1.1180339887498949,true,3\n"
+        "1,1,1,1,1,1,1,0,false,1\n"
+        "2,1,1,1,1,1,1,0,true,1\n"
+    )
+
+
 def test_simulate_scenario_consensus(capsys):
     code = main(["simulate", "--scenario", "windowed:n=3,T=0,seed=4", "--x0", "0,1,0.5",
                  "--steps", "120"])

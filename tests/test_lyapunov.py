@@ -15,6 +15,7 @@ from consensus_lab import (
     contains,
     decrease_over_window,
     diameter,
+    disagreement,
     hull,
     hull_vertices_2d,
     monitor_stream,
@@ -157,17 +158,27 @@ def test_diameter_zero_iff_coincident():
 # Monitoring
 
 
-def test_monitor_stream_flags_expansion():
-    items = [
-        (0, AgentState([0.0, 1.0])),
-        (1, AgentState([0.25, 0.75])),
-        (2, AgentState([0.2, 1.5])),  # escapes the previous hull
-    ]
+@pytest.mark.parametrize("points", [
+    [[0.0, 1.0], [0.25, 0.75], [0.2, 1.5]],
+    [[[0, 0], [1, 0], [0.3, 0.4]], [[0.2, 0.1], [0.6, 0.2], [0.6, 0.2]],
+     [[0.2, 0.1], [1.5, 0.2], [0.6, 0.2]]],
+], ids=["d1", "d2"])
+def test_monitor_stream_flags_expansion(points):
+    items = [(t, AgentState(p)) for t, p in enumerate(points)]  # the last one escapes
     recs = list(monitor_stream(items))
     assert [r.contained for r in recs] == [True, True, False]
     assert [r.t for r in recs] == [0, 1, 2]
     assert recs[0].diameter == 1.0
     assert recs[1].vertex_count == 2
+    assert all(r.state is st for r, (_, st) in zip(recs, items))
+    assert [r.diameter for r in recs] == [disagreement(st) for _, st in items]
+
+
+def test_raw_points_must_be_finite():
+    with pytest.raises(ValueError, match="must be finite"):
+        hull([np.nan, 1.0])
+    with pytest.raises(ValueError, match="must be finite"):
+        list(monitor_stream([(0, [0.0, 1.0]), (1, [np.nan, 0.5])]))
 
 
 def test_monitor_trajectory_linear_averaging_never_expands():
