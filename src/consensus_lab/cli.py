@@ -366,7 +366,7 @@ def cmd_matrix(args) -> int:
         frow = []
         for v in row:
             f = Fraction(v).limit_denominator(10**6)
-            if abs(float(f) - v) > 1e-12:
+            if float(f) != v:
                 exact = False
             frow.append(str(f))
         fracs.append(" ".join(frow))

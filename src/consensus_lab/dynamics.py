@@ -76,9 +76,16 @@ class AgentState:
 
 
 class StochasticMatrix:
-    """Row-stochastic matrix with strictly positive diagonal."""
+    """Row-stochastic matrix with strictly positive diagonal, stored sparsely.
 
-    __slots__ = ("entries",)
+    Holds the diagonal `diag` and the nonzero off-diagonal entries as
+    0-based triples (`rows[i]`, `cols[i]`, `weights[i]`) sorted by
+    (row, col); all arrays are read-only.  Validation and storage cost
+    O(n + m) for m off-diagonal nonzeros.  `entries` builds the dense
+    n x n array on demand.
+    """
+
+    __slots__ = ("n", "diag", "rows", "cols", "weights")
 
     _ROW_SUM_TOL = 1e-12
 
@@ -86,23 +93,45 @@ class StochasticMatrix:
         arr = np.array(entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError(f"matrix must be square, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        off = arr != 0.0
+        np.fill_diagonal(off, False)
+        rows, cols = np.nonzero(off)
+        M = self._from_triples(arr.shape[0], arr.diagonal(), rows, cols, arr[rows, cols])
+        for name in self.__slots__:
+            setattr(self, name, getattr(M, name))
+
+    @classmethod
+    def _from_triples(cls, n, diag, rows, cols, weights) -> "StochasticMatrix":
+        """Validate and wrap off-diagonal triples already sorted by (row, col)."""
+        diag = np.array(diag, dtype=float)
+        weights = np.array(weights, dtype=float)
+        if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(weights))):
             raise ValueError("matrix entries must be finite")
-        if np.any(arr < 0.0):
+        if np.any(diag < 0.0) or np.any(weights < 0.0):
             raise ValueError("matrix entries must be nonnegative")
-        sums = arr.sum(axis=1)
-        bad = np.nonzero(np.abs(sums - 1.0) > self._ROW_SUM_TOL)[0]
+        rows = np.array(rows, dtype=np.intp)
+        sums = diag + np.bincount(rows, weights, minlength=n)
+        bad = np.nonzero(np.abs(sums - 1.0) > cls._ROW_SUM_TOL)[0]
         if bad.size:
             k = int(bad[0])
             raise ValueError(f"row {k + 1} sums to {sums[k]!r}, not 1")
-        if np.any(np.diag(arr) <= 0.0):
+        if np.any(diag <= 0.0):
             raise ValueError("diagonal entries must be strictly positive")
-        arr.flags.writeable = False
-        self.entries = arr
+        M = cls.__new__(cls)
+        M.n = int(n)
+        M.diag, M.rows, M.cols, M.weights = diag, rows, np.array(cols, dtype=np.intp), weights
+        for arr in (M.diag, M.rows, M.cols, M.weights):
+            arr.flags.writeable = False
+        return M
 
     @property
-    def n(self) -> int:
-        return self.entries.shape[0]
+    def entries(self) -> np.ndarray:
+        """The dense n x n array (read-only), built on each access."""
+        A = np.zeros((self.n, self.n))
+        A[self.rows, self.cols] = self.weights
+        np.fill_diagonal(A, self.diag)
+        A.flags.writeable = False
+        return A
 
     def __repr__(self) -> str:
         return f"StochasticMatrix({self.entries.tolist()!r})"
@@ -115,19 +144,21 @@ def build_update_matrix(g: Union[DirectedGraph, WeightedDigraph]) -> StochasticM
 
         A[k, k] = 1 / (1 + S_k),   A[k, i] = w_ik / (1 + S_k)  for senders i,
 
-    where S_k is the total weight into k.  An unweighted graph gets unit
-    weights.  The arc-free graph yields the identity.
+    where S_k is the total weight into k, summed over senders in ascending
+    order.  An unweighted graph gets unit weights.  The arc-free graph
+    yields the identity.  Builds one triple per arc in O(n + m log m) and
+    allocates no n x n array.
     """
     wg = g if isinstance(g, WeightedDigraph) else WeightedDigraph.unit(g)
     n = wg.n
-    A = np.zeros((n, n))
-    for k in range(1, n + 1):
-        ins = wg.graph.in_sources(k)
-        denom = 1.0 + sum(wg.weight(i, k) for i in ins)
-        A[k - 1, k - 1] = 1.0 / denom
-        for i in ins:
-            A[k - 1, i - 1] = wg.weight(i, k) / denom
-    return StochasticMatrix(A)
+    src, dst = np.array(list(wg.weights), dtype=np.intp).reshape(-1, 2).T - 1
+    w = np.fromiter(wg.weights.values(), dtype=float, count=len(wg.weights))
+    order = np.lexsort((src, dst))
+    src, dst, w = src[order], dst[order], w[order]
+    denom = 1.0 + np.bincount(dst, w, minlength=n)
+    A = w / denom[dst]
+    nz = A > 0.0  # a subnormal weight can round to 0 beside a heavier one
+    return StochasticMatrix._from_triples(n, 1.0 / denom, dst[nz], src[nz], A[nz])
 
 
 def linear_step(matrix: StochasticMatrix, state: AgentState) -> AgentState:
@@ -137,12 +168,20 @@ def linear_step(matrix: StochasticMatrix, state: AgentState) -> AgentState:
     the same product because rows sum to 1.  This way common-point states
     are bit-exact fixed points and adding a constant shifts the output by
     exactly that constant, even when a float row sum is off by an ulp.
+
+    The sum runs over k's senders l in ascending order, starting from 0.0,
+    as one gather and one `np.bincount` scatter per coordinate over the
+    matrix's off-diagonal triples: O(n + m) per step.
     """
     if matrix.n != state.n:
         raise ValueError(f"matrix is {matrix.n}x{matrix.n} but state has n={state.n}")
     pts = state.points
-    diff = pts[None, :, :] - pts[:, None, :]
-    return AgentState(pts + np.einsum("kl,kld->kd", matrix.entries, diff))
+    rows, cols, w = matrix.rows, matrix.cols, matrix.weights
+    acc = np.empty_like(pts)
+    for j in range(pts.shape[1]):
+        x = pts[:, j]
+        acc[:, j] = np.bincount(rows, w * (x[cols] - x[rows]), minlength=matrix.n)
+    return AgentState(pts + acc)
 
 
 # ---------------------------------------------------------------------------

@@ -248,9 +248,31 @@ def is_connected_from(g: "DirectedGraph | WeightedDigraph", k: int) -> bool:
 
 
 def is_weakly_connected(g: "DirectedGraph | WeightedDigraph") -> bool:
-    """True when some node has directed paths to all others."""
+    """True when some node has directed paths to all others.
+
+    One iterative search over all nodes, then at most one reachability
+    query, in O(n + m) (as in Tarjan 1972).  Each search tree holds what
+    its start reaches among the nodes not yet seen, so the start of the
+    last tree lies in a source strongly connected component: a node
+    outside that tree which reached it would have reached it in an
+    earlier tree.  A root exists exactly when that node reaches every
+    node, which needs no second search when the first tree spans them all.
+    """
     g = as_directed(g)
-    return any(is_connected_from(g, k) for k in g.nodes)
+    seen: set[int] = set()
+    last = 1
+    for s in g.nodes:
+        if s in seen:
+            continue
+        seen.add(s)
+        stack = [s]
+        while stack:
+            for v in g.out_targets(stack.pop()):
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        last = s
+    return last == 1 or is_connected_from(g, last)
 
 
 def is_bidirectional(g: "DirectedGraph | WeightedDigraph") -> bool:

@@ -107,6 +107,21 @@ def test_matrix_skips_rational_block_for_awkward_weights(tmp_path, capsys):
     assert "rational:" not in out
 
 
+def test_matrix_skips_rational_block_for_tiny_diagonal(tmp_path, capsys):
+    # The diagonal entries are 1/(1 + 1e308), about 1e-308, which no fraction
+    # with a denominator up to 10**6 represents; a rational 0 would be wrong.
+    path = tmp_path / "g.graph"
+    path.write_text("n=2\narc 1 2 1e308\narc 2 1 1e308\n")
+    assert main(["matrix", "--graph", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out == (
+        "n=2\n"
+        "decimal:\n"
+        "9.9999999999999991e-309 1\n"
+        "1 9.9999999999999991e-309\n"
+    )
+
+
 def test_matrix_bounds_flags(worked_graph, capsys):
     assert main(["matrix", "--graph", worked_graph, "--emin", "0.5", "--emax", "5"]) == 0
     capsys.readouterr()

@@ -135,6 +135,76 @@ def test_linear_step_preserves_consensus_exactly():
     assert out.values.tolist() == [0.7, 0.7, 0.7, 0.7]
 
 
+def _random_weighted_graph(rng, n):
+    pairs = [(k, l) for k in range(1, n + 1) for l in range(1, n + 1) if k != l]
+    arcs = [p for p in pairs if rng.random() < 0.3]
+    return WeightedDigraph(
+        DirectedGraph(n, arcs), {a: float(rng.uniform(0.1, 5.0)) for a in arcs}
+    )
+
+
+def test_update_matrix_and_linear_step_match_python_reference():
+    # The contract fixes the summation order: in-weights and increments are
+    # summed over senders in ascending order, starting from 0.0.
+    rng = np.random.default_rng(42)
+    for _ in range(200):
+        n = int(rng.integers(1, 13))
+        g = _random_weighted_graph(rng, n)
+        M = build_update_matrix(g)
+        A = M.entries.tolist()
+        for k in g.graph.nodes:
+            senders = sorted(g.graph.in_sources(k))
+            s = 0.0
+            for i in senders:
+                s += g.weight(i, k)
+            assert A[k - 1][k - 1] == 1.0 / (1.0 + s)
+            for i in senders:
+                assert A[k - 1][i - 1] == g.weight(i, k) / (1.0 + s)
+        for d in (1, 2):
+            pts = rng.uniform(-10.0, 10.0, (n, d))
+            out = linear_step(M, AgentState(pts)).points.tolist()
+            x = pts.tolist()
+            for k in g.graph.nodes:
+                for j in range(d):
+                    acc = 0.0
+                    for i in sorted(g.graph.in_sources(k)):
+                        acc += A[k - 1][i - 1] * (x[i - 1][j] - x[k - 1][j])
+                    assert out[k - 1][j] == x[k - 1][j] + acc
+
+
+def test_update_matrix_stores_one_triple_per_arc():
+    rng = np.random.default_rng(5)
+    for n in (1, 4, 12):
+        g = _random_weighted_graph(rng, n)
+        M = build_update_matrix(g)
+        assert M.n == n and M.rows.size == len(g.arcs)
+        dense = StochasticMatrix(M.entries)
+        for name in ("diag", "rows", "cols", "weights"):
+            assert np.array_equal(getattr(dense, name), getattr(M, name))
+            with pytest.raises(ValueError):
+                getattr(M, name)[...] = 0
+        with pytest.raises(ValueError):
+            M.entries[0, 0] = 0.5
+
+
+def test_update_matrix_drops_entries_that_round_to_zero():
+    # 5e-324 / 2 rounds to 0: the stored triples stay the nonzero entries.
+    g = WeightedDigraph(DirectedGraph(3, {(1, 3), (2, 3)}), {(1, 3): 5e-324, (2, 3): 1.0})
+    M = build_update_matrix(g)
+    assert M.rows.tolist() == [2] and M.cols.tolist() == [1]
+    assert M.entries.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]]
+
+
+def test_linear_step_on_a_large_ring():
+    n = 5000
+    ring = DirectedGraph(n, {(k, k % n + 1) for k in range(1, n + 1)})
+    x = np.random.default_rng(1).uniform(-1.0, 1.0, (n, 2))
+    update = LinearAverage()
+    out = update.step(0, ring, AgentState(x)).points
+    assert update.matrix_for(ring).rows.size == n
+    assert np.array_equal(out, x + 0.5 * (np.roll(x, 1, axis=0) - x))
+
+
 # ---------------------------------------------------------------------------
 # Oscillator time-1 map
 

@@ -1,5 +1,7 @@
 """Graph construction, neighbor calculus, connectivity, and the text format."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -151,6 +153,19 @@ def test_weak_connectivity_examples():
     assert is_weakly_connected(DirectedGraph(3, {(1, 2), (2, 3), (3, 1)}))
     # pair plus an isolated node
     assert not is_weakly_connected(DirectedGraph(3, {(1, 2), (2, 1)}))
+
+
+def test_weak_connectivity_matches_definition_on_random_digraphs():
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        m = round(rng.uniform(0.5, 3.0) * n) if n > 1 else 0
+        g = DirectedGraph(n, {tuple(rng.sample(range(1, n + 1), 2)) for _ in range(m)})
+        expected = any(is_connected_from(g, k) for k in g.nodes)
+        assert is_weakly_connected(g) == expected, g
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_bidirectional():
