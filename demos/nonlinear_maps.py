@@ -18,33 +18,30 @@ from consensus_lab import (
     KuramotoTime1,
     LinearAverage,
     MaxUpdate,
+    NonlinearConsensus,
     VicsekHeading,
     check_communication_assumption,
     check_strict_convexity,
-    kuramoto_time1,
-    max_step,
-    nonlinear_consensus_time1,
-    vicsek_step,
 )
 
 
 def main():
     pair = DirectedGraph(2, {(1, 2), (2, 1)})
 
-    out = kuramoto_time1(pair, AgentState([0.0, 1.0]))
+    out = KuramotoTime1().step(0, pair, AgentState([0.0, 1.0]))
     print(f"oscillator pair (0, 1) after one time unit: {np.round(out.values, 6).tolist()}")
     print("  (sum conserved: coupling is antisymmetric)\n")
 
-    out = nonlinear_consensus_time1(pair, AgentState([0.0, 1.0]), gains=lambda s: s)
+    out = NonlinearConsensus(gains=lambda s: s).step(0, pair, AgentState([0.0, 1.0]))
     closed = (1.0 - math.exp(-2.0)) / 2.0
     print(f"identity-gain flow pair: {out.values.tolist()}")
     print(f"  closed form ((1 - e^-2)/2, ...): ({closed}, {1.0 - closed})\n")
 
-    out = vicsek_step(pair, AgentState([0.0, math.pi / 4]))
+    out = VicsekHeading().step(0, pair, AgentState([0.0, math.pi / 4]))
     print(f"heading pair (0, pi/4) -> {out.values.tolist()} (both pi/8 = {math.pi / 8})\n")
 
     chain = DirectedGraph(3, {(1, 2), (2, 3)})
-    out = max_step(chain, AgentState([3.0, 1.0, 2.0]))
+    out = MaxUpdate().step(0, chain, AgentState([3.0, 1.0, 2.0]))
     print(f"max map on chain, (3, 1, 2) -> {out.values.tolist()}\n")
 
     print("communication check (does agent k depend only on its senders?):")

@@ -7,7 +7,8 @@ moves to a convex combination of what it hears.  The linear map is given
 by a stochastic matrix built from arc weights; the other maps here are
 classical nonlinear examples (coupled oscillators in chart coordinates,
 odd-gain consensus flows, heading averaging) plus a deliberately
-non-contracting reference map (coordinate-wise max).
+non-contracting reference map (coordinate-wise max).  Each map is one
+`UpdateMap` subclass, and its `step` is the only definition of the map.
 
 Two runtime checkers probe the structural assumptions the convergence
 theory rests on: that an agent's update depends only on its own state and
@@ -189,8 +190,7 @@ def linear_step(matrix: StochasticMatrix, state: AgentState) -> AgentState:
 
 
 def _rk4(field: Callable[[np.ndarray], np.ndarray], y0: np.ndarray, substeps: int) -> np.ndarray:
-    if substeps < 1:
-        raise ValueError(f"substeps must be at least 1, got {substeps}")
+    """One time unit in `substeps` steps; the maps validate `substeps` at construction."""
     h = 1.0 / substeps
     y = y0
     for _ in range(substeps):
@@ -200,40 +200,6 @@ def _rk4(field: Callable[[np.ndarray], np.ndarray], y0: np.ndarray, substeps: in
         k4 = field(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return y
-
-
-def _in_adjacency(g: DirectedGraph) -> np.ndarray:
-    """0/1 matrix with entry [k-1, i-1] = 1 when i sends to k."""
-    A = np.zeros((g.n, g.n))
-    for i, k in g.arcs:
-        A[k - 1, i - 1] = 1.0
-    return A
-
-
-def kuramoto_time1(
-    g: Union[DirectedGraph, WeightedDigraph], state: AgentState, substeps: int = 100
-) -> AgentState:
-    """Time-1 map of coupled oscillators in chart coordinates.
-
-    Integrates dx_k/dt = sum over senders i of
-    (x_i - x_k) / (sqrt(1 + x_i^2) sqrt(1 + x_k^2)) over one time unit
-    with `substeps` classical RK4 steps.  Coupling is unweighted; only the
-    arc pattern of `g` matters.
-    """
-    base = as_directed(g)
-    if state.d != 1:
-        raise ValueError("oscillator states are scalar chart coordinates")
-    if base.n != state.n:
-        raise ValueError(f"graph has n={base.n} but state has n={state.n}")
-    A = _in_adjacency(base)
-
-    def field(x: np.ndarray) -> np.ndarray:
-        r = 1.0 / np.sqrt(1.0 + x * x)
-        diff = x[None, :] - x[:, None]  # diff[k, i] = x_i - x_k
-        coup = diff * r[None, :] * r[:, None]
-        return (A * coup).sum(axis=1)
-
-    return AgentState(_rk4(field, state.values.copy(), substeps))
 
 
 _GAIN_GRID = np.linspace(0.125, 4.0, 32)
@@ -265,106 +231,11 @@ GAIN_LIBRARY: dict[str, GainFn] = {
     "arctan": math.atan,
 }
 
-
-def _resolve_gains(
-    g: DirectedGraph, gains: Union[GainFn, Mapping[Arc, GainFn]], validate: bool
-) -> dict[Arc, GainFn]:
-    if callable(gains):
-        if validate:
-            validate_gain(gains)
-        return {a: gains for a in g.arcs}
-    table = dict(gains)
-    missing = set(g.arcs) - set(table)
-    if missing:
-        raise ValueError(f"no gain supplied for arcs {sorted(missing)}")
-    if validate:
-        for a in sorted(g.arcs):
-            validate_gain(table[a], label=f"gain for arc {a}")
-    return {a: table[a] for a in g.arcs}
-
-
-def nonlinear_consensus_time1(
-    g: Union[DirectedGraph, WeightedDigraph],
-    state: AgentState,
-    gains: Union[GainFn, Mapping[Arc, GainFn]],
-    substeps: int = 100,
-    validate: bool = True,
-) -> AgentState:
-    """Time-1 map of dx_k/dt = sum over senders i of gamma_ik(x_i - x_k).
-
-    Each arc (i, k) carries an odd, strictly increasing gain; a single
-    callable is shared by all arcs.  Integration is fixed-step RK4.
-    """
-    base = as_directed(g)
-    if state.d != 1:
-        raise ValueError("consensus-flow states are scalar")
-    if base.n != state.n:
-        raise ValueError(f"graph has n={base.n} but state has n={state.n}")
-    table = _resolve_gains(base, gains, validate)
-    arcs = sorted(table.items())
-
-    def field(x: np.ndarray) -> np.ndarray:
-        f = np.zeros_like(x)
-        for (i, k), gamma in arcs:
-            f[k - 1] += gamma(x[i - 1] - x[k - 1])
-        return f
-
-    return AgentState(_rk4(field, state.values.copy(), substeps))
-
-
 _HALF_PI = math.pi / 2.0
 
 
-def vicsek_step(g: Union[DirectedGraph, WeightedDigraph], state: AgentState) -> AgentState:
-    """Heading update: each agent takes the angle of the summed unit vectors
-    of itself and its senders.
-
-    Headings must lie in the open interval (-pi/2, pi/2); inputs outside
-    it are rejected rather than wrapped, and outputs use the principal
-    arctangent branch so they stay in the same interval.  The angle is
-    computed relative to each agent's own heading (the circular mean is
-    rotation invariant), so a neighborhood at a common heading keeps that
-    heading bit-exactly.
-    """
-    base = as_directed(g)
-    if state.d != 1:
-        raise ValueError("headings are scalar angles")
-    if base.n != state.n:
-        raise ValueError(f"graph has n={base.n} but state has n={state.n}")
-    theta = state.values
-    if np.any(np.abs(theta) >= _HALF_PI):
-        k = int(np.argmax(np.abs(theta)))
-        raise ValueError(
-            f"heading of agent {k + 1} is {theta[k]!r}, outside the open "
-            f"interval (-pi/2, pi/2)"
-        )
-    out = np.empty_like(theta)
-    for k in base.nodes:
-        idx = [k - 1] + [i - 1 for i in base.in_sources(k)]
-        rel = theta[idx] - theta[k - 1]
-        out[k - 1] = theta[k - 1] + math.atan2(np.sin(rel).sum(), np.cos(rel).sum())
-    return AgentState(out)
-
-
-def max_step(g: Union[DirectedGraph, WeightedDigraph], state: AgentState) -> AgentState:
-    """Coordinate-wise maximum over each agent's closed in-neighborhood.
-
-    A reference map that respects the communication pattern but sits on
-    the boundary of the neighborhood hull instead of strictly inside it;
-    useful as a negative example for the convexity checker.
-    """
-    base = as_directed(g)
-    if base.n != state.n:
-        raise ValueError(f"graph has n={base.n} but state has n={state.n}")
-    out = np.empty_like(state.points)
-    for k in base.nodes:
-        idx = [k - 1] + [i - 1 for i in base.in_sources(k)]
-        out[k - 1] = state.points[idx].max(axis=0)
-    return AgentState(out)
-
-
 # ---------------------------------------------------------------------------
-# Update-map objects: a uniform one-step interface for the simulator
+# Update maps: each class is the one definition of its map
 
 
 class UpdateMap(ABC):
@@ -379,13 +250,14 @@ class UpdateMap(ABC):
     #: Open coordinate interval the map is defined on, or None for all reals.
     domain: Optional[tuple[float, float]] = None
 
-    def _check(self, graph, state: AgentState) -> None:
+    def _check(self, graph, state: AgentState) -> DirectedGraph:
+        """Validate d and n for one step; return the unweighted graph."""
         if state.d not in self.supported_dims:
             raise ValueError(f"{self.name} does not support d={state.d}")
-        if as_directed(graph).n != state.n:
-            raise ValueError(
-                f"graph has n={as_directed(graph).n} but state has n={state.n}"
-            )
+        base = as_directed(graph)
+        if base.n != state.n:
+            raise ValueError(f"graph has n={base.n} but state has n={state.n}")
+        return base
 
     @abstractmethod
     def step(self, t: int, graph, state: AgentState) -> AgentState:
@@ -422,14 +294,21 @@ class LinearAverage(UpdateMap):
         return M
 
     def step(self, t: int, graph, state: AgentState) -> AgentState:
-        self._check(graph, state)
-        if not as_directed(graph).arcs:
+        if not self._check(graph, state).arcs:
             return state
         return linear_step(self.matrix_for(graph), state)
 
 
 class KuramotoTime1(UpdateMap):
-    """Coupled-oscillator time-1 map (see kuramoto_time1)."""
+    """Time-1 map of coupled oscillators in chart coordinates.
+
+    Integrates dx_k/dt = sum over senders i of
+    (x_i - x_k) / (sqrt(1 + x_i^2) sqrt(1 + x_k^2)) over one time unit
+    with `substeps` classical RK4 steps.  Coupling is unweighted; only the
+    arc pattern of the graph matters.  Each field evaluation is one gather
+    over the arcs, sorted by (receiver, sender), and one `np.bincount`
+    scatter: O(n + m) for m arcs.
+    """
 
     name = "kuramoto"
     integrator_backed = True
@@ -440,17 +319,26 @@ class KuramotoTime1(UpdateMap):
         self.substeps = substeps
 
     def step(self, t: int, graph, state: AgentState) -> AgentState:
-        self._check(graph, state)
-        if not as_directed(graph).arcs:
+        base = self._check(graph, state)
+        if not base.arcs:
             return state
-        return kuramoto_time1(graph, state, self.substeps)
+        arcs = sorted(base.arcs, key=lambda a: (a[1], a[0]))
+        src, dst = np.array(arcs, dtype=np.intp).T - 1
+
+        def field(x: np.ndarray) -> np.ndarray:
+            r = 1.0 / np.sqrt(1.0 + x * x)
+            return np.bincount(dst, (x[src] - x[dst]) * r[src] * r[dst], minlength=x.size)
+
+        return AgentState(_rk4(field, state.values, self.substeps))
 
 
 class NonlinearConsensus(UpdateMap):
-    """Odd-gain consensus flow time-1 map (see nonlinear_consensus_time1).
+    """Time-1 map of dx_k/dt = sum over senders i of gamma_ik(x_i - x_k).
 
-    Gains are validated once, at construction.  A mapping of per-arc
-    gains must cover every arc of every graph the map is stepped with.
+    Each arc (i, k) carries an odd, strictly increasing gain; a single
+    callable is shared by all arcs.  Gains are validated once, at
+    construction.  A mapping of per-arc gains must cover every arc of
+    every graph the map is stepped with.  Integration is fixed-step RK4.
     """
 
     name = "nonlinear"
@@ -473,34 +361,76 @@ class NonlinearConsensus(UpdateMap):
         self.substeps = substeps
 
     def step(self, t: int, graph, state: AgentState) -> AgentState:
-        self._check(graph, state)
-        if not as_directed(graph).arcs:
+        base = self._check(graph, state)
+        if not base.arcs:
             return state
-        return nonlinear_consensus_time1(
-            graph, state, self.gains, self.substeps, validate=False
-        )
+        if callable(self.gains):
+            arcs = [(a, self.gains) for a in sorted(base.arcs)]
+        else:
+            missing = base.arcs.difference(self.gains)
+            if missing:
+                raise ValueError(f"no gain supplied for arcs {sorted(missing)}")
+            arcs = [(a, self.gains[a]) for a in sorted(base.arcs)]
+
+        def field(x: np.ndarray) -> np.ndarray:
+            f = np.zeros_like(x)
+            for (i, k), gamma in arcs:
+                f[k - 1] += gamma(x[i - 1] - x[k - 1])
+            return f
+
+        return AgentState(_rk4(field, state.values, self.substeps))
 
 
 class VicsekHeading(UpdateMap):
-    """Heading averaging on the open interval (-pi/2, pi/2) (see vicsek_step)."""
+    """Heading update: each agent takes the angle of the summed unit vectors
+    of itself and its senders.
+
+    Headings must lie in the open interval (-pi/2, pi/2); inputs outside
+    it are rejected rather than wrapped, and outputs use the principal
+    arctangent branch so they stay in the same interval.  The angle is
+    computed relative to each agent's own heading (the circular mean is
+    rotation invariant), so a neighborhood at a common heading keeps that
+    heading bit-exactly.
+    """
 
     name = "vicsek"
     domain = (-_HALF_PI, _HALF_PI)
 
     def step(self, t: int, graph, state: AgentState) -> AgentState:
-        self._check(graph, state)
-        return vicsek_step(graph, state)
+        base = self._check(graph, state)
+        theta = state.values
+        if np.any(np.abs(theta) >= _HALF_PI):
+            k = int(np.argmax(np.abs(theta)))
+            raise ValueError(
+                f"heading of agent {k + 1} is {theta[k]!r}, outside the open "
+                f"interval (-pi/2, pi/2)"
+            )
+        out = np.empty_like(theta)
+        for k in base.nodes:
+            idx = [k - 1] + [i - 1 for i in base.in_sources(k)]
+            rel = theta[idx] - theta[k - 1]
+            out[k - 1] = theta[k - 1] + math.atan2(np.sin(rel).sum(), np.cos(rel).sum())
+        return AgentState(out)
 
 
 class MaxUpdate(UpdateMap):
-    """Coordinate-wise neighborhood maximum (see max_step)."""
+    """Coordinate-wise maximum over each agent's closed in-neighborhood.
+
+    A reference map that respects the communication pattern but sits on
+    the boundary of the neighborhood hull instead of strictly inside it;
+    useful as a negative example for the convexity checker.
+    """
 
     name = "max"
     supported_dims = (1, 2)
 
     def step(self, t: int, graph, state: AgentState) -> AgentState:
-        self._check(graph, state)
-        return max_step(graph, state)
+        base = self._check(graph, state)
+        out = np.empty_like(state.points)
+        for k in base.nodes:
+            idx = [k - 1] + [i - 1 for i in base.in_sources(k)]
+            out[k - 1] = state.points[idx].max(axis=0)
+        return AgentState(out)
 
 
 # ---------------------------------------------------------------------------

@@ -375,8 +375,10 @@ def union_across(schedule, interval: IntervalSpec) -> DirectedGraph:
 
     Weights are dropped; the result is an unweighted graph on the
     schedule's nodes.  Unbounded intervals are answered exactly for
-    periodic and eventually-constant schedules; other schedules raise
-    UnsupportedQueryError because an infinite union cannot be scanned.
+    periodic and eventually-constant schedules, and through the
+    schedule's `tail_union` when it has a closed form; other schedules
+    raise UnsupportedQueryError because an infinite union cannot be
+    scanned.  `schedule` is a `simulator.GraphSchedule`.
     """
     first = schedule.first_time
     if interval.start < first:
@@ -384,8 +386,7 @@ def union_across(schedule, interval: IntervalSpec) -> DirectedGraph:
             f"interval {interval} starts before the schedule's first time {first}"
         )
     a = interval.start
-    period = getattr(schedule, "period", None)
-    constant_from = getattr(schedule, "constant_from", None)
+    period, constant_from = schedule.period, schedule.constant_from
     if interval.bounded:
         b = interval.end
         if period is not None:
@@ -398,8 +399,7 @@ def union_across(schedule, interval: IntervalSpec) -> DirectedGraph:
     elif constant_from is not None:
         times = range(a, max(a, constant_from) + 1)
     else:
-        closed_form = getattr(schedule, "tail_union", None)
-        tail = closed_form(a) if callable(closed_form) else None
+        tail = schedule.tail_union(a)
         if tail is not None:
             return as_directed(tail)
         raise UnsupportedQueryError(

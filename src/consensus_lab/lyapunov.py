@@ -164,6 +164,17 @@ class MonitorRecord:
 
 DEFAULT_SLACK = 1e-9
 
+# Rounding allowance of the containment test, in units of eps * M, where M is
+# the largest coordinate magnitude of the previous hull's vertices.  A
+# conforming step at best stores the nearest float to a point of that hull:
+# up to eps/2 * M per coordinate, sqrt(2)/2 in the plane.  `point_distance`
+# then forms the foot point a + t (b - a) on an edge near the point: t
+# carries 9 relative roundings and t (b - a) 2 more, on differences of at
+# most 2M, and the sum rounds once at magnitude M: 23/2 per coordinate,
+# 23 sqrt(2)/2 in the plane.  To first order in eps the total is under 17.
+_ROUNDING_ULPS = 17.0
+_EPS = float(np.finfo(float).eps)
+
 
 def monitor_stream(
     items: Iterable[tuple[int, object]], slack: float = DEFAULT_SLACK
@@ -171,16 +182,22 @@ def monitor_stream(
     """Walk (time, state) pairs, yielding a MonitorRecord per state.
 
     `contained` reports whether the current hull sits inside the
-    previously *recorded* hull (within `slack`); the first record is
-    vacuously contained.  Because hull shrinkage composes, the check
-    remains meaningful when the stream samples a trajectory sparsely.
-    Records carry their state and its disagreement as `diameter`, so
-    `monitor_stream(iter_states(...))` is a whole monitored run loop.
+    previously *recorded* hull, within `slack` plus the rounding a
+    conforming step can show at that hull's scale (17 eps times its
+    largest coordinate magnitude), so the verdict does not depend on the
+    scale of the states.  The first record is vacuously contained.
+    Because hull shrinkage composes, the check remains meaningful when
+    the stream samples a trajectory sparsely.  Records carry their state
+    and its disagreement as `diameter`, so `monitor_stream(iter_states(...))`
+    is a whole monitored run loop.
     """
     prev: Optional[HullPolytope] = None
     for t, st in items:
         h = hull(st)
-        ok = True if prev is None else contains(prev, h, slack)
+        ok = prev is None or contains(prev, h, slack)
+        if not ok:  # only failing steps pay for the scale term
+            scale = float(np.abs(prev.vertices).max())
+            ok = contains(prev, h, slack + _ROUNDING_ULPS * _EPS * scale)
         yield MonitorRecord(int(t), diameter(h), ok, h.vertex_count, st)
         prev = h
 

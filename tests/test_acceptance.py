@@ -36,10 +36,8 @@ from consensus_lab import (
     is_weakly_connected,
     is_weakly_connected_across,
     iter_states,
-    kuramoto_time1,
     monitor_stream,
     neighbors,
-    nonlinear_consensus_time1,
     random_windowed_schedule,
     stretching_bidirectional_schedule,
     verify_counterexample,
@@ -380,9 +378,9 @@ def test_criterion_8_integrator(capsys):
     ok = True
     for _ in range(10):
         x = AgentState(rng.uniform(-3.0, 3.0, 4))
-        ref = kuramoto_time1(g, x, substeps=256).points
-        err_h = float(np.max(np.abs(kuramoto_time1(g, x, substeps=8).points - ref)))
-        err_h2 = float(np.max(np.abs(kuramoto_time1(g, x, substeps=16).points - ref)))
+        ref = KuramotoTime1(substeps=256).step(0, g, x).points
+        err_h = float(np.max(np.abs(KuramotoTime1(substeps=8).step(0, g, x).points - ref)))
+        err_h2 = float(np.max(np.abs(KuramotoTime1(substeps=16).step(0, g, x).points - ref)))
         ratio = err_h / err_h2
         ok = ok and 12.0 <= ratio <= 20.0  # fourth-order step halving
 
@@ -390,11 +388,11 @@ def test_criterion_8_integrator(capsys):
     x = AgentState([0.5, -1.2, 2.0, 0.1])
     total0 = float(x.values.sum())
     for _ in range(100):
-        x = kuramoto_time1(path4, x, substeps=100)
+        x = KuramotoTime1(substeps=100).step(0, path4, x)
     ok = ok and abs(float(x.values.sum()) - total0) < 1e-9
 
     pair = DirectedGraph(2, {(1, 2), (2, 1)})
-    out = nonlinear_consensus_time1(pair, AgentState([0.0, 1.0]), gains=lambda s: s)
+    out = NonlinearConsensus(gains=lambda s: s).step(0, pair, AgentState([0.0, 1.0]))
     closed = (1.0 - math.exp(-2.0)) / 2.0
     ok = ok and abs(out.values[0] - closed) < 1e-8
     ok = ok and abs(out.values[1] - (1.0 - closed)) < 1e-8

@@ -21,12 +21,8 @@ from consensus_lab import (
     check_communication_assumption,
     check_strict_convexity,
     empty_graph,
-    kuramoto_time1,
     linear_step,
-    max_step,
-    nonlinear_consensus_time1,
     validate_gain,
-    vicsek_step,
 )
 
 WORKED_GRAPH = WeightedDigraph(
@@ -211,7 +207,7 @@ def test_linear_step_on_a_large_ring():
 
 def test_kuramoto_pair_regression():
     g = DirectedGraph(2, {(1, 2), (2, 1)})
-    out = kuramoto_time1(g, AgentState([0.0, 1.0]), substeps=1000)
+    out = KuramotoTime1(substeps=1000).step(0, g, AgentState([0.0, 1.0]))
     assert out.values[0] == pytest.approx(0.39278887371618926, abs=1e-12)
     assert out.values[1] == pytest.approx(0.6072111262838092, abs=1e-12)
 
@@ -219,26 +215,73 @@ def test_kuramoto_pair_regression():
 def test_kuramoto_consensus_is_exact_fixed_point():
     g = DirectedGraph(3, {(1, 2), (2, 1), (2, 3), (3, 2)})
     x = AgentState([1.3, 1.3, 1.3])
-    out = kuramoto_time1(g, x, substeps=50)
+    out = KuramotoTime1(substeps=50).step(0, g, x)
     assert out.values.tolist() == [1.3, 1.3, 1.3]
 
 
 def test_kuramoto_symmetric_coupling_conserves_sum():
     g = DirectedGraph(3, {(1, 2), (2, 1), (2, 3), (3, 2)})
     x = AgentState([-1.0, 0.25, 2.0])
-    out = kuramoto_time1(g, x, substeps=200)
+    out = KuramotoTime1(substeps=200).step(0, g, x)
     assert sum(out.values) == pytest.approx(sum(x.values), abs=1e-12)
 
 
 def test_kuramoto_isolated_agent_is_frozen():
     g = DirectedGraph(3, {(1, 2), (2, 1)})
-    out = kuramoto_time1(g, AgentState([0.0, 1.0, 5.0]), substeps=100)
+    out = KuramotoTime1(substeps=100).step(0, g, AgentState([0.0, 1.0, 5.0]))
     assert out.values[2] == 5.0
 
 
-def test_kuramoto_rejects_planar_states():
-    with pytest.raises(ValueError, match="scalar"):
-        kuramoto_time1(empty_graph(2), AgentState([[0.0, 1.0], [2.0, 3.0]]), substeps=4)
+def _dense_kuramoto_reference(g, x, substeps):
+    # The field through an n x n 0/1 in-adjacency, A[k-1, i-1] = 1 when i
+    # sends to k, with row sums; then classical RK4 over one time unit.
+    A = np.zeros((g.n, g.n))
+    for i, k in g.arcs:
+        A[k - 1, i - 1] = 1.0
+
+    def field(y):
+        r = 1.0 / np.sqrt(1.0 + y * y)
+        diff = y[None, :] - y[:, None]  # diff[k, i] = y_i - y_k
+        return (A * (diff * r[None, :] * r[:, None])).sum(axis=1)
+
+    h = 1.0 / substeps
+    y = x
+    for _ in range(substeps):
+        k1 = field(y)
+        k2 = field(y + 0.5 * h * k1)
+        k3 = field(y + 0.5 * h * k2)
+        k4 = field(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
+def test_kuramoto_matches_dense_reference():
+    # For rows shorter than 8 (n <= 7) numpy's row sum adds in ascending
+    # sender order, as the sparse field does, so the maps agree bit for bit;
+    # from n = 8 numpy's unrolled row sum reorders the terms by ulps.
+    rng = np.random.default_rng(7)
+    update = KuramotoTime1(substeps=10)
+    for _ in range(200):
+        n = int(rng.integers(1, 41))
+        g = _random_weighted_graph(rng, n)
+        x = rng.uniform(-3.0, 3.0, n)
+        out = update.step(0, g, AgentState(x)).values
+        ref = _dense_kuramoto_reference(g.graph, x, 10)
+        if n <= 7:
+            assert np.array_equal(out, ref)
+        else:
+            assert np.max(np.abs(out - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(x))
+
+
+def test_kuramoto_on_a_large_ring():
+    n = 2000
+    forward = {(k, k % n + 1) for k in range(1, n + 1)}
+    ring = DirectedGraph(n, forward | {(l, k) for k, l in forward})
+    update = KuramotoTime1(substeps=4)
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, n)
+    out = update.step(0, ring, AgentState(x)).values
+    assert abs(out.sum() - x.sum()) <= 1e-9
+    assert np.array_equal(update.step(0, ring, AgentState(np.full(n, 0.7))).values, np.full(n, 0.7))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +311,7 @@ def test_validate_gain_rejects_non_monotone():
 
 def test_nonlinear_identity_gain_closed_form():
     g = DirectedGraph(2, {(1, 2), (2, 1)})
-    out = nonlinear_consensus_time1(g, AgentState([0.0, 1.0]), gains=lambda s: s)
+    out = NonlinearConsensus(gains=lambda s: s).step(0, g, AgentState([0.0, 1.0]))
     lo = (1.0 - math.exp(-2.0)) / 2.0
     assert out.values[0] == pytest.approx(lo, abs=1e-8)
     assert out.values[1] == pytest.approx(1.0 - lo, abs=1e-8)
@@ -277,7 +320,7 @@ def test_nonlinear_identity_gain_closed_form():
 def test_nonlinear_per_arc_gains():
     g = DirectedGraph(2, {(1, 2), (2, 1)})
     gains = {(1, 2): lambda s: s, (2, 1): lambda s: 3.0 * s}
-    out = nonlinear_consensus_time1(g, AgentState([0.0, 1.0]), gains=gains)
+    out = NonlinearConsensus(gains=gains).step(0, g, AgentState([0.0, 1.0]))
     # agent 1 is pulled three times harder, so the pair settles above 1/2
     assert out.values[0] > 0.5
     assert out.values[0] < out.values[1]
@@ -286,12 +329,12 @@ def test_nonlinear_per_arc_gains():
 def test_nonlinear_missing_arc_gain():
     g = DirectedGraph(2, {(1, 2), (2, 1)})
     with pytest.raises(ValueError, match="no gain supplied"):
-        nonlinear_consensus_time1(g, AgentState([0.0, 1.0]), gains={(1, 2): lambda s: s})
+        NonlinearConsensus(gains={(1, 2): lambda s: s}).step(0, g, AgentState([0.0, 1.0]))
 
 
 def test_nonlinear_consensus_exact_fixed_point():
     g = DirectedGraph(2, {(1, 2), (2, 1)})
-    out = nonlinear_consensus_time1(g, AgentState([2.0, 2.0]), gains=lambda s: s**3)
+    out = NonlinearConsensus(gains=lambda s: s**3).step(0, g, AgentState([2.0, 2.0]))
     assert out.values.tolist() == [2.0, 2.0]
 
 
@@ -301,14 +344,14 @@ def test_nonlinear_consensus_exact_fixed_point():
 
 def test_vicsek_pair_bisects():
     g = DirectedGraph(2, {(1, 2), (2, 1)})
-    out = vicsek_step(g, AgentState([0.0, math.pi / 4]))
+    out = VicsekHeading().step(0, g, AgentState([0.0, math.pi / 4]))
     assert out.values[0] == pytest.approx(math.pi / 8, abs=1e-15)
     assert out.values[1] == pytest.approx(math.pi / 8, abs=1e-15)
 
 
 def test_vicsek_no_senders_keeps_heading():
     g = DirectedGraph(2, {(1, 2)})
-    out = vicsek_step(g, AgentState([0.3, 1.2]))
+    out = VicsekHeading().step(0, g, AgentState([0.3, 1.2]))
     assert out.values[0] == 0.3
     # agent 2 averages its heading with agent 1's
     assert out.values[1] == pytest.approx(math.atan2(math.sin(0.3) + math.sin(1.2), math.cos(0.3) + math.cos(1.2)))
@@ -317,18 +360,18 @@ def test_vicsek_no_senders_keeps_heading():
 def test_vicsek_rejects_out_of_domain():
     g = DirectedGraph(2, {(1, 2), (2, 1)})
     with pytest.raises(ValueError, match="agent 2"):
-        vicsek_step(g, AgentState([0.0, math.pi / 2]))
+        VicsekHeading().step(0, g, AgentState([0.0, math.pi / 2]))
 
 
 def test_max_step_scalar():
     g = DirectedGraph(3, {(1, 2), (3, 2)})
-    out = max_step(g, AgentState([3.0, 1.0, 2.0]))
+    out = MaxUpdate().step(0, g, AgentState([3.0, 1.0, 2.0]))
     assert out.values.tolist() == [3.0, 3.0, 2.0]
 
 
 def test_max_step_planar_is_coordinatewise():
     g = DirectedGraph(2, {(1, 2), (2, 1)})
-    out = max_step(g, AgentState([[0.0, 5.0], [4.0, 1.0]]))
+    out = MaxUpdate().step(0, g, AgentState([[0.0, 5.0], [4.0, 1.0]]))
     assert out.points.tolist() == [[4.0, 5.0], [4.0, 5.0]]
 
 

@@ -18,9 +18,11 @@ from consensus_lab import (
     disagreement,
     hull,
     hull_vertices_2d,
+    iter_states,
     monitor_stream,
     monitor_trajectory,
     point_distance,
+    random_windowed_schedule,
     simulate,
 )
 
@@ -198,6 +200,22 @@ def test_monitor_composes_across_sparse_sampling():
     traj = simulate(constant_schedule(g), LinearAverage(), AgentState([0.0, 1.0, 0.5]), steps=42)
     sparse = [(t, s) for t, s in zip(traj.times, traj.states) if t % 7 == 0]
     assert all(r.contained for r in monitor_stream(sparse))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("magnitude", [1e9, 1e12])
+def test_monitor_verdict_does_not_depend_on_scale(magnitude, d):
+    # Conforming averaging far from the origin: rounding at the scale of the
+    # coordinates exceeds the fixed 1e-9 slack but is not a hull escape.
+    for seed in range(40):
+        schedule = random_windowed_schedule(6, 1, 4, seed)
+        x0 = np.random.default_rng(seed).uniform(0.0, 1.0, (6, d)) * magnitude
+        recs = monitor_stream(iter_states(schedule, LinearAverage(), x0, 60))
+        assert all(r.contained for r in recs)
+    # growing the hull by a relative 1e-12 is still an escape at that scale
+    grown = x0 + 1e-12 * (x0 - x0.mean(axis=0))
+    recs = monitor_stream([(0, AgentState(x0)), (1, AgentState(grown))])
+    assert [r.contained for r in recs] == [True, False]
 
 
 def test_monitor_max_map_stays_contained():
