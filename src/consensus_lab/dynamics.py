@@ -138,7 +138,9 @@ class StochasticMatrix:
         return f"StochasticMatrix({self.entries.tolist()!r})"
 
 
-def build_update_matrix(g: Union[DirectedGraph, WeightedDigraph]) -> StochasticMatrix:
+def build_update_matrix(
+    g: Union[DirectedGraph, WeightedDigraph], weight: float = 1.0
+) -> StochasticMatrix:
     """Stochastic update matrix of a weighted communication graph.
 
     Row k averages agent k's own state with its in-senders' states:
@@ -146,14 +148,22 @@ def build_update_matrix(g: Union[DirectedGraph, WeightedDigraph]) -> StochasticM
         A[k, k] = 1 / (1 + S_k),   A[k, i] = w_ik / (1 + S_k)  for senders i,
 
     where S_k is the total weight into k, summed over senders in ascending
-    order.  An unweighted graph gets unit weights.  The arc-free graph
-    yields the identity.  Builds one triple per arc in O(n + m log m) and
-    allocates no n x n array.
+    order.  A `WeightedDigraph` uses its own weights; an unweighted graph
+    gets `weight` (positive and finite, default 1) on every arc, read
+    straight from its arc set.  The arc-free graph yields the identity.
+    Builds one triple per arc in O(n + m log m) and allocates no n x n
+    array.
     """
-    wg = g if isinstance(g, WeightedDigraph) else WeightedDigraph.unit(g)
-    n = wg.n
-    src, dst = np.array(list(wg.weights), dtype=np.intp).reshape(-1, 2).T - 1
-    w = np.fromiter(wg.weights.values(), dtype=float, count=len(wg.weights))
+    if not (weight > 0.0 and math.isfinite(weight)):
+        raise ValueError(f"arc weight must be positive and finite, got {weight}")
+    if isinstance(g, WeightedDigraph):
+        arcs = list(g.weights)
+        w = np.fromiter(g.weights.values(), dtype=float, count=len(arcs))
+    else:
+        arcs = list(g.arcs)
+        w = np.full(len(arcs), float(weight))
+    n = g.n
+    src, dst = np.array(arcs, dtype=np.intp).reshape(-1, 2).T - 1
     order = np.lexsort((src, dst))
     src, dst, w = src[order], dst[order], w[order]
     denom = 1.0 + np.bincount(dst, w, minlength=n)
@@ -284,13 +294,7 @@ class LinearAverage(UpdateMap):
     def matrix_for(self, graph) -> StochasticMatrix:
         M = self._cache.get(graph)
         if M is None:
-            wg = (
-                graph
-                if isinstance(graph, WeightedDigraph)
-                else WeightedDigraph.unit(graph, self.default_weight)
-            )
-            M = build_update_matrix(wg)
-            self._cache[graph] = M
+            M = self._cache[graph] = build_update_matrix(graph, self.default_weight)
         return M
 
     def step(self, t: int, graph, state: AgentState) -> AgentState:

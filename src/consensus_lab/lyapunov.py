@@ -4,14 +4,16 @@ The convex hull of the agent positions acts as a set-valued measure of
 disagreement: conforming update maps can never enlarge it, and its
 diameter shrinks to zero exactly when the group approaches consensus.
 This module computes hulls in dimension 1 (intervals) and 2 (convex
-polygons via the monotone chain), tests hull-in-hull containment with a
-slack, and walks trajectories recording diameter and containment per
-step.  A containment failure is the smoking gun that an update map moved
-an agent outside the group's previous span.
+polygons via the monotone chain, after an interior-point prefilter on
+large inputs), tests hull-in-hull containment with a slack, and walks
+trajectories recording diameter and containment per step.  A containment
+failure is the smoking gun that an update map moved an agent outside the
+group's previous span.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -27,7 +29,9 @@ def _as_points(x) -> np.ndarray:
         if not np.all(np.isfinite(pts)):
             raise ValueError("state coordinates must be finite")
     if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] not in (1, 2):
-        raise ValueError(f"expected (n,) or (n, d) points with d in {{1, 2}}")
+        raise ValueError(
+            f"expected (n,) or (n, d) points with n >= 1 and d in {{1, 2}}, got shape {pts.shape}"
+        )
     return pts
 
 
@@ -35,28 +39,142 @@ def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def hull_vertices_2d(points: np.ndarray) -> np.ndarray:
-    """Counterclockwise extreme points of a planar point set (monotone chain).
+# Directions of the prefilter's extreme points, counterclockwise from +x.
+_OCTAGON = np.array(
+    [[1, 0], [1, 1], [0, 1], [-1, 1], [-1, 0], [-1, -1], [0, -1], [1, -1]], dtype=float
+)
 
-    Collinear boundary points are dropped, so the vertex list is minimal:
-    one point for a coincident set, two for a collinear set, otherwise a
-    simple CCW polygon.  Orientation tests use the sign of the double
-    cross product directly.
+# Below this many points the prefilter's fixed numpy cost exceeds what it
+# saves the chain (measured crossover: 80-96 points for uniform square,
+# uniform disk and Gaussian clouds).
+_PREFILTER_MIN_POINTS = 96
+
+# Quickhull rounds of the prefilter: each at most doubles the ring, so the
+# final ring has at most 8 * 2**_PREFILTER_ROUNDS points (see `_prefilter`).
+_PREFILTER_ROUNDS = 3
+
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
+
+def _prefilter(pts: np.ndarray) -> np.ndarray:
+    """The points not certified strictly inside a ring of input points.
+
+    Akl & Toussaint's prefilter, refined quickhull-style.  The ring starts
+    as the input points extreme in the 8 `_OCTAGON` directions, in CCW
+    order, without repeated consecutive points (a zero-length edge
+    certifies nothing).  Each of `_PREFILTER_ROUNDS` rounds puts after
+    every ring point o the point farthest right of the edge from o to its
+    successor, if one lies right of it.  Then every point left of every
+    edge of the ring by more than a rounding bound is dropped.  The rounds
+    never stop early and always test all m points, so a cloud whose first
+    ring is a sliver (a far outlier and a dense cluster) costs what a
+    round cloud does: only the ring's length, at most 64, varies.
+
+    Any closed ring of input points certifies: a point strictly left of
+    every edge sees the ring's vertices at strictly increasing angles all
+    the way round, which no point outside their convex hull does, so it
+    lies in the open interior of the hull.
+
+    The test evaluates n . q - t per edge as one matrix product, with
+    e = a - o the rounded edge vector, n = (-ey, ex), q = p - c the point
+    moved by the input point c of least x (so |q| <= W per coordinate, W
+    the larger side of the bounding box), and t = n . q_o + B.  In units
+    of eps W (|ex| + |ey|), rounding e costs at most 1/2, moving p and o
+    1, n . q_o 1, adding B 1/2, and the three-term product 3, so the
+    value is within 6 units of det - B, det = (a - o) x (p - o) exactly.
+    With B = 12 units plus the smallest normal float (which covers
+    products that underflow), a dropped point has det over 6 units: its
+    distance to every edge line is over 6 eps W, three times the 2.1 eps W
+    by which the chain's own cross products can misplace a point, so the
+    filter removes nothing the chain could round onto the boundary.
     """
-    pts = sorted(set(map(tuple, np.asarray(points, dtype=float))))
-    if len(pts) == 1:
-        return np.array(pts)
+    picks = (_OCTAGON @ pts.T).argmax(axis=1)
+    xmax, _, ymax, _, xmin, _, ymin, _ = picks.tolist()
+    span = max(pts[xmax, 0] - pts[xmin, 0], pts[ymax, 1] - pts[ymin, 1])
+    # 4 W^2 bounds every term: finite means no product overflows, and
+    # positive that the points do not all coincide
+    if not 0.0 < 4.0 * span * span < math.inf:
+        return pts
+    q = np.empty((3, pts.shape[0]))  # columns (qx, qy, 1)
+    np.subtract(pts.T, pts[xmin, :, None], out=q[:2])
+    q[2] = 1.0
+    ring = _distinct(picks)
+    for _ in range(_PREFILTER_ROUNDS):
+        s = _edge_rows(pts, q, ring)[0] @ q
+        far = s.argmin(axis=1)
+        right = s[np.arange(ring.shape[0]), far] < 0.0
+        grown = np.empty(2 * ring.shape[0], dtype=ring.dtype)
+        grown[0::2] = ring
+        grown[1::2] = np.where(right, far, ring)
+        ring = _distinct(grown)
+    rows, e = _edge_rows(pts, q, ring)
+    rows[:, 2] -= 12.0 * _EPS * span * np.abs(e).sum(axis=1) + _TINY
+    return pts[(rows @ q).min(axis=0) <= 0.0]
+
+
+def _distinct(ring: np.ndarray) -> np.ndarray:
+    """The cyclic ring without repeated consecutive points, whose
+    zero-length edges would certify nothing."""
+    return ring[ring != np.concatenate((ring[1:], ring[:1]))]
+
+
+def _edge_rows(pts: np.ndarray, q: np.ndarray, ring: np.ndarray):
+    """Rows (n, -n . q_o), n = (-ey, ex), for the ring's edges (o, a) with
+    e = a - o, so that rows @ q is det (a - o) x (p - o) evaluated at every
+    point; and e."""
+    o = pts[ring]
+    e = np.concatenate((o[1:], o[:1])) - o
+    qo = q[:2, ring]
+    rows = np.empty((ring.shape[0], 3))
+    rows[:, 0] = -e[:, 1]
+    rows[:, 1] = e[:, 0]
+    rows[:, 2] = -(rows[:, 0] * qo[0] + rows[:, 1] * qo[1])
+    return rows, e
+
+
+def _hull_vertices_2d(pts: np.ndarray) -> np.ndarray:
+    """Monotone chain over validated (m, 2) points, prefiltered when m is large."""
+    if pts.shape[0] >= _PREFILTER_MIN_POINTS:
+        pts = _prefilter(pts)
+    ordered = sorted(set(map(tuple, pts.tolist())))
+    if len(ordered) == 1:
+        return np.array(ordered)
     lower: list = []
-    for p in pts:
+    for p in ordered:
         while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0.0:
             lower.pop()
         lower.append(p)
     upper: list = []
-    for p in reversed(pts):
+    for p in reversed(ordered):
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0.0:
             upper.pop()
         upper.append(p)
     return np.array(lower[:-1] + upper[:-1])
+
+
+def hull_vertices_2d(points) -> np.ndarray:
+    """Counterclockwise extreme points of a planar point set (monotone chain).
+
+    `points` is a nonempty (m, 2) array of finite coordinates (or a planar
+    `AgentState`); anything else raises ValueError.  Collinear boundary
+    points are dropped, so the vertex list is minimal: one point for a
+    coincident set, two for a collinear set, otherwise a simple CCW
+    polygon starting from the lexicographically smallest vertex.
+    Orientation tests use the sign of the double cross product directly.
+
+    Large inputs first go through an Akl-Toussaint prefilter: the input
+    points extreme in 8 directions, refined by quickhull rounds, form a
+    ring inside the hull, and every point whose orientation determinant
+    against each ring edge exceeds a stated rounding bound is dropped.
+    Such a point lies in the open interior of the hull, more than the
+    chain's own rounding away from its boundary, so it cannot be a vertex,
+    and the chain returns the same vertices without it.
+    """
+    pts = _as_points(points)
+    if pts.shape[1] != 2:
+        raise ValueError(f"expected (m, 2) points, got shape {pts.shape}")
+    return _hull_vertices_2d(pts)
 
 
 class HullPolytope:
@@ -92,15 +210,21 @@ def hull(x) -> HullPolytope:
         if lo == hi:
             return HullPolytope(np.array([[lo]]))
         return HullPolytope(np.array([[lo], [hi]]))
-    return HullPolytope(hull_vertices_2d(pts))
+    return HullPolytope(_hull_vertices_2d(pts))
 
 
-def _segment_distance(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> float:
+def _edge_distances(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """(k, m) distances from the (k, 2) `pts` to the m segments from a[j]
+    to b[j]: to the foot point a + t (b - a), t the projection clamped to
+    [0, 1] (0 on a zero-length segment).  The dot products are `@` of
+    stacked vectors, the same BLAS dot as for single vectors."""
     ab = b - a
-    denom = float(ab @ ab)
-    t = 0.0 if denom == 0.0 else min(1.0, max(0.0, float((p - a) @ ab) / denom))
-    q = a + t * ab
-    return float(np.hypot(p[0] - q[0], p[1] - q[1]))
+    denom = (ab[:, None, :] @ ab[:, :, None])[:, 0, 0]
+    num = ((pts[:, None, :] - a)[:, :, None, :] @ ab[:, :, None])[..., 0, 0]
+    t = np.zeros_like(num)
+    np.divide(num, denom, out=t, where=denom != 0.0)
+    q = a + np.clip(t, 0.0, 1.0)[..., None] * ab
+    return np.hypot(pts[:, None, 0] - q[..., 0], pts[:, None, 1] - q[..., 1])
 
 
 def point_distance(h: HullPolytope, point) -> float:
@@ -116,37 +240,66 @@ def point_distance(h: HullPolytope, point) -> float:
     if m == 1:
         return float(np.hypot(p[0] - v[0, 0], p[1] - v[0, 1]))
     if m == 2:
-        return _segment_distance(v[0], v[1], p)
-    inside = all(
-        _cross(v[i], v[(i + 1) % m], p) >= 0.0 for i in range(m)
-    )  # CCW polygon: left of every edge
-    if inside:
+        return float(_edge_distances(v[:1], v[1:], p[None, :])[0, 0])
+    if _inside_polygon(v, p[None, :])[0]:
         return 0.0
-    return min(_segment_distance(v[i], v[(i + 1) % m], p) for i in range(m))
+    return float(_boundary_distances(v, p[None, :])[0])
+
+
+def _boundary_distances(v: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Distances from the (k, 2) `pts` to the boundary of the polygon `v`."""
+    return _edge_distances(v, np.concatenate((v[1:], v[:1])), pts).min(axis=1)
+
+
+def _inside_polygon(v: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Which of the (k, 2) `pts` lie left of or on every edge of the CCW
+    polygon `v`: the sign of `_cross(v[i], v[i + 1], p)`, for all edges and
+    points in one numpy expression with the same roundings."""
+    o, a = v[:, :, None], np.concatenate((v[1:], v[:1]))[:, :, None]
+    x, y = pts[:, 0], pts[:, 1]
+    cross = (a[:, 0] - o[:, 0]) * (y - o[:, 1]) - (a[:, 1] - o[:, 1]) * (x - o[:, 0])
+    return (cross >= 0.0).all(axis=0)
 
 
 def contains(outer: HullPolytope, inner: HullPolytope, slack: float = 0.0) -> bool:
-    """True when every vertex of `inner` is within `slack` of `outer`."""
+    """True when every vertex of `inner` is within `slack` of `outer`.
+
+    For a polygon `outer`, one numpy test clears the inner vertices inside
+    it, and one more measures the others against all its edges, as
+    `point_distance` does.
+    """
     if outer.d != inner.d:
         raise ValueError(f"dimension mismatch: outer d={outer.d}, inner d={inner.d}")
     if slack < 0.0:
         raise ValueError(f"slack must be nonnegative, got {slack}")
+    if outer.d == 2 and outer.vertex_count >= 3:
+        v = outer.vertices
+        outside = inner.vertices[~_inside_polygon(v, inner.vertices)]
+        return outside.shape[0] == 0 or bool((_boundary_distances(v, outside) <= slack).all())
     return all(point_distance(outer, p) <= slack for p in inner.vertices)
 
 
+_DIAMETER_BLOCK = 1 << 20
+
+
 def diameter(h: HullPolytope) -> float:
-    """Largest distance between two hull vertices (0 for a point)."""
+    """Largest distance between two hull vertices (0 for a point).
+
+    In d = 2 this is the largest `np.hypot` over all vertex pairs, taken
+    in blocks of rows so no temporary exceeds about a million entries.
+    """
     v = h.vertices
     m = v.shape[0]
     if m == 1:
         return 0.0
     if h.d == 1:
         return float(v[-1, 0] - v[0, 0])
-    best = 0.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            best = max(best, float(np.hypot(v[i, 0] - v[j, 0], v[i, 1] - v[j, 1])))
-    return best
+    x, y = v[:, 0], v[:, 1]
+    rows = max(1, _DIAMETER_BLOCK // m)
+    return max(
+        float(np.hypot(x[i : i + rows, None] - x, y[i : i + rows, None] - y).max())
+        for i in range(0, m, rows)
+    )
 
 
 @dataclass(frozen=True)
@@ -173,7 +326,6 @@ DEFAULT_SLACK = 1e-9
 # most 2M, and the sum rounds once at magnitude M: 23/2 per coordinate,
 # 23 sqrt(2)/2 in the plane.  To first order in eps the total is under 17.
 _ROUNDING_ULPS = 17.0
-_EPS = float(np.finfo(float).eps)
 
 
 def monitor_stream(

@@ -191,6 +191,24 @@ def test_update_matrix_drops_entries_that_round_to_zero():
     assert M.entries.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]]
 
 
+def test_update_matrix_arc_weight_matches_unit_weighted_graph():
+    rng = np.random.default_rng(8)
+    graphs = [empty_graph(3)] + [_random_weighted_graph(rng, n).graph for n in (2, 5, 12)]
+    for g in graphs:
+        for w in (1.0, 0.25, 3.0, 1e-3, 1e6, 5e-324):
+            direct = build_update_matrix(g, w)
+            via_unit = build_update_matrix(WeightedDigraph.unit(g, w))
+            assert direct.n == via_unit.n
+            for name in ("diag", "rows", "cols", "weights"):
+                assert np.array_equal(getattr(direct, name), getattr(via_unit, name))
+        assert LinearAverage(0.25).matrix_for(g).weights.tolist() == (
+            build_update_matrix(g, 0.25).weights.tolist()
+        )
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="arc weight must be positive and finite"):
+            build_update_matrix(graphs[1], bad)
+
+
 def test_linear_step_on_a_large_ring():
     n = 5000
     ring = DirectedGraph(n, {(k, k % n + 1) for k in range(1, n + 1)})

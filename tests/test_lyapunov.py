@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from consensus_lab import lyapunov
 from consensus_lab import (
     AgentState,
     DirectedGraph,
@@ -57,6 +58,125 @@ def test_degenerate_hulls():
     assert sorted(map(tuple, seg)) == [(0.0, 0.0), (2.0, 2.0)]
 
 
+@pytest.mark.parametrize("bad,message", [
+    (np.array([[0.0, 0.0], [1.0, 1.0], [np.nan, 1.0]]), "must be finite"),
+    (np.zeros((3, 3)), r"got shape \(3, 3\)"),
+    (np.zeros((0, 2)), r"got shape \(0, 2\)"),
+    (np.array([1.0, 2.0, 3.0]), r"expected \(m, 2\) points, got shape \(3, 1\)"),
+    (np.array([[1.0], [2.0]]), r"expected \(m, 2\) points, got shape \(2, 1\)"),
+], ids=["nan", "3-columns", "empty", "1-d", "1-column"])
+def test_hull_vertices_2d_rejects_bad_input(bad, message):
+    with pytest.raises(ValueError, match=message):
+        hull_vertices_2d(bad)
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _reference_hull(points):
+    """The unfiltered monotone chain over np.float64 tuples."""
+    pts = sorted(set(map(tuple, np.asarray(points, dtype=float))))
+    if len(pts) == 1:
+        return np.array(pts)
+    lower: list = []
+    for p in pts:
+        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0.0:
+            lower.pop()
+        lower.append(p)
+    upper: list = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0.0:
+            upper.pop()
+        upper.append(p)
+    return np.array(lower[:-1] + upper[:-1])
+
+
+def _near_pick_edges(rng, offset, scale, ulps):
+    """A cloud plus points on the edges of its extreme-point polygon, moved
+    a few ulps: the points the prefilter's rounding bound must keep."""
+    cloud = offset + scale * rng.uniform(-1.0, 1.0, (60, 2))
+    picks = [int(np.argmax(cloud @ u)) for u in ([1, 0], [1, 1], [0, 1], [-1, 1],
+                                                [-1, 0], [-1, -1], [0, -1], [1, -1])]
+    o = cloud[picks]
+    e = np.roll(o, -1, axis=0) - o
+    i = rng.integers(0, 8, 300)
+    on_edge = o[i] + rng.uniform(0.02, 0.98, (300, 1)) * e[i]
+    steps = rng.integers(-ulps, ulps + 1, on_edge.shape)
+    return np.vstack([cloud, on_edge + steps * np.spacing(np.abs(on_edge))])
+
+
+# Four points within rounding of the line through the first two, and one
+# above it.  The fourth lies 5e-16 inside that segment, but the chain judges
+# it against the third point, not the first, and keeps it as a vertex; a
+# prefilter without a rounding bound drops it.
+_SUB_ULP_INSIDE = np.array([
+    [55.084523180666224, 0.1864195255723189],
+    [1929.4473009803028, 12.225814575295999],
+    [389.24523300751696, 2.3327984674462865],
+    [1608.967281994, 10.167309359646922],
+    [1938.208111009544, 280.03210858688004],
+])
+
+
+def _hull_corpus():
+    rng = np.random.default_rng(2024)
+    for n in (3, 12, 39, 40, 41, 100, 1000, 5000):
+        yield f"uniform-{n}", rng.uniform(-1.0, 1.0, (n, 2))
+    for n in (50, 400):
+        yield f"grid-{n}", rng.integers(-3, 4, (n, 2)).astype(float)
+    t = rng.uniform(-1.0, 1.0, (300, 1))
+    yield "collinear", np.hstack([t, 3.0 * t - 0.5])
+    yield "axis-collinear", np.hstack([t, np.full_like(t, 2.0)])
+    yield "coincident", np.ones((60, 2))
+    yield "coincident-filtered", np.ones((2 * lyapunov._PREFILTER_MIN_POINTS, 2))
+    for scale in (1e-12, 1e-6, 1.0, 1e6, 1e12):
+        yield f"scale-{scale:g}", scale * rng.normal(size=(500, 2))
+    for n in (60, 2000):
+        a = rng.uniform(0.0, 2 * np.pi, n)
+        r = rng.uniform(0.99, 1.0, (n, 1))
+        yield f"ring-offset-{n}", 1e9 + r * np.c_[np.cos(a), np.sin(a)]
+    for k in (1, 3):
+        cluster = 1.0 + 1e-9 * rng.normal(size=(800, 2))
+        yield f"cluster-outliers-{k}", np.vstack([cluster, rng.uniform(-1e3, 1e3, (k, 2))])
+    for seed, (offset, scale, ulps) in enumerate(
+        [(0.0, 1.0, 1), (0.0, 1.0, 4), (1e3, 1e3, 2), (1.0, 1e-3, 3), (-5e6, 1e2, 1)]
+    ):
+        yield f"pick-edges-{seed}", _near_pick_edges(
+            np.random.default_rng(seed), offset, scale, ulps
+        )
+    # padded with an interior point up to the prefilter's size
+    pad = lyapunov._PREFILTER_MIN_POINTS - len(_SUB_ULP_INSIDE)
+    yield "sub-ulp-inside-edge", np.vstack(
+        [_SUB_ULP_INSIDE, np.repeat([[1184.19, 60.99]], pad, axis=0)]
+    )
+    # uniform clouds around the prefilter's size
+    rng = np.random.default_rng(7)
+    size = lyapunov._PREFILTER_MIN_POINTS
+    for n in (size - 1, size, size + 1):
+        yield f"uniform-{n}", rng.uniform(-1.0, 1.0, (n, 2))
+
+
+_HULL_CORPUS = dict(_hull_corpus())
+
+
+@pytest.mark.parametrize("name", list(_HULL_CORPUS))
+def test_hull_vertices_match_unfiltered_chain(name):
+    points = _HULL_CORPUS[name]
+    assert np.array_equal(hull_vertices_2d(points), _reference_hull(points))
+
+
+def test_prefilter_skips_repeated_picks():
+    # A right triangle with its corners first: several of the 8 directions
+    # pick the same corner.  Dropping the zero-length edges between them
+    # leaves a triangle that still certifies the interior.
+    rng = np.random.default_rng(3)
+    u = rng.uniform(0.0, 1.0, (1000, 2))
+    inside = u[u.sum(axis=1) < 1.0]
+    pts = np.vstack([[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], inside])
+    assert len(lyapunov._prefilter(pts)) < len(pts) // 10
+
+
 @given(
     st.lists(
         st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=1, max_size=30
@@ -94,6 +214,43 @@ def test_point_distance_polygon():
     assert point_distance(h, [1.0, 1.0]) == 0.0  # vertex is on the hull
     assert point_distance(h, [2.0, 0.5]) == 1.0
     assert point_distance(h, [2.0, 2.0]) == pytest.approx(np.sqrt(2.0))
+
+
+def _reference_point_distance(h, p):
+    """point_distance as a per-edge Python loop over scalar dot products:
+    the reference for the vectorised distances."""
+    v, m = h.vertices, h.vertices.shape[0]
+
+    def seg(a, b):
+        ab = b - a
+        denom = float(ab @ ab)
+        t = 0.0 if denom == 0.0 else min(1.0, max(0.0, float((p - a) @ ab) / denom))
+        q = a + t * ab
+        return float(np.hypot(p[0] - q[0], p[1] - q[1]))
+
+    if m == 2:
+        return seg(v[0], v[1])
+    if all(_cross(v[i], v[(i + 1) % m], p) >= 0.0 for i in range(m)):
+        return 0.0
+    return min(seg(v[i], v[(i + 1) % m]) for i in range(m))
+
+
+@pytest.mark.parametrize("offset,scale", [(0.0, 1.0), (0.0, 1e-9), (1e9, 1.0), (-3e4, 1e3)])
+def test_distances_match_per_edge_reference(offset, scale):
+    rng = np.random.default_rng(41)
+    for k in range(40):
+        if k % 4 == 0:  # a segment hull
+            t = rng.normal(size=(5, 1))
+            outer = hull(offset + scale * np.hstack([t, 0.5 * t]))
+        else:
+            outer = hull(offset + scale * rng.normal(size=(int(rng.integers(3, 40)), 2)))
+        pts = offset + scale * 1.5 * rng.normal(size=(12, 2))
+        ref = [_reference_point_distance(outer, p) for p in pts]
+        assert [point_distance(outer, p) for p in pts] == ref
+        inner = HullPolytope(pts)
+        for slack in (0.0, float(np.median(ref)), max(ref)):
+            assert contains(outer, inner, slack) == all(d <= slack for d in ref)
+        assert not contains(outer, inner, float(np.nextafter(max(ref), 0.0)))
 
 
 def test_point_distance_segment_and_point_hulls():
@@ -149,6 +306,18 @@ def test_diameter():
     assert diameter(hull(AgentState([4.0, 1.0, 3.0]))) == 3.0
     assert diameter(hull(AgentState([2.0, 2.0]))) == 0.0
     assert diameter(hull(UNIT_SQUARE)) == pytest.approx(np.sqrt(2.0))
+
+
+def test_planar_diameter_matches_pairwise_loop():
+    rng = np.random.default_rng(11)
+    for m in (2, 3, 17, 300):
+        a = np.sort(rng.uniform(0.0, 2 * np.pi, m))
+        v = 1e3 + rng.uniform(0.5, 2.0, (m, 1)) * np.c_[np.cos(a), np.sin(a)]
+        best = 0.0
+        for i in range(m):
+            for j in range(i + 1, m):
+                best = max(best, float(np.hypot(v[i, 0] - v[j, 0], v[i, 1] - v[j, 1])))
+        assert diameter(HullPolytope(v)) == best
 
 
 def test_diameter_zero_iff_coincident():
