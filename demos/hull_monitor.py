@@ -20,36 +20,42 @@ from consensus_lab import (
     constant_schedule,
     counterexample_initial_state,
     counterexample_schedule,
-    decrease_over_window,
+    disagreement,
     hull,
-    monitor_trajectory,
+    iter_states,
+    monitor_stream,
     point_distance,
-    simulate,
+    summarize,
 )
 
 
 def main():
     chain = DirectedGraph(3, {(1, 2), (2, 1), (2, 3), (3, 2)})
-    traj = simulate(constant_schedule(chain), LinearAverage(), [0.0, 1.0, 5.0], steps=8)
     print("monitored averaging on a bidirectional chain:")
     print("  t  diameter      contained  vertices")
-    for rec in monitor_trajectory(traj):
+    for rec in monitor_stream(
+        iter_states(constant_schedule(chain), LinearAverage(), [0.0, 1.0, 5.0], steps=8)
+    ):
         print(f"  {rec.t}  {rec.diameter:<12.8f}  {str(rec.contained):<9}  {rec.vertex_count}")
     print("  every step stays inside the previous hull and the diameter falls.\n")
 
     pair = WeightedDigraph(DirectedGraph(2, {(1, 2), (2, 1)}), {(1, 2): 0.5, (2, 1): 0.5})
-    traj = simulate(constant_schedule(pair), LinearAverage(), [0.0, 1.0], steps=6)
-    d = decrease_over_window(traj, t0=0, window=6)
+    x0 = AgentState([0.0, 1.0])
+    run = summarize(
+        monitor_stream(iter_states(constant_schedule(pair), LinearAverage(), x0, steps=6)),
+        tol=1e-9,
+    )
+    d = disagreement(x0) - run.final.diameter
     print(f"half-weight pair: hull diameter shrinks by {d:.8f} over 6 steps")
     print(f"  (gap contracts by 1/3 per step; 1 - (1/3)^6 = {1 - (1 / 3) ** 6:.8f})\n")
 
     complete = DirectedGraph(3, {(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)})
     x0 = AgentState([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]])
-    traj = simulate(constant_schedule(complete), MaxUpdate(), x0, steps=1)
-    rec = monitor_trajectory(traj)[1]
+    _, rec = monitor_stream(iter_states(constant_schedule(complete), MaxUpdate(), x0, steps=1))
+    corner = rec.state.points[0]
     print("coordinate-wise max on a planar triangle:")
-    print(f"  after one step every agent sits at {traj.final.points[0].tolist()},")
-    print(f"  a corner {point_distance(hull(x0), traj.final.points[0]):.4f} outside the triangle.")
+    print(f"  after one step every agent sits at {corner.tolist()},")
+    print(f"  a corner {point_distance(hull(x0), corner):.4f} outside the triangle.")
     print(f"  monitor record: contained = {rec.contained} (the map is not hull-preserving in d=2)\n")
 
     report = attractivity_probe(

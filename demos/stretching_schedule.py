@@ -10,10 +10,10 @@ under the same kind of stretching defeat consensus.
 
 from consensus_lab import (
     LinearAverage,
-    detect_consensus,
-    disagreement,
-    simulate,
+    iter_states,
+    monitor_stream,
     stretching_bidirectional_schedule,
+    summarize,
 )
 
 
@@ -44,11 +44,11 @@ def main():
         sched = stretching_bidirectional_schedule(n)
         steps = sched.active_position(200 * n) + 1
         x0 = [float(k % 2) for k in range(n)]
-        traj = simulate(sched, LinearAverage(), x0, steps=steps, store_cap=10_000)
-        t_star = detect_consensus(traj, tol=1e-6)
+        run = summarize(monitor_stream(iter_states(sched, LinearAverage(), x0, steps)), tol=1e-6)
         print(
             f"n={n}: {steps} steps cover {200 * n} active graphs; "
-            f"disagreement < 1e-6 near t = {t_star}, final {disagreement(traj.final):.2e}"
+            f"disagreement < 1e-6 first at t = {run.consensus_time}, "
+            f"final {run.final.diameter:.2e}"
         )
 
 

@@ -14,12 +14,12 @@ from consensus_lab import (
     IntervalSpec,
     LinearAverage,
     constant_schedule,
-    detect_consensus,
-    disagreement,
     is_weakly_connected_across,
+    iter_states,
+    monitor_stream,
     neighbors,
     random_windowed_schedule,
-    simulate,
+    summarize,
 )
 
 
@@ -32,22 +32,25 @@ def main():
         print(f"  window [{t0}, {t0 + T}] weakly connected: {ok}")
 
     x0 = np.random.default_rng(1).uniform(0.0, 1.0, n)
-    traj = simulate(sched, LinearAverage(), x0, steps=200 * n * (T + 1))
-    t_star = detect_consensus(traj, tol=1e-6)
+    run = summarize(
+        monitor_stream(iter_states(sched, LinearAverage(), x0, steps=200 * n * (T + 1))),
+        tol=1e-6,
+    )
     print(f"\nstart {np.round(x0, 3).tolist()}")
-    print(f"disagreement < 1e-6 first at t = {t_star}")
-    print(f"final disagreement: {disagreement(traj.final):.3e}\n")
+    print(f"disagreement < 1e-6 first at t = {run.consensus_time}")
+    print(f"final disagreement: {run.final.diameter:.3e}\n")
 
     # Now the blocking construction: {1,2} and {3,4} never hear from outside.
     frozen = DirectedGraph(5, {(1, 2), (2, 1), (3, 4), (4, 3), (1, 5), (3, 5)})
     print("frozen-sets graph:", sorted(frozen.arcs))
     print(f"  neighbors of {{1, 2}}: {sorted(neighbors(frozen, {1, 2}))}")
     print(f"  neighbors of {{3, 4}}: {sorted(neighbors(frozen, {3, 4}))}")
-    traj = simulate(
-        constant_schedule(frozen), LinearAverage(), [0.0, 0.0, 1.0, 1.0, 0.4], steps=1000
-    )
-    dis = [disagreement(s) for s in traj.states]
-    print(f"  disagreement after 1000 steps: {dis[-1]} (identical at every step: {len(set(dis)) == 1})")
+    seen = set()
+    for rec in monitor_stream(
+        iter_states(constant_schedule(frozen), LinearAverage(), [0.0, 0.0, 1.0, 1.0, 0.4], 1000)
+    ):
+        seen.add(rec.diameter)
+    print(f"  disagreement after 1000 steps: {rec.diameter} (identical at every step: {len(seen) == 1})")
     print("  only agent 5 moves; it converges into the gap but cannot close it.")
 
 

@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from contextlib import nullcontext
 from fractions import Fraction
 from typing import Optional
 
@@ -40,7 +39,7 @@ from .graphs import (
     union_across,
     weakly_connected_oracle,
 )
-from .lyapunov import DEFAULT_SLACK, monitor_stream
+from .lyapunov import DEFAULT_SLACK, monitor_stream, summarize
 from .scenarios import (
     counterexample_limit,
     counterexample_schedule,
@@ -261,38 +260,39 @@ def cmd_simulate(args) -> int:
     slack = float(_resolved(args, "slack", DEFAULT_SLACK))
     csv_path = _resolved(args, "csv")
 
-    n, d = x0.n, x0.d
-    violations = 0
-    consensus_time: Optional[int] = None
-    out = nullcontext() if csv_path is None else open(csv_path, "w", encoding="utf-8")
-    with out as fh:
-        if fh is not None:
-            header = ["t"] + [f"{a}{k}" for a in "xy"[:d] for k in range(1, n + 1)]
-            fh.write(",".join(header + ["diameter", "contained", "vertices"]) + "\n")
-        for rec in monitor_stream(iter_states(schedule, update, x0, steps, t0), slack):
-            if consensus_time is None and rec.diameter < tol:
-                consensus_time = rec.t
-            violations += not rec.contained
-            if fh is not None:
-                row = [str(rec.t)] + [_fmt(v) for v in rec.state.points.T.ravel()]
-                row += [_fmt(rec.diameter), _bool(rec.contained), str(rec.vertex_count)]
-                fh.write(",".join(row) + "\n")
+    records = monitor_stream(iter_states(schedule, update, x0, steps, t0), slack)
+    if csv_path is not None:
+        records = _write_csv(records, csv_path, x0)
+    run = summarize(records, tol)
 
     summary = {
         "schedule": schedule.name,
         "map": update.name,
         "t0": t0,
         "steps": steps,
-        "n": n,
-        "d": d,
-        "final_disagreement": rec.diameter,
-        "consensus_time": consensus_time,
-        "monitor_violations": violations,
+        "n": x0.n,
+        "d": x0.d,
+        "final_disagreement": run.final.diameter,
+        "consensus_time": run.consensus_time,
+        "monitor_violations": run.violations,
         "tol": tol,
         "slack": slack,
     }
     print(json.dumps(summary, indent=2))
-    return 2 if violations else 0
+    return 2 if run.violations else 0
+
+
+def _write_csv(records, path: str, x0: AgentState):
+    """Pass the records through, writing one CSV row per record; the file
+    is opened when the first record is asked for."""
+    with open(path, "w", encoding="utf-8") as fh:
+        header = ["t"] + [f"{a}{k}" for a in "xy"[: x0.d] for k in range(1, x0.n + 1)]
+        fh.write(",".join(header + ["diameter", "contained", "vertices"]) + "\n")
+        for rec in records:
+            row = [str(rec.t)] + [_fmt(v) for v in rec.state.points.T.ravel()]
+            row += [_fmt(rec.diameter), _bool(rec.contained), str(rec.vertex_count)]
+            fh.write(",".join(row) + "\n")
+            yield rec
 
 
 def cmd_connectivity(args) -> int:

@@ -141,11 +141,6 @@ class WeightedDigraph:
         self._items = tuple(sorted(wmap.items()))
         self._hash = hash((graph, self._items, self.bounds))
 
-    @classmethod
-    def unit(cls, graph: DirectedGraph, weight: float = 1.0) -> "WeightedDigraph":
-        """Give every arc the same weight (default 1)."""
-        return cls(graph, {a: weight for a in graph.arcs}, (weight, weight))
-
     @property
     def n(self) -> int:
         return self.graph.n

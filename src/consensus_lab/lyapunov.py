@@ -5,17 +5,18 @@ disagreement: conforming update maps can never enlarge it, and its
 diameter shrinks to zero exactly when the group approaches consensus.
 This module computes hulls in dimension 1 (intervals) and 2 (convex
 polygons via the monotone chain, after an interior-point prefilter on
-large inputs), tests hull-in-hull containment with a slack, and walks
-trajectories recording diameter and containment per step.  A containment
-failure is the smoking gun that an update map moved an agent outside the
-group's previous span.
+large inputs) and tests hull-in-hull containment with a slack.
+`monitor_stream` watches a stream of (time, state) pairs, such as
+`simulator.iter_states` yields, recording diameter and containment per
+step, and `summarize` folds its records into a run's verdict.  A
+containment failure is the smoking gun that an update map moved an agent
+outside the group's previous span.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -261,6 +262,11 @@ def _inside_polygon(v: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return (cross >= 0.0).all(axis=0)
 
 
+def _check_slack(slack: float) -> None:
+    if not 0.0 <= slack < math.inf:
+        raise ValueError(f"slack must be nonnegative and finite, got {slack}")
+
+
 def contains(outer: HullPolytope, inner: HullPolytope, slack: float = 0.0) -> bool:
     """True when every vertex of `inner` is within `slack` of `outer`.
 
@@ -270,8 +276,7 @@ def contains(outer: HullPolytope, inner: HullPolytope, slack: float = 0.0) -> bo
     """
     if outer.d != inner.d:
         raise ValueError(f"dimension mismatch: outer d={outer.d}, inner d={inner.d}")
-    if slack < 0.0:
-        raise ValueError(f"slack must be nonnegative, got {slack}")
+    _check_slack(slack)
     if outer.d == 2 and outer.vertex_count >= 3:
         v = outer.vertices
         outside = inner.vertices[~_inside_polygon(v, inner.vertices)]
@@ -302,11 +307,11 @@ def diameter(h: HullPolytope) -> float:
     )
 
 
-@dataclass(frozen=True)
-class MonitorRecord:
+class MonitorRecord(NamedTuple):
     """One monitored step: time, hull diameter (bit-identical to the
     state's `disagreement`), containment in the previous recorded hull,
-    hull vertex count, and the state itself."""
+    hull vertex count, and the state itself.  A named tuple, because a
+    long run makes one per time step."""
 
     t: int
     diameter: float
@@ -341,31 +346,65 @@ def monitor_stream(
     Because hull shrinkage composes, the check remains meaningful when
     the stream samples a trajectory sparsely.  Records carry their state
     and its disagreement as `diameter`, so `monitor_stream(iter_states(...))`
-    is a whole monitored run loop.
+    is a whole monitored run loop, and `summarize` its verdict.
+
+    `slack` must be nonnegative and finite, and is checked when the stream
+    is made.  A state that is the previous record's state object, and
+    immutable (a read-only `points` array, as an `AgentState` has), gets
+    the previous record at the new time, contained, with no new hull: an
+    arc-free step returns its input state, and a hull contains itself.
+    Raw arrays and lists are always hulled afresh, since their caller may
+    edit them in place.
     """
-    prev: Optional[HullPolytope] = None
+    _check_slack(slack)
+    return _monitor(items, slack)
+
+
+def _monitor(items, slack: float) -> Iterator[MonitorRecord]:
+    prev: Optional[HullPolytope] = None  # the hull of the last record
+    nothing = object()
+    same = nothing  # the last record's state when it is immutable
     for t, st in items:
-        h = hull(st)
-        ok = prev is None or contains(prev, h, slack)
-        if not ok:  # only failing steps pay for the scale term
-            scale = float(np.abs(prev.vertices).max())
-            ok = contains(prev, h, slack + _ROUNDING_ULPS * _EPS * scale)
-        yield MonitorRecord(int(t), diameter(h), ok, h.vertex_count, st)
-        prev = h
+        if st is same:
+            rec = MonitorRecord(int(t), rec.diameter, True, rec.vertex_count, st)
+        else:
+            h = hull(st)
+            ok = prev is None or contains(prev, h, slack)
+            if not ok:  # only failing steps pay for the scale term
+                scale = float(np.abs(prev.vertices).max())
+                ok = contains(prev, h, slack + _ROUNDING_ULPS * _EPS * scale)
+            rec = MonitorRecord(int(t), diameter(h), ok, h.vertex_count, st)
+            prev = h
+            pts = getattr(st, "points", None)
+            same = st if pts is not None and not pts.flags.writeable else nothing
+        yield rec
 
 
-def monitor_trajectory(traj, slack: float = DEFAULT_SLACK) -> list[MonitorRecord]:
-    """Monitor every stored state of a trajectory (see monitor_stream)."""
-    return list(monitor_stream(zip(traj.times, traj.states), slack))
+class RunSummary(NamedTuple):
+    """A monitored run in brief: its last record, the first time its
+    diameter fell below the tolerance (None if it never did), and how many
+    records were not contained in the previous hull."""
+
+    final: MonitorRecord
+    consensus_time: Optional[int]
+    violations: int
 
 
-def decrease_over_window(traj, t0: int, window: int) -> float:
-    """Hull-diameter decrease from time t0 to t0 + window (positive = shrank).
+def summarize(records: Iterable[MonitorRecord], tol: float) -> RunSummary:
+    """Fold a nonempty stream of monitor records in one pass.
 
-    Both endpoints must be stored in the trajectory.
+    `tol` must be positive and finite; `consensus_time` is the first
+    record time with `diameter < tol`.
     """
-    if window < 1:
-        raise ValueError(f"window must be at least 1, got {window}")
-    a = traj.state_at(t0)
-    b = traj.state_at(t0 + window)
-    return diameter(hull(a)) - diameter(hull(b))
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    final: Optional[MonitorRecord] = None
+    consensus_time: Optional[int] = None
+    violations = 0
+    for final in records:
+        if consensus_time is None and final.diameter < tol:
+            consensus_time = final.t
+        violations += not final.contained
+    if final is None:
+        raise ValueError("no records to summarize")
+    return RunSummary(final, consensus_time, violations)

@@ -1,4 +1,4 @@
-"""Time-dependent graph schedules and trajectory simulation.
+"""Time-dependent graph schedules and streamed runs.
 
 A schedule assigns a communication graph to every integer time at or
 after its first time.  Three kinds cover practical needs: an explicit
@@ -7,9 +7,11 @@ list, and an arbitrary generator function.  Periodic and eventually
 constant schedules expose enough structure that arc unions over
 unbounded time intervals stay decidable.
 
-`simulate` rolls an update map along a schedule and records the visited
-states; `attractivity_probe` repeats that from random initial states
-around a center and reports how often the group reached consensus.
+`iter_states` rolls an update map along a schedule and yields the visited
+states one at a time, so `lyapunov.monitor_stream(iter_states(...))` is a
+monitored run that stores nothing; `attractivity_probe` repeats a run
+from random initial states around a center and reports how often the
+group reached consensus.
 """
 
 from __future__ import annotations
@@ -157,58 +159,7 @@ def constant_schedule(graph: Graph, first_time: int = 0) -> PeriodicSchedule:
 
 
 # ---------------------------------------------------------------------------
-# Trajectories
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Recorded (time, state) samples of one simulation run.
-
-    Normally every step is stored; long runs past the simulator's storage
-    cap keep a strided subsample plus the final state.  `times` is
-    strictly increasing and starts at the initial time.
-    """
-
-    times: tuple[int, ...]
-    states: tuple[AgentState, ...]
-    map_name: str = ""
-    schedule_name: str = ""
-
-    def __post_init__(self):
-        if len(self.times) != len(self.states) or not self.times:
-            raise ValueError("times and states must be equal-length and nonempty")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
-            raise ValueError("times must be strictly increasing")
-        object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.times)})
-
-    @property
-    def t0(self) -> int:
-        return self.times[0]
-
-    @property
-    def t_end(self) -> int:
-        return self.times[-1]
-
-    @property
-    def n(self) -> int:
-        return self.states[0].n
-
-    @property
-    def d(self) -> int:
-        return self.states[0].d
-
-    @property
-    def final(self) -> AgentState:
-        return self.states[-1]
-
-    def state_at(self, t: int) -> AgentState:
-        i = self._index.get(int(t))
-        if i is None:
-            raise ValueError(f"time {t} is not stored in this trajectory")
-        return self.states[i]
-
-    def __len__(self) -> int:
-        return len(self.times)
+# Runs
 
 
 def iter_states(
@@ -235,49 +186,6 @@ def iter_states(
         yield t + 1, x
 
 
-DEFAULT_STORE_CAP = 1_000_000
-
-
-def simulate(
-    schedule: GraphSchedule,
-    update_map: UpdateMap,
-    x0,
-    steps: int,
-    t0: Optional[int] = None,
-    store_cap: int = DEFAULT_STORE_CAP,
-) -> Trajectory:
-    """Run `steps` updates along the schedule and record the trajectory.
-
-    With more than `store_cap` states, storage is thinned to a regular
-    stride (the final state is always kept); the dynamics themselves are
-    unaffected.
-    """
-    if store_cap < 2:
-        raise ValueError(f"store_cap must be at least 2, got {store_cap}")
-    # Reserve one slot for the (possibly stride-unaligned) final state so
-    # the total never exceeds the cap.
-    stride = max(1, math.ceil((steps + 1) / (store_cap - 1)))
-    times: list[int] = []
-    states: list[AgentState] = []
-    last: Optional[tuple[int, AgentState]] = None
-    for i, (t, x) in enumerate(iter_states(schedule, update_map, x0, steps, t0)):
-        if i % stride == 0:
-            times.append(t)
-            states.append(x)
-            last = None
-        else:
-            last = (t, x)
-    if last is not None:
-        times.append(last[0])
-        states.append(last[1])
-    return Trajectory(
-        times=tuple(times),
-        states=tuple(states),
-        map_name=update_map.name,
-        schedule_name=schedule.name,
-    )
-
-
 def disagreement(state) -> float:
     """Hull diameter of the agent positions: 0 exactly at consensus."""
     x = state if isinstance(state, AgentState) else AgentState(state)
@@ -285,16 +193,6 @@ def disagreement(state) -> float:
         v = x.points[:, 0]
         return float(v.max() - v.min())
     return diameter(hull(x))
-
-
-def detect_consensus(traj: Trajectory, tol: float) -> Optional[int]:
-    """First stored time with disagreement below tol, or None."""
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    for t, st in zip(traj.times, traj.states):
-        if disagreement(st) < tol:
-            return t
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from consensus_lab import (
     neighbors,
     random_windowed_schedule,
     stretching_bidirectional_schedule,
+    summarize,
     verify_counterexample,
     weakly_connected_oracle,
 )
@@ -57,7 +58,7 @@ def _report(capsys, num, label, ok, elapsed, cap=None):
 
 
 @dataclass
-class RunSummary:
+class MonitoredRun:
     label: str
     steps: int
     violations: int
@@ -69,25 +70,25 @@ class RunSummary:
 def run_monitored(schedule, update_map, x0, steps, t0=None, tol=1e-6,
                   slack=1e-9, label="", collect=False):
     """Stream a run through the hull monitor without storing states."""
-    violations = 0
-    consensus_time = None
-    final = math.nan
+    records = monitor_stream(iter_states(schedule, update_map, x0, steps, t0), slack)
     collected = [] if collect else None
-    for rec in monitor_stream(iter_states(schedule, update_map, x0, steps, t0), slack):
-        final = rec.diameter
-        if collect:
-            collected.append(rec.diameter)
-        if consensus_time is None and rec.diameter < tol:
-            consensus_time = rec.t
-        violations += not rec.contained
-    return RunSummary(
+    if collect:
+        records = _diameters_into(collected, records)
+    run = summarize(records, tol)
+    return MonitoredRun(
         label=label,
         steps=steps,
-        violations=violations,
-        final_disagreement=final,
-        consensus_time=consensus_time,
+        violations=run.violations,
+        final_disagreement=run.final.diameter,
+        consensus_time=run.consensus_time,
         disagreements=collected,
     )
+
+
+def _diameters_into(out, records):
+    for rec in records:
+        out.append(rec.diameter)
+        yield rec
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,24 @@ def test_simulate_scenario_consensus(capsys):
     assert summary["consensus_time"] is not None
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--slack", "nan"), ("--slack", "inf"), ("--slack", "-1"),
+     ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf")],
+)
+@pytest.mark.parametrize("steps", ["0", "3"])
+def test_simulate_rejects_bad_slack_and_tol(chain_graph, tmp_path, capsys, flag, value, steps):
+    csv_path = tmp_path / "run.csv"
+    code = main(["simulate", "--graph", chain_graph, "--x0", "0,1,1", "--steps", steps,
+                 "--csv", str(csv_path), flag, value])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"error: {flag[2:]} must be" in captured.err
+    assert "finite" in captured.err
+    assert not csv_path.exists()
+
+
 def test_simulate_usage_errors(chain_graph, capsys):
     assert main(["simulate", "--graph", chain_graph, "--steps", "3"]) == 1
     assert "--x0" in capsys.readouterr().err

@@ -1,6 +1,8 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion, and README's quick start prints
+what its comments say."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,18 +17,32 @@ def test_demos_exist():
     assert DEMOS
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(demo):
+def _run(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    proc = subprocess.run(
-        [sys.executable, str(demo)],
+    return subprocess.run(
+        [sys.executable, *args],
         cwd=ROOT,
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo):
+    proc = _run([str(demo)])
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_prints_its_comments():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
+    expected = re.findall(r"^print\(.*\)\s+# (.*)$", code, re.M)
+    assert len(expected) == 4
+    proc = _run(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == expected

@@ -1,4 +1,6 @@
-"""Hull computation, containment, and trajectory monitoring."""
+"""Hull computation, containment, and streamed run monitoring."""
+
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -9,22 +11,22 @@ from consensus_lab import lyapunov
 from consensus_lab import (
     AgentState,
     DirectedGraph,
+    FiniteSchedule,
     HullPolytope,
     LinearAverage,
     MaxUpdate,
+    WeightedDigraph,
     constant_schedule,
     contains,
-    decrease_over_window,
     diameter,
     disagreement,
     hull,
     hull_vertices_2d,
     iter_states,
     monitor_stream,
-    monitor_trajectory,
     point_distance,
     random_windowed_schedule,
-    simulate,
+    summarize,
 )
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -352,10 +354,10 @@ def test_raw_points_must_be_finite():
         list(monitor_stream([(0, [0.0, 1.0]), (1, [np.nan, 0.5])]))
 
 
-def test_monitor_trajectory_linear_averaging_never_expands():
+def test_monitor_stream_linear_averaging_never_expands():
     g = DirectedGraph(3, {(1, 2), (2, 1), (3, 2), (2, 3)})
-    traj = simulate(constant_schedule(g), LinearAverage(), AgentState([0.0, 1.0, 0.5]), steps=40)
-    recs = monitor_trajectory(traj)
+    states = iter_states(constant_schedule(g), LinearAverage(), AgentState([0.0, 1.0, 0.5]), steps=40)
+    recs = list(monitor_stream(states))
     assert len(recs) == 41
     assert all(r.contained for r in recs)
     diam = [r.diameter for r in recs]
@@ -366,8 +368,8 @@ def test_monitor_trajectory_linear_averaging_never_expands():
 def test_monitor_composes_across_sparse_sampling():
     # keeping only every 7th state must not create false violations
     g = DirectedGraph(3, {(1, 2), (2, 1), (3, 2), (2, 3)})
-    traj = simulate(constant_schedule(g), LinearAverage(), AgentState([0.0, 1.0, 0.5]), steps=42)
-    sparse = [(t, s) for t, s in zip(traj.times, traj.states) if t % 7 == 0]
+    states = iter_states(constant_schedule(g), LinearAverage(), AgentState([0.0, 1.0, 0.5]), steps=42)
+    sparse = ((t, s) for t, s in states if t % 7 == 0)
     assert all(r.contained for r in monitor_stream(sparse))
 
 
@@ -390,21 +392,87 @@ def test_monitor_verdict_does_not_depend_on_scale(magnitude, d):
 def test_monitor_max_map_stays_contained():
     # the max map rides the hull boundary but never leaves it
     g = DirectedGraph(3, {(1, 2), (2, 3), (3, 1)})
-    traj = simulate(constant_schedule(g), MaxUpdate(), AgentState([0.0, 1.0, 0.5]), steps=10)
-    assert all(r.contained for r in monitor_trajectory(traj))
+    states = iter_states(constant_schedule(g), MaxUpdate(), AgentState([0.0, 1.0, 0.5]), steps=10)
+    assert all(r.contained for r in monitor_stream(states))
 
 
-def test_decrease_over_window():
-    from consensus_lab import WeightedDigraph
-
+def test_half_weight_pair_diameter_contracts_by_a_third_per_step():
     g = WeightedDigraph(
         DirectedGraph(2, {(1, 2), (2, 1)}), {(1, 2): 0.5, (2, 1): 0.5}
     )
-    traj = simulate(constant_schedule(g), LinearAverage(), AgentState([0.0, 1.0]), steps=10)
+    states = iter_states(constant_schedule(g), LinearAverage(), AgentState([0.0, 1.0]), steps=10)
+    recs = list(monitor_stream(states))
     # each step the gap contracts by (2/3 - 1/3) = 1/3
-    d = decrease_over_window(traj, 0, 5)
+    d = recs[0].diameter - recs[5].diameter
     assert d == pytest.approx(1.0 - (1.0 / 3.0) ** 5, abs=1e-12)
-    with pytest.raises(ValueError, match="window"):
-        decrease_over_window(traj, 0, 0)
-    with pytest.raises(ValueError, match="not stored"):
-        decrease_over_window(traj, 0, 99)
+
+
+# ---------------------------------------------------------------------------
+# Record reuse, slack checks, and run summaries
+
+
+def _escape_stream():
+    # a hand-made planar stream: the second state leaves the first hull,
+    # then stays put
+    a = AgentState([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    b = AgentState([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
+    return [(0, a), (1, b), (2, b), (3, b)]
+
+
+def _silent_run():
+    # one round of averaging on a chain, then silence: every arc-free step
+    # returns its input state
+    chain = DirectedGraph(3, {(1, 2), (2, 1), (2, 3), (3, 2)})
+    return list(iter_states(FiniteSchedule([chain]), LinearAverage(), [0.0, 1.0, 5.0], steps=6))
+
+
+@pytest.mark.parametrize("make_items", [_silent_run, _escape_stream], ids=["silent", "escape"])
+def test_monitor_hulls_each_distinct_state_once(make_items, monkeypatch):
+    items = make_items()
+    fresh = list(monitor_stream((t, AgentState(st.points)) for t, st in items))
+    hulled = []
+    real_hull = lyapunov.hull
+    monkeypatch.setattr(lyapunov, "hull", lambda x: hulled.append(x) or real_hull(x))
+    recs = list(monitor_stream(items))
+    assert len(hulled) == len({id(st) for _, st in items}) == 2
+    # the same records as for a stream of copies, which are all hulled
+    fields = attrgetter("t", "diameter", "contained", "vertex_count")
+    assert [fields(r) for r in recs] == [fields(r) for r in fresh]
+    assert all(r.state is st for r, (_, st) in zip(recs, items))
+
+
+def test_monitor_rehulls_a_raw_array_edited_in_place():
+    x = np.array([0.0, 1.0])
+
+    def stream():
+        yield 0, x
+        x[1] = 2.0  # the same object, edited between yields
+        yield 1, x
+
+    recs = list(monitor_stream(stream()))
+    assert [r.contained for r in recs] == [True, False]
+    assert [r.diameter for r in recs] == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("slack", [-1.0, float("nan"), float("inf")])
+def test_bad_slack_is_rejected_when_the_monitor_is_made(slack):
+    h = hull([0.0, 1.0])
+    with pytest.raises(ValueError, match="slack must be nonnegative and finite"):
+        contains(h, h, slack)
+    with pytest.raises(ValueError, match="slack must be nonnegative and finite"):
+        monitor_stream([], slack)  # before any item is asked for
+
+
+def test_summarize_folds_the_records():
+    items = _escape_stream()
+    run = summarize(monitor_stream(items), tol=0.5)
+    assert run.final.t == 3 and run.final.state is items[-1][1]
+    assert run.final.diameter == diameter(hull(items[-1][1]))
+    assert run.violations == 1
+    assert run.consensus_time is None
+    assert summarize(monitor_stream(_escape_stream()), tol=3.0).consensus_time == 0
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            summarize(monitor_stream(_escape_stream()), tol)
+    with pytest.raises(ValueError, match="no records"):
+        summarize([], 1e-9)

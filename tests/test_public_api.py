@@ -16,7 +16,6 @@ PUBLIC_NAMES = [
     "NonlinearConsensus",
     "PeriodicSchedule",
     "StochasticMatrix",
-    "Trajectory",
     "UnsupportedQueryError",
     "VicsekHeading",
     "WeightedDigraph",
@@ -30,8 +29,6 @@ PUBLIC_NAMES = [
     "counterexample_limit",
     "counterexample_sample_times",
     "counterexample_schedule",
-    "decrease_over_window",
-    "detect_consensus",
     "diameter",
     "disagreement",
     "empty_graph",
@@ -46,14 +43,13 @@ PUBLIC_NAMES = [
     "iter_states",
     "linear_step",
     "monitor_stream",
-    "monitor_trajectory",
     "neighbors",
     "parse_graph_text",
     "point_distance",
     "random_windowed_schedule",
     "relabel",
-    "simulate",
     "stretching_bidirectional_schedule",
+    "summarize",
     "union_across",
     "validate_gain",
     "verify_counterexample",

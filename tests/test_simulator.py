@@ -1,4 +1,4 @@
-"""Schedules, trajectory recording, consensus detection, and probing."""
+"""Schedules, stepping, consensus detection, and probing."""
 
 import math
 
@@ -12,15 +12,14 @@ from consensus_lab import (
     GeneratedSchedule,
     LinearAverage,
     PeriodicSchedule,
-    Trajectory,
     WeightedDigraph,
     attractivity_probe,
     constant_schedule,
-    detect_consensus,
     disagreement,
     empty_graph,
     iter_states,
-    simulate,
+    monitor_stream,
+    summarize,
 )
 
 PAIR = DirectedGraph(2, {(1, 2), (2, 1)})
@@ -80,33 +79,7 @@ def test_constant_schedule():
 
 
 # ---------------------------------------------------------------------------
-# Trajectory container
-
-
-def test_trajectory_validation():
-    x = AgentState([0.0])
-    with pytest.raises(ValueError, match="equal-length"):
-        Trajectory(times=(0, 1), states=(x,))
-    with pytest.raises(ValueError, match="equal-length"):
-        Trajectory(times=(), states=())
-    with pytest.raises(ValueError, match="strictly increasing"):
-        Trajectory(times=(0, 0), states=(x, x))
-
-
-def test_trajectory_accessors():
-    xs = tuple(AgentState([float(i), 1.0]) for i in range(3))
-    traj = Trajectory(times=(5, 6, 9), states=xs, map_name="m", schedule_name="s")
-    assert traj.t0 == 5 and traj.t_end == 9
-    assert traj.n == 2 and traj.d == 1
-    assert len(traj) == 3
-    assert traj.final is xs[-1]
-    assert traj.state_at(6) is xs[1]
-    with pytest.raises(ValueError, match="not stored"):
-        traj.state_at(7)
-
-
-# ---------------------------------------------------------------------------
-# Stepping and recording
+# Stepping
 
 
 def test_iter_states_counts_and_times():
@@ -135,28 +108,9 @@ def test_iter_states_validation():
         list(iter_states(sched, LinearAverage(), [0.0, 1.0, 2.0], steps=1))
 
 
-def test_simulate_records_every_step_by_default():
-    traj = simulate(constant_schedule(PAIR), LinearAverage(), [0.0, 1.0], steps=10)
-    assert traj.times == tuple(range(11))
-    assert traj.map_name == "linear"
-    assert traj.schedule_name == "constant"
-
-
-def test_simulate_respects_store_cap():
-    for steps in (9, 10, 11, 40, 41):
-        traj = simulate(
-            constant_schedule(PAIR), LinearAverage(), [0.0, 1.0], steps=steps, store_cap=5
-        )
-        assert len(traj) <= 5
-        assert traj.times[0] == 0
-        assert traj.t_end == steps  # the final state is always kept
-    with pytest.raises(ValueError, match="store_cap"):
-        simulate(constant_schedule(PAIR), LinearAverage(), [0.0, 1.0], steps=1, store_cap=1)
-
-
-def test_simulate_honors_t0():
-    traj = simulate(constant_schedule(PAIR, first_time=0), LinearAverage(), [0.0, 1.0], steps=2, t0=5)
-    assert traj.times == (5, 6, 7)
+def test_iter_states_honors_t0():
+    states = iter_states(constant_schedule(PAIR, first_time=0), LinearAverage(), [0.0, 1.0], steps=2, t0=5)
+    assert [t for t, _ in states] == [5, 6, 7]
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +124,16 @@ def test_disagreement_scalar_and_planar():
     assert disagreement(square) == pytest.approx(math.sqrt(2.0))
 
 
-def test_detect_consensus():
-    traj = simulate(constant_schedule(PAIR), LinearAverage(), [0.0, 1.0], steps=3)
-    assert detect_consensus(traj, tol=1e-9) == 1
-    assert detect_consensus(traj, tol=2.0) == 0
-    still = simulate(constant_schedule(empty_graph(2)), LinearAverage(), [0.0, 1.0], steps=3)
-    assert detect_consensus(still, tol=1e-9) is None
+def test_summarize_finds_consensus_time():
+    def run(graph, tol):
+        states = iter_states(constant_schedule(graph), LinearAverage(), [0.0, 1.0], steps=3)
+        return summarize(monitor_stream(states), tol)
+
+    assert run(PAIR, 1e-9).consensus_time == 1
+    assert run(PAIR, 2.0).consensus_time == 0
+    assert run(empty_graph(2), 1e-9).consensus_time is None
     with pytest.raises(ValueError, match="tol"):
-        detect_consensus(traj, tol=0.0)
+        run(PAIR, 0.0)
 
 
 # ---------------------------------------------------------------------------
