@@ -148,24 +148,21 @@ def build_update_matrix(
         A[k, k] = 1 / (1 + S_k),   A[k, i] = w_ik / (1 + S_k)  for senders i,
 
     where S_k is the total weight into k, summed over senders in ascending
-    order.  A `WeightedDigraph` uses its own weights; an unweighted graph
-    gets `weight` (positive and finite, default 1) on every arc, read
-    straight from its arc set.  The arc-free graph yields the identity.
-    Builds one triple per arc in O(n + m log m) and allocates no n x n
-    array.
+    order: the arcs are read from the graph's cached `arc_arrays`, which
+    are sorted by (receiver, sender).  A `WeightedDigraph` uses its own
+    weights; an unweighted graph gets `weight` (positive and finite,
+    default 1) on every arc.  The arc-free graph yields the identity.
+    Builds one triple per arc in O(n + m) and allocates no n x n array.
     """
     if not (weight > 0.0 and math.isfinite(weight)):
         raise ValueError(f"arc weight must be positive and finite, got {weight}")
-    if isinstance(g, WeightedDigraph):
-        arcs = list(g.weights)
-        w = np.fromiter(g.weights.values(), dtype=float, count=len(arcs))
-    else:
-        arcs = list(g.arcs)
-        w = np.full(len(arcs), float(weight))
     n = g.n
-    src, dst = np.array(arcs, dtype=np.intp).reshape(-1, 2).T - 1
-    order = np.lexsort((src, dst))
-    src, dst, w = src[order], dst[order], w[order]
+    src, dst = as_directed(g).arc_arrays
+    if isinstance(g, WeightedDigraph):
+        pairs = zip(src.tolist(), dst.tolist())
+        w = np.fromiter((g.weights[(k + 1, l + 1)] for k, l in pairs), float, src.size)
+    else:
+        w = np.full(src.size, float(weight))
     denom = 1.0 + np.bincount(dst, w, minlength=n)
     A = w / denom[dst]
     nz = A > 0.0  # a subnormal weight can round to 0 beside a heavier one
@@ -310,8 +307,8 @@ class KuramotoTime1(UpdateMap):
     (x_i - x_k) / (sqrt(1 + x_i^2) sqrt(1 + x_k^2)) over one time unit
     with `substeps` classical RK4 steps.  Coupling is unweighted; only the
     arc pattern of the graph matters.  Each field evaluation is one gather
-    over the arcs, sorted by (receiver, sender), and one `np.bincount`
-    scatter: O(n + m) for m arcs.
+    over the graph's cached `arc_arrays`, sorted by (receiver,
+    sender), and one `np.bincount` scatter: O(n + m) for m arcs.
     """
 
     name = "kuramoto"
@@ -326,8 +323,7 @@ class KuramotoTime1(UpdateMap):
         base = self._check(graph, state)
         if not base.arcs:
             return state
-        arcs = sorted(base.arcs, key=lambda a: (a[1], a[0]))
-        src, dst = np.array(arcs, dtype=np.intp).T - 1
+        src, dst = base.arc_arrays
 
         def field(x: np.ndarray) -> np.ndarray:
             r = 1.0 / np.sqrt(1.0 + x * x)
@@ -342,7 +338,9 @@ class NonlinearConsensus(UpdateMap):
     Each arc (i, k) carries an odd, strictly increasing gain; a single
     callable is shared by all arcs.  Gains are validated once, at
     construction.  A mapping of per-arc gains must cover every arc of
-    every graph the map is stepped with.  Integration is fixed-step RK4.
+    every graph the map is stepped with.  Integration is fixed-step RK4;
+    the field sums each agent's terms in ascending sender order, reading
+    the graph's cached `arc_arrays`.
     """
 
     name = "nonlinear"
@@ -368,18 +366,20 @@ class NonlinearConsensus(UpdateMap):
         base = self._check(graph, state)
         if not base.arcs:
             return state
+        src, dst = base.arc_arrays
+        pairs = zip(src.tolist(), dst.tolist())
         if callable(self.gains):
-            arcs = [(a, self.gains) for a in sorted(base.arcs)]
+            terms = [(i, k, self.gains) for i, k in pairs]
         else:
             missing = base.arcs.difference(self.gains)
             if missing:
                 raise ValueError(f"no gain supplied for arcs {sorted(missing)}")
-            arcs = [(a, self.gains[a]) for a in sorted(base.arcs)]
+            terms = [(i, k, self.gains[(i + 1, k + 1)]) for i, k in pairs]
 
         def field(x: np.ndarray) -> np.ndarray:
             f = np.zeros_like(x)
-            for (i, k), gamma in arcs:
-                f[k - 1] += gamma(x[i - 1] - x[k - 1])
+            for i, k, gamma in terms:
+                f[k] += gamma(x[i] - x[k])
             return f
 
         return AgentState(_rk4(field, state.values, self.substeps))

@@ -18,11 +18,15 @@ The module provides:
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
+
+import numpy as np
 
 NodeSet = frozenset[int]
 
@@ -46,36 +50,70 @@ class DirectedGraph:
     """Directed graph on nodes 1..n with arc set `arcs`.
 
     Instances are immutable and hashable.  Arcs (k, l) are validated to
-    have distinct endpoints inside 1..n.
+    have distinct endpoints inside 1..n.  The validated `arcs` frozenset is
+    the one stored form.  Its views are derived on first use and cached on
+    the instance:
+
+    * `_in_csr` and `_out_csr`, the in- and out-adjacency in compressed
+      sparse row layout (see `_csr`), which `in_sources`, `out_targets`
+      and the connectivity searches walk;
+    * `arc_arrays`, the arcs as read-only numpy arrays in `_in_csr` order,
+      for the update matrix and the flow maps.
+
+    Caching is safe because neither `n` nor `arcs` can change after
+    construction, no view is written after it is built, and none takes
+    part in equality or hashing.
     """
 
     n: int
     arcs: frozenset[Arc]
 
     def __init__(self, n: int, arcs: Iterable[Arc] = ()):
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "arcs", frozenset((int(k), int(l)) for k, l in arcs))
-        if self.n < 1:
+        n = int(n)
+        if n < 1:
             raise ValueError(f"node count must be at least 1, got {n}")
-        srcs: dict[int, set[int]] = {k: set() for k in range(1, self.n + 1)}
-        outs: dict[int, set[int]] = {k: set() for k in range(1, self.n + 1)}
-        for k, l in self.arcs:
-            if k == l:
-                raise ValueError(f"self-loop ({k}, {l}) is not allowed")
-            if not (1 <= k <= self.n and 1 <= l <= self.n):
-                raise ValueError(f"arc ({k}, {l}) outside node range 1..{self.n}")
-            srcs[l].add(k)
-            outs[k].add(l)
-        object.__setattr__(self, "_in", {k: frozenset(v) for k, v in srcs.items()})
-        object.__setattr__(self, "_out", {k: frozenset(v) for k, v in outs.items()})
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "arcs", _valid_arcs(n, arcs))
+
+    @classmethod
+    def _from_valid(cls, n: int, arcs: frozenset[Arc]) -> "DirectedGraph":
+        """Wrap arcs already validated for n nodes, such as a union of graphs' arcs."""
+        g = cls.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "arcs", arcs)
+        return g
+
+    @cached_property
+    def _in_csr(self) -> tuple[list[int], list[int]]:
+        """(ptr, src): the senders of node j + 1 are src[ptr[j]:ptr[j + 1]], 0-based."""
+        return _csr(self.n, ((l, k) for k, l in self.arcs))
+
+    @cached_property
+    def _out_csr(self) -> tuple[list[int], list[int]]:
+        """(ptr, dst): the receivers of node j + 1 are dst[ptr[j]:ptr[j + 1]], 0-based."""
+        return _csr(self.n, self.arcs)
+
+    @cached_property
+    def arc_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """0-based (src, dst) int arrays of every arc, read-only and sorted by
+        (receiver, sender)."""
+        ptr, senders = self._in_csr
+        src = np.array(senders, dtype=np.intp)
+        dst = np.repeat(np.arange(self.n, dtype=np.intp), np.diff(ptr))
+        src.flags.writeable = dst.flags.writeable = False
+        return src, dst
 
     def in_sources(self, k: int) -> NodeSet:
         """Nodes that send an arc into node k."""
-        return self._in[k]
+        j = _node_index(self, k)
+        ptr, src = self._in_csr
+        return frozenset(v + 1 for v in src[ptr[j] : ptr[j + 1]])
 
     def out_targets(self, k: int) -> NodeSet:
         """Nodes that node k sends an arc to."""
-        return self._out[k]
+        j = _node_index(self, k)
+        ptr, dst = self._out_csr
+        return frozenset(v + 1 for v in dst[ptr[j] : ptr[j + 1]])
 
     def has_arc(self, k: int, l: int) -> bool:
         return (k, l) in self.arcs
@@ -86,6 +124,62 @@ class DirectedGraph:
 
     def __repr__(self) -> str:
         return f"DirectedGraph(n={self.n}, arcs={sorted(self.arcs)!r})"
+
+
+def _valid_arcs(n: int, arcs: Iterable[Arc]) -> frozenset[Arc]:
+    """The arcs as a frozenset of int pairs with distinct endpoints in 1..n.
+
+    One pass accepts the common input, pairs of Python ints; anything else
+    (numpy ints, lists, a bad arc) is coerced with `int` and checked arc by
+    arc, which raises for the first bad arc found.
+    """
+    if iter(arcs) is arcs:  # a one-shot iterator: keep its items for a second pass
+        arcs = tuple(arcs)
+    try:
+        pairs = frozenset(arcs)
+    except TypeError:  # unhashable pairs, such as lists
+        pass
+    else:
+        for k, l in pairs:
+            if type(k) is not int or type(l) is not int or k == l:
+                break
+            if not (0 < k <= n and 0 < l <= n):
+                break
+        else:
+            return pairs
+    pairs = frozenset((int(k), int(l)) for k, l in arcs)
+    for k, l in pairs:
+        if k == l:
+            raise ValueError(f"self-loop ({k}, {l}) is not allowed")
+        if not (1 <= k <= n and 1 <= l <= n):
+            raise ValueError(f"arc ({k}, {l}) outside node range 1..{n}")
+    return pairs
+
+
+def _csr(n: int, entries: Iterable[Arc]) -> tuple[list[int], list[int]]:
+    """Compressed sparse row layout of 1-based (row, column) entries of an
+    n x n pattern: 0-based row offsets, and every row's 0-based columns in
+    ascending order, concatenated.
+
+    This is the layout `scipy.sparse.csgraph` searches walk.  It is kept as
+    lists of Python ints, read-only by contract, because the searches index
+    it from the interpreter, where numpy's per-call cost would dominate the
+    small graphs most schedules hold.  Tuples would be immutable, but the
+    interpreter keeps freed small tuples on free lists, which raised peak
+    memory by megabytes when thousands of small window unions came and went.
+    """
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for r, c in entries:
+        rows[r - 1].append(c - 1)
+    for row in rows:
+        row.sort()
+    return [0, *itertools.accumulate(map(len, rows))], list(itertools.chain.from_iterable(rows))
+
+
+def _node_index(g: DirectedGraph, k: int) -> int:
+    if not (1 <= k <= g.n):
+        raise ValueError(f"node {k} outside 1..{g.n}")
+    return k - 1
 
 
 def empty_graph(n: int) -> DirectedGraph:
@@ -202,12 +296,28 @@ class IntervalSpec:
 # Neighbor calculus and reachability
 
 
-def _check_node_set(g: DirectedGraph, L: Iterable[int]) -> NodeSet:
-    s = frozenset(int(k) for k in L)
-    for k in s:
-        if not (1 <= k <= g.n):
-            raise ValueError(f"node {k} outside 1..{g.n}")
-    return s
+def _senders_outside(in_ptr: Sequence[int], src: Sequence[int], s: set[int]) -> set[int]:
+    """0-based nodes outside s that send an arc into s, read from CSR slices."""
+    senders: set[int] = set()
+    for l in s:
+        senders.update(src[in_ptr[l] : in_ptr[l + 1]])
+    return senders - s
+
+
+def _reaches_all(out_ptr: Sequence[int], out_dst: Sequence[int], k: int) -> bool:
+    """True when 0-based node k has a directed path to every node."""
+    seen = bytearray(len(out_ptr) - 1)
+    seen[k] = 1
+    count = 1
+    stack = [k]
+    while stack:
+        u = stack.pop()
+        for v in out_dst[out_ptr[u] : out_ptr[u + 1]]:
+            if not seen[v]:
+                seen[v] = 1
+                count += 1
+                stack.append(v)
+    return count == len(seen)
 
 
 def neighbors(g: "DirectedGraph | WeightedDigraph", L: Iterable[int]) -> NodeSet:
@@ -217,29 +327,14 @@ def neighbors(g: "DirectedGraph | WeightedDigraph", L: Iterable[int]) -> NodeSet
     influence L directly, in one step.  The empty set has no neighbors.
     """
     g = as_directed(g)
-    s = _check_node_set(g, L)
-    senders: set[int] = set()
-    for l in s:
-        senders |= g.in_sources(l)
-    return frozenset(senders - s)
+    s = {_node_index(g, int(k)) for k in L}
+    return frozenset(v + 1 for v in _senders_outside(*g._in_csr, s))
 
 
 def is_connected_from(g: "DirectedGraph | WeightedDigraph", k: int) -> bool:
     """True when node k has a directed path to every other node."""
     g = as_directed(g)
-    if not (1 <= k <= g.n):
-        raise ValueError(f"node {k} outside 1..{g.n}")
-    seen = {k}
-    frontier = [k]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in g.out_targets(u):
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return len(seen) == g.n
+    return _reaches_all(*g._out_csr, _node_index(g, k))
 
 
 def is_weakly_connected(g: "DirectedGraph | WeightedDigraph") -> bool:
@@ -252,22 +347,25 @@ def is_weakly_connected(g: "DirectedGraph | WeightedDigraph") -> bool:
     outside that tree which reached it would have reached it in an
     earlier tree.  A root exists exactly when that node reaches every
     node, which needs no second search when the first tree spans them all.
+    Both searches walk the slices of the cached out-adjacency.
     """
     g = as_directed(g)
-    seen: set[int] = set()
-    last = 1
-    for s in g.nodes:
-        if s in seen:
+    out_ptr, out_dst = g._out_csr
+    seen = bytearray(g.n)
+    last = 0
+    for s in range(g.n):
+        if seen[s]:
             continue
-        seen.add(s)
+        seen[s] = 1
         stack = [s]
         while stack:
-            for v in g.out_targets(stack.pop()):
-                if v not in seen:
-                    seen.add(v)
+            u = stack.pop()
+            for v in out_dst[out_ptr[u] : out_ptr[u + 1]]:
+                if not seen[v]:
+                    seen[v] = 1
                     stack.append(v)
         last = s
-    return last == 1 or is_connected_from(g, last)
+    return last == 0 or _reaches_all(out_ptr, out_dst, last)
 
 
 def is_bidirectional(g: "DirectedGraph | WeightedDigraph") -> bool:
@@ -330,35 +428,40 @@ def find_root(g: "DirectedGraph | WeightedDigraph") -> Optional[int]:
     a neighbor the graph is disconnected and None is returned.
     """
     g = as_directed(g)
-    if g.n == 1:
+    n = g.n
+    if n == 1:
         return 1
-    nodes = frozenset(g.nodes)
-    L1: NodeSet = frozenset({1})
-    F1: NodeSet = frozenset({1})
-    L2: NodeSet = frozenset({2})
-    F2: NodeSet = frozenset({2})
+    in_ptr, src = g._in_csr
+    # 0-based labels throughout, so every min picks the same node.  F1 and
+    # F2 stay disjoint and their union only grows, so it holds every node
+    # when their sizes sum to n, and the lowest node outside it is found by
+    # a cursor that never moves back.
+    L1, F1 = {0}, {0}
+    L2, F2 = {1}, {1}
+    low = 0  # every node below `low` lies in F1 | F2
     while True:
-        nb2 = neighbors(g, L2)
+        nb2 = _senders_outside(in_ptr, src, L2)
         if nb2:
             m = min(nb2)
         else:
-            nb1 = neighbors(g, L1)
+            nb1 = _senders_outside(in_ptr, src, L1)
             if not nb1:
                 return None  # (L1, L2) witnesses disconnection
             m = min(nb1)
             L1, F1, L2, F2 = L2, F2, L1, F1  # mirror: pierce side 1 instead
         # m sends an arc into L2, so m reaches everything L2 reaches
         if m in F1:
-            if F1 | F2 == nodes:
-                return min(L1)
-            F1 = F1 | F2
-            fresh = min(nodes - F1)
-            L2 = F2 = frozenset({fresh})
+            if len(F1) + len(F2) == n:
+                return min(L1) + 1
+            F1 |= F2
+            while low in F1:
+                low += 1
+            L2, F2 = {low}, {low}
         elif m not in F2:
-            L2 = frozenset({m})
-            F2 = F2 | {m}
+            L2 = {m}
+            F2.add(m)
         else:  # m in F2 - L2
-            L2 = L2 | {m}
+            L2.add(m)
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +505,15 @@ def union_across(schedule, interval: IntervalSpec) -> DirectedGraph:
             "is neither periodic nor eventually constant and has no closed-form "
             "tail union"
         )
-    arcs: set[Arc] = set()
-    for t in times:
-        arcs |= as_directed(schedule.graph_at(t)).arcs
-    return DirectedGraph(schedule.n, arcs)
+    members = [as_directed(schedule.graph_at(t)) for t in times]
+    for t, g in zip(times, members):
+        if g.n != schedule.n:
+            raise ValueError(f"graph at time {t} has n={g.n}, expected {schedule.n}")
+    if len(members) == 1:
+        return members[0]
+    # The members' arcs are valid for n nodes, so their union needs no check.
+    arcs = frozenset().union(*(g.arcs for g in members))
+    return DirectedGraph._from_valid(schedule.n, arcs)
 
 
 def is_weakly_connected_across(schedule, interval: IntervalSpec) -> bool:

@@ -169,7 +169,11 @@ def iter_states(
     steps: int,
     t0: Optional[int] = None,
 ) -> Iterator[tuple[int, AgentState]]:
-    """Yield (t, state) from t0 through t0 + steps, stepping the map."""
+    """Yield (t, state) from t0 through t0 + steps, stepping the map.
+
+    `steps`, `t0` and `x0` are checked when the stream is made, before
+    the caller opens any output, not on its first `next()`.
+    """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     t0 = schedule.first_time if t0 is None else int(t0)
@@ -180,6 +184,12 @@ def iter_states(
     x = x0 if isinstance(x0, AgentState) else AgentState(x0)
     if x.n != schedule.n:
         raise ValueError(f"state has n={x.n} but schedule has n={schedule.n}")
+    return _run(schedule, update_map, x, steps, t0)
+
+
+def _run(
+    schedule: GraphSchedule, update_map: UpdateMap, x: AgentState, steps: int, t0: int
+) -> Iterator[tuple[int, AgentState]]:
     yield t0, x
     for t in range(t0, t0 + steps):
         x = update_map.step(t, schedule.graph_at(t), x)
@@ -282,8 +292,8 @@ def attractivity_probe(
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     if not (radius >= 0.0 and math.isfinite(radius)):
         raise ValueError(f"radius must be nonnegative and finite, got {radius}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     c = center if isinstance(center, AgentState) else AgentState(center)
     t0 = schedule.first_time if t0 is None else int(t0)
     checkpoint = max(1, horizon - horizon // 10)

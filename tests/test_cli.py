@@ -307,6 +307,23 @@ def test_simulate_rejects_bad_slack_and_tol(chain_graph, tmp_path, capsys, flag,
     assert not csv_path.exists()
 
 
+@pytest.mark.parametrize(
+    "bad, fragment",
+    [(["--x0", "0,1"], "state has n=2"),
+     (["--x0", "0,1,1", "--t0", "-1"], "before the schedule's first time")],
+)
+def test_simulate_bad_input_keeps_existing_csv(chain_graph, tmp_path, capsys, bad, fragment):
+    csv_path = tmp_path / "run.csv"
+    csv_path.write_text("old")
+    code = main(["simulate", "--graph", chain_graph, "--steps", "3",
+                 "--csv", str(csv_path)] + bad)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert fragment in captured.err
+    assert csv_path.read_text() == "old"
+
+
 def test_simulate_usage_errors(chain_graph, capsys):
     assert main(["simulate", "--graph", chain_graph, "--steps", "3"]) == 1
     assert "--x0" in capsys.readouterr().err
@@ -347,6 +364,16 @@ def test_probe_counterexample_never_converges(capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["converged_fraction"] == 0.0
+
+
+@pytest.mark.parametrize("value", ["inf", "0", "nan"])
+def test_probe_rejects_bad_tol(chain_graph, capsys, value):
+    code = main(["probe", "--graph", chain_graph, "--center", "0,1,1", "--samples", "2",
+                 "--horizon", "5", "--tol", value])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "error: tol must be positive and finite" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -350,6 +350,79 @@ def test_nonlinear_missing_arc_gain():
         NonlinearConsensus(gains={(1, 2): lambda s: s}).step(0, g, AgentState([0.0, 1.0]))
 
 
+def test_nonlinear_missing_arc_gain_message_lists_sorted_arcs():
+    g = DirectedGraph(3, {(1, 2), (2, 1), (3, 2), (2, 3)})
+    gains = {(2, 1): math.atan, (3, 2): math.atan}
+    with pytest.raises(ValueError) as err:
+        NonlinearConsensus(gains=gains).step(0, g, AgentState([0.0, 1.0, 2.0]))
+    assert str(err.value) == "no gain supplied for arcs [(1, 2), (2, 3)]"
+
+
+def _rk4_reference(field, y, substeps):
+    h = 1.0 / substeps
+    for _ in range(substeps):
+        k1 = field(y)
+        k2 = field(y + 0.5 * h * k1)
+        k3 = field(y + 0.5 * h * k2)
+        k4 = field(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
+def _kuramoto_sorting_reference(g, x, substeps):
+    # The field as it reads when the arcs are sorted by (receiver, sender)
+    # on every step.
+    arcs = sorted(g.arcs, key=lambda a: (a[1], a[0]))
+    src, dst = np.array(arcs, dtype=np.intp).T - 1
+
+    def field(y):
+        r = 1.0 / np.sqrt(1.0 + y * y)
+        return np.bincount(dst, (y[src] - y[dst]) * r[src] * r[dst], minlength=y.size)
+
+    return _rk4_reference(field, x, substeps)
+
+
+def _nonlinear_sorting_reference(g, gains, x, substeps):
+    # The field as it reads when the arcs are sorted on every step.
+    arcs = [(a, gains if callable(gains) else gains[a]) for a in sorted(g.arcs)]
+
+    def field(y):
+        f = np.zeros_like(y)
+        for (i, k), gamma in arcs:
+            f[k - 1] += gamma(y[i - 1] - y[k - 1])
+        return f
+
+    return _rk4_reference(field, x, substeps)
+
+
+def _random_arc_graphs(seed, count, max_n):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, max_n + 1))
+        m = int(rng.integers(1, 3 * n))
+        arcs = {(int(k), int(l)) for k, l in rng.integers(1, n + 1, (m, 2)) if k != l}
+        yield DirectedGraph(n, arcs or {(1, 2)}), rng.uniform(-1.0, 1.0, n)
+
+
+def test_kuramoto_is_bit_identical_to_sorting_reference():
+    for g, x in _random_arc_graphs(seed=11, count=25, max_n=14):
+        out = KuramotoTime1(substeps=20).step(0, g, AgentState(x))
+        assert out.values.tobytes() == _kuramoto_sorting_reference(g, x, 20).tobytes()
+
+
+@pytest.mark.parametrize("per_arc", [False, True])
+def test_nonlinear_is_bit_identical_to_sorting_reference(per_arc):
+    library = [math.atan, lambda s: s**3, lambda s: s]
+    for j, (g, x) in enumerate(_random_arc_graphs(seed=12, count=20, max_n=12)):
+        if per_arc:
+            gains = {a: library[(a[0] + 2 * a[1] + j) % 3] for a in g.arcs}
+        else:
+            gains = library[j % 3]
+        out = NonlinearConsensus(gains=gains, substeps=10).step(0, g, AgentState(x))
+        ref = _nonlinear_sorting_reference(g, gains, x, 10)
+        assert out.values.tobytes() == ref.tobytes()
+
+
 def test_nonlinear_consensus_exact_fixed_point():
     g = DirectedGraph(2, {(1, 2), (2, 1)})
     out = NonlinearConsensus(gains=lambda s: s**3).step(0, g, AgentState([2.0, 2.0]))

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from consensus_lab import (
     union_across,
     weakly_connected_oracle,
 )
+from consensus_lab.simulator import GraphSchedule
 
 
 @st.composite
@@ -109,6 +111,139 @@ def test_interval_spec_validation():
     assert not IntervalSpec(3).bounded
     with pytest.raises(ValueError, match="empty interval"):
         IntervalSpec(5, 4)
+
+
+def test_validation_checks_self_loop_before_range():
+    with pytest.raises(ValueError, match=r"self-loop \(5, 5\)"):
+        DirectedGraph(3, {(5, 5)})
+    with pytest.raises(ValueError, match=r"arc \(0, 1\) outside node range 1..3"):
+        DirectedGraph(3, [(0, 1)])
+
+
+def test_construction_coerces_pairs_to_ints():
+    g = DirectedGraph(np.int64(3), [(np.int64(1), np.int32(2)), [2, 3], (True, 3)])
+    assert g == DirectedGraph(3, {(1, 2), (2, 3), (1, 3)})
+    assert all(type(k) is int and type(l) is int for k, l in g.arcs)
+    assert type(g.n) is int
+    once = DirectedGraph(3, ((k, k + 1) for k in (1, 2)))  # a one-shot iterator
+    assert once.arcs == {(1, 2), (2, 3)}
+
+
+def _reach(n, arcs, k):
+    """Nodes reachable from k, by closing {k} under the arcs: shares no code
+    with the library's searches."""
+    seen = {k}
+    grew = True
+    while grew:
+        new = {l for (j, l) in arcs if j in seen} - seen
+        seen |= new
+        grew = bool(new)
+    return seen
+
+
+def _random_digraphs(count=300, seed=17):
+    """Seeded digraphs with n in 1..40, arc-free ones included."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(1, 40)
+        m = 0 if n == 1 or i % 10 == 0 else round(rng.uniform(0.3, 3.0) * n)
+        yield DirectedGraph(n, {tuple(rng.sample(range(1, n + 1), 2)) for _ in range(m)})
+
+
+def test_derived_forms_match_the_arc_set():
+    counts = {"arc_free": 0, "connected": 0, "unconnected": 0}
+    for g in _random_digraphs():
+        n, arcs = g.n, g.arcs
+        src, dst = g.arc_arrays
+        expected = sorted(arcs, key=lambda a: (a[1], a[0]))
+        assert list(zip((src + 1).tolist(), (dst + 1).tolist())) == expected
+        for arr in (src, dst):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[:1] = 0
+        assert g.arc_arrays is g.arc_arrays  # derived once
+        for k in g.nodes:
+            ins, outs = g.in_sources(k), g.out_targets(k)
+            assert type(ins) is frozenset and type(outs) is frozenset
+            assert ins == {j for (j, l) in arcs if l == k}
+            assert outs == {l for (j, l) in arcs if j == k}
+        # A graph built again through the public constructor is equal, and
+        # the cache takes no part in equality or hashing.
+        again = DirectedGraph(n, list(arcs))
+        assert again == g and hash(again) == hash(g)
+        counts["arc_free"] += not arcs
+        counts["connected" if is_weakly_connected(g) else "unconnected"] += 1
+    assert min(counts.values()) > 0, counts
+
+
+def test_searches_agree_with_oracle_and_definition():
+    for g in _random_digraphs(seed=23):
+        wc = is_weakly_connected(g)
+        root = find_root(g)
+        if g.n <= 7:
+            assert wc == weakly_connected_oracle(g), g
+        reaches = {k: _reach(g.n, g.arcs, k) for k in g.nodes}
+        assert wc == any(len(r) == g.n for r in reaches.values()), g
+        if root is None:
+            assert not wc
+        else:
+            assert len(reaches[root]) == g.n, g
+        for k in g.nodes:
+            assert is_connected_from(g, k) == (len(reaches[k]) == g.n)
+
+
+def _find_root_reference(g):
+    """find_root's moves on frozensets, with neighbor sets read off the arcs."""
+    if g.n == 1:
+        return 1
+
+    def nb(L):
+        return frozenset(k for (k, l) in g.arcs if l in L and k not in L)
+
+    nodes = frozenset(g.nodes)
+    L1 = F1 = frozenset({1})
+    L2 = F2 = frozenset({2})
+    while True:
+        if nb(L2):
+            m = min(nb(L2))
+        else:
+            if not nb(L1):
+                return None
+            m = min(nb(L1))
+            L1, F1, L2, F2 = L2, F2, L1, F1
+        if m in F1:
+            if F1 | F2 == nodes:
+                return min(L1)
+            F1 = F1 | F2
+            L2 = F2 = frozenset({min(nodes - F1)})
+        elif m not in F2:
+            L2, F2 = frozenset({m}), F2 | {m}
+        else:
+            L2 = L2 | {m}
+
+
+def test_find_root_picks_the_reference_root():
+    rooted = []
+    rng = random.Random(41)
+    for _ in range(40):  # spanning trees plus noise, so the search absorbs often
+        n = rng.randint(2, 60)
+        order = rng.sample(range(1, n + 1), n)
+        arcs = {(order[rng.randrange(i)], order[i]) for i in range(1, n)}
+        arcs |= {tuple(rng.sample(range(1, n + 1), 2)) for _ in range(n // 2)}
+        rooted.append(DirectedGraph(n, arcs))
+    for g in rooted + list(_random_digraphs(seed=43)):
+        assert find_root(g) == _find_root_reference(g), g
+
+
+def test_node_queries_reject_bad_labels():
+    g = DirectedGraph(3, {(1, 2)})
+    for k in (0, 4):
+        with pytest.raises(ValueError, match="outside 1..3"):
+            g.in_sources(k)
+        with pytest.raises(ValueError, match="outside 1..3"):
+            g.out_targets(k)
+        with pytest.raises(ValueError, match="outside 1..3"):
+            is_connected_from(g, k)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +391,48 @@ def test_union_across_generated_without_period():
     assert union_across(sched, IntervalSpec(0, 3)).arcs == {(1, 2)}
     with pytest.raises(UnsupportedQueryError):
         union_across(sched, IntervalSpec(0))
+
+
+def _plain_union(schedule, times):
+    arcs = set()
+    for t in times:
+        arcs |= schedule.graph_at(t).arcs
+    return arcs
+
+
+def test_union_across_equals_plain_set_union():
+    rng = random.Random(31)
+    graphs = list(_random_digraphs(count=60, seed=37))
+    for trial in range(40):
+        n = rng.choice([g.n for g in graphs])
+        pool = [g for g in graphs if g.n == n]
+        members = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
+        first = rng.randint(0, 3)
+        schedules = [
+            PeriodicSchedule(members, first_time=first),
+            FiniteSchedule(members, first_time=first),
+            GeneratedSchedule(lambda t, m=members, f=first: m[(t - f) % len(m)], n, first),
+        ]
+        for sched in schedules:
+            a = rng.randint(first, first + 6)
+            b = rng.randint(a, a + 7)
+            union = union_across(sched, IntervalSpec(a, b))
+            assert union.arcs == _plain_union(sched, range(a, b + 1))
+            rebuilt = DirectedGraph(n, union.arcs)
+            assert union == rebuilt and hash(union) == hash(rebuilt)
+            assert all(np.array_equal(x, y) for x, y in zip(union.arc_arrays, rebuilt.arc_arrays))
+            assert is_weakly_connected(union) == is_weakly_connected(rebuilt)
+
+
+def test_union_across_rejects_member_of_other_size():
+    class Mismatched(GraphSchedule):
+        first_time, n, name = 0, 2, "mismatched"
+
+        def graph_at(self, t):
+            return DirectedGraph(2 + t, {(1, 2 + t)})
+
+    with pytest.raises(ValueError, match="graph at time 1 has n=3, expected 2"):
+        union_across(Mismatched(), IntervalSpec(0, 1))
 
 
 def test_union_across_rejects_early_start():

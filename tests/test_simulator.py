@@ -99,13 +99,14 @@ def test_iter_states_follows_schedule_switches():
 
 
 def test_iter_states_validation():
+    # Checked when the stream is made, before anything is iterated.
     sched = constant_schedule(PAIR, first_time=2)
     with pytest.raises(ValueError, match="nonnegative"):
-        list(iter_states(sched, LinearAverage(), [0.0, 1.0], steps=-1))
+        iter_states(sched, LinearAverage(), [0.0, 1.0], steps=-1)
     with pytest.raises(ValueError, match="before the schedule"):
-        list(iter_states(sched, LinearAverage(), [0.0, 1.0], steps=1, t0=0))
+        iter_states(sched, LinearAverage(), [0.0, 1.0], steps=1, t0=0)
     with pytest.raises(ValueError, match="n=3"):
-        list(iter_states(sched, LinearAverage(), [0.0, 1.0, 2.0], steps=1))
+        iter_states(sched, LinearAverage(), [0.0, 1.0, 2.0], steps=1)
 
 
 def test_iter_states_honors_t0():
@@ -200,5 +201,6 @@ def test_probe_validation():
         attractivity_probe(sched, LinearAverage(), [0.0, 1.0], 0.1, horizon=0)
     with pytest.raises(ValueError, match="radius"):
         attractivity_probe(sched, LinearAverage(), [0.0, 1.0], -0.5)
-    with pytest.raises(ValueError, match="tol"):
-        attractivity_probe(sched, LinearAverage(), [0.0, 1.0], 0.1, tol=0.0)
+    for tol in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            attractivity_probe(sched, LinearAverage(), [0.0, 1.0], 0.1, tol=tol)
