@@ -394,7 +394,9 @@ class VicsekHeading(UpdateMap):
     arctangent branch so they stay in the same interval.  The angle is
     computed relative to each agent's own heading (the circular mean is
     rotation invariant), so a neighborhood at a common heading keeps that
-    heading bit-exactly.
+    heading bit-exactly.  The sines and cosines are summed over the agent
+    itself, then its senders in ascending order, read from the graph's
+    cached in-adjacency.
     """
 
     name = "vicsek"
@@ -410,10 +412,10 @@ class VicsekHeading(UpdateMap):
                 f"interval (-pi/2, pi/2)"
             )
         out = np.empty_like(theta)
-        for k in base.nodes:
-            idx = [k - 1] + [i - 1 for i in base.in_sources(k)]
-            rel = theta[idx] - theta[k - 1]
-            out[k - 1] = theta[k - 1] + math.atan2(np.sin(rel).sum(), np.cos(rel).sum())
+        ptr, src = base._in_csr
+        for k in range(base.n):
+            rel = theta[[k, *src[ptr[k] : ptr[k + 1]]]] - theta[k]
+            out[k] = theta[k] + math.atan2(np.sin(rel).sum(), np.cos(rel).sum())
         return AgentState(out)
 
 
@@ -431,9 +433,9 @@ class MaxUpdate(UpdateMap):
     def step(self, t: int, graph, state: AgentState) -> AgentState:
         base = self._check(graph, state)
         out = np.empty_like(state.points)
-        for k in base.nodes:
-            idx = [k - 1] + [i - 1 for i in base.in_sources(k)]
-            out[k - 1] = state.points[idx].max(axis=0)
+        ptr, src = base._in_csr
+        for k in range(base.n):
+            out[k] = state.points[[k, *src[ptr[k] : ptr[k + 1]]]].max(axis=0)
         return AgentState(out)
 
 
@@ -624,9 +626,8 @@ def check_strict_convexity(
         raise ValueError(f"empty sampling box ({lo}, {hi})")
     eq_tol = 1e-12 if update_map.integrator_backed else 0.0
     rng = np.random.default_rng(seed)
-    closed_idx = {
-        k: [k - 1] + sorted(i - 1 for i in base.in_sources(k)) for k in base.nodes
-    }
+    ptr, src = base._in_csr
+    closed_idx = {k: [k - 1, *src[ptr[k - 1] : ptr[k]]] for k in base.nodes}
     violations: list[ConvexityViolation] = []
     for s in range(samples):
         pts = rng.uniform(lo, hi, size=(base.n, d))

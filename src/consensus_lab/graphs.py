@@ -55,8 +55,8 @@ class DirectedGraph:
     the instance:
 
     * `_in_csr` and `_out_csr`, the in- and out-adjacency in compressed
-      sparse row layout (see `_csr`), which `in_sources`, `out_targets`
-      and the connectivity searches walk;
+      sparse row layout (see `_csr`), which `in_sources`, `out_targets`,
+      the connectivity searches and the Vicsek and max maps walk;
     * `arc_arrays`, the arcs as read-only numpy arrays in `_in_csr` order,
       for the update matrix and the flow maps.
 
@@ -129,24 +129,9 @@ class DirectedGraph:
 def _valid_arcs(n: int, arcs: Iterable[Arc]) -> frozenset[Arc]:
     """The arcs as a frozenset of int pairs with distinct endpoints in 1..n.
 
-    One pass accepts the common input, pairs of Python ints; anything else
-    (numpy ints, lists, a bad arc) is coerced with `int` and checked arc by
-    arc, which raises for the first bad arc found.
+    Raises for the first bad arc found, checking for a self-loop before
+    the node range.
     """
-    if iter(arcs) is arcs:  # a one-shot iterator: keep its items for a second pass
-        arcs = tuple(arcs)
-    try:
-        pairs = frozenset(arcs)
-    except TypeError:  # unhashable pairs, such as lists
-        pass
-    else:
-        for k, l in pairs:
-            if type(k) is not int or type(l) is not int or k == l:
-                break
-            if not (0 < k <= n and 0 < l <= n):
-                break
-        else:
-            return pairs
     pairs = frozenset((int(k), int(l)) for k, l in arcs)
     for k, l in pairs:
         if k == l:

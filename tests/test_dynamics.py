@@ -454,6 +454,20 @@ def test_vicsek_rejects_out_of_domain():
         VicsekHeading().step(0, g, AgentState([0.0, math.pi / 2]))
 
 
+def test_vicsek_and_max_read_self_then_ascending_senders():
+    # From n = 9 labels collide in a set's hash table, so iterating the
+    # senders as a set would not visit them in ascending order.
+    for g, x in _random_arc_graphs(seed=13, count=40, max_n=40):
+        x = 1.5 * x
+        ref = np.empty_like(x)
+        for k in g.nodes:
+            rel = x[[k - 1, *sorted(i - 1 for i, l in g.arcs if l == k)]] - x[k - 1]
+            ref[k - 1] = x[k - 1] + math.atan2(np.sin(rel).sum(), np.cos(rel).sum())
+        assert VicsekHeading().step(0, g, AgentState(x)).values.tobytes() == ref.tobytes()
+        closed_max = [max([x[k - 1], *(x[i - 1] for i, l in g.arcs if l == k)]) for k in g.nodes]
+        assert MaxUpdate().step(0, g, AgentState(x)).values.tolist() == closed_max
+
+
 def test_max_step_scalar():
     g = DirectedGraph(3, {(1, 2), (3, 2)})
     out = MaxUpdate().step(0, g, AgentState([3.0, 1.0, 2.0]))
