@@ -5,9 +5,10 @@ Exit codes: 0 success, 1 usage or input errors, 2 verification failure
 (a monitored containment violation, a failed recursion check, or an
 oracle disagreement).
 
-`simulate` and `probe` accept a flat key=value config file; command-line
-flags override config values.  The CONSENSUS_LAB_SEED environment
-variable supplies the default seed.
+`simulate` and `probe` accept a flat key=value config file keyed by the
+subcommand's long option names; its values become argparse defaults, so
+they are checked like flags and flags override them.  Where a seed is used
+(a --scenario schedule, the probe), CONSENSUS_LAB_SEED is the default.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Optional
 
 from .dynamics import (
     GAIN_LIBRARY,
@@ -66,10 +66,11 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
+def _seed(args) -> int:
+    """--seed (or the config's seed), else CONSENSUS_LAB_SEED, else 0."""
+    if args.seed is not None:
+        return args.seed
+    raw = os.environ.get(SEED_ENV_VAR, "0")
     try:
         return int(raw)
     except ValueError:
@@ -100,16 +101,19 @@ def _parse_params(text: str, what: str) -> dict[str, str]:
     return out
 
 
-def _pop_int(params: dict, key: str, what: str, default: Optional[int] = None) -> int:
-    if key in params:
-        raw = params.pop(key)
-        try:
-            return int(raw)
-        except ValueError:
-            raise CliError(f"{what}: {key} must be an integer, got {raw!r}")
-    if default is None:
-        raise CliError(f"{what}: missing required parameter {key}")
-    return default
+def _pop(params: dict, key: str, spec: str, kind: type, default=None):
+    """Remove and convert (int or float) a spec parameter; a None default
+    makes it required."""
+    if key not in params:
+        if default is None:
+            raise CliError(f"{spec}: missing required parameter {key}")
+        return default
+    raw = params.pop(key)
+    try:
+        return kind(raw)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise CliError(f"{spec}: {key} must be {noun}, got {raw!r}")
 
 
 def make_scenario(spec: str, seed: int) -> GraphSchedule:
@@ -119,13 +123,13 @@ def make_scenario(spec: str, seed: int) -> GraphSchedule:
     if name == "counterexample":
         schedule = counterexample_schedule()
     elif name == "windowed":
-        n = _pop_int(params, "n", spec)
-        T = _pop_int(params, "T", spec)
-        length = _pop_int(params, "length", spec, default=2 * (T + 1))
-        sseed = _pop_int(params, "seed", spec, default=seed)
+        n = _pop(params, "n", spec, int)
+        T = _pop(params, "T", spec, int)
+        length = _pop(params, "length", spec, int, 2 * (T + 1))
+        sseed = _pop(params, "seed", spec, int, seed)
         schedule = random_windowed_schedule(n, T, length, sseed)
     elif name == "stretching":
-        schedule = stretching_bidirectional_schedule(_pop_int(params, "n", spec))
+        schedule = stretching_bidirectional_schedule(_pop(params, "n", spec, int))
     else:
         raise CliError(
             f"unknown scenario {name!r}; choose counterexample, windowed, stretching"
@@ -140,10 +144,9 @@ def make_map(spec: str) -> UpdateMap:
     name, _, rest = spec.partition(":")
     params = _parse_params(rest, f"map {name!r}")
     if name == "linear":
-        weight = float(params.pop("weight", 1.0))
-        update: UpdateMap = LinearAverage(weight)
+        update: UpdateMap = LinearAverage(_pop(params, "weight", spec, float, 1.0))
     elif name == "kuramoto":
-        update = KuramotoTime1(_pop_int(params, "substeps", spec, default=100))
+        update = KuramotoTime1(_pop(params, "substeps", spec, int, 100))
     elif name == "nonlinear":
         gain_name = params.pop("gain", "identity")
         if gain_name not in GAIN_LIBRARY:
@@ -151,7 +154,7 @@ def make_map(spec: str) -> UpdateMap:
                 f"unknown gain {gain_name!r}; choose from {sorted(GAIN_LIBRARY)}"
             )
         update = NonlinearConsensus(
-            GAIN_LIBRARY[gain_name], _pop_int(params, "substeps", spec, default=100)
+            GAIN_LIBRARY[gain_name], _pop(params, "substeps", spec, int, 100)
         )
     elif name == "vicsek":
         update = VicsekHeading()
@@ -198,8 +201,16 @@ def parse_interval(spec: str) -> IntervalSpec:
 # Config files
 
 
-def load_config(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _config_defaults(sub: argparse.ArgumentParser, path: str) -> dict[str, str]:
+    """Read a key=value config file ('#' starts a comment) into defaults for
+    `sub` by option dest; each key must be a long option name of `sub`."""
+    dests = {
+        opt[2:]: action.dest
+        for action in sub._actions
+        for opt in action.option_strings
+        if opt.startswith("--") and action.dest not in ("help", "config")
+    }
+    out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -207,27 +218,22 @@ def load_config(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise CliError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in dests:
+                raise CliError(
+                    f"{path}:{lineno}: unknown key {key!r}; "
+                    f"{sub.prog} takes {', '.join(sorted(dests))}"
+                )
+            out[dests[key]] = value
     return out
 
 
-def _resolved(args, key: str, default=None):
-    """CLI flag if given, else config value, else default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return args._config.get(key, default)
-
-
-def _resolve_schedule(args, seed: int) -> GraphSchedule:
-    graph_path = _resolved(args, "graph")
-    scenario = _resolved(args, "scenario")
-    if (graph_path is None) == (scenario is None):
+def _resolve_schedule(args) -> GraphSchedule:
+    if (args.graph is None) == (args.scenario is None):
         raise CliError("give exactly one of --graph or --scenario")
-    if graph_path is not None:
-        return constant_schedule(read_graph_file(graph_path))
-    return make_scenario(scenario, seed)
+    if args.graph is not None:
+        return constant_schedule(read_graph_file(args.graph))
+    return make_scenario(args.scenario, _seed(args))
 
 
 def _add_schedule_args(sub) -> None:
@@ -244,39 +250,32 @@ def _add_schedule_args(sub) -> None:
 
 
 def cmd_simulate(args) -> int:
-    seed = args.seed if args.seed is not None else int(args._config.get("seed", _default_seed()))
-    schedule = _resolve_schedule(args, seed)
-    update = make_map(_resolved(args, "map", "linear"))
-    x0_spec = _resolved(args, "x0")
-    if x0_spec is None:
+    schedule = _resolve_schedule(args)
+    update = make_map(args.map)
+    if args.x0 is None:
         raise CliError("missing --x0")
-    x0 = parse_state(x0_spec)
-    steps = int(_resolved(args, "steps", -1))
-    if steps < 0:
-        raise CliError("missing or negative --steps")
-    t0_raw = _resolved(args, "t0")
-    t0 = schedule.first_time if t0_raw is None else int(t0_raw)
-    tol = float(_resolved(args, "tol", 1e-6))
-    slack = float(_resolved(args, "slack", DEFAULT_SLACK))
-    csv_path = _resolved(args, "csv")
+    x0 = parse_state(args.x0)
+    if args.steps is None:
+        raise CliError("missing --steps")
+    t0 = schedule.first_time if args.t0 is None else args.t0
 
-    records = monitor_stream(iter_states(schedule, update, x0, steps, t0), slack)
-    if csv_path is not None:
-        records = _write_csv(records, csv_path, x0)
-    run = summarize(records, tol)
+    records = monitor_stream(iter_states(schedule, update, x0, args.steps, t0), args.slack)
+    if args.csv is not None:
+        records = _write_csv(records, args.csv, x0)
+    run = summarize(records, args.tol)
 
     summary = {
         "schedule": schedule.name,
         "map": update.name,
         "t0": t0,
-        "steps": steps,
+        "steps": args.steps,
         "n": x0.n,
         "d": x0.d,
         "final_disagreement": run.final.diameter,
         "consensus_time": run.consensus_time,
         "monitor_violations": run.violations,
-        "tol": tol,
-        "slack": slack,
+        "tol": args.tol,
+        "slack": args.slack,
     }
     print(json.dumps(summary, indent=2))
     return 2 if run.violations else 0
@@ -296,20 +295,12 @@ def _write_csv(records, path: str, x0: AgentState):
 
 
 def cmd_connectivity(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    interval = parse_interval(args.interval) if args.interval else None
-    graph_path = args.graph
-    scenario = args.scenario
-    if (graph_path is None) == (scenario is None):
-        raise CliError("give exactly one of --graph or --scenario")
-    if graph_path is not None:
-        g = read_graph_file(graph_path)
-        if interval is not None:
-            g = union_across(constant_schedule(g), interval)
-    else:
-        if interval is None:
-            raise CliError("--scenario queries need --interval")
-        g = union_across(make_scenario(scenario, seed), interval)
+    schedule = _resolve_schedule(args)
+    if not args.interval and args.scenario is not None:
+        raise CliError("--scenario queries need --interval")
+    # Any interval's union of a constant schedule is its graph.
+    interval = parse_interval(args.interval) if args.interval else IntervalSpec(0)
+    g = union_across(schedule, interval)
 
     wc = is_weakly_connected(g)
     root = find_root(g)
@@ -378,29 +369,27 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    seed = args.seed if args.seed is not None else int(args._config.get("seed", _default_seed()))
-    schedule = _resolve_schedule(args, seed)
-    update = make_map(_resolved(args, "map", "linear"))
-    center_spec = _resolved(args, "center")
-    if center_spec is None:
+    seed = _seed(args)
+    schedule = _resolve_schedule(args)
+    update = make_map(args.map)
+    if args.center is None:
         raise CliError("missing --center")
     report = attractivity_probe(
         schedule,
         update,
-        parse_state(center_spec),
-        radius=float(_resolved(args, "radius", 0.5)),
-        samples=int(_resolved(args, "samples", 20)),
-        horizon=int(_resolved(args, "horizon", 1000)),
-        tol=float(_resolved(args, "tol", 1e-6)),
+        parse_state(args.center),
+        radius=args.radius,
+        samples=args.samples,
+        horizon=args.horizon,
+        tol=args.tol,
         seed=seed,
-        t0=None if _resolved(args, "t0") is None else int(_resolved(args, "t0")),
+        t0=args.t0,
     )
     text = json.dumps(report.to_json_dict(), indent=2)
-    out = _resolved(args, "out")
-    if out is None or out == "-":
+    if args.out is None or args.out == "-":
         print(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     return 0
 
@@ -411,16 +400,17 @@ def cmd_probe(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="consensus-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices  # name -> subparser, for --config
 
     p = sub.add_parser("simulate", help="run a schedule and write trajectory CSV")
     _add_schedule_args(p)
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--map", help="update map spec (default linear)")
+    p.add_argument("--map", default="linear", help="update map spec (default linear)")
     p.add_argument("--x0", help="initial state, e.g. '0,1,1' or '0 0; 1 0'")
     p.add_argument("--steps", type=int)
     p.add_argument("--t0", type=int)
-    p.add_argument("--tol", type=float, help="consensus detection tolerance")
-    p.add_argument("--slack", type=float, help="hull containment slack")
+    p.add_argument("--tol", type=float, default=1e-6, help="consensus detection tolerance")
+    p.add_argument("--slack", type=float, default=DEFAULT_SLACK, help="hull containment slack")
     p.add_argument("--csv", help="write per-step CSV here")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_simulate)
@@ -444,12 +434,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("probe", help="attractivity probe from random initial states")
     _add_schedule_args(p)
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--map", help="update map spec (default linear)")
+    p.add_argument("--map", default="linear", help="update map spec (default linear)")
     p.add_argument("--center", help="center state, e.g. '0,1,1'")
-    p.add_argument("--radius", type=float)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--radius", type=float, default=0.5)
+    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--horizon", type=int, default=1000)
+    p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--t0", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="write the JSON report here ('-' for stdout)")
@@ -462,13 +452,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config_path = getattr(args, "config", None)
-        args._config = load_config(config_path) if config_path else {}
+        if getattr(args, "config", None):
+            sub = parser.subcommands[args.command]
+            sub.set_defaults(**_config_defaults(sub, args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as e:
+    except (CliError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

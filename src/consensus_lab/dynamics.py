@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Optional, Union
 import numpy as np
 
 from .graphs import Arc, DirectedGraph, WeightedDigraph, as_directed
-from .lyapunov import diameter, hull
+from .lyapunov import _as_points, diameter, hull
 
 GainFn = Callable[[float], float]
 
@@ -41,15 +41,7 @@ class AgentState:
     __slots__ = ("points",)
 
     def __init__(self, points):
-        arr = np.array(points, dtype=float)
-        if arr.ndim == 1:
-            arr = arr.reshape(-1, 1)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] not in (1, 2):
-            raise ValueError(
-                f"state must be (n,) or (n, d) with d in {{1, 2}}, got shape {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("state coordinates must be finite")
+        arr = _as_points(np.array(points, dtype=float))  # a private copy
         arr.flags.writeable = False
         self.points = arr
 

@@ -64,6 +64,13 @@ class GraphSchedule:
         return None
 
 
+def _node_count(graphs: Sequence[Graph]) -> int:
+    ns = {as_directed(g).n for g in graphs}
+    if len(ns) != 1:
+        raise ValueError(f"graphs disagree on node count: {sorted(ns)}")
+    return ns.pop()
+
+
 class FiniteSchedule(GraphSchedule):
     """An explicit list of graphs, then a constant `after` graph forever.
 
@@ -81,12 +88,7 @@ class FiniteSchedule(GraphSchedule):
         graphs = tuple(graphs)
         if not graphs and after is None:
             raise ValueError("need at least one graph or an explicit after graph")
-        ns = {as_directed(g).n for g in graphs}
-        if after is not None:
-            ns.add(as_directed(after).n)
-        if len(ns) != 1:
-            raise ValueError(f"graphs disagree on node count: {sorted(ns)}")
-        self.n = ns.pop()
+        self.n = _node_count(graphs if after is None else graphs + (after,))
         self.graphs = graphs
         self.after = after if after is not None else DirectedGraph(self.n, ())
         self.first_time = int(first_time)
@@ -105,10 +107,7 @@ class PeriodicSchedule(GraphSchedule):
         graphs = tuple(graphs)
         if not graphs:
             raise ValueError("need at least one graph")
-        ns = {as_directed(g).n for g in graphs}
-        if len(ns) != 1:
-            raise ValueError(f"graphs disagree on node count: {sorted(ns)}")
-        self.n = ns.pop()
+        self.n = _node_count(graphs)
         self.graphs = graphs
         self.first_time = int(first_time)
         self.period = len(graphs)
@@ -122,8 +121,9 @@ class PeriodicSchedule(GraphSchedule):
 class GeneratedSchedule(GraphSchedule):
     """Graphs produced by a function of time.
 
-    Declare `period` or `constant_from` when the generator honors them;
-    otherwise unions over unbounded intervals are refused.
+    A generated schedule declares no `period` or `constant_from`, since
+    nothing checks that the function would honor them; unions over
+    unbounded intervals are refused unless a subclass answers `tail_union`.
     """
 
     def __init__(
@@ -132,17 +132,11 @@ class GeneratedSchedule(GraphSchedule):
         n: int,
         first_time: int = 0,
         name: str = "generated",
-        period: Optional[int] = None,
-        constant_from: Optional[int] = None,
     ):
-        if period is not None and period < 1:
-            raise ValueError(f"period must be at least 1, got {period}")
         self.fn = fn
         self.n = int(n)
         self.first_time = int(first_time)
         self.name = name
-        self.period = period
-        self.constant_from = constant_from
 
     def graph_at(self, t: int) -> Graph:
         g = self.fn(self._check_time(t))

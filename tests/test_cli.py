@@ -403,6 +403,57 @@ def test_config_file_bad_line(tmp_path, capsys):
     assert "expected key=value" in err and ":1:" in err
 
 
+def test_config_unknown_key_names_file_line_and_key(chain_graph, tmp_path, capsys):
+    cfg, csv_path = tmp_path / "run.cfg", tmp_path / "run.csv"
+    cfg.write_text(f"graph = {chain_graph}\nx0 = 0,1,1\nstesp = 3\ncsv = {csv_path}\n")
+    assert main(["simulate", "--config", str(cfg), "--steps", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{cfg}:3:" in captured.err and "'stesp'" in captured.err
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("line", ["steps = 3", "csv = run.csv"])
+def test_probe_config_rejects_simulate_keys(chain_graph, tmp_path, capsys, line):
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text(f"graph = {chain_graph}\ncenter = 0,1,1\nsamples = 1\n{line}\n")
+    assert main(["probe", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"{cfg}:4:" in err and repr(line.split()[0]) in err
+
+
+def test_config_values_are_checked_like_flags(chain_graph, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"graph = {chain_graph}\nx0 = 0,1,1\nsteps = 3.5\n")
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    assert "argument --steps" in capsys.readouterr().err
+
+
+def test_map_spec_bad_number_names_spec_and_key(chain_graph, capsys):
+    code = main(["simulate", "--graph", chain_graph, "--x0", "0,1,1", "--steps", "1",
+                 "--map", "linear:weight=abc"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "linear:weight=abc" in err and "weight must be a number" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--x0", "0,1,1", "--steps", "2"],
+    ["connectivity"],
+])
+def test_seed_env_var_unread_without_a_seeded_input(chain_graph, monkeypatch, capsys, command):
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
+    assert main(command + ["--graph", chain_graph]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_connectivity_graph_interval_does_not_change_output(worked_graph, capsys):
+    assert main(["connectivity", "--graph", worked_graph]) == 0
+    plain = capsys.readouterr().out
+    assert main(["connectivity", "--graph", worked_graph, "--interval", "0,5"]) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_seed_env_var(monkeypatch, capsys):
     monkeypatch.setenv(cli.SEED_ENV_VAR, "17")
     code = main(["probe", "--scenario", "windowed:n=3,T=0", "--center", "0,1,0.5",
