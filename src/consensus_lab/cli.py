@@ -3,7 +3,9 @@
 Subcommands: simulate, connectivity, counterexample, matrix, probe.
 Exit codes: 0 success, 1 usage or input errors, 2 verification failure
 (a monitored containment violation, a failed recursion check, or an
-oracle disagreement).
+oracle disagreement), 141 (128 + SIGPIPE, as a shell reports a process
+killed by SIGPIPE) when the reader of an output pipe closes it early, as
+`| head` does; nothing is written to stderr then.
 
 `simulate` and `probe` accept a flat key=value config file keyed by the
 subcommand's long option names; its values become argparse defaults, so
@@ -14,6 +16,7 @@ they are checked like flags and flags override them.  Where a seed is used
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -456,7 +459,17 @@ def main(argv=None) -> int:
             sub = parser.subcommands[args.command]
             sub.set_defaults(**_config_defaults(sub, args.config))
             args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull, so the flush at exit cannot fail again;
+        # an in-memory stdout has no descriptor.
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return 141  # 128 + SIGPIPE
     except (CliError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

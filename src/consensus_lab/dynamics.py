@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
-from .graphs import Arc, DirectedGraph, WeightedDigraph, as_directed
+from .graphs import Arc, DirectedGraph, WeightedDigraph
 from .lyapunov import _as_points, diameter, hull
 
 GainFn = Callable[[float], float]
@@ -130,9 +130,7 @@ class StochasticMatrix:
         return f"StochasticMatrix({self.entries.tolist()!r})"
 
 
-def build_update_matrix(
-    g: Union[DirectedGraph, WeightedDigraph], weight: float = 1.0
-) -> StochasticMatrix:
+def build_update_matrix(g: DirectedGraph, weight: float = 1.0) -> StochasticMatrix:
     """Stochastic update matrix of a weighted communication graph.
 
     Row k averages agent k's own state with its in-senders' states:
@@ -142,14 +140,15 @@ def build_update_matrix(
     where S_k is the total weight into k, summed over senders in ascending
     order: the arcs are read from the graph's cached `arc_arrays`, which
     are sorted by (receiver, sender).  A `WeightedDigraph` uses its own
-    weights; an unweighted graph gets `weight` (positive and finite,
-    default 1) on every arc.  The arc-free graph yields the identity.
-    Builds one triple per arc in O(n + m) and allocates no n x n array.
+    weights (no update map reads them anywhere else); any other graph
+    gets `weight` (positive and finite, default 1) on every arc.  The
+    arc-free graph yields the identity.  Builds one triple per arc in
+    O(n + m) and allocates no n x n array.
     """
     if not (weight > 0.0 and math.isfinite(weight)):
         raise ValueError(f"arc weight must be positive and finite, got {weight}")
     n = g.n
-    src, dst = as_directed(g).arc_arrays
+    src, dst = g.arc_arrays
     if isinstance(g, WeightedDigraph):
         pairs = zip(src.tolist(), dst.tolist())
         w = np.fromiter((g.weights[(k + 1, l + 1)] for k, l in pairs), float, src.size)
@@ -249,14 +248,12 @@ class UpdateMap(ABC):
     #: Open coordinate interval the map is defined on, or None for all reals.
     domain: Optional[tuple[float, float]] = None
 
-    def _check(self, graph, state: AgentState) -> DirectedGraph:
-        """Validate d and n for one step; return the unweighted graph."""
+    def _check(self, graph: DirectedGraph, state: AgentState) -> None:
+        """Validate d and n for one step."""
         if state.d not in self.supported_dims:
             raise ValueError(f"{self.name} does not support d={state.d}")
-        base = as_directed(graph)
-        if base.n != state.n:
-            raise ValueError(f"graph has n={base.n} but state has n={state.n}")
-        return base
+        if graph.n != state.n:
+            raise ValueError(f"graph has n={graph.n} but state has n={state.n}")
 
     @abstractmethod
     def step(self, t: int, graph, state: AgentState) -> AgentState:
@@ -287,7 +284,8 @@ class LinearAverage(UpdateMap):
         return M
 
     def step(self, t: int, graph, state: AgentState) -> AgentState:
-        if not self._check(graph, state).arcs:
+        self._check(graph, state)
+        if not graph.arcs:
             return state
         return linear_step(self.matrix_for(graph), state)
 
@@ -312,10 +310,10 @@ class KuramotoTime1(UpdateMap):
         self.substeps = substeps
 
     def step(self, t: int, graph, state: AgentState) -> AgentState:
-        base = self._check(graph, state)
-        if not base.arcs:
+        self._check(graph, state)
+        if not graph.arcs:
             return state
-        src, dst = base.arc_arrays
+        src, dst = graph.arc_arrays
 
         def field(x: np.ndarray) -> np.ndarray:
             r = 1.0 / np.sqrt(1.0 + x * x)
@@ -355,15 +353,15 @@ class NonlinearConsensus(UpdateMap):
         self.substeps = substeps
 
     def step(self, t: int, graph, state: AgentState) -> AgentState:
-        base = self._check(graph, state)
-        if not base.arcs:
+        self._check(graph, state)
+        if not graph.arcs:
             return state
-        src, dst = base.arc_arrays
+        src, dst = graph.arc_arrays
         pairs = zip(src.tolist(), dst.tolist())
         if callable(self.gains):
             terms = [(i, k, self.gains) for i, k in pairs]
         else:
-            missing = base.arcs.difference(self.gains)
+            missing = graph.arcs.difference(self.gains)
             if missing:
                 raise ValueError(f"no gain supplied for arcs {sorted(missing)}")
             terms = [(i, k, self.gains[(i + 1, k + 1)]) for i, k in pairs]
@@ -395,7 +393,7 @@ class VicsekHeading(UpdateMap):
     domain = (-_HALF_PI, _HALF_PI)
 
     def step(self, t: int, graph, state: AgentState) -> AgentState:
-        base = self._check(graph, state)
+        self._check(graph, state)
         theta = state.values
         if np.any(np.abs(theta) >= _HALF_PI):
             k = int(np.argmax(np.abs(theta)))
@@ -404,8 +402,8 @@ class VicsekHeading(UpdateMap):
                 f"interval (-pi/2, pi/2)"
             )
         out = np.empty_like(theta)
-        ptr, src = base._in_csr
-        for k in range(base.n):
+        ptr, src = graph._in_csr
+        for k in range(graph.n):
             rel = theta[[k, *src[ptr[k] : ptr[k + 1]]]] - theta[k]
             out[k] = theta[k] + math.atan2(np.sin(rel).sum(), np.cos(rel).sum())
         return AgentState(out)
@@ -423,10 +421,10 @@ class MaxUpdate(UpdateMap):
     supported_dims = (1, 2)
 
     def step(self, t: int, graph, state: AgentState) -> AgentState:
-        base = self._check(graph, state)
+        self._check(graph, state)
         out = np.empty_like(state.points)
-        ptr, src = base._in_csr
-        for k in range(base.n):
+        ptr, src = graph._in_csr
+        for k in range(graph.n):
             out[k] = state.points[[k, *src[ptr[k] : ptr[k + 1]]]].max(axis=0)
         return AgentState(out)
 
@@ -477,7 +475,6 @@ def check_communication_assumption(
     motion relays information from further away.  The checker reports
     what the map actually does.
     """
-    base = as_directed(graph)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     tol = 1e-12 if update_map.integrator_backed else 0.0
@@ -488,9 +485,9 @@ def check_communication_assumption(
         span = hi - lo
         lo, hi = lo + 0.01 * span, hi - 0.01 * span
     violations: list[LocalityViolation] = []
-    for k in base.nodes:
-        closed = {k} | set(base.in_sources(k))
-        outside = [j - 1 for j in base.nodes if j not in closed]
+    for k in graph.nodes:
+        closed = {k} | set(graph.in_sources(k))
+        outside = [j - 1 for j in graph.nodes if j not in closed]
         if not outside:
             continue
         for trial in range(trials):
@@ -604,7 +601,6 @@ def check_strict_convexity(
     neighborhood states all coincide the update must reproduce that value
     exactly (1e-12 for integrator-backed maps).
     """
-    base = as_directed(graph)
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if d not in update_map.supported_dims:
@@ -618,13 +614,13 @@ def check_strict_convexity(
         raise ValueError(f"empty sampling box ({lo}, {hi})")
     eq_tol = 1e-12 if update_map.integrator_backed else 0.0
     rng = np.random.default_rng(seed)
-    ptr, src = base._in_csr
-    closed_idx = {k: [k - 1, *src[ptr[k - 1] : ptr[k]]] for k in base.nodes}
+    ptr, src = graph._in_csr
+    closed_idx = {k: [k - 1, *src[ptr[k - 1] : ptr[k]]] for k in graph.nodes}
     violations: list[ConvexityViolation] = []
     for s in range(samples):
-        pts = rng.uniform(lo, hi, size=(base.n, d))
+        pts = rng.uniform(lo, hi, size=(graph.n, d))
         out = update_map.step(t, graph, AgentState(pts)).points
-        for k in base.nodes:
+        for k in graph.nodes:
             nb = pts[closed_idx[k]]
             reason: Optional[str] = None
             if np.all(nb == nb[0]):

@@ -8,7 +8,9 @@ node is called a root.
 
 The module provides:
 
-* immutable graph types (unweighted and arc-weighted),
+* immutable graph types: `DirectedGraph`, and its subclass
+  `WeightedDigraph`, which adds arc weights, so every query below takes
+  either kind,
 * the neighbor calculus and reachability queries,
 * a subset-pair connectivity oracle (brute force, independent of the
   path-based queries) and a constructive root finder,
@@ -171,16 +173,28 @@ def empty_graph(n: int) -> DirectedGraph:
     return DirectedGraph(n, ())
 
 
-class WeightedDigraph:
+@dataclass(frozen=True)
+class WeightedDigraph(DirectedGraph):
     """Directed graph with a positive weight on every arc.
+
+    It is the `DirectedGraph` on the arcs of `graph`, so every query,
+    adjacency view, update map and schedule takes it as it is; only the
+    update matrix, `relabel` and the text format read the weights.
 
     `bounds = (e_min, e_max)` declares the admissible weight range,
     0 < e_min <= e_max; every weight must lie inside it.  When bounds are
     omitted they default to the tight range spanned by the weights (or
     (1, 1) for an arc-free graph).
+
+    Equality compares the fields, so a weighted graph equals only a
+    weighted graph with the same arcs, weights and bounds, never its
+    unweighted `graph`.  The hash is computed once, into `_hash`, since
+    `LinearAverage` hashes the graph on every step.
     """
 
-    __slots__ = ("graph", "weights", "bounds", "_items", "_hash")
+    graph: DirectedGraph
+    weights: Mapping[Arc, float]
+    bounds: tuple[float, float]
 
     def __init__(
         self,
@@ -214,31 +228,14 @@ class WeightedDigraph:
                 raise ValueError(
                     f"weight {w} for arc {arc} outside declared bounds [{e_min}, {e_max}]"
                 )
-        self.graph = graph
-        self.weights = MappingProxyType(wmap)
-        self.bounds = (e_min, e_max)
-        self._items = tuple(sorted(wmap.items()))
-        self._hash = hash((graph, self._items, self.bounds))
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    @property
-    def arcs(self) -> frozenset[Arc]:
-        return self.graph.arcs
+        items, bounds = tuple(sorted(wmap.items())), (e_min, e_max)
+        vars(self).update(  # once, past the frozen __setattr__
+            n=graph.n, arcs=graph.arcs, graph=graph, weights=MappingProxyType(wmap),
+            bounds=bounds, _items=items, _hash=hash((graph, items, bounds)),
+        )
 
     def weight(self, k: int, l: int) -> float:
         return self.weights[(k, l)]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeightedDigraph):
-            return NotImplemented
-        return (
-            self.graph == other.graph
-            and self._items == other._items
-            and self.bounds == other.bounds
-        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -250,8 +247,12 @@ class WeightedDigraph:
         )
 
 
-def as_directed(g: "DirectedGraph | WeightedDigraph") -> DirectedGraph:
-    """The underlying unweighted graph."""
+def as_directed(g: DirectedGraph) -> DirectedGraph:
+    """The unweighted graph on g's arcs: `g.graph` for a weighted graph, else g.
+
+    No query needs it, since a weighted graph is a `DirectedGraph`; it is
+    kept for callers outside the package that want the unweighted graph.
+    """
     return g.graph if isinstance(g, WeightedDigraph) else g
 
 
@@ -305,24 +306,22 @@ def _reaches_all(out_ptr: Sequence[int], out_dst: Sequence[int], k: int) -> bool
     return count == len(seen)
 
 
-def neighbors(g: "DirectedGraph | WeightedDigraph", L: Iterable[int]) -> NodeSet:
+def neighbors(g: DirectedGraph, L: Iterable[int]) -> NodeSet:
     """Nodes outside L that send an arc into L.
 
     This is the information-theoretic neighbor set: members of the result
     influence L directly, in one step.  The empty set has no neighbors.
     """
-    g = as_directed(g)
     s = {_node_index(g, int(k)) for k in L}
     return frozenset(v + 1 for v in _senders_outside(*g._in_csr, s))
 
 
-def is_connected_from(g: "DirectedGraph | WeightedDigraph", k: int) -> bool:
+def is_connected_from(g: DirectedGraph, k: int) -> bool:
     """True when node k has a directed path to every other node."""
-    g = as_directed(g)
     return _reaches_all(*g._out_csr, _node_index(g, k))
 
 
-def is_weakly_connected(g: "DirectedGraph | WeightedDigraph") -> bool:
+def is_weakly_connected(g: DirectedGraph) -> bool:
     """True when some node has directed paths to all others.
 
     One iterative search over all nodes, then at most one reachability
@@ -334,7 +333,6 @@ def is_weakly_connected(g: "DirectedGraph | WeightedDigraph") -> bool:
     node, which needs no second search when the first tree spans them all.
     Both searches walk the slices of the cached out-adjacency.
     """
-    g = as_directed(g)
     out_ptr, out_dst = g._out_csr
     seen = bytearray(g.n)
     last = 0
@@ -353,16 +351,15 @@ def is_weakly_connected(g: "DirectedGraph | WeightedDigraph") -> bool:
     return last == 0 or _reaches_all(out_ptr, out_dst, last)
 
 
-def is_bidirectional(g: "DirectedGraph | WeightedDigraph") -> bool:
+def is_bidirectional(g: DirectedGraph) -> bool:
     """True when the arc set is symmetric: (k, l) present iff (l, k) present."""
-    g = as_directed(g)
     return all((l, k) in g.arcs for (k, l) in g.arcs)
 
 
 _ORACLE_NODE_CAP = 12
 
 
-def weakly_connected_oracle(g: "DirectedGraph | WeightedDigraph") -> bool:
+def weakly_connected_oracle(g: DirectedGraph) -> bool:
     """Decide weak connectivity by exhausting subset pairs.
 
     A graph is weakly connected iff every ordered pair of nonempty
@@ -371,7 +368,6 @@ def weakly_connected_oracle(g: "DirectedGraph | WeightedDigraph") -> bool:
     arithmetic and shares no code with the path-based queries, so the two
     can be tested against each other.  Capped at 12 nodes.
     """
-    g = as_directed(g)
     n = g.n
     if n > _ORACLE_NODE_CAP:
         raise ValueError(
@@ -401,7 +397,7 @@ def weakly_connected_oracle(g: "DirectedGraph | WeightedDigraph") -> bool:
     return True
 
 
-def find_root(g: "DirectedGraph | WeightedDigraph") -> Optional[int]:
+def find_root(g: DirectedGraph) -> Optional[int]:
     """Find a node with directed paths to all others, or None.
 
     Constructive search: grow two disjoint node sets F1 >= L1 and
@@ -412,7 +408,6 @@ def find_root(g: "DirectedGraph | WeightedDigraph") -> Optional[int]:
     region L1 | L2 grows, so the search terminates.  If neither side has
     a neighbor the graph is disconnected and None is returned.
     """
-    g = as_directed(g)
     n = g.n
     if n == 1:
         return 1
@@ -456,12 +451,14 @@ def find_root(g: "DirectedGraph | WeightedDigraph") -> Optional[int]:
 def union_across(schedule, interval: IntervalSpec) -> DirectedGraph:
     """Union of the schedule's arc sets over an interval of times.
 
-    Weights are dropped; the result is an unweighted graph on the
-    schedule's nodes.  Unbounded intervals are answered exactly for
-    periodic and eventually-constant schedules, and through the
-    schedule's `tail_union` when it has a closed form; other schedules
-    raise UnsupportedQueryError because an infinite union cannot be
-    scanned.  `schedule` is a `simulator.GraphSchedule`.
+    The result is a graph on the schedule's nodes.  A union of several
+    graphs drops their weights; a window of one time returns that graph
+    itself, weighted or not, so its cached views are reused.  Unbounded
+    intervals are answered exactly for periodic and eventually-constant
+    schedules, and through the schedule's `tail_union` when it has a
+    closed form; other schedules raise UnsupportedQueryError because an
+    infinite union cannot be scanned.  `schedule` is a
+    `simulator.GraphSchedule`.
     """
     first = schedule.first_time
     if interval.start < first:
@@ -484,13 +481,13 @@ def union_across(schedule, interval: IntervalSpec) -> DirectedGraph:
     else:
         tail = schedule.tail_union(a)
         if tail is not None:
-            return as_directed(tail)
+            return tail
         raise UnsupportedQueryError(
             f"cannot take the arc union over unbounded {interval}: the schedule "
             "is neither periodic nor eventually constant and has no closed-form "
             "tail union"
         )
-    members = [as_directed(schedule.graph_at(t)) for t in times]
+    members = [schedule.graph_at(t) for t in times]
     for t, g in zip(times, members):
         if g.n != schedule.n:
             raise ValueError(f"graph at time {t} has n={g.n}, expected {schedule.n}")
@@ -511,10 +508,10 @@ def is_weakly_connected_across(schedule, interval: IntervalSpec) -> bool:
 
 
 def relabel(
-    g: "DirectedGraph | WeightedDigraph", perm: Sequence[int]
-) -> "DirectedGraph | WeightedDigraph":
+    g: DirectedGraph, perm: Sequence[int]
+) -> DirectedGraph:
     """Apply the node relabeling k -> perm[k-1].  perm must permute 1..n."""
-    n = as_directed(g).n
+    n = g.n
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"perm must be a permutation of 1..{n}, got {list(perm)}")
     if isinstance(g, WeightedDigraph):
@@ -541,7 +538,7 @@ _N_LINE = re.compile(r"^n\s*=\s*(\d+)$")
 
 def parse_graph_text(
     text: str, bounds: Optional[tuple[float, float]] = None
-) -> "DirectedGraph | WeightedDigraph":
+) -> DirectedGraph:
     """Parse the graph text format.  Raises GraphFormatError with a line number."""
     n: Optional[int] = None
     arcs: dict[Arc, Optional[float]] = {}
@@ -597,9 +594,9 @@ def parse_graph_text(
     return base
 
 
-def format_graph_text(g: "DirectedGraph | WeightedDigraph") -> str:
+def format_graph_text(g: DirectedGraph) -> str:
     """Render a graph in the text format (round-trips through the parser)."""
-    lines = [f"n={as_directed(g).n}"]
+    lines = [f"n={g.n}"]
     if isinstance(g, WeightedDigraph):
         for (k, l), w in sorted(g.weights.items()):
             lines.append(f"arc {k} {l} {w!r}")
@@ -611,6 +608,6 @@ def format_graph_text(g: "DirectedGraph | WeightedDigraph") -> str:
 
 def read_graph_file(
     path, bounds: Optional[tuple[float, float]] = None
-) -> "DirectedGraph | WeightedDigraph":
+) -> DirectedGraph:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_graph_text(fh.read(), bounds)

@@ -52,8 +52,6 @@ _CE_FIRST_TIME = 1
 class CounterexampleSchedule(GeneratedSchedule):
     """The stretching-block schedule on three agents (first time 1)."""
 
-    block_graphs = (_G12, _G12_21, _G32, _G23_32)
-
     def __init__(self):
         super().__init__(
             fn=self._lookup, n=3, first_time=_CE_FIRST_TIME, name="counterexample"

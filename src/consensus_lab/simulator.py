@@ -17,16 +17,14 @@ group reached consensus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Union
+from dataclasses import asdict, dataclass
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .dynamics import AgentState, UpdateMap
-from .graphs import DirectedGraph, WeightedDigraph, as_directed
+from .graphs import DirectedGraph
 from .lyapunov import diameter, hull
-
-Graph = Union[DirectedGraph, WeightedDigraph]
 
 
 class GraphSchedule:
@@ -51,7 +49,7 @@ class GraphSchedule:
             )
         return t
 
-    def graph_at(self, t: int) -> Graph:
+    def graph_at(self, t: int) -> DirectedGraph:
         raise NotImplementedError
 
     def tail_union(self, start: int) -> Optional[DirectedGraph]:
@@ -64,8 +62,8 @@ class GraphSchedule:
         return None
 
 
-def _node_count(graphs: Sequence[Graph]) -> int:
-    ns = {as_directed(g).n for g in graphs}
+def _node_count(graphs: Sequence[DirectedGraph]) -> int:
+    ns = {g.n for g in graphs}
     if len(ns) != 1:
         raise ValueError(f"graphs disagree on node count: {sorted(ns)}")
     return ns.pop()
@@ -80,9 +78,9 @@ class FiniteSchedule(GraphSchedule):
 
     def __init__(
         self,
-        graphs: Sequence[Graph],
+        graphs: Sequence[DirectedGraph],
         first_time: int = 0,
-        after: Optional[Graph] = None,
+        after: Optional[DirectedGraph] = None,
         name: str = "finite",
     ):
         graphs = tuple(graphs)
@@ -95,7 +93,7 @@ class FiniteSchedule(GraphSchedule):
         self.constant_from = self.first_time + len(graphs)
         self.name = name
 
-    def graph_at(self, t: int) -> Graph:
+    def graph_at(self, t: int) -> DirectedGraph:
         idx = self._check_time(t) - self.first_time
         return self.graphs[idx] if idx < len(self.graphs) else self.after
 
@@ -103,7 +101,9 @@ class FiniteSchedule(GraphSchedule):
 class PeriodicSchedule(GraphSchedule):
     """A list of graphs repeated forever; the period is the list length."""
 
-    def __init__(self, graphs: Sequence[Graph], first_time: int = 0, name: str = "periodic"):
+    def __init__(
+        self, graphs: Sequence[DirectedGraph], first_time: int = 0, name: str = "periodic"
+    ):
         graphs = tuple(graphs)
         if not graphs:
             raise ValueError("need at least one graph")
@@ -113,7 +113,7 @@ class PeriodicSchedule(GraphSchedule):
         self.period = len(graphs)
         self.name = name
 
-    def graph_at(self, t: int) -> Graph:
+    def graph_at(self, t: int) -> DirectedGraph:
         idx = (self._check_time(t) - self.first_time) % self.period
         return self.graphs[idx]
 
@@ -128,7 +128,7 @@ class GeneratedSchedule(GraphSchedule):
 
     def __init__(
         self,
-        fn: Callable[[int], Graph],
+        fn: Callable[[int], DirectedGraph],
         n: int,
         first_time: int = 0,
         name: str = "generated",
@@ -138,16 +138,14 @@ class GeneratedSchedule(GraphSchedule):
         self.first_time = int(first_time)
         self.name = name
 
-    def graph_at(self, t: int) -> Graph:
+    def graph_at(self, t: int) -> DirectedGraph:
         g = self.fn(self._check_time(t))
-        if as_directed(g).n != self.n:
-            raise ValueError(
-                f"generator returned a graph with n={as_directed(g).n}, expected {self.n}"
-            )
+        if g.n != self.n:
+            raise ValueError(f"generator returned a graph with n={g.n}, expected {self.n}")
         return g
 
 
-def constant_schedule(graph: Graph, first_time: int = 0) -> PeriodicSchedule:
+def constant_schedule(graph: DirectedGraph, first_time: int = 0) -> PeriodicSchedule:
     """The same graph at every time."""
     return PeriodicSchedule([graph], first_time, name="constant")
 
@@ -242,16 +240,7 @@ class ProbeReport:
             "seed": self.seed,
             "samples": len(self.samples),
             "converged_fraction": self.converged_fraction,
-            "per_sample": [
-                {
-                    "index": s.index,
-                    "status": s.status,
-                    "final_disagreement": s.final_disagreement,
-                    "max_excursion": s.max_excursion,
-                    "consensus_time": s.consensus_time,
-                }
-                for s in self.samples
-            ],
+            "per_sample": [asdict(s) for s in self.samples],
         }
 
 

@@ -469,3 +469,27 @@ def test_seed_env_var(monkeypatch, capsys):
 def test_unknown_subcommand_exits_1(capsys):
     assert main(["frobnicate"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away, failing on `write` or on `flush`."""
+
+    def __init__(self, failing):
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_closed_stdout_exits_141_quietly(chain_graph, monkeypatch, capsys, failing):
+    monkeypatch.setattr("sys.stdout", _ClosedPipe(failing))
+    code = main(["simulate", "--graph", chain_graph, "--x0", "0,1,1", "--steps", "5"])
+    assert code == 141
+    assert capsys.readouterr().err == ""

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from consensus_lab import (
+    AgentState,
     DirectedGraph,
     GraphFormatError,
     IntervalSpec,
+    LinearAverage,
     UnsupportedQueryError,
     WeightedDigraph,
     FiniteSchedule,
@@ -174,6 +176,43 @@ def test_derived_forms_match_the_arc_set():
         counts["arc_free"] += not arcs
         counts["connected" if is_weakly_connected(g) else "unconnected"] += 1
     assert min(counts.values()) > 0, counts
+
+
+def test_weighted_digraph_is_the_graph_of_its_arcs():
+    rng = random.Random(41)
+    weighted = []
+    for g in _random_digraphs(count=120, seed=43):
+        wg = WeightedDigraph(g, {a: rng.uniform(0.1, 10.0) for a in g.arcs})
+        weighted.append(wg)
+        assert isinstance(wg, DirectedGraph)
+        assert (wg.n, wg.arcs) == (g.n, g.arcs)
+        assert wg != wg.graph and wg.graph != wg
+        again = WeightedDigraph(DirectedGraph(g.n, list(g.arcs)), dict(wg.weights))
+        assert again == wg and hash(again) == hash(wg)
+        assert all(np.array_equal(x, y) for x, y in zip(wg.arc_arrays, g.arc_arrays))
+        for k in g.nodes:
+            assert wg.in_sources(k) == g.in_sources(k)
+            assert wg.out_targets(k) == g.out_targets(k)
+            assert is_connected_from(wg, k) == is_connected_from(g, k)
+        L = rng.sample(range(1, g.n + 1), rng.randint(0, g.n))
+        assert neighbors(wg, L) == neighbors(g, L)
+        assert is_weakly_connected(wg) == is_weakly_connected(g)
+        assert is_bidirectional(wg) == is_bidirectional(g)
+        assert find_root(wg) == find_root(g)
+    for trial in range(40):
+        n = rng.choice([wg.n for wg in weighted])
+        members = rng.choices([wg for wg in weighted if wg.n == n], k=rng.randint(1, 4))
+        a = rng.randint(0, 5)
+        interval = IntervalSpec(a, a + rng.randint(0, 5))
+        union = union_across(PeriodicSchedule(members), interval)
+        plain = union_across(PeriodicSchedule([wg.graph for wg in members]), interval)
+        assert (union.n, union.arcs) == (plain.n, plain.arcs)
+    # A weighted graph and its unweighted graph are two cache keys.
+    wg = WeightedDigraph(DirectedGraph(2, {(1, 2)}), {(1, 2): 3.0})
+    avg, x = LinearAverage(), AgentState([0.0, 1.0])
+    assert avg.step(0, wg, x).values.tolist() == [0.0, 0.25]
+    assert avg.step(0, wg.graph, x).values.tolist() == [0.0, 0.5]
+    assert avg.matrix_for(wg) is not avg.matrix_for(wg.graph)
 
 
 def test_searches_agree_with_oracle_and_definition():
