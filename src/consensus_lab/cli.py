@@ -24,7 +24,6 @@ from fractions import Fraction
 
 from .dynamics import (
     GAIN_LIBRARY,
-    AgentState,
     KuramotoTime1,
     LinearAverage,
     MaxUpdate,
@@ -42,7 +41,7 @@ from .graphs import (
     union_across,
     weakly_connected_oracle,
 )
-from .lyapunov import DEFAULT_SLACK, monitor_stream, summarize
+from .lyapunov import DEFAULT_SLACK, AgentState, monitor_stream, summarize
 from .scenarios import (
     counterexample_limit,
     counterexample_schedule,

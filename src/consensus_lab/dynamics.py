@@ -1,4 +1,4 @@
-"""Agent states, update matrices, and one-step update maps.
+"""Update matrices and one-step update maps.
 
 The discrete-time system acts on n agents whose states are points in R^d
 with d in {1, 2}.  Each time step is driven by the current communication
@@ -26,46 +26,9 @@ from typing import Callable, Mapping, Optional, Union
 import numpy as np
 
 from .graphs import Arc, DirectedGraph, WeightedDigraph
-from .lyapunov import _as_points, diameter, hull
+from .lyapunov import AgentState, diameter, hull
 
 GainFn = Callable[[float], float]
-
-
-class AgentState:
-    """Immutable snapshot of n agent positions in R^d, d in {1, 2}.
-
-    Accepts a length-n sequence (d = 1) or an (n, d) array.  Coordinates
-    must be finite.  The stored array is read-only.
-    """
-
-    __slots__ = ("points",)
-
-    def __init__(self, points):
-        arr = _as_points(np.array(points, dtype=float))  # a private copy
-        arr.flags.writeable = False
-        self.points = arr
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def values(self) -> np.ndarray:
-        """The scalar states as a flat array (d = 1 only)."""
-        if self.d != 1:
-            raise ValueError(f"values is for scalar states, this one has d={self.d}")
-        return self.points[:, 0]
-
-    def point(self, k: int) -> np.ndarray:
-        """Position of agent k (1-based)."""
-        return self.points[k - 1]
-
-    def __repr__(self) -> str:
-        return f"AgentState({self.points.tolist()!r})"
 
 
 class StochasticMatrix:
@@ -247,12 +210,29 @@ class UpdateMap(ABC):
     integrator_backed: bool = False
     #: Open coordinate interval the map is defined on, or None for all reals.
     domain: Optional[tuple[float, float]] = None
+    #: True when `step` on an arc-free graph returns its input state object,
+    #: as every map of the paper's model does: an agent with no senders
+    #: stays where it is.  `simulator.iter_states` then skips arc-free
+    #: stretches without calling `step`, and checks the initial state with
+    #: `_check` when the stream is made, so a run that is never stepped
+    #: still rejects a state the map does not accept.
+    identity_when_silent: bool = False
 
-    def _check(self, graph: DirectedGraph, state: AgentState) -> None:
-        """Validate d and n for one step."""
+    def _check(self, graph: Optional[DirectedGraph], state: AgentState) -> None:
+        """Validate the state's d and coordinates for this map and, unless
+        `graph` is None, the graph's node count against the state's."""
         if state.d not in self.supported_dims:
             raise ValueError(f"{self.name} does not support d={state.d}")
-        if graph.n != state.n:
+        if self.domain is not None:
+            lo, hi = self.domain
+            outside = np.argwhere((state.points <= lo) | (state.points >= hi))
+            if outside.size:
+                k, j = outside[0].tolist()
+                raise ValueError(
+                    f"{self.name}: agent {k + 1} is at {float(state.points[k, j])!r}, "
+                    f"outside the open interval ({lo!r}, {hi!r})"
+                )
+        if graph is not None and graph.n != state.n:
             raise ValueError(f"graph has n={graph.n} but state has n={state.n}")
 
     @abstractmethod
@@ -269,6 +249,7 @@ class LinearAverage(UpdateMap):
     """
 
     name = "linear"
+    identity_when_silent = True
     supported_dims = (1, 2)
 
     def __init__(self, default_weight: float = 1.0):
@@ -302,6 +283,7 @@ class KuramotoTime1(UpdateMap):
     """
 
     name = "kuramoto"
+    identity_when_silent = True
     integrator_backed = True
 
     def __init__(self, substeps: int = 100):
@@ -329,11 +311,12 @@ class NonlinearConsensus(UpdateMap):
     callable is shared by all arcs.  Gains are validated once, at
     construction.  A mapping of per-arc gains must cover every arc of
     every graph the map is stepped with.  Integration is fixed-step RK4;
-    the field sums each agent's terms in ascending sender order, reading
-    the graph's cached `arc_arrays`.
+    the field sums each agent's terms in ascending sender order, from a
+    term list built once per graph from its cached `arc_arrays`.
     """
 
     name = "nonlinear"
+    identity_when_silent = True
     integrator_backed = True
 
     def __init__(
@@ -351,20 +334,31 @@ class NonlinearConsensus(UpdateMap):
                 validate_gain(fn, label=f"gain for arc {a}")
         self.gains = gains
         self.substeps = substeps
+        self._cache: dict = {}
+
+    def _terms_for(self, graph) -> list:
+        """The field's (sender, receiver, gain) terms, 0-based, in ascending
+        (receiver, sender) order; cached per graph.  A graph with an arc that
+        has no gain is not cached, so it raises on every step."""
+        terms = self._cache.get(graph)
+        if terms is None:
+            src, dst = graph.arc_arrays
+            pairs = zip(src.tolist(), dst.tolist())
+            if callable(self.gains):
+                terms = [(i, k, self.gains) for i, k in pairs]
+            else:
+                missing = graph.arcs.difference(self.gains)
+                if missing:
+                    raise ValueError(f"no gain supplied for arcs {sorted(missing)}")
+                terms = [(i, k, self.gains[(i + 1, k + 1)]) for i, k in pairs]
+            self._cache[graph] = terms
+        return terms
 
     def step(self, t: int, graph, state: AgentState) -> AgentState:
         self._check(graph, state)
         if not graph.arcs:
             return state
-        src, dst = graph.arc_arrays
-        pairs = zip(src.tolist(), dst.tolist())
-        if callable(self.gains):
-            terms = [(i, k, self.gains) for i, k in pairs]
-        else:
-            missing = graph.arcs.difference(self.gains)
-            if missing:
-                raise ValueError(f"no gain supplied for arcs {sorted(missing)}")
-            terms = [(i, k, self.gains[(i + 1, k + 1)]) for i, k in pairs]
+        terms = self._terms_for(graph)
 
         def field(x: np.ndarray) -> np.ndarray:
             f = np.zeros_like(x)
@@ -390,17 +384,14 @@ class VicsekHeading(UpdateMap):
     """
 
     name = "vicsek"
+    identity_when_silent = True
     domain = (-_HALF_PI, _HALF_PI)
 
     def step(self, t: int, graph, state: AgentState) -> AgentState:
         self._check(graph, state)
+        if not graph.arcs:
+            return state
         theta = state.values
-        if np.any(np.abs(theta) >= _HALF_PI):
-            k = int(np.argmax(np.abs(theta)))
-            raise ValueError(
-                f"heading of agent {k + 1} is {theta[k]!r}, outside the open "
-                f"interval (-pi/2, pi/2)"
-            )
         out = np.empty_like(theta)
         ptr, src = graph._in_csr
         for k in range(graph.n):
@@ -418,10 +409,13 @@ class MaxUpdate(UpdateMap):
     """
 
     name = "max"
+    identity_when_silent = True
     supported_dims = (1, 2)
 
     def step(self, t: int, graph, state: AgentState) -> AgentState:
         self._check(graph, state)
+        if not graph.arcs:
+            return state
         out = np.empty_like(state.points)
         ptr, src = graph._in_csr
         for k in range(graph.n):

@@ -3,6 +3,9 @@
 The convex hull of the agent positions acts as a set-valued measure of
 disagreement: conforming update maps can never enlarge it, and its
 diameter shrinks to zero exactly when the group approaches consensus.
+`AgentState`, the immutable snapshot of agent positions that every other
+module passes around, lives here beside `_as_points`, which validates it,
+so that each state can carry its own hull, computed at most once.
 This module computes hulls in dimension 1 (intervals) and 2 (convex
 polygons via the monotone chain, after an interior-point prefilter on
 large inputs) and tests hull-in-hull containment with a slack.
@@ -22,18 +25,61 @@ import numpy as np
 
 
 def _as_points(x) -> np.ndarray:
-    pts = getattr(x, "points", None)
-    if pts is None:
-        pts = np.asarray(x, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("state coordinates must be finite")
+    """The (n, d) points of an `AgentState` (validated when it was made) or
+    of a raw array or nested list, validated here."""
+    if isinstance(x, AgentState):
+        return x.points
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim == 1:
+        pts = pts.reshape(-1, 1)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("state coordinates must be finite")
     if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] not in (1, 2):
         raise ValueError(
             f"expected (n,) or (n, d) points with n >= 1 and d in {{1, 2}}, got shape {pts.shape}"
         )
     return pts
+
+
+class AgentState:
+    """Immutable snapshot of n agent positions in R^d, d in {1, 2}.
+
+    Accepts a length-n sequence (d = 1) or an (n, d) array.  Coordinates
+    must be finite.  The stored array is read-only, so the state's convex
+    hull never changes: `hull` computes it on first use and keeps it in the
+    state, and every later `hull`, `disagreement` or monitor record of the
+    same state object reads it from there.
+    """
+
+    __slots__ = ("points", "_hull")
+
+    def __init__(self, points):
+        arr = _as_points(np.array(points, dtype=float))  # a private copy
+        arr.flags.writeable = False
+        self.points = arr
+        self._hull: Optional[HullPolytope] = None
+
+    @property
+    def n(self) -> int:
+        return self.points.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.points.shape[1]
+
+    @property
+    def values(self) -> np.ndarray:
+        """The scalar states as a flat array (d = 1 only)."""
+        if self.d != 1:
+            raise ValueError(f"values is for scalar states, this one has d={self.d}")
+        return self.points[:, 0]
+
+    def point(self, k: int) -> np.ndarray:
+        """Position of agent k (1-based)."""
+        return self.points[k - 1]
+
+    def __repr__(self) -> str:
+        return f"AgentState({self.points.tolist()!r})"
 
 
 def _cross(o, a, b) -> float:
@@ -204,8 +250,21 @@ class HullPolytope:
 
 
 def hull(x) -> HullPolytope:
-    """Convex hull of an agent state (or raw point array)."""
-    pts = _as_points(x)
+    """Convex hull of an agent state (or raw point array).
+
+    An `AgentState` is hulled at most once: the hull is stored in the state
+    on the first call and returned by every later one.  Raw arrays and
+    lists are hulled afresh on every call, since their owner may edit them
+    in place.
+    """
+    if isinstance(x, AgentState):
+        if x._hull is None:
+            x._hull = _hull_of(x.points)
+        return x._hull
+    return _hull_of(_as_points(x))
+
+
+def _hull_of(pts: np.ndarray) -> HullPolytope:
     if pts.shape[1] == 1:
         lo, hi = float(pts.min()), float(pts.max())
         if lo == hi:
@@ -349,12 +408,11 @@ def monitor_stream(
     is a whole monitored run loop, and `summarize` its verdict.
 
     `slack` must be nonnegative and finite, and is checked when the stream
-    is made.  A state that is the previous record's state object, and
-    immutable (a read-only `points` array, as an `AgentState` has), gets
-    the previous record at the new time, contained, with no new hull: an
-    arc-free step returns its input state, and a hull contains itself.
-    Raw arrays and lists are always hulled afresh, since their caller may
-    edit them in place.
+    is made.  A state that is the previous record's state object, and an
+    immutable `AgentState`, gets the previous record at the new time,
+    contained, with no containment test: an arc-free step returns its
+    input state, and a hull contains itself.  Raw arrays and lists are
+    always hulled afresh, since their caller may edit them in place.
     """
     _check_slack(slack)
     return _monitor(items, slack)
@@ -375,8 +433,7 @@ def _monitor(items, slack: float) -> Iterator[MonitorRecord]:
                 ok = contains(prev, h, slack + _ROUNDING_ULPS * _EPS * scale)
             rec = MonitorRecord(int(t), diameter(h), ok, h.vertex_count, st)
             prev = h
-            pts = getattr(st, "points", None)
-            same = st if pts is not None and not pts.flags.writeable else nothing
+            same = st if isinstance(st, AgentState) else nothing
         yield rec
 
 

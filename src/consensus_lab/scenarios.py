@@ -24,8 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import AgentState, LinearAverage
+from .dynamics import LinearAverage
 from .graphs import DirectedGraph, IntervalSpec, is_weakly_connected_across
+from .lyapunov import AgentState
 from .simulator import GeneratedSchedule, PeriodicSchedule, iter_states
 
 # ---------------------------------------------------------------------------
@@ -314,12 +315,24 @@ class StretchingSchedule(GeneratedSchedule):
             arcs |= g.arcs
         return DirectedGraph(self.n, arcs)
 
+    def next_active(self, t: int) -> int:
+        """The time of the first active step at or after t."""
+        g = _active_before(self._check_time(t) - self.first_time)
+        at = self.active_position(g)
+        return at if at == t else self.active_position(g + 1)
+
     def _lookup(self, t: int) -> DirectedGraph:
         q = t - self.first_time
-        g = (math.isqrt(9 + 8 * q) - 1) // 2
+        g = _active_before(q)
         if (g - 1) * (g + 2) // 2 != q:
             return self._empty
         return self.edges[(g - 1) % (len(self.edges))]
+
+
+def _active_before(q: int) -> int:
+    """The index g of the last active step at or before offset q >= 0: the
+    largest g with (g - 1)(g + 2) / 2 <= q."""
+    return (math.isqrt(9 + 8 * q) - 1) // 2
 
 
 def stretching_bidirectional_schedule(n: int) -> StretchingSchedule:

@@ -9,9 +9,11 @@ unbounded time intervals stay decidable.
 
 `iter_states` rolls an update map along a schedule and yields the visited
 states one at a time, so `lyapunov.monitor_stream(iter_states(...))` is a
-monitored run that stores nothing; `attractivity_probe` repeats a run
-from random initial states around a center and reports how often the
-group reached consensus.
+monitored run that stores nothing.  Schedules answer `next_active`, the
+next time that carries an arc, so a map that is the identity on arc-free
+graphs is not stepped across the silence in between.  `attractivity_probe`
+repeats a run from random initial states around a center and reports how
+often the group reached consensus.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import AgentState, UpdateMap
+from .dynamics import UpdateMap
 from .graphs import DirectedGraph
-from .lyapunov import diameter, hull
+from .lyapunov import AgentState, diameter, hull
 
 
 class GraphSchedule:
@@ -52,6 +54,15 @@ class GraphSchedule:
     def graph_at(self, t: int) -> DirectedGraph:
         raise NotImplementedError
 
+    def next_active(self, t: int) -> Optional[int]:
+        """A time t' >= t such that every time in [t, t') is arc-free, or
+        None when no time at or after t carries an arc.
+
+        The default t' = t claims nothing and is always sound; schedules
+        that know where their arcs are answer the next time with an arc.
+        """
+        return self._check_time(t)
+
     def tail_union(self, start: int) -> Optional[DirectedGraph]:
         """Arc union over [start, infinity), when known in closed form.
 
@@ -67,6 +78,20 @@ def _node_count(graphs: Sequence[DirectedGraph]) -> int:
     if len(ns) != 1:
         raise ValueError(f"graphs disagree on node count: {sorted(ns)}")
     return ns.pop()
+
+
+def _next_active_indices(
+    graphs: Sequence[DirectedGraph], beyond: Optional[int]
+) -> list[Optional[int]]:
+    """For each index i, the least j >= i whose graph has an arc, or
+    `beyond` when no graph from i on has one."""
+    out: list[Optional[int]] = [None] * len(graphs)
+    j = beyond
+    for i in reversed(range(len(graphs))):
+        if graphs[i].arcs:
+            j = i
+        out[i] = j
+    return out
 
 
 class FiniteSchedule(GraphSchedule):
@@ -92,10 +117,18 @@ class FiniteSchedule(GraphSchedule):
         self.first_time = int(first_time)
         self.constant_from = self.first_time + len(graphs)
         self.name = name
+        self._next = _next_active_indices(graphs, len(graphs) if self.after.arcs else None)
 
     def graph_at(self, t: int) -> DirectedGraph:
         idx = self._check_time(t) - self.first_time
         return self.graphs[idx] if idx < len(self.graphs) else self.after
+
+    def next_active(self, t: int) -> Optional[int]:
+        idx = self._check_time(t) - self.first_time
+        if idx >= len(self.graphs):
+            return t if self.after.arcs else None
+        j = self._next[idx]
+        return None if j is None else self.first_time + j
 
 
 class PeriodicSchedule(GraphSchedule):
@@ -112,10 +145,18 @@ class PeriodicSchedule(GraphSchedule):
         self.first_time = int(first_time)
         self.period = len(graphs)
         self.name = name
+        # the first active slot of the next period follows the last slot
+        wrap = next((i + self.period for i, g in enumerate(graphs) if g.arcs), None)
+        self._next = _next_active_indices(graphs, wrap)
 
     def graph_at(self, t: int) -> DirectedGraph:
         idx = (self._check_time(t) - self.first_time) % self.period
         return self.graphs[idx]
+
+    def next_active(self, t: int) -> Optional[int]:
+        q, idx = divmod(self._check_time(t) - self.first_time, self.period)
+        j = self._next[idx]
+        return None if j is None else self.first_time + q * self.period + j
 
 
 class GeneratedSchedule(GraphSchedule):
@@ -163,8 +204,17 @@ def iter_states(
 ) -> Iterator[tuple[int, AgentState]]:
     """Yield (t, state) from t0 through t0 + steps, stepping the map.
 
+    There is one pair per time.  When the map declares
+    `identity_when_silent`, the stream asks the schedule for its
+    `next_active` time and yields the same state object at every time of
+    an arc-free stretch, calling neither `graph_at` nor `step` there: with
+    no senders, every agent of the paper's model stays where it is, so the
+    skip is exact.
+
     `steps`, `t0` and `x0` are checked when the stream is made, before
-    the caller opens any output, not on its first `next()`.
+    the caller opens any output, not on its first `next()`; so is `x0`
+    against the map (its dimension and domain), since a run that never
+    meets an arc never steps the map.
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
@@ -176,6 +226,7 @@ def iter_states(
     x = x0 if isinstance(x0, AgentState) else AgentState(x0)
     if x.n != schedule.n:
         raise ValueError(f"state has n={x.n} but schedule has n={schedule.n}")
+    update_map._check(None, x)
     return _run(schedule, update_map, x, steps, t0)
 
 
@@ -183,18 +234,30 @@ def _run(
     schedule: GraphSchedule, update_map: UpdateMap, x: AgentState, steps: int, t0: int
 ) -> Iterator[tuple[int, AgentState]]:
     yield t0, x
-    for t in range(t0, t0 + steps):
-        x = update_map.step(t, schedule.graph_at(t), x)
-        yield t + 1, x
+    step, graph_at = update_map.step, schedule.graph_at
+    next_active = schedule.next_active if update_map.identity_when_silent else None
+    t, end = t0, t0 + steps
+    while t < end:
+        if next_active is not None:
+            active = next_active(t)
+            if active != t:  # [t, active) is arc-free, so x stays put
+                quiet = end if active is None or active > end else active
+                for t in range(t + 1, quiet + 1):
+                    yield t, x
+                if t == end:
+                    return
+        x = step(t, graph_at(t), x)
+        t += 1
+        yield t, x
 
 
 def disagreement(state) -> float:
-    """Hull diameter of the agent positions: 0 exactly at consensus."""
-    x = state if isinstance(state, AgentState) else AgentState(state)
-    if x.d == 1:
-        v = x.points[:, 0]
-        return float(v.max() - v.min())
-    return diameter(hull(x))
+    """Hull diameter of the agent positions: 0 exactly at consensus.
+
+    An `AgentState` is hulled once, so this reads the hull that the
+    monitor already made for the same state, or leaves it for the monitor.
+    """
+    return diameter(hull(state))
 
 
 # ---------------------------------------------------------------------------

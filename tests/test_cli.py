@@ -310,7 +310,9 @@ def test_simulate_rejects_bad_slack_and_tol(chain_graph, tmp_path, capsys, flag,
 @pytest.mark.parametrize(
     "bad, fragment",
     [(["--x0", "0,1"], "state has n=2"),
-     (["--x0", "0,1,1", "--t0", "-1"], "before the schedule's first time")],
+     (["--x0", "0,1,1", "--t0", "-1"], "before the schedule's first time"),
+     (["--map", "kuramoto", "--x0", "0 0; 1 0; 2 0"], "kuramoto does not support d=2"),
+     (["--map", "vicsek", "--x0", "0,2,0"], "vicsek: agent 2 is at 2.0, outside")],
 )
 def test_simulate_bad_input_keeps_existing_csv(chain_graph, tmp_path, capsys, bad, fragment):
     csv_path = tmp_path / "run.csv"

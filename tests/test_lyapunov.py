@@ -441,6 +441,16 @@ def test_monitor_hulls_each_distinct_state_once(make_items, monkeypatch):
     assert all(r.state is st for r, (_, st) in zip(recs, items))
 
 
+def test_a_state_is_hulled_once_and_a_raw_array_every_time():
+    for pts in (UNIT_SQUARE, UNIT_SQUARE[:, :1]):
+        s = AgentState(pts)
+        h = hull(s)
+        assert hull(s) is h
+        assert disagreement(s) == diameter(h)
+        raw = pts.copy()
+        assert hull(raw) is not hull(raw)
+
+
 def test_monitor_rehulls_a_raw_array_edited_in_place():
     x = np.array([0.0, 1.0])
 

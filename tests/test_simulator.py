@@ -10,17 +10,24 @@ from consensus_lab import (
     DirectedGraph,
     FiniteSchedule,
     GeneratedSchedule,
+    KuramotoTime1,
     LinearAverage,
+    MaxUpdate,
+    NonlinearConsensus,
     PeriodicSchedule,
+    VicsekHeading,
     WeightedDigraph,
     attractivity_probe,
     constant_schedule,
+    counterexample_schedule,
     disagreement,
     empty_graph,
     iter_states,
     monitor_stream,
+    stretching_bidirectional_schedule,
     summarize,
 )
+from consensus_lab.dynamics import UpdateMap
 
 PAIR = DirectedGraph(2, {(1, 2), (2, 1)})
 
@@ -114,8 +121,159 @@ def test_iter_states_honors_t0():
     assert [t for t, _ in states] == [5, 6, 7]
 
 
+def test_iter_states_checks_the_state_against_the_map_when_made():
+    # Nothing on these schedules is ever stepped, so the check cannot wait
+    # for a step.
+    silent = FiniteSchedule([], after=empty_graph(3))
+    planar = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
+    with pytest.raises(ValueError, match="kuramoto does not support d=2"):
+        iter_states(silent, KuramotoTime1(), planar, steps=5)
+    with pytest.raises(ValueError, match="vicsek: agent 2 is at 2.0, outside"):
+        iter_states(silent, VicsekHeading(), [0.0, 2.0, 0.0], steps=5)
+    with pytest.raises(ValueError, match="vicsek: agent 3 is at -1.5707963267948966"):
+        iter_states(constant_schedule(DirectedGraph(3, {(1, 2)})), VicsekHeading(),
+                    [0.0, 0.5, -math.pi / 2], steps=0)
+
+
+# ---------------------------------------------------------------------------
+# Skipping arc-free stretches
+
+A = DirectedGraph(3, {(1, 2)})
+B = DirectedGraph(3, {(2, 3), (3, 2)})
+Z = empty_graph(3)
+
+
+def _scan_next_active(schedule, lo, hi, ahead=20):
+    """{t: first time in [t, hi + ahead) with an arc, or None} for t in
+    [lo, hi), by calling `graph_at` at every time."""
+    out, nxt = {}, None
+    for t in reversed(range(lo, hi + ahead)):
+        if schedule.graph_at(t).arcs:
+            nxt = t
+        out[t] = nxt
+    return {t: out[t] for t in range(lo, hi)}
+
+
+@pytest.mark.parametrize(
+    "schedule, lo, hi",
+    [
+        (FiniteSchedule([Z, A, Z, Z, B, Z], first_time=3), 3, 20),
+        (FiniteSchedule([A, Z, Z], first_time=2, after=B), 2, 20),
+        (FiniteSchedule([Z, Z], after=Z), 0, 10),
+        (FiniteSchedule([], first_time=4, after=A), 4, 10),
+        (PeriodicSchedule([Z, A, Z, Z, B, Z, Z], first_time=5), 5, 60),
+        (PeriodicSchedule([Z, Z, Z], first_time=1), 1, 20),
+        (PeriodicSchedule([A, B]), 0, 10),
+        (constant_schedule(Z, first_time=2), 2, 10),
+        (counterexample_schedule(), 1, 400),
+    ],
+    ids=["finite-silent-after", "finite-active-after", "finite-all-silent",
+         "finite-only-after", "periodic", "periodic-all-silent", "periodic-all-active",
+         "constant-silent", "counterexample"],
+)
+def test_next_active_matches_a_graph_at_scan(schedule, lo, hi):
+    # each schedule here repeats or turns constant within the 20 steps that
+    # the scan looks past hi, so a time the scan finds no arc after has none
+    assert {t: schedule.next_active(t) for t in range(lo, hi)} == _scan_next_active(
+        schedule, lo, hi
+    )
+    with pytest.raises(ValueError, match="before the schedule"):
+        schedule.next_active(schedule.first_time - 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_stretching_next_active_matches_a_graph_at_scan(n):
+    sched = stretching_bidirectional_schedule(n)
+    # the gap after t < 5000 is under 100 steps, so the scan finds every answer
+    want = _scan_next_active(sched, 0, 5000, ahead=100)
+    assert [t for t in range(5000) if sched.next_active(t) != want[t]] == []
+
+
+def test_generated_schedule_next_active_is_the_time_itself():
+    sched = GeneratedSchedule(lambda t: Z if t % 3 else A, n=3, first_time=2)
+    assert [sched.next_active(t) for t in range(2, 8)] == list(range(2, 8))
+
+
+def _reference_run(schedule, update_map, x0, steps, t0):
+    """The plain loop: `step` and `graph_at` at every time."""
+    x = AgentState(x0)
+    out = [(t0, x)]
+    for t in range(t0, t0 + steps):
+        x = update_map.step(t, schedule.graph_at(t), x)
+        out.append((t + 1, x))
+    return out
+
+
+def _same_run(got, want):
+    assert [t for t, _ in got] == [t for t, _ in want]
+    assert [x.points.tobytes() for _, x in got] == [x.points.tobytes() for _, x in want]
+    # a silent step keeps the state object in both
+    assert [a is b for (_, a), (_, b) in zip(got, got[1:])] == [
+        a is b for (_, a), (_, b) in zip(want, want[1:])
+    ]
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        stretching_bidirectional_schedule(4),
+        FiniteSchedule([Z, A, Z, Z, B, Z, Z], first_time=1),
+        FiniteSchedule([Z, Z, A], first_time=1, after=B),
+        PeriodicSchedule([Z, A, Z, Z, Z, B, Z], first_time=1),
+        PeriodicSchedule([Z, Z]),
+    ],
+    ids=["stretching", "finite", "finite-active-after", "periodic", "periodic-silent"],
+)
+@pytest.mark.parametrize("t0", [None, 2, 7, 40])
+@pytest.mark.parametrize(
+    "make_map", [LinearAverage, MaxUpdate, lambda: KuramotoTime1(substeps=2)],
+    ids=["linear", "max", "kuramoto"],
+)
+def test_skipping_stream_equals_the_per_step_loop(schedule, t0, make_map):
+    t0 = schedule.first_time if t0 is None else t0
+    x0 = np.linspace(-0.9, 0.7, schedule.n) ** 3
+    for steps in (0, 1, 5, 120):
+        got = list(iter_states(schedule, make_map(), x0, steps, t0))
+        _same_run(got, _reference_run(schedule, make_map(), x0, steps, t0))
+
+
+class _CountingAverage(UpdateMap):
+    """Linear averaging that counts its `step` calls."""
+
+    name = "counting"
+
+    def __init__(self, identity_when_silent):
+        self.identity_when_silent = identity_when_silent
+        self.inner = LinearAverage()
+        self.times = []
+
+    def step(self, t, graph, state):
+        self.times.append(t)
+        return self.inner.step(t, graph, state)
+
+
+def test_only_maps_that_declare_it_skip_silent_steps():
+    sched = stretching_bidirectional_schedule(3)
+    steps = sched.active_position(30) + 5
+    plain, skipping = _CountingAverage(False), _CountingAverage(True)
+    runs = [list(iter_states(sched, m, [0.0, 1.0, 4.0], steps)) for m in (plain, skipping)]
+    assert plain.times == list(range(steps))
+    assert skipping.times == [sched.active_position(g) for g in range(1, 31)]
+    _same_run(*runs)
+
+
 # ---------------------------------------------------------------------------
 # Disagreement and consensus detection
+
+
+def test_disagreement_is_the_scalar_spread_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 10, 200):
+        for scale in (1e-300, 1e-9, 1.0, 1e9, 1e300):
+            v = rng.standard_normal(n) * scale
+            for x in (v, np.full(n, v[0]), -np.abs(v)):
+                assert disagreement(AgentState(x)) == float(x.max() - x.min())
+                assert disagreement(x) == float(x.max() - x.min())
 
 
 def test_disagreement_scalar_and_planar():
