@@ -200,7 +200,15 @@ _HALF_PI = math.pi / 2.0
 
 
 class UpdateMap(ABC):
-    """One synchronous update x(t+1) = step(t, G(t), x(t))."""
+    """One synchronous update x(t+1) = step(t, G(t), x(t)).
+
+    On an arc-free graph `step` returns its input state object, as every
+    map of the paper's model does: an agent with no senders stays where it
+    is.  `simulator.iter_states` relies on this to skip arc-free stretches
+    without calling `step`, and checks the initial state with `_check` when
+    the stream is made, so a run that is never stepped still rejects a
+    state the map does not accept.
+    """
 
     name: str = "update"
     supported_dims: tuple[int, ...] = (1,)
@@ -210,13 +218,6 @@ class UpdateMap(ABC):
     integrator_backed: bool = False
     #: Open coordinate interval the map is defined on, or None for all reals.
     domain: Optional[tuple[float, float]] = None
-    #: True when `step` on an arc-free graph returns its input state object,
-    #: as every map of the paper's model does: an agent with no senders
-    #: stays where it is.  `simulator.iter_states` then skips arc-free
-    #: stretches without calling `step`, and checks the initial state with
-    #: `_check` when the stream is made, so a run that is never stepped
-    #: still rejects a state the map does not accept.
-    identity_when_silent: bool = False
 
     def _check(self, graph: Optional[DirectedGraph], state: AgentState) -> None:
         """Validate the state's d and coordinates for this map and, unless
@@ -249,7 +250,6 @@ class LinearAverage(UpdateMap):
     """
 
     name = "linear"
-    identity_when_silent = True
     supported_dims = (1, 2)
 
     def __init__(self, default_weight: float = 1.0):
@@ -283,7 +283,6 @@ class KuramotoTime1(UpdateMap):
     """
 
     name = "kuramoto"
-    identity_when_silent = True
     integrator_backed = True
 
     def __init__(self, substeps: int = 100):
@@ -311,12 +310,11 @@ class NonlinearConsensus(UpdateMap):
     callable is shared by all arcs.  Gains are validated once, at
     construction.  A mapping of per-arc gains must cover every arc of
     every graph the map is stepped with.  Integration is fixed-step RK4;
-    the field sums each agent's terms in ascending sender order, from a
-    term list built once per graph from its cached `arc_arrays`.
+    the field sums each agent's terms in ascending sender order, reading
+    the graph's cached `arc_arrays`.
     """
 
     name = "nonlinear"
-    identity_when_silent = True
     integrator_backed = True
 
     def __init__(
@@ -334,31 +332,20 @@ class NonlinearConsensus(UpdateMap):
                 validate_gain(fn, label=f"gain for arc {a}")
         self.gains = gains
         self.substeps = substeps
-        self._cache: dict = {}
-
-    def _terms_for(self, graph) -> list:
-        """The field's (sender, receiver, gain) terms, 0-based, in ascending
-        (receiver, sender) order; cached per graph.  A graph with an arc that
-        has no gain is not cached, so it raises on every step."""
-        terms = self._cache.get(graph)
-        if terms is None:
-            src, dst = graph.arc_arrays
-            pairs = zip(src.tolist(), dst.tolist())
-            if callable(self.gains):
-                terms = [(i, k, self.gains) for i, k in pairs]
-            else:
-                missing = graph.arcs.difference(self.gains)
-                if missing:
-                    raise ValueError(f"no gain supplied for arcs {sorted(missing)}")
-                terms = [(i, k, self.gains[(i + 1, k + 1)]) for i, k in pairs]
-            self._cache[graph] = terms
-        return terms
 
     def step(self, t: int, graph, state: AgentState) -> AgentState:
         self._check(graph, state)
         if not graph.arcs:
             return state
-        terms = self._terms_for(graph)
+        src, dst = graph.arc_arrays
+        pairs = zip(src.tolist(), dst.tolist())
+        if callable(self.gains):
+            terms = [(i, k, self.gains) for i, k in pairs]
+        else:
+            missing = graph.arcs.difference(self.gains)
+            if missing:
+                raise ValueError(f"no gain supplied for arcs {sorted(missing)}")
+            terms = [(i, k, self.gains[(i + 1, k + 1)]) for i, k in pairs]
 
         def field(x: np.ndarray) -> np.ndarray:
             f = np.zeros_like(x)
@@ -384,7 +371,6 @@ class VicsekHeading(UpdateMap):
     """
 
     name = "vicsek"
-    identity_when_silent = True
     domain = (-_HALF_PI, _HALF_PI)
 
     def step(self, t: int, graph, state: AgentState) -> AgentState:
@@ -409,7 +395,6 @@ class MaxUpdate(UpdateMap):
     """
 
     name = "max"
-    identity_when_silent = True
     supported_dims = (1, 2)
 
     def step(self, t: int, graph, state: AgentState) -> AgentState:

@@ -204,12 +204,12 @@ def iter_states(
 ) -> Iterator[tuple[int, AgentState]]:
     """Yield (t, state) from t0 through t0 + steps, stepping the map.
 
-    There is one pair per time.  When the map declares
-    `identity_when_silent`, the stream asks the schedule for its
+    There is one pair per time.  The stream asks the schedule for its
     `next_active` time and yields the same state object at every time of
     an arc-free stretch, calling neither `graph_at` nor `step` there: with
-    no senders, every agent of the paper's model stays where it is, so the
-    skip is exact.
+    no senders, every agent of the paper's model stays where it is, and
+    every `UpdateMap` returns its input on an arc-free graph, so the skip
+    is exact.
 
     `steps`, `t0` and `x0` are checked when the stream is made, before
     the caller opens any output, not on its first `next()`; so is `x0`
@@ -234,18 +234,16 @@ def _run(
     schedule: GraphSchedule, update_map: UpdateMap, x: AgentState, steps: int, t0: int
 ) -> Iterator[tuple[int, AgentState]]:
     yield t0, x
-    step, graph_at = update_map.step, schedule.graph_at
-    next_active = schedule.next_active if update_map.identity_when_silent else None
+    step, graph_at, next_active = update_map.step, schedule.graph_at, schedule.next_active
     t, end = t0, t0 + steps
     while t < end:
-        if next_active is not None:
-            active = next_active(t)
-            if active != t:  # [t, active) is arc-free, so x stays put
-                quiet = end if active is None or active > end else active
-                for t in range(t + 1, quiet + 1):
-                    yield t, x
-                if t == end:
-                    return
+        active = next_active(t)
+        if active != t:  # [t, active) is arc-free, so x stays put
+            quiet = end if active is None or active > end else active
+            for t in range(t + 1, quiet + 1):
+                yield t, x
+            if t == end:
+                return
         x = step(t, graph_at(t), x)
         t += 1
         yield t, x
@@ -255,8 +253,14 @@ def disagreement(state) -> float:
     """Hull diameter of the agent positions: 0 exactly at consensus.
 
     An `AgentState` is hulled once, so this reads the hull that the
-    monitor already made for the same state, or leaves it for the monitor.
+    monitor already made for the same state.  A scalar state not hulled
+    yet is measured as max - min, that hull's diameter bit for bit, at
+    about half the cost of building the hull: a probe of a cheap map
+    measures every state and hulls none.
     """
+    if isinstance(state, AgentState) and state._hull is None and state.d == 1:
+        v = state.points[:, 0]
+        return float(v.max() - v.min())
     return diameter(hull(state))
 
 

@@ -22,6 +22,7 @@ from consensus_lab import (
     counterexample_schedule,
     disagreement,
     empty_graph,
+    hull,
     iter_states,
     monitor_stream,
     stretching_bidirectional_schedule,
@@ -242,8 +243,7 @@ class _CountingAverage(UpdateMap):
 
     name = "counting"
 
-    def __init__(self, identity_when_silent):
-        self.identity_when_silent = identity_when_silent
+    def __init__(self):
         self.inner = LinearAverage()
         self.times = []
 
@@ -252,14 +252,13 @@ class _CountingAverage(UpdateMap):
         return self.inner.step(t, graph, state)
 
 
-def test_only_maps_that_declare_it_skip_silent_steps():
+def test_the_stream_steps_the_map_at_active_times_only():
     sched = stretching_bidirectional_schedule(3)
     steps = sched.active_position(30) + 5
-    plain, skipping = _CountingAverage(False), _CountingAverage(True)
-    runs = [list(iter_states(sched, m, [0.0, 1.0, 4.0], steps)) for m in (plain, skipping)]
-    assert plain.times == list(range(steps))
-    assert skipping.times == [sched.active_position(g) for g in range(1, 31)]
-    _same_run(*runs)
+    counting = _CountingAverage()
+    got = list(iter_states(sched, counting, [0.0, 1.0, 4.0], steps))
+    assert counting.times == [sched.active_position(g) for g in range(1, 31)]
+    _same_run(got, _reference_run(sched, LinearAverage(), [0.0, 1.0, 4.0], steps, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +271,12 @@ def test_disagreement_is_the_scalar_spread_bit_for_bit():
         for scale in (1e-300, 1e-9, 1.0, 1e9, 1e300):
             v = rng.standard_normal(n) * scale
             for x in (v, np.full(n, v[0]), -np.abs(v)):
-                assert disagreement(AgentState(x)) == float(x.max() - x.min())
-                assert disagreement(x) == float(x.max() - x.min())
+                want = float(x.max() - x.min())
+                s = AgentState(x)
+                assert disagreement(s) == want  # not hulled yet: max - min
+                hull(s)
+                assert disagreement(s) == want  # the stored hull's diameter
+                assert disagreement(x) == want
 
 
 def test_disagreement_scalar_and_planar():
