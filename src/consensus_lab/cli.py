@@ -18,9 +18,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from fractions import Fraction
+
+import numpy as np
 
 from .dynamics import (
     GAIN_LIBRARY,
@@ -53,6 +56,7 @@ from .simulator import (
     GraphSchedule,
     attractivity_probe,
     constant_schedule,
+    disagreement,
     iter_states,
 )
 
@@ -79,8 +83,7 @@ def _seed(args) -> int:
         raise CliError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+_fmt = "{:.17g}".format
 
 
 def _bool(v: bool) -> str:
@@ -172,17 +175,25 @@ def make_map(spec: str) -> UpdateMap:
 
 
 def parse_state(spec: str) -> AgentState:
-    """'0,1,1' for scalar states; '0 0; 1 0; 0.5 1' for planar ones."""
+    """'0,1,1' for scalar states; '0 0; 1 0; 0.5 1' for planar ones.
+
+    A state whose disagreement overflows a float is rejected: no update
+    map can step it without overflowing, and no report could print it.
+    """
     try:
         if ";" in spec:
             rows = []
             for chunk in spec.split(";"):
                 fields = chunk.replace(",", " ").split()
                 rows.append([float(f) for f in fields])
-            return AgentState(rows)
-        return AgentState([float(f) for f in spec.split(",")])
+            state = AgentState(rows)
+        else:
+            state = AgentState([float(f) for f in spec.split(",")])
     except ValueError as e:
         raise CliError(f"bad state {spec!r}: {e}")
+    if not math.isfinite(disagreement(state)):
+        raise CliError(f"bad state {spec!r}: its disagreement overflows a float")
+    return state
 
 
 def parse_interval(spec: str) -> IntervalSpec:
@@ -290,9 +301,10 @@ def _write_csv(records, path: str, x0: AgentState):
         header = ["t"] + [f"{a}{k}" for a in "xy"[: x0.d] for k in range(1, x0.n + 1)]
         fh.write(",".join(header + ["diameter", "contained", "vertices"]) + "\n")
         for rec in records:
-            row = [str(rec.t)] + [_fmt(v) for v in rec.state.points.T.ravel()]
-            row += [_fmt(rec.diameter), _bool(rec.contained), str(rec.vertex_count)]
-            fh.write(",".join(row) + "\n")
+            xs = ",".join(map(_fmt, rec.state.points.T.ravel().tolist()))
+            fh.write(
+                f"{rec.t},{xs},{_fmt(rec.diameter)},{_bool(rec.contained)},{rec.vertex_count}\n"
+            )
             yield rec
 
 
@@ -458,7 +470,10 @@ def main(argv=None) -> int:
             sub = parser.subcommands[args.command]
             sub.set_defaults(**_config_defaults(sub, args.config))
             args = parser.parse_args(argv)
-        code = args.func(args)
+        # Every non-finite result fails a finiteness check with a clear
+        # message, so numpy's floating-point warnings would only repeat it.
+        with np.errstate(all="ignore"):
+            code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return code
     except BrokenPipeError:

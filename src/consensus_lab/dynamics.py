@@ -143,7 +143,7 @@ def linear_step(matrix: StochasticMatrix, state: AgentState) -> AgentState:
     for j in range(pts.shape[1]):
         x = pts[:, j]
         acc[:, j] = np.bincount(rows, w * (x[cols] - x[rows]), minlength=matrix.n)
-    return AgentState(pts + acc)
+    return AgentState._own(pts + acc)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +300,7 @@ class KuramotoTime1(UpdateMap):
             r = 1.0 / np.sqrt(1.0 + x * x)
             return np.bincount(dst, (x[src] - x[dst]) * r[src] * r[dst], minlength=x.size)
 
-        return AgentState(_rk4(field, state.values, self.substeps))
+        return AgentState._own(_rk4(field, state.values, self.substeps).reshape(-1, 1))
 
 
 class NonlinearConsensus(UpdateMap):
@@ -353,7 +353,7 @@ class NonlinearConsensus(UpdateMap):
                 f[k] += gamma(x[i] - x[k])
             return f
 
-        return AgentState(_rk4(field, state.values, self.substeps))
+        return AgentState._own(_rk4(field, state.values, self.substeps).reshape(-1, 1))
 
 
 class VicsekHeading(UpdateMap):
@@ -383,7 +383,7 @@ class VicsekHeading(UpdateMap):
         for k in range(graph.n):
             rel = theta[[k, *src[ptr[k] : ptr[k + 1]]]] - theta[k]
             out[k] = theta[k] + math.atan2(np.sin(rel).sum(), np.cos(rel).sum())
-        return AgentState(out)
+        return AgentState._own(out.reshape(-1, 1))
 
 
 class MaxUpdate(UpdateMap):
@@ -405,7 +405,7 @@ class MaxUpdate(UpdateMap):
         ptr, src = graph._in_csr
         for k in range(graph.n):
             out[k] = state.points[[k, *src[ptr[k] : ptr[k + 1]]]].max(axis=0)
-        return AgentState(out)
+        return AgentState._own(out)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,18 @@ class AgentState:
         self.points = arr
         self._hull: Optional[HullPolytope] = None
 
+    @classmethod
+    def _own(cls, arr: np.ndarray) -> "AgentState":
+        """Wrap an (n, d) float array that an update map has just made and
+        no one else holds, without the copy and the shape checks of
+        `AgentState(...)`; its coordinates are still checked finite."""
+        if not np.isfinite(arr).all():
+            raise ValueError("state coordinates must be finite")
+        arr.flags.writeable = False
+        st = cls.__new__(cls)
+        st.points, st._hull = arr, None
+        return st
+
     @property
     def n(self) -> int:
         return self.points.shape[0]
@@ -102,6 +114,7 @@ _PREFILTER_ROUNDS = 3
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+_MAX = float(np.finfo(float).max)
 
 
 def _prefilter(pts: np.ndarray) -> np.ndarray:
@@ -228,10 +241,14 @@ class HullPolytope:
     """Convex hull snapshot: an interval (d=1) or CCW polygon (d=2).
 
     `vertices` is an (m, d) read-only array; m = 1 encodes a single
-    point, and for d = 2, m = 2 encodes a segment.
+    point, and for d = 2, m = 2 encodes a segment.  An interval also
+    holds its least and greatest vertex as the floats `lo` and `hi` (None
+    when d = 2), which is all that `contains`, `diameter` and
+    `point_distance` read of it; the hull of a scalar state is made from
+    these two floats alone and builds its `vertices` array on first access.
     """
 
-    __slots__ = ("d", "vertices")
+    __slots__ = ("d", "vertex_count", "lo", "hi", "_vertices")
 
     def __init__(self, vertices: np.ndarray):
         arr = np.array(vertices, dtype=float)
@@ -239,11 +256,32 @@ class HullPolytope:
             raise ValueError(f"vertices must be (m, d) with d in {{1, 2}}")
         arr.flags.writeable = False
         self.d = arr.shape[1]
-        self.vertices = arr
+        self.vertex_count = arr.shape[0]
+        self._vertices = arr
+        self.lo = self.hi = None
+        if self.d == 1:
+            self._set_endpoints(float(arr.min()), float(arr.max()))
+
+    @classmethod
+    def _interval(cls, lo: float, hi: float) -> "HullPolytope":
+        """The interval [lo, hi], lo <= hi, as a single point when lo == hi."""
+        h = cls.__new__(cls)
+        h.d, h._vertices = 1, None
+        h.vertex_count = 1 if lo == hi else 2
+        h._set_endpoints(lo, hi)
+        return h
+
+    def _set_endpoints(self, lo: float, hi: float) -> None:
+        # equal endpoints are one float, so that hi - lo is +0.0 even for -0.0 and 0.0
+        self.lo, self.hi = lo, (lo if lo == hi else hi)
 
     @property
-    def vertex_count(self) -> int:
-        return self.vertices.shape[0]
+    def vertices(self) -> np.ndarray:
+        if self._vertices is None:
+            v = np.array([[self.lo], [self.hi]][: self.vertex_count])
+            v.flags.writeable = False
+            self._vertices = v
+        return self._vertices
 
     def __repr__(self) -> str:
         return f"HullPolytope(d={self.d}, vertices={self.vertices.tolist()!r})"
@@ -266,10 +304,7 @@ def hull(x) -> HullPolytope:
 
 def _hull_of(pts: np.ndarray) -> HullPolytope:
     if pts.shape[1] == 1:
-        lo, hi = float(pts.min()), float(pts.max())
-        if lo == hi:
-            return HullPolytope(np.array([[lo]]))
-        return HullPolytope(np.array([[lo], [hi]]))
+        return HullPolytope._interval(float(pts.min()), float(pts.max()))
     return HullPolytope(_hull_vertices_2d(pts))
 
 
@@ -292,10 +327,9 @@ def point_distance(h: HullPolytope, point) -> float:
     p = np.asarray(point, dtype=float).reshape(-1)
     if p.shape[0] != h.d:
         raise ValueError(f"point has dimension {p.shape[0]}, hull has d={h.d}")
-    v = h.vertices
     if h.d == 1:
-        lo, hi = float(v[0, 0]), float(v[-1, 0])
-        return max(lo - float(p[0]), float(p[0]) - hi, 0.0)
+        return max(h.lo - float(p[0]), float(p[0]) - h.hi, 0.0)
+    v = h.vertices
     m = v.shape[0]
     if m == 1:
         return float(np.hypot(p[0] - v[0, 0], p[1] - v[0, 1]))
@@ -329,14 +363,17 @@ def _check_slack(slack: float) -> None:
 def contains(outer: HullPolytope, inner: HullPolytope, slack: float = 0.0) -> bool:
     """True when every vertex of `inner` is within `slack` of `outer`.
 
-    For a polygon `outer`, one numpy test clears the inner vertices inside
-    it, and one more measures the others against all its edges, as
-    `point_distance` does.
+    For intervals this compares the endpoints, with the subtractions that
+    `point_distance` makes.  For a polygon `outer`, one numpy test clears
+    the inner vertices inside it, and one more measures the others against
+    all its edges, as `point_distance` does.
     """
     if outer.d != inner.d:
         raise ValueError(f"dimension mismatch: outer d={outer.d}, inner d={inner.d}")
     _check_slack(slack)
-    if outer.d == 2 and outer.vertex_count >= 3:
+    if outer.d == 1:
+        return outer.lo - inner.lo <= slack and inner.hi - outer.hi <= slack
+    if outer.vertex_count >= 3:
         v = outer.vertices
         outside = inner.vertices[~_inside_polygon(v, inner.vertices)]
         return outside.shape[0] == 0 or bool((_boundary_distances(v, outside) <= slack).all())
@@ -352,12 +389,12 @@ def diameter(h: HullPolytope) -> float:
     In d = 2 this is the largest `np.hypot` over all vertex pairs, taken
     in blocks of rows so no temporary exceeds about a million entries.
     """
+    if h.d == 1:
+        return h.hi - h.lo
     v = h.vertices
     m = v.shape[0]
     if m == 1:
         return 0.0
-    if h.d == 1:
-        return float(v[-1, 0] - v[0, 0])
     x, y = v[:, 0], v[:, 1]
     rows = max(1, _DIAMETER_BLOCK // m)
     return max(
@@ -381,8 +418,8 @@ class MonitorRecord(NamedTuple):
 
 DEFAULT_SLACK = 1e-9
 
-# Rounding allowance of the containment test, in units of eps * M, where M is
-# the largest coordinate magnitude of the previous hull's vertices.  A
+# Rounding allowance of the monitor's containment test, in units of eps * M,
+# where M is the largest coordinate magnitude of the previous hull's vertices.  A
 # conforming step at best stores the nearest float to a point of that hull:
 # up to eps/2 * M per coordinate, sqrt(2)/2 in the plane.  `point_distance`
 # then forms the foot point a + t (b - a) on an edge near the point: t
@@ -398,10 +435,11 @@ def monitor_stream(
     """Walk (time, state) pairs, yielding a MonitorRecord per state.
 
     `contained` reports whether the current hull sits inside the
-    previously *recorded* hull, within `slack` plus the rounding a
-    conforming step can show at that hull's scale (17 eps times its
-    largest coordinate magnitude), so the verdict does not depend on the
-    scale of the states.  The first record is vacuously contained.
+    previously *recorded* hull, within (slack + 17 eps) times that hull's
+    largest coordinate magnitude M.  So `slack` is relative to the scale
+    of the states, and 17 eps M is the rounding a conforming step can show
+    at that scale: the verdict does not depend on the scale of the states.
+    The first record is vacuously contained.
     Because hull shrinkage composes, the check remains meaningful when
     the stream samples a trajectory sparsely.  Records carry their state
     and its disagreement as `diameter`, so `monitor_stream(iter_states(...))`
@@ -415,11 +453,19 @@ def monitor_stream(
     always hulled afresh, since their caller may edit them in place.
     """
     _check_slack(slack)
-    return _monitor(items, slack)
+    return _monitor(items, slack + _ROUNDING_ULPS * _EPS)
 
 
-def _monitor(items, slack: float) -> Iterator[MonitorRecord]:
+def _magnitude(h: HullPolytope) -> float:
+    """The largest coordinate magnitude of the hull's vertices."""
+    if h.d == 1:
+        return max(-h.lo, h.hi)
+    return float(np.abs(h.vertices).max())
+
+
+def _monitor(items, rel: float) -> Iterator[MonitorRecord]:
     prev: Optional[HullPolytope] = None  # the hull of the last record
+    allow = 0.0  # its containment slack, rel times its magnitude
     nothing = object()
     same = nothing  # the last record's state when it is immutable
     for t, st in items:
@@ -427,12 +473,9 @@ def _monitor(items, slack: float) -> Iterator[MonitorRecord]:
             rec = MonitorRecord(int(t), rec.diameter, True, rec.vertex_count, st)
         else:
             h = hull(st)
-            ok = prev is None or contains(prev, h, slack)
-            if not ok:  # only failing steps pay for the scale term
-                scale = float(np.abs(prev.vertices).max())
-                ok = contains(prev, h, slack + _ROUNDING_ULPS * _EPS * scale)
+            ok = prev is None or contains(prev, h, allow)
             rec = MonitorRecord(int(t), diameter(h), ok, h.vertex_count, st)
-            prev = h
+            prev, allow = h, min(rel * _magnitude(h), _MAX)
             same = st if isinstance(st, AgentState) else nothing
         yield rec
 

@@ -253,14 +253,8 @@ def disagreement(state) -> float:
     """Hull diameter of the agent positions: 0 exactly at consensus.
 
     An `AgentState` is hulled once, so this reads the hull that the
-    monitor already made for the same state.  A scalar state not hulled
-    yet is measured as max - min, that hull's diameter bit for bit, at
-    about half the cost of building the hull: a probe of a cheap map
-    measures every state and hulls none.
+    monitor already made for the same state.
     """
-    if isinstance(state, AgentState) and state._hull is None and state.d == 1:
-        v = state.points[:, 0]
-        return float(v.max() - v.min())
     return diameter(hull(state))
 
 

@@ -2,10 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from consensus_lab import cli
+from consensus_lab import AgentState, cli
 from consensus_lab.cli import main
+from consensus_lab.lyapunov import MonitorRecord
 
 WORKED = "n=4\narc 2 1 0.5\narc 1 2 1\narc 3 2 5\n"
 CHAIN = "n=3\narc 1 2\narc 2 3\n"
@@ -278,6 +280,58 @@ def test_simulate_planar_csv_rows(tmp_path):
         "1,1,1,1,1,1,1,0,false,1\n"
         "2,1,1,1,1,1,1,0,true,1\n"
     )
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_csv_rows_format_each_numpy_value_as_before(tmp_path, d, n):
+    # the reference formats the numpy scalars one value at a time
+    rng = np.random.default_rng(10 * n + d)
+    specials = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.0 / 3.0, 1e-300]
+    records = []
+    for t in range(30):
+        pool = np.concatenate([rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300), specials])
+        state = AgentState(rng.choice(pool, size=(n, d)))
+        dia = abs(float(rng.choice(pool)))
+        records.append(MonitorRecord(t, dia, bool(t % 3), int(rng.integers(1, 4)), state))
+    path = tmp_path / "rows.csv"
+    assert list(cli._write_csv(iter(records), str(path), records[0].state)) == records
+    want = [
+        ",".join(
+            [str(r.t)]
+            + [f"{v:.17g}" for v in r.state.points.T.ravel()]
+            + [f"{r.diameter:.17g}", "true" if r.contained else "false", str(r.vertex_count)]
+        )
+        for r in records
+    ]
+    assert path.read_bytes().decode().split("\n")[1:] == want + [""]
+
+
+@pytest.mark.parametrize("map_spec", ["linear", "kuramoto"])
+@pytest.mark.parametrize("steps", ["0", "5"])
+def test_simulate_rejects_an_overflowing_spread_with_one_line(capsys, map_spec, steps):
+    code = main(["simulate", "--scenario", "windowed:n=3,T=0,seed=1", "--map", map_spec,
+                 "--x0=-1.7e308,1.7e308,0", "--steps", steps])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "error: bad state '-1.7e308,1.7e308,0': its disagreement overflows a float\n"
+    )
+
+
+def test_overflow_inside_a_step_fails_with_one_line_and_no_numpy_warning(capsys):
+    # the spread is finite, but the cubic gain of it overflows in the first
+    # step; numpy's warnings (errors under pytest) stay silent
+    before = np.geterr()
+    code = main(["simulate", "--scenario", "windowed:n=3,T=0,seed=1",
+                 "--map", "nonlinear:gain=cubic,substeps=1", "--x0=-1e200,1e200,0",
+                 "--steps", "5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: state coordinates must be finite\n"
+    assert np.geterr() == before  # restored for the caller
 
 
 def test_simulate_scenario_consensus(capsys):

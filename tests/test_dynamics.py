@@ -523,6 +523,48 @@ def test_every_map_returns_its_input_on_an_arc_free_graph(update_map):
             assert update_map.step(0, empty_graph(3), x) is x
 
 
+@pytest.mark.parametrize(
+    "update_map",
+    [LinearAverage(), KuramotoTime1(), NonlinearConsensus(), VicsekHeading(), MaxUpdate()],
+    ids=lambda m: m.name,
+)
+def test_every_map_returns_a_fresh_read_only_state(update_map):
+    g = DirectedGraph(3, {(1, 2), (2, 3), (3, 1)})
+    for x in ([1.0, -0.5, 0.25], [[1.0, 2.0], [0.0, -1.0], [3.0, 3.0]]):
+        x = AgentState(x)
+        if x.d in update_map.supported_dims:
+            out = update_map.step(0, g, x)
+            assert (out.n, out.d) == (x.n, x.d)
+            assert out.points.dtype == float and not out.points.flags.writeable
+            assert not np.shares_memory(out.points, x.points)
+            with pytest.raises(ValueError):
+                out.points[0, 0] = 5.0
+
+
+@pytest.mark.parametrize(
+    "update_map",
+    [LinearAverage(), KuramotoTime1(substeps=1), NonlinearConsensus(substeps=1)],
+    ids=lambda m: m.name,
+)
+def test_maps_reject_an_overflowing_output(update_map):
+    # the spread of the input overflows, and so does the step's arithmetic
+    x = AgentState([-1.7e308, 1.7e308, 0.0])
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="state coordinates must be finite"):
+        update_map.step(0, DirectedGraph(3, {(1, 2), (2, 1), (3, 1)}), x)
+
+
+def test_a_map_output_is_wrapped_without_a_copy_but_checked_finite():
+    # the vicsek and max maps cannot overflow on valid input; all five maps
+    # wrap their output this way
+    for bad in ([[np.inf], [0.0]], [[0.0, 1.0], [np.nan, 0.0]]):
+        with pytest.raises(ValueError, match="state coordinates must be finite"):
+            AgentState._own(np.array(bad))
+    arr = np.array([[0.5, 1.0], [2.0, -3.0]])
+    s = AgentState._own(arr)
+    assert s.points is arr and not arr.flags.writeable
+    assert (s.n, s.d) == (2, 2) and s._hull is None
+
+
 def test_update_map_rejects_unsupported_dim():
     planar = AgentState([[0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(ValueError, match="does not support d=2"):

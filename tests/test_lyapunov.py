@@ -199,6 +199,63 @@ def test_interval_hull():
     assert point.vertices.tolist() == [[2.0]]
 
 
+def _array_interval(x):
+    """The vertex array of the hull of scalars x: [[lo]] for a point,
+    [[lo], [hi]] otherwise."""
+    lo, hi = float(np.min(x)), float(np.max(x))
+    return np.array([[lo]] if lo == hi else [[lo], [hi]])
+
+
+def _array_point_distance(v, p):
+    lo, hi = float(v[0, 0]), float(v[-1, 0])
+    return max(lo - p, p - hi, 0.0)
+
+
+_INTERVAL_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0, -1.0, 1e300, -1e300]
+
+
+def _interval_states(rng):
+    yield from ([s] for s in _INTERVAL_SPECIALS)  # equal endpoints
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        scale = 10.0 ** rng.choice([-320, -300, -10, 0, 10, 300])
+        pool = np.concatenate([rng.standard_normal(n) * scale, _INTERVAL_SPECIALS])
+        yield rng.choice(pool, size=n).tolist()
+
+
+def test_interval_hulls_agree_with_the_array_formulas():
+    rng = np.random.default_rng(17)
+    states = list(_interval_states(rng))
+    for x, y in zip(states, states[1:] + states[:1]):
+        outer, inner = hull(AgentState(x)), hull(AgentState(y))
+        ov, iv = _array_interval(x), _array_interval(y)
+        assert outer.vertices.tobytes() == ov.tobytes() and not outer.vertices.flags.writeable
+        assert outer.vertex_count == ov.shape[0]
+        assert outer.vertices is outer.vertices  # built once
+        want = 0.0 if ov.shape[0] == 1 else float(ov[-1, 0] - ov[0, 0])
+        assert str(diameter(outer)) == str(want)  # the sign of a zero too
+        for p in (*y, 0.5, -7.0):
+            assert point_distance(outer, [p]) == _array_point_distance(ov, p)
+        dists = [_array_point_distance(ov, float(p)) for p in iv[:, 0]]
+        gap = max(dists)
+        for slack in {0.0, gap, float(np.nextafter(gap, np.inf)), float(np.nextafter(gap, 0.0))}:
+            assert contains(outer, inner, slack) == all(d <= slack for d in dists)
+        assert contains(outer, inner, gap)  # slack exactly at the gap
+        if gap > 0.0:
+            assert not contains(outer, inner, float(np.nextafter(gap, 0.0)))
+
+
+def test_interval_hull_of_a_state_equals_the_constructed_polytope():
+    for lo, hi in [(-1.0, 3.0), (-0.0, 5e-324), (-1e300, 1e300), (2.0, 2.0), (-0.0, -0.0)]:
+        made = hull(AgentState([hi, lo, hi]))
+        built = HullPolytope([[lo], [hi]] if lo != hi else [[lo]])
+        assert made.vertices.tobytes() == built.vertices.tobytes()
+        assert made.vertex_count == built.vertex_count
+        assert (made.lo, made.hi) == (built.lo, built.hi)
+        assert diameter(made) == diameter(built)
+        assert repr(made) == repr(built)
+
+
 # ---------------------------------------------------------------------------
 # Distance, containment, diameter
 
@@ -384,9 +441,27 @@ def test_monitor_verdict_does_not_depend_on_scale(magnitude, d):
         recs = monitor_stream(iter_states(schedule, LinearAverage(), x0, 60))
         assert all(r.contained for r in recs)
     # growing the hull by a relative 1e-12 is still an escape at that scale
+    # for the rounding allowance alone (the slack is relative to the scale,
+    # so the default 1e-9 would cover it at every scale)
     grown = x0 + 1e-12 * (x0 - x0.mean(axis=0))
-    recs = monitor_stream([(0, AgentState(x0)), (1, AgentState(grown))])
+    recs = monitor_stream([(0, AgentState(x0)), (1, AgentState(grown))], slack=0.0)
     assert [r.contained for r in recs] == [True, False]
+
+
+@pytest.mark.parametrize("magnitude", [1e-12, 1e-10, 1e-6, 1.0, 1e9])
+def test_monitor_flags_a_max_map_escape_at_every_scale(magnitude):
+    # on the 2-cycle from (0, M), (M, 0) the max map moves both agents to
+    # (M, M), 0.7 M outside the previous hull, whatever the scale M
+    cycle = DirectedGraph(2, {(1, 2), (2, 1)})
+    x0 = [[0.0, magnitude], [magnitude, 0.0]]
+    recs = list(monitor_stream(iter_states(constant_schedule(cycle), MaxUpdate(), x0, 2)))
+    assert [r.contained for r in recs] == [True, False, True]
+    assert recs[1].state.points.tolist() == [[magnitude, magnitude]] * 2
+
+
+def test_a_huge_slack_contains_every_step_without_overflowing():
+    items = [(0, AgentState([0.0, 1e10])), (1, AgentState([-1e10, 2e10]))]
+    assert [r.contained for r in monitor_stream(items, slack=1e300)] == [True, True]
 
 
 def test_monitor_max_map_stays_contained():

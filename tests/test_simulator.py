@@ -273,7 +273,7 @@ def test_disagreement_is_the_scalar_spread_bit_for_bit():
             for x in (v, np.full(n, v[0]), -np.abs(v)):
                 want = float(x.max() - x.min())
                 s = AgentState(x)
-                assert disagreement(s) == want  # not hulled yet: max - min
+                assert disagreement(s) == want  # hulled here
                 hull(s)
                 assert disagreement(s) == want  # the stored hull's diameter
                 assert disagreement(x) == want
