@@ -45,7 +45,6 @@ from .lyapunov import (
     contains,
     diameter,
     hull,
-    hull_vertices_2d,
     monitor_stream,
     point_distance,
     summarize,
@@ -105,7 +104,6 @@ __all__ = [
     "contains",
     "diameter",
     "hull",
-    "hull_vertices_2d",
     "monitor_stream",
     "point_distance",
     "summarize",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -94,21 +95,9 @@ def _bool(v: bool) -> str:
 # Spec-string parsing
 
 
-def _parse_params(text: str, what: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for part in text.split(","):
-        if not part:
-            continue
-        if "=" not in part:
-            raise CliError(f"bad {what} parameter {part!r}, expected key=value")
-        key, value = part.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
-
-
-def _pop(params: dict, key: str, spec: str, kind: type, default=None):
-    """Remove and convert (int or float) a spec parameter; a None default
-    makes it required."""
+def _pop(params: dict, spec: str, key: str, kind: type, default=None):
+    """Remove and convert (int, float or str) a spec parameter; a None
+    default makes it required."""
     if key not in params:
         if default is None:
             raise CliError(f"{spec}: missing required parameter {key}")
@@ -121,57 +110,59 @@ def _pop(params: dict, key: str, spec: str, kind: type, default=None):
         raise CliError(f"{spec}: {key} must be {noun}, got {raw!r}")
 
 
+def _build(spec: str, what: str, factories: dict, *args):
+    """Build the `what` that 'name:key=value,...' names with its factory,
+    which reads its parameters with `pop(key, kind, default)`."""
+    name, _, rest = spec.partition(":")
+    params: dict[str, str] = {}
+    for part in filter(None, rest.split(",")):
+        key, eq, value = part.partition("=")
+        if not eq:
+            raise CliError(f"bad {what} {name!r} parameter {part!r}, expected key=value")
+        params[key.strip()] = value.strip()
+    if name not in factories:
+        raise CliError(f"unknown {what} {name!r}; choose {', '.join(factories)}")
+    built = factories[name](functools.partial(_pop, params, spec), *args)
+    if params:
+        raise CliError(f"{what} {name!r} got unknown parameters {sorted(params)}")
+    return built
+
+
+def _windowed(pop, seed: int) -> GraphSchedule:
+    n, T = pop("n", int), pop("T", int)
+    return random_windowed_schedule(n, T, pop("length", int, 2 * (T + 1)), pop("seed", int, seed))
+
+
+def _nonlinear(pop) -> UpdateMap:
+    gain_name = pop("gain", str, "identity")
+    if gain_name not in GAIN_LIBRARY:
+        raise CliError(f"unknown gain {gain_name!r}; choose from {sorted(GAIN_LIBRARY)}")
+    return NonlinearConsensus(GAIN_LIBRARY[gain_name], pop("substeps", int, 100))
+
+
+_SCENARIOS = {
+    "counterexample": lambda pop, seed: counterexample_schedule(),
+    "windowed": _windowed,
+    "stretching": lambda pop, seed: stretching_bidirectional_schedule(pop("n", int)),
+}
+
+_MAPS = {
+    "linear": lambda pop: LinearAverage(pop("weight", float, 1.0)),
+    "kuramoto": lambda pop: KuramotoTime1(pop("substeps", int, 100)),
+    "nonlinear": _nonlinear,
+    "vicsek": lambda pop: VicsekHeading(),
+    "max": lambda pop: MaxUpdate(),
+}
+
+
 def make_scenario(spec: str, seed: int) -> GraphSchedule:
     """Build a schedule from 'counterexample', 'windowed:...', 'stretching:...'."""
-    name, _, rest = spec.partition(":")
-    params = _parse_params(rest, f"scenario {name!r}")
-    if name == "counterexample":
-        schedule = counterexample_schedule()
-    elif name == "windowed":
-        n = _pop(params, "n", spec, int)
-        T = _pop(params, "T", spec, int)
-        length = _pop(params, "length", spec, int, 2 * (T + 1))
-        sseed = _pop(params, "seed", spec, int, seed)
-        schedule = random_windowed_schedule(n, T, length, sseed)
-    elif name == "stretching":
-        schedule = stretching_bidirectional_schedule(_pop(params, "n", spec, int))
-    else:
-        raise CliError(
-            f"unknown scenario {name!r}; choose counterexample, windowed, stretching"
-        )
-    if params:
-        raise CliError(f"scenario {name!r} got unknown parameters {sorted(params)}")
-    return schedule
+    return _build(spec, "scenario", _SCENARIOS, seed)
 
 
 def make_map(spec: str) -> UpdateMap:
     """Build an update map from 'linear', 'kuramoto:substeps=200', etc."""
-    name, _, rest = spec.partition(":")
-    params = _parse_params(rest, f"map {name!r}")
-    if name == "linear":
-        update: UpdateMap = LinearAverage(_pop(params, "weight", spec, float, 1.0))
-    elif name == "kuramoto":
-        update = KuramotoTime1(_pop(params, "substeps", spec, int, 100))
-    elif name == "nonlinear":
-        gain_name = params.pop("gain", "identity")
-        if gain_name not in GAIN_LIBRARY:
-            raise CliError(
-                f"unknown gain {gain_name!r}; choose from {sorted(GAIN_LIBRARY)}"
-            )
-        update = NonlinearConsensus(
-            GAIN_LIBRARY[gain_name], _pop(params, "substeps", spec, int, 100)
-        )
-    elif name == "vicsek":
-        update = VicsekHeading()
-    elif name == "max":
-        update = MaxUpdate()
-    else:
-        raise CliError(
-            f"unknown map {name!r}; choose linear, kuramoto, nonlinear, vicsek, max"
-        )
-    if params:
-        raise CliError(f"map {name!r} got unknown parameters {sorted(params)}")
-    return update
+    return _build(spec, "map", _MAPS)
 
 
 def parse_state(spec: str) -> AgentState:

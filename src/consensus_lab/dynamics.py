@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Optional, Union
 import numpy as np
 
 from .graphs import Arc, DirectedGraph, WeightedDigraph
-from .lyapunov import AgentState, diameter, hull
+from .lyapunov import AgentState, _edge_depths, _segment_offsets, diameter, hull
 
 GainFn = Callable[[float], float]
 
@@ -520,40 +520,31 @@ class ConvexityReport:
 _STRICT_MARGIN = 1e-9
 
 
-def _strict_violation_1d(out: float, nb: np.ndarray) -> Optional[str]:
-    lo, hi = float(nb.min()), float(nb.max())
-    eps = _STRICT_MARGIN * (hi - lo)
-    if out <= lo + eps:
-        return f"output {out!r} not strictly above neighborhood min {lo!r}"
-    if out >= hi - eps:
-        return f"output {out!r} not strictly below neighborhood max {hi!r}"
-    return None
-
-
-def _strict_violation_2d(out: np.ndarray, nb: np.ndarray) -> Optional[str]:
+def _strict_violation(out: np.ndarray, nb: np.ndarray, eq_tol: float) -> Optional[str]:
+    """Why an agent's output is not strictly inside the hull of its neighbors
+    `nb` by the margin (for coincident ones: within `eq_tol`), or None."""
+    if np.all(nb == nb[0]):
+        delta = float(np.max(np.abs(out - nb[0])))
+        return f"consensus neighborhood moved by {delta!r}" if delta > eq_tol else None
     h = hull(nb)
-    verts = h.vertices
     eps = _STRICT_MARGIN * diameter(h)
-    if len(verts) == 2:
-        # Degenerate hull: relative interior of a segment.
-        a, b = verts
-        ab = b - a
-        L2 = float(ab @ ab)
-        s = float((out - a) @ ab) / L2
-        perp = float(np.hypot(*(out - (a + s * ab))))
+    if h.d == 1:
+        x = float(out[0])
+        if x <= h.lo + eps:
+            return f"output {x!r} not strictly above neighborhood min {h.lo!r}"
+        if x >= h.hi - eps:
+            return f"output {x!r} not strictly below neighborhood max {h.hi!r}"
+        return None
+    if h.vertex_count == 2:
+        # relative interior of a segment
+        perp, from_a, from_b = _segment_offsets(h, out)
         if perp > eps:
             return f"output {out.tolist()} off the segment spanned by the neighborhood"
-        if s * math.sqrt(L2) <= eps or (1.0 - s) * math.sqrt(L2) <= eps:
+        if from_a <= eps or from_b <= eps:
             return f"output {out.tolist()} at or beyond a segment endpoint"
         return None
-    # Proper polygon: demand inward depth > eps at every edge (vertices are CCW).
-    m = len(verts)
-    for a in range(m):
-        p, q = verts[a], verts[(a + 1) % m]
-        edge = q - p
-        depth = float(edge[0] * (out[1] - p[1]) - edge[1] * (out[0] - p[0])) / float(
-            np.hypot(*edge)
-        )
+    # inward depth > eps at every edge of the polygon
+    for depth in _edge_depths(h, out).tolist():
         if depth <= eps:
             return (
                 f"output {out.tolist()} within {eps!r} of the neighborhood hull "
@@ -601,15 +592,7 @@ def check_strict_convexity(
         out = update_map.step(t, graph, AgentState(pts)).points
         for k in graph.nodes:
             nb = pts[closed_idx[k]]
-            reason: Optional[str] = None
-            if np.all(nb == nb[0]):
-                delta = float(np.max(np.abs(out[k - 1] - nb[0])))
-                if delta > eq_tol:
-                    reason = f"consensus neighborhood moved by {delta!r}"
-            elif d == 1:
-                reason = _strict_violation_1d(float(out[k - 1, 0]), nb[:, 0])
-            else:
-                reason = _strict_violation_2d(out[k - 1], nb)
+            reason = _strict_violation(out[k - 1], nb, eq_tol)
             if reason is not None:
                 violations.append(
                     ConvexityViolation(

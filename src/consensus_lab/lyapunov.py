@@ -6,9 +6,9 @@ diameter shrinks to zero exactly when the group approaches consensus.
 `AgentState`, the immutable snapshot of agent positions that every other
 module passes around, lives here beside `_as_points`, which validates it,
 so that each state can carry its own hull, computed at most once.
-This module computes hulls in dimension 1 (intervals) and 2 (convex
-polygons via the monotone chain, after an interior-point prefilter on
-large inputs) and tests hull-in-hull containment with a slack.
+This module computes hulls in dimension 1 (intervals) and 2 (monotone-chain
+polygons, prefiltered on large inputs) and measures points and hulls against
+them, in the plane with one kernel and in a power-of-two frame at any scale.
 `monitor_stream` watches a stream of (time, state) pairs, such as
 `simulator.iter_states` yields, recording diameter and containment per
 step, and `summarize` folds its records into a run's verdict.  A
@@ -151,9 +151,10 @@ def _prefilter(pts: np.ndarray) -> np.ndarray:
     """
     picks = (_OCTAGON @ pts.T).argmax(axis=1)
     xmax, _, ymax, _, xmin, _, ymin, _ = picks.tolist()
-    span = max(pts[xmax, 0] - pts[xmin, 0], pts[ymax, 1] - pts[ymin, 1])
+    span = max(pts.item(xmax, 0) - pts.item(xmin, 0), pts.item(ymax, 1) - pts.item(ymin, 1))
     # 4 W^2 bounds every term: finite means no product overflows, and
-    # positive that the points do not all coincide
+    # positive that the points do not all coincide (in Python floats, which
+    # over- and underflow silently, as the chain's do)
     if not 0.0 < 4.0 * span * span < math.inf:
         return pts
     q = np.empty((3, pts.shape[0]))  # columns (qx, qy, 1)
@@ -193,35 +194,28 @@ def _edge_rows(pts: np.ndarray, q: np.ndarray, ring: np.ndarray):
     return rows, e
 
 
-def _hull_vertices_2d(pts: np.ndarray) -> np.ndarray:
-    """Monotone chain over validated (m, 2) points, prefiltered when m is large."""
-    if pts.shape[0] >= _PREFILTER_MIN_POINTS:
-        pts = _prefilter(pts)
-    ordered = sorted(set(map(tuple, pts.tolist())))
-    if len(ordered) == 1:
-        return np.array(ordered)
-    lower: list = []
-    for p in ordered:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0.0:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in reversed(ordered):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0.0:
-            upper.pop()
-        upper.append(p)
-    return np.array(lower[:-1] + upper[:-1])
+_FRAME_LO, _FRAME_HI = -400, 500
 
 
-def hull_vertices_2d(points) -> np.ndarray:
-    """Counterclockwise extreme points of a planar point set (monotone chain).
+def _frame_shift(magnitude: float) -> int:
+    """0 when the largest coordinate magnitude M lies in the frame, 2**-401
+    <= M < 2**500, where products of coordinate differences (at most 8 M^2)
+    stay below 2**1003 and those of differences down to 2**-100 M normal;
+    else the s for which 2**s M lies in [2**499, 2**500).  Scaling by 2**s
+    keeps orientation signs and scales lengths by 2**s wherever nothing
+    over- or underflows; scaling down rounds only coordinates under
+    2**-1022 in the frame, far below M's ulp, and scaling up is exact."""
+    e = math.frexp(magnitude)[1]  # magnitude < 2**e
+    return 0 if _FRAME_LO <= e <= _FRAME_HI else _FRAME_HI - e
 
-    `points` is a nonempty (m, 2) array of finite coordinates (or a planar
-    `AgentState`); anything else raises ValueError.  Collinear boundary
-    points are dropped, so the vertex list is minimal: one point for a
-    coincident set, two for a collinear set, otherwise a simple CCW
-    polygon starting from the lexicographically smallest vertex.
-    Orientation tests use the sign of the double cross product directly.
+
+def _hull_vertices_2d(pts: np.ndarray) -> list:
+    """Counterclockwise extreme points of validated (m, 2) points, as tuples,
+    by the monotone chain, whose orientation tests take the sign of the
+    double cross product directly.  Collinear boundary points are dropped,
+    so the vertex list is minimal: one point for a coincident set, two for
+    a collinear set, otherwise a simple CCW polygon starting from the
+    lexicographically smallest vertex.
 
     Large inputs first go through an Akl-Toussaint prefilter: the input
     points extreme in 8 directions, refined by quickhull rounds, form a
@@ -231,24 +225,35 @@ def hull_vertices_2d(points) -> np.ndarray:
     chain's own rounding away from its boundary, so it cannot be a vertex,
     and the chain returns the same vertices without it.
     """
-    pts = _as_points(points)
-    if pts.shape[1] != 2:
-        raise ValueError(f"expected (m, 2) points, got shape {pts.shape}")
-    return _hull_vertices_2d(pts)
+    if pts.shape[0] >= _PREFILTER_MIN_POINTS:
+        pts = _prefilter(pts)
+    ordered = sorted(set(map(tuple, pts.tolist())))
+    if len(ordered) == 1:
+        return ordered
+    verts: list = []
+    for sweep in (ordered, ordered[::-1]):  # the lower hull, then the upper one
+        chain: list = []
+        for p in sweep:
+            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0.0:
+                chain.pop()
+            chain.append(p)
+        verts += chain[:-1]
+    return verts
 
 
 class HullPolytope:
     """Convex hull snapshot: an interval (d=1) or CCW polygon (d=2).
 
     `vertices` is an (m, d) read-only array; m = 1 encodes a single
-    point, and for d = 2, m = 2 encodes a segment.  An interval also
-    holds its least and greatest vertex as the floats `lo` and `hi` (None
-    when d = 2), which is all that `contains`, `diameter` and
-    `point_distance` read of it; the hull of a scalar state is made from
-    these two floats alone and builds its `vertices` array on first access.
+    point, and for d = 2, m = 2 encodes a segment.  `magnitude`, the
+    largest coordinate magnitude of the vertices, sets the hull's scale.
+    An interval also holds its least and greatest vertex as the floats `lo`
+    and `hi` (None when d = 2), which is all that `contains`, `diameter`
+    and `point_distance` read of it; the hull of a scalar state is made
+    from these two floats alone and builds its `vertices` on first access.
     """
 
-    __slots__ = ("d", "vertex_count", "lo", "hi", "_vertices")
+    __slots__ = ("d", "vertex_count", "lo", "hi", "magnitude", "_vertices")
 
     def __init__(self, vertices: np.ndarray):
         arr = np.array(vertices, dtype=float)
@@ -259,6 +264,7 @@ class HullPolytope:
         self.vertex_count = arr.shape[0]
         self._vertices = arr
         self.lo = self.hi = None
+        self.magnitude = float(np.abs(arr).max())
         if self.d == 1:
             self._set_endpoints(float(arr.min()), float(arr.max()))
 
@@ -274,6 +280,7 @@ class HullPolytope:
     def _set_endpoints(self, lo: float, hi: float) -> None:
         # equal endpoints are one float, so that hi - lo is +0.0 even for -0.0 and 0.0
         self.lo, self.hi = lo, (lo if lo == hi else hi)
+        self.magnitude = max(-lo, hi)
 
     @property
     def vertices(self) -> np.ndarray:
@@ -305,21 +312,65 @@ def hull(x) -> HullPolytope:
 def _hull_of(pts: np.ndarray) -> HullPolytope:
     if pts.shape[1] == 1:
         return HullPolytope._interval(float(pts.min()), float(pts.max()))
-    return HullPolytope(_hull_vertices_2d(pts))
+    h = HullPolytope(_hull_vertices_2d(pts))
+    # the vertices keep the input's largest magnitude; out of the frame, hull
+    # the points scaled into it and map the vertices back to input points
+    shift = _frame_shift(h.magnitude)
+    if shift:
+        q = np.ldexp(pts, shift)
+        originals = dict(zip(map(tuple, q.tolist()), pts.tolist()))
+        h = HullPolytope([originals[v] for v in _hull_vertices_2d(q)])
+    return h
 
 
-def _edge_distances(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """(k, m) distances from the (k, 2) `pts` to the m segments from a[j]
-    to b[j]: to the foot point a + t (b - a), t the projection clamped to
-    [0, 1] (0 on a zero-length segment).  The dot products are `@` of
-    stacked vectors, the same BLAS dot as for single vectors."""
+def _framed(h: HullPolytope, pts: np.ndarray, magnitude: float):
+    """The vertices of `h` and the (k, 2) `pts`, whose largest coordinate
+    magnitude is `magnitude`, in the frame of the larger magnitude
+    (`_frame_shift`), and its s: lengths there are 2**s times the true ones."""
+    shift = _frame_shift(max(h.magnitude, magnitude))
+    if shift:
+        return np.ldexp(h.vertices, shift), np.ldexp(pts, shift), shift
+    return h.vertices, pts, 0
+
+
+def _edge_distances(a: np.ndarray, b: np.ndarray, pts: np.ndarray, lo=0.0, hi=1.0):
+    """(k, m) distances from the (k, 2) `pts` to the points a + t (b - a)
+    of the m segments from a[j] to b[j], t the foot point's parameter
+    clamped to [lo, hi] (0 on a zero-length segment); then t unclamped and
+    the squared lengths.  Its stacked `@` dot products equal single ones."""
     ab = b - a
     denom = (ab[:, None, :] @ ab[:, :, None])[:, 0, 0]
     num = ((pts[:, None, :] - a)[:, :, None, :] @ ab[:, :, None])[..., 0, 0]
     t = np.zeros_like(num)
     np.divide(num, denom, out=t, where=denom != 0.0)
-    q = a + np.clip(t, 0.0, 1.0)[..., None] * ab
-    return np.hypot(pts[:, None, 0] - q[..., 0], pts[:, None, 1] - q[..., 1])
+    q = a + np.clip(t, lo, hi)[..., None] * ab
+    return np.hypot(pts[:, None, 0] - q[..., 0], pts[:, None, 1] - q[..., 1]), t, denom
+
+
+def _edge_crosses(v: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """(m, k) values of `_cross(v[i], v[i + 1], p)` for every edge of the
+    polygon `v` and every one of the (k, 2) `pts`, in one numpy expression
+    with the same roundings: positive left of the edge."""
+    o, a = v[:, :, None], np.concatenate((v[1:], v[:1]))[:, :, None]
+    x, y = pts[:, 0], pts[:, 1]
+    return (a[:, 0] - o[:, 0]) * (y - o[:, 1]) - (a[:, 1] - o[:, 1]) * (x - o[:, 0])
+
+
+def _planar_gap(h: HullPolytope, pts: np.ndarray, magnitude: float) -> float:
+    """The largest distance from the (k, 2) `pts`, whose largest coordinate
+    magnitude is `magnitude`, to the planar hull `h` (0 inside), measured in
+    their frame: the one planar measurement.  A point or segment hull is the
+    segment from its first to its last vertex; a polygon clears the points
+    left of or on all its CCW edges and measures the others against each."""
+    v, pts, shift = _framed(h, pts, magnitude)
+    if v.shape[0] < 3:
+        gap = _edge_distances(v[:1], v[-1:], pts)[0].max()
+    else:
+        out = ~(_edge_crosses(v, pts) >= 0.0).all(axis=0)
+        if not out.any():
+            return 0.0
+        gap = _edge_distances(v, np.concatenate((v[1:], v[:1])), pts[out])[0].min(axis=1).max()
+    return math.ldexp(gap, -shift)
 
 
 def point_distance(h: HullPolytope, point) -> float:
@@ -329,30 +380,7 @@ def point_distance(h: HullPolytope, point) -> float:
         raise ValueError(f"point has dimension {p.shape[0]}, hull has d={h.d}")
     if h.d == 1:
         return max(h.lo - float(p[0]), float(p[0]) - h.hi, 0.0)
-    v = h.vertices
-    m = v.shape[0]
-    if m == 1:
-        return float(np.hypot(p[0] - v[0, 0], p[1] - v[0, 1]))
-    if m == 2:
-        return float(_edge_distances(v[:1], v[1:], p[None, :])[0, 0])
-    if _inside_polygon(v, p[None, :])[0]:
-        return 0.0
-    return float(_boundary_distances(v, p[None, :])[0])
-
-
-def _boundary_distances(v: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Distances from the (k, 2) `pts` to the boundary of the polygon `v`."""
-    return _edge_distances(v, np.concatenate((v[1:], v[:1])), pts).min(axis=1)
-
-
-def _inside_polygon(v: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Which of the (k, 2) `pts` lie left of or on every edge of the CCW
-    polygon `v`: the sign of `_cross(v[i], v[i + 1], p)`, for all edges and
-    points in one numpy expression with the same roundings."""
-    o, a = v[:, :, None], np.concatenate((v[1:], v[:1]))[:, :, None]
-    x, y = pts[:, 0], pts[:, 1]
-    cross = (a[:, 0] - o[:, 0]) * (y - o[:, 1]) - (a[:, 1] - o[:, 1]) * (x - o[:, 0])
-    return (cross >= 0.0).all(axis=0)
+    return _planar_gap(h, p[None, :], float(np.abs(p).max()))
 
 
 def _check_slack(slack: float) -> None:
@@ -364,20 +392,32 @@ def contains(outer: HullPolytope, inner: HullPolytope, slack: float = 0.0) -> bo
     """True when every vertex of `inner` is within `slack` of `outer`.
 
     For intervals this compares the endpoints, with the subtractions that
-    `point_distance` makes.  For a polygon `outer`, one numpy test clears
-    the inner vertices inside it, and one more measures the others against
-    all its edges, as `point_distance` does.
+    `point_distance` makes.  In the plane it measures all inner vertices
+    at once, as `point_distance` measures one.
     """
     if outer.d != inner.d:
         raise ValueError(f"dimension mismatch: outer d={outer.d}, inner d={inner.d}")
     _check_slack(slack)
     if outer.d == 1:
         return outer.lo - inner.lo <= slack and inner.hi - outer.hi <= slack
-    if outer.vertex_count >= 3:
-        v = outer.vertices
-        outside = inner.vertices[~_inside_polygon(v, inner.vertices)]
-        return outside.shape[0] == 0 or bool((_boundary_distances(v, outside) <= slack).all())
-    return all(point_distance(outer, p) <= slack for p in inner.vertices)
+    return _planar_gap(outer, inner.vertices, inner.magnitude) <= slack
+
+
+def _edge_depths(h: HullPolytope, point: np.ndarray) -> np.ndarray:
+    """Signed distances of a point inside the edge lines of the polygon
+    hull `h`, one per edge from vertex 0 on (negative outside)."""
+    v, p, shift = _framed(h, point[None, :], float(np.abs(point).max()))
+    e = np.concatenate((v[1:], v[:1])) - v
+    return np.ldexp(_edge_crosses(v, p)[:, 0] / np.hypot(e[:, 0], e[:, 1]), -shift)
+
+
+def _segment_offsets(h: HullPolytope, point: np.ndarray) -> tuple[float, float, float]:
+    """A point's distance from the line of a segment hull ab, and those of
+    its foot point on that line from a and from b (negative beyond them)."""
+    v, p, shift = _framed(h, point[None, :], float(np.abs(point).max()))
+    perp, t, denom = _edge_distances(v[:1], v[1:], p, -math.inf, math.inf)
+    s, length = float(t[0, 0]), math.ldexp(math.sqrt(float(denom[0])), -shift)
+    return math.ldexp(float(perp[0, 0]), -shift), s * length, (1.0 - s) * length
 
 
 _DIAMETER_BLOCK = 1 << 20
@@ -456,13 +496,6 @@ def monitor_stream(
     return _monitor(items, slack + _ROUNDING_ULPS * _EPS)
 
 
-def _magnitude(h: HullPolytope) -> float:
-    """The largest coordinate magnitude of the hull's vertices."""
-    if h.d == 1:
-        return max(-h.lo, h.hi)
-    return float(np.abs(h.vertices).max())
-
-
 def _monitor(items, rel: float) -> Iterator[MonitorRecord]:
     prev: Optional[HullPolytope] = None  # the hull of the last record
     allow = 0.0  # its containment slack, rel times its magnitude
@@ -475,7 +508,7 @@ def _monitor(items, rel: float) -> Iterator[MonitorRecord]:
             h = hull(st)
             ok = prev is None or contains(prev, h, allow)
             rec = MonitorRecord(int(t), diameter(h), ok, h.vertex_count, st)
-            prev, allow = h, min(rel * _magnitude(h), _MAX)
+            prev, allow = h, min(rel * h.magnitude, _MAX)
             same = st if isinstance(st, AgentState) else nothing
         yield rec
 

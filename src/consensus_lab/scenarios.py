@@ -27,7 +27,7 @@ import numpy as np
 from .dynamics import LinearAverage
 from .graphs import DirectedGraph, IntervalSpec, is_weakly_connected_across
 from .lyapunov import AgentState
-from .simulator import GeneratedSchedule, PeriodicSchedule, iter_states
+from .simulator import GraphSchedule, PeriodicSchedule, iter_states
 
 # ---------------------------------------------------------------------------
 # The non-converging schedule
@@ -50,13 +50,10 @@ _G23_32 = DirectedGraph(3, {(2, 3), (3, 2)})
 _CE_FIRST_TIME = 1
 
 
-class CounterexampleSchedule(GeneratedSchedule):
+class CounterexampleSchedule(GraphSchedule):
     """The stretching-block schedule on three agents (first time 1)."""
 
-    def __init__(self):
-        super().__init__(
-            fn=self._lookup, n=3, first_time=_CE_FIRST_TIME, name="counterexample"
-        )
+    n, first_time, name = 3, _CE_FIRST_TIME, "counterexample"
 
     def tail_union(self, start: int) -> DirectedGraph:
         # Every tail contains a complete block with s >= 1, and such a
@@ -78,9 +75,8 @@ class CounterexampleSchedule(GeneratedSchedule):
         s = (math.isqrt(8 * t - 7) - 1) // 4
         return s, t - cls.block_start(s)
 
-    @classmethod
-    def _lookup(cls, t: int) -> DirectedGraph:
-        s, r = cls.block_of(t)
+    def graph_at(self, t: int) -> DirectedGraph:
+        s, r = self.block_of(self._check_time(t))
         if r < 2 * s:
             return _G12
         if r == 2 * s:
@@ -273,7 +269,7 @@ def random_windowed_schedule(
 # Bidirectional schedule with stretching silent gaps
 
 
-class StretchingSchedule(GeneratedSchedule):
+class StretchingSchedule(GraphSchedule):
     """Bidirectional path edges activated one at a time, ever further apart.
 
     The g-th active step (g = 1, 2, ...) happens at offset
@@ -290,9 +286,7 @@ class StretchingSchedule(GeneratedSchedule):
             DirectedGraph(n, {(e, e + 1), (e + 1, e)}) for e in range(1, n)
         ]
         self._empty = DirectedGraph(n, ())
-        super().__init__(
-            fn=self._lookup, n=n, first_time=0, name=f"stretching:n={n}"
-        )
+        self.n, self.first_time, self.name = n, 0, f"stretching:n={n}"
 
     def active_position(self, g: int) -> int:
         """Time of the g-th active step (g >= 1)."""
@@ -321,8 +315,8 @@ class StretchingSchedule(GeneratedSchedule):
         at = self.active_position(g)
         return at if at == t else self.active_position(g + 1)
 
-    def _lookup(self, t: int) -> DirectedGraph:
-        q = t - self.first_time
+    def graph_at(self, t: int) -> DirectedGraph:
+        q = self._check_time(t) - self.first_time
         g = _active_before(q)
         if (g - 1) * (g + 2) // 2 != q:
             return self._empty

@@ -66,9 +66,9 @@ class GraphSchedule:
     def tail_union(self, start: int) -> Optional[DirectedGraph]:
         """Arc union over [start, infinity), when known in closed form.
 
-        Aperiodic generated schedules with analyzable structure override
-        this; the default None means the union must be scanned, which is
-        only possible for periodic or eventually constant schedules.
+        Aperiodic schedules with analyzable structure override this; the
+        default None means the union must be scanned, which is only
+        possible for periodic or eventually constant schedules.
         """
         return None
 
@@ -160,7 +160,7 @@ class PeriodicSchedule(GraphSchedule):
 
 
 class GeneratedSchedule(GraphSchedule):
-    """Graphs produced by a function of time.
+    """Graphs produced by a function of time, each checked for its n.
 
     A generated schedule declares no `period` or `constant_from`, since
     nothing checks that the function would honor them; unions over

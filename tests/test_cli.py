@@ -61,6 +61,22 @@ def test_make_scenario_specs():
         cli.make_scenario("windowed:n=four,T=1", seed=0)
 
 
+
+@pytest.mark.parametrize("build,spec,message", [
+    (cli.make_map, "bogus", "unknown map 'bogus'; choose linear, kuramoto, nonlinear, vicsek, max"),
+    (lambda spec: cli.make_scenario(spec, 0), "ring:n=3",
+     "unknown scenario 'ring'; choose counterexample, windowed, stretching"),
+    (lambda spec: cli.make_scenario(spec, 0), "windowed:n=3,T",
+     "bad scenario 'windowed' parameter 'T', expected key=value"),
+    (cli.make_map, "nonlinear:gain=square",
+     "unknown gain 'square'; choose from ['arctan', 'cubic', 'identity']"),
+    (cli.make_map, "linear:weight=heavy", "linear:weight=heavy: weight must be a number, got 'heavy'"),
+], ids=["map", "scenario", "parameter", "gain", "number"])
+def test_spec_errors_are_spelled_out(build, spec, message):
+    with pytest.raises(cli.CliError) as info:
+        build(spec)
+    assert str(info.value) == message
+
 def test_parse_state():
     assert cli.parse_state("0,1,1").values.tolist() == [0.0, 1.0, 1.0]
     planar = cli.parse_state("0 0; 1 0; 0.5 1")
@@ -333,6 +349,17 @@ def test_overflow_inside_a_step_fails_with_one_line_and_no_numpy_warning(capsys)
     assert captured.err == "error: state coordinates must be finite\n"
     assert np.geterr() == before  # restored for the caller
 
+
+
+@pytest.mark.parametrize("x0", [
+    "-1e160 0; 1e160 1; 0 0", "-1e-200 0; 1e-200 1e-200; 0 -1e-200",
+], ids=["1e160", "1e-200"])
+def test_planar_averaging_stays_contained_at_extreme_scales(capsys, x0):
+    # linear averaging never leaves the hull, however large or small the state
+    code = main(["simulate", "--scenario", "windowed:n=3,T=0,seed=1", f"--x0={x0}",
+                 "--steps", "5"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["monitor_violations"] == 0
 
 def test_simulate_scenario_consensus(capsys):
     code = main(["simulate", "--scenario", "windowed:n=3,T=0,seed=4", "--x0", "0,1,0.5",

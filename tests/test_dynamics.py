@@ -20,10 +20,13 @@ from consensus_lab import (
     build_update_matrix,
     check_communication_assumption,
     check_strict_convexity,
+    diameter,
     empty_graph,
+    hull,
     linear_step,
     validate_gain,
 )
+from consensus_lab import dynamics
 from consensus_lab.dynamics import GAIN_LIBRARY
 
 WORKED_GRAPH = WeightedDigraph(
@@ -671,3 +674,96 @@ def test_convexity_max_map_fails_with_witness():
 def test_convexity_rejects_unsupported_dim():
     with pytest.raises(ValueError, match="does not support d=2"):
         check_strict_convexity(KuramotoTime1(), empty_graph(2), d=2)
+
+
+# The checker's arithmetic as it stood before its geometry moved to the hull
+# module: the reference that the policy-only checker must reproduce.
+
+def _reference_violation_1d(out, nb):
+    lo, hi = float(nb.min()), float(nb.max())
+    eps = 1e-9 * (hi - lo)
+    if out <= lo + eps:
+        return f"output {out!r} not strictly above neighborhood min {lo!r}"
+    if out >= hi - eps:
+        return f"output {out!r} not strictly below neighborhood max {hi!r}"
+    return None
+
+
+def _reference_violation_2d(out, nb):
+    h = hull(nb)
+    verts = h.vertices
+    eps = 1e-9 * diameter(h)
+    if len(verts) == 2:
+        a, b = verts
+        ab = b - a
+        L2 = float(ab @ ab)
+        s = float((out - a) @ ab) / L2
+        perp = float(np.hypot(*(out - (a + s * ab))))
+        if perp > eps:
+            return f"output {out.tolist()} off the segment spanned by the neighborhood"
+        if s * math.sqrt(L2) <= eps or (1.0 - s) * math.sqrt(L2) <= eps:
+            return f"output {out.tolist()} at or beyond a segment endpoint"
+        return None
+    m = len(verts)
+    for a in range(m):
+        p, q = verts[a], verts[(a + 1) % m]
+        edge = q - p
+        depth = float(edge[0] * (out[1] - p[1]) - edge[1] * (out[0] - p[0])) / float(
+            np.hypot(*edge)
+        )
+        if depth <= eps:
+            return (
+                f"output {out.tolist()} within {eps!r} of the neighborhood hull "
+                f"boundary (edge depth {depth!r})"
+            )
+    return None
+
+
+def _neighborhoods(rng, d):
+    """Small neighbourhoods, not all coincident: grid points (repeats,
+    segments and collinear runs are common) or random floats."""
+    while True:
+        k = int(rng.integers(2, 8))
+        if rng.random() < 0.6:
+            nb = rng.integers(-3, 4, (k, d)).astype(float)
+        else:
+            nb = rng.uniform(-10.0, 10.0, (k, d))
+        if not np.all(nb == nb[0]):
+            yield nb
+
+
+def _outputs(rng, nb):
+    """Outputs on every vertex, on every edge or segment (midpoints of grid
+    points are exact), on the lines beyond the ends, inside and outside."""
+    v = hull(nb).vertices
+    w = np.roll(v, -1, axis=0)
+    yield from v
+    yield from (v + w) / 2.0
+    yield from 2.0 * w - v
+    yield nb.mean(axis=0)
+    yield from rng.uniform(-12.0, 12.0, (4, nb.shape[1]))
+
+
+_REASON_WORDS = ("above", "below", "off the segment", "endpoint", "boundary")
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_convexity_verdicts_match_the_reference_arithmetic(d):
+    rng = np.random.default_rng(31 + d)
+    reference = _reference_violation_1d if d == 1 else _reference_violation_2d
+    kinds = set()
+    for _, nb in zip(range(400), _neighborhoods(rng, d)):
+        for out in _outputs(rng, nb):
+            want = reference(float(out[0]), nb[:, 0]) if d == 1 else reference(out, nb)
+            assert dynamics._strict_violation(out, nb, 0.0) == want, (out, nb)
+            kinds.add(want and next(w for w in _REASON_WORDS if w in want))
+    # every verdict of the reference occurs
+    assert kinds == ({None, "above", "below"} if d == 1 else {None, *_REASON_WORDS[2:]})
+
+
+def test_convexity_consensus_neighborhood_must_stay_put():
+    nb = np.array([[1.5, 0.0], [1.5, -0.0], [1.5, 0.0]])
+    assert dynamics._strict_violation(np.array([1.5, 0.0]), nb, 0.0) is None
+    moved = np.array([1.5, 0.25])
+    assert dynamics._strict_violation(moved, nb, 0.0) == "consensus neighborhood moved by 0.25"
+    assert dynamics._strict_violation(moved, nb, 0.5) is None

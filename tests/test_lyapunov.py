@@ -21,7 +21,6 @@ from consensus_lab import (
     diameter,
     disagreement,
     hull,
-    hull_vertices_2d,
     iter_states,
     monitor_stream,
     point_distance,
@@ -38,12 +37,12 @@ UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 def test_unit_square_with_interior_and_edge_points():
     pts = np.vstack([UNIT_SQUARE, [[0.5, 0.5], [0.5, 0.0], [0.25, 0.25]]])
-    verts = hull_vertices_2d(pts)
+    verts = hull(pts).vertices
     assert sorted(map(tuple, verts)) == sorted(map(tuple, UNIT_SQUARE))
 
 
 def test_hull_vertices_are_counterclockwise():
-    verts = hull_vertices_2d(UNIT_SQUARE)
+    verts = hull(UNIT_SQUARE).vertices
     area2 = 0.0
     m = len(verts)
     for i in range(m):
@@ -54,9 +53,9 @@ def test_hull_vertices_are_counterclockwise():
 
 
 def test_degenerate_hulls():
-    assert hull_vertices_2d(np.array([[2.0, 3.0], [2.0, 3.0]])).shape == (1, 2)
+    assert hull(np.array([[2.0, 3.0], [2.0, 3.0]])).vertices.shape == (1, 2)
     collinear = np.array([[0.0, 0.0], [2.0, 2.0], [1.0, 1.0]])
-    seg = hull_vertices_2d(collinear)
+    seg = hull(collinear).vertices
     assert sorted(map(tuple, seg)) == [(0.0, 0.0), (2.0, 2.0)]
 
 
@@ -64,12 +63,18 @@ def test_degenerate_hulls():
     (np.array([[0.0, 0.0], [1.0, 1.0], [np.nan, 1.0]]), "must be finite"),
     (np.zeros((3, 3)), r"got shape \(3, 3\)"),
     (np.zeros((0, 2)), r"got shape \(0, 2\)"),
-    (np.array([1.0, 2.0, 3.0]), r"expected \(m, 2\) points, got shape \(3, 1\)"),
-    (np.array([[1.0], [2.0]]), r"expected \(m, 2\) points, got shape \(2, 1\)"),
-], ids=["nan", "3-columns", "empty", "1-d", "1-column"])
-def test_hull_vertices_2d_rejects_bad_input(bad, message):
+], ids=["nan", "3-columns", "empty"])
+def test_hull_rejects_bad_input(bad, message):
     with pytest.raises(ValueError, match=message):
-        hull_vertices_2d(bad)
+        hull(bad)
+
+
+@pytest.mark.parametrize("points", [
+    np.array([1.0, 2.0, 3.0]), np.array([[1.0], [3.0], [2.0]]),
+], ids=["1-d", "1-column"])
+def test_hull_of_one_column_is_an_interval(points):
+    h = hull(points)
+    assert (h.d, h.lo, h.hi) == (1, 1.0, 3.0)
 
 
 def _cross(o, a, b):
@@ -165,7 +170,7 @@ _HULL_CORPUS = dict(_hull_corpus())
 @pytest.mark.parametrize("name", list(_HULL_CORPUS))
 def test_hull_vertices_match_unfiltered_chain(name):
     points = _HULL_CORPUS[name]
-    assert np.array_equal(hull_vertices_2d(points), _reference_hull(points))
+    assert np.array_equal(hull(points).vertices, _reference_hull(points))
 
 
 def test_prefilter_skips_repeated_picks():
@@ -268,7 +273,7 @@ def test_point_distance_interval():
 
 
 def test_point_distance_polygon():
-    h = HullPolytope(hull_vertices_2d(UNIT_SQUARE))
+    h = hull(UNIT_SQUARE)
     assert point_distance(h, [0.5, 0.5]) == 0.0
     assert point_distance(h, [1.0, 1.0]) == 0.0  # vertex is on the hull
     assert point_distance(h, [2.0, 0.5]) == 1.0
@@ -311,6 +316,49 @@ def test_distances_match_per_edge_reference(offset, scale):
             assert contains(outer, inner, slack) == all(d <= slack for d in ref)
         assert not contains(outer, inner, float(np.nextafter(max(ref), 0.0)))
 
+
+
+def _scale_cloud(rng, shape, n):
+    if shape == "point":
+        return np.repeat(rng.uniform(-1.0, 1.0, (1, 2)), n, axis=0)
+    if shape == "segment":
+        return rng.uniform(-1.0, 1.0, (n, 1)) * rng.uniform(-1.0, 1.0, 2)
+    return rng.uniform(-1.0, 1.0, (n, 2))
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(-900, 900),
+    st.sampled_from(["cloud", "segment", "point"]),
+    st.sampled_from([1, 3, 12, 95, 96, 400]),
+)
+@settings(max_examples=150, deadline=None)
+def test_hulls_distances_and_verdicts_are_scale_equivariant(seed, k, shape, n):
+    # scaling by 2**k is exact here, so the hull, the distances and the
+    # containment verdicts must scale with it, far past where products of
+    # coordinates would over- or underflow
+    rng = np.random.default_rng(seed)
+    pts = _scale_cloud(rng, shape, n)
+    probes = rng.uniform(-1.5, 1.5, (6, 2))
+    h, hk = hull(pts), hull(np.ldexp(pts, k))
+    assert np.array_equal(hk.vertices, np.ldexp(h.vertices, k))
+    assert hk.magnitude == np.ldexp(h.magnitude, k)
+    dists = [point_distance(h, p) for p in probes]
+    assert [point_distance(hk, np.ldexp(p, k)) for p in probes] == list(np.ldexp(dists, k))
+    for inner in (0.5 * pts, probes):
+        ih, ihk = hull(inner), hull(np.ldexp(inner, k))
+        gap = max(point_distance(h, p) for p in ih.vertices)
+        for slack in (0.0, gap, float(np.nextafter(gap, 0.0))):
+            assert contains(hk, ihk, float(np.ldexp(slack, k))) == contains(h, ih, slack)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e155, 1e300])
+def test_a_hull_contains_itself_at_extreme_scales(scale):
+    # the unit square and two interior points
+    h = hull(scale * np.vstack([UNIT_SQUARE, [[0.5, 0.5], [0.25, 0.75]]]))
+    assert sorted(map(tuple, h.vertices)) == sorted(map(tuple, scale * UNIT_SQUARE))
+    assert contains(h, h)
+    assert point_distance(h, [2.0 * scale, 0.5 * scale]) == scale
 
 def test_point_distance_segment_and_point_hulls():
     seg = HullPolytope([[0.0, 0.0], [2.0, 0.0]])

@@ -35,7 +35,6 @@ PUBLIC_NAMES = [
     "find_root",
     "format_graph_text",
     "hull",
-    "hull_vertices_2d",
     "is_bidirectional",
     "is_connected_from",
     "is_weakly_connected",

@@ -240,3 +240,15 @@ def test_stretching_converges_under_averaging():
 def test_stretching_rejects_tiny_n():
     with pytest.raises(ValueError):
         stretching_bidirectional_schedule(1)
+
+
+@pytest.mark.parametrize(
+    "schedule", [counterexample_schedule(), stretching_bidirectional_schedule(4)],
+    ids=["counterexample", "stretching"],
+)
+def test_closed_form_schedules_check_the_time(schedule):
+    with pytest.raises(ValueError, match="before the schedule's first time"):
+        schedule.graph_at(schedule.first_time - 1)
+    assert schedule.graph_at(np.int64(schedule.first_time)) == schedule.graph_at(
+        schedule.first_time
+    )
