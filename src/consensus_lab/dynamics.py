@@ -150,17 +150,22 @@ def linear_step(matrix: StochasticMatrix, state: AgentState) -> AgentState:
 # Fixed-step RK4, shared by the two flow-based maps
 
 
-def _rk4(field: Callable[[np.ndarray], np.ndarray], y0: np.ndarray, substeps: int) -> np.ndarray:
-    """One time unit in `substeps` steps; the maps validate `substeps` at construction."""
+def _rk4(field: Callable[[list], list], x: np.ndarray, substeps: int) -> np.ndarray:
+    """The flow from the flat array `x` over one time unit in `substeps` RK4
+    steps, as an (n, 1) array.  The steps run in Python floats: on a few
+    agents numpy's fixed cost per call would be most of a substep.  The
+    stage sums round as numpy's do: v + (0.5 h) d, v + h d and
+    v + (h / 6) (((p + 2 q) + 2 r) + s).  The maps validate `substeps`."""
     h = 1.0 / substeps
-    y = y0
+    a, c = 0.5 * h, h / 6.0
+    y = x.tolist()
     for _ in range(substeps):
         k1 = field(y)
-        k2 = field(y + 0.5 * h * k1)
-        k3 = field(y + 0.5 * h * k2)
-        k4 = field(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
+        k2 = field([v + a * d for v, d in zip(y, k1)])
+        k3 = field([v + a * d for v, d in zip(y, k2)])
+        k4 = field([v + h * d for v, d in zip(y, k3)])
+        y = [v + c * (((p + 2.0 * q) + 2.0 * r) + s) for v, p, q, r, s in zip(y, k1, k2, k3, k4)]
+    return np.array(y).reshape(-1, 1)
 
 
 _GAIN_GRID = np.linspace(0.125, 4.0, 32)
@@ -277,9 +282,10 @@ class KuramotoTime1(UpdateMap):
     Integrates dx_k/dt = sum over senders i of
     (x_i - x_k) / (sqrt(1 + x_i^2) sqrt(1 + x_k^2)) over one time unit
     with `substeps` classical RK4 steps.  Coupling is unweighted; only the
-    arc pattern of the graph matters.  Each field evaluation is one gather
-    over the graph's cached `arc_arrays`, sorted by (receiver,
-    sender), and one `np.bincount` scatter: O(n + m) for m arcs.
+    arc pattern of the graph matters.  Each field evaluation computes the
+    n factors 1 / sqrt(1 + x_k^2) and then adds each arc's term to its
+    receiver in the order of the graph's cached `arc_arrays`, sorted by
+    (receiver, sender), all in Python floats: O(n + m) for m arcs.
     """
 
     name = "kuramoto"
@@ -295,12 +301,16 @@ class KuramotoTime1(UpdateMap):
         if not graph.arcs:
             return state
         src, dst = graph.arc_arrays
+        arcs = list(zip(src.tolist(), dst.tolist()))
 
-        def field(x: np.ndarray) -> np.ndarray:
-            r = 1.0 / np.sqrt(1.0 + x * x)
-            return np.bincount(dst, (x[src] - x[dst]) * r[src] * r[dst], minlength=x.size)
+        def field(x: list) -> list:
+            r = [1.0 / math.sqrt(1.0 + v * v) for v in x]
+            f = [0.0] * len(x)
+            for i, k in arcs:
+                f[k] += (x[i] - x[k]) * r[i] * r[k]
+            return f
 
-        return AgentState._own(_rk4(field, state.values, self.substeps).reshape(-1, 1))
+        return AgentState._own(_rk4(field, state.values, self.substeps))
 
 
 class NonlinearConsensus(UpdateMap):
@@ -309,9 +319,11 @@ class NonlinearConsensus(UpdateMap):
     Each arc (i, k) carries an odd, strictly increasing gain; a single
     callable is shared by all arcs.  Gains are validated once, at
     construction.  A mapping of per-arc gains must cover every arc of
-    every graph the map is stepped with.  Integration is fixed-step RK4;
-    the field sums each agent's terms in ascending sender order, reading
-    the graph's cached `arc_arrays`.
+    every graph the map is stepped with.  Integration is fixed-step RK4 in
+    Python floats; the field sums each agent's terms in ascending sender
+    order, reading the graph's cached `arc_arrays`.  A gain that raises
+    `OverflowError` (as `s**3` and `math.sinh` do past the largest float)
+    fails the step as a non-finite state would.
     """
 
     name = "nonlinear"
@@ -347,13 +359,17 @@ class NonlinearConsensus(UpdateMap):
                 raise ValueError(f"no gain supplied for arcs {sorted(missing)}")
             terms = [(i, k, self.gains[(i + 1, k + 1)]) for i, k in pairs]
 
-        def field(x: np.ndarray) -> np.ndarray:
-            f = np.zeros_like(x)
+        def field(x: list) -> list:
+            f = [0.0] * len(x)
             for i, k, gamma in terms:
                 f[k] += gamma(x[i] - x[k])
             return f
 
-        return AgentState._own(_rk4(field, state.values, self.substeps).reshape(-1, 1))
+        try:
+            y = _rk4(field, state.values, self.substeps)
+        except OverflowError:
+            raise ValueError("state coordinates must be finite") from None
+        return AgentState._own(y)
 
 
 class VicsekHeading(UpdateMap):

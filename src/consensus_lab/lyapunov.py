@@ -98,9 +98,10 @@ def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-# Directions of the prefilter's extreme points, counterclockwise from +x.
-_OCTAGON = np.array(
-    [[1, 0], [1, 1], [0, 1], [-1, 1], [-1, 0], [-1, -1], [0, -1], [1, -1]], dtype=float
+# Directions of the prefilter's extreme points, counterclockwise from +x,
+# the diagonals halved so that no projection of a finite point overflows.
+_OCTAGON = 0.5 * np.array(
+    [[2, 0], [1, 1], [0, 2], [-1, 1], [-2, 0], [-1, -1], [0, -2], [1, -1]], dtype=float
 )
 
 # Below this many points the prefilter's fixed numpy cost exceeds what it

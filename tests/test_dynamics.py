@@ -24,6 +24,7 @@ from consensus_lab import (
     empty_graph,
     hull,
     linear_step,
+    random_windowed_schedule,
     validate_gain,
 )
 from consensus_lab import dynamics
@@ -425,6 +426,36 @@ def test_nonlinear_is_bit_identical_to_sorting_reference(per_arc):
         out = NonlinearConsensus(gains=gains, substeps=10).step(0, g, AgentState(x))
         ref = _nonlinear_sorting_reference(g, gains, x, 10)
         assert out.values.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("seed", [3, 17, 40])
+@pytest.mark.parametrize("spec", ["kuramoto", "arctan", "cubic"])
+def test_flow_maps_are_bit_identical_on_probe_traffic(spec, seed):
+    # what the probe benchmark steps: n = 6, every slot of a 16-slot
+    # windowed schedule, 100 substeps, states in [-1, 1]
+    schedule = random_windowed_schedule(6, 1, 16, seed)
+    if spec == "kuramoto":
+        update = KuramotoTime1(substeps=100)
+        reference = lambda g, x: _kuramoto_sorting_reference(g, x, 100)
+    else:
+        gain = GAIN_LIBRARY[spec]
+        update = NonlinearConsensus(gains=gain, substeps=100)
+        reference = lambda g, x: _nonlinear_sorting_reference(g, gain, x, 100)
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, 6)
+    for t in range(16):
+        g = schedule.graph_at(t)
+        out = update.step(t, g, AgentState(x)).values
+        assert out.tobytes() == reference(g, x).tobytes()
+        x = out
+
+
+@pytest.mark.parametrize("gain,spread", [(math.sinh, 1e3), (GAIN_LIBRARY["cubic"], 1e200)])
+def test_nonlinear_gain_overflow_fails_as_a_non_finite_state(gain, spread):
+    # float gains raise OverflowError past the largest float, where numpy
+    # would have returned inf; the step reports it as a non-finite output
+    g = DirectedGraph(2, {(1, 2), (2, 1)})
+    with pytest.raises(ValueError, match="^state coordinates must be finite$"):
+        NonlinearConsensus(gains=gain).step(0, g, AgentState([0.0, spread]))
 
 
 def test_nonlinear_consensus_exact_fixed_point():

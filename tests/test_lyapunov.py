@@ -1,5 +1,6 @@
 """Hull computation, containment, and streamed run monitoring."""
 
+import warnings
 from operator import attrgetter
 
 import numpy as np
@@ -359,6 +360,21 @@ def test_a_hull_contains_itself_at_extreme_scales(scale):
     assert sorted(map(tuple, h.vertices)) == sorted(map(tuple, scale * UNIT_SQUARE))
     assert contains(h, h)
     assert point_distance(h, [2.0 * scale, 0.5 * scale]) == scale
+
+
+@pytest.mark.parametrize("n", [96, 100, 400])
+def test_prefiltered_hull_near_the_largest_float(n):
+    # |x| + |y| passes the largest float here, so the prefilter's diagonal
+    # picks must not sum coordinates; the hull is the unscaled one's points,
+    # scaled
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, (n, 2))
+    rows = {p: j for j, p in enumerate(map(tuple, pts.tolist()))}
+    picked = [rows[v] for v in map(tuple, hull(pts).vertices.tolist())]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = hull(pts * 1.5e308)
+    assert np.array_equal(h.vertices, pts[picked] * 1.5e308)
+
 
 def test_point_distance_segment_and_point_hulls():
     seg = HullPolytope([[0.0, 0.0], [2.0, 0.0]])
