@@ -287,12 +287,16 @@ def cmd_simulate(args) -> int:
 
 def _write_csv(records, path: str, x0: AgentState):
     """Pass the records through, writing one CSV row per record; the file
-    is opened when the first record is asked for."""
+    is opened when the first record is asked for.  A state object that
+    the run repeats has its coordinates formatted once."""
     with open(path, "w", encoding="utf-8") as fh:
         header = ["t"] + [f"{a}{k}" for a in "xy"[: x0.d] for k in range(1, x0.n + 1)]
         fh.write(",".join(header + ["diameter", "contained", "vertices"]) + "\n")
+        state = None
         for rec in records:
-            xs = ",".join(map(_fmt, rec.state.points.T.ravel().tolist()))
+            if rec.state is not state:
+                state = rec.state
+                xs = ",".join(map(_fmt, state.points.T.ravel().tolist()))
             fh.write(
                 f"{rec.t},{xs},{_fmt(rec.diameter)},{_bool(rec.contained)},{rec.vertex_count}\n"
             )

@@ -174,11 +174,12 @@ _GAIN_GRID = np.linspace(0.125, 4.0, 32)
 def validate_gain(gain: GainFn, label: str = "gain") -> None:
     """Sample a gain for oddness and strict monotonicity; raise ValueError if it fails.
 
-    Checks gamma(0) = 0, gamma(-s) = -gamma(s) on a grid, and strict
-    increase across the grid.  Smoothness is taken on trust.
+    Checks gamma(0) = 0 exactly (a state at rest stays put), gamma(-s) =
+    -gamma(s) on a grid, and strict increase across the grid.  Smoothness
+    is taken on trust.
     """
     g0 = float(gain(0.0))
-    if not abs(g0) <= 1e-12:
+    if not g0 == 0.0:
         raise ValueError(f"{label}: gamma(0) = {g0!r}, expected 0")
     pos = np.array([float(gain(s)) for s in _GAIN_GRID])
     neg = np.array([float(gain(-s)) for s in _GAIN_GRID])
@@ -207,10 +208,12 @@ _HALF_PI = math.pi / 2.0
 class UpdateMap(ABC):
     """One synchronous update x(t+1) = step(t, G(t), x(t)).
 
-    On an arc-free graph `step` returns its input state object, as every
-    map of the paper's model does: an agent with no senders stays where it
-    is.  `simulator.iter_states` relies on this to skip arc-free stretches
-    without calling `step`, and checks the initial state with `_check` when
+    `step` returns its input state object on an arc-free graph (an agent
+    with no senders stays where it is) and on a state at rest, all agents
+    at one point bit for bit, no coordinate -0.0: no conforming map
+    enlarges the hull, and each map's arithmetic keeps that point's bits.
+    `simulator.iter_states` relies on this to skip arc-free stretches and
+    all steps after rest, and checks the initial state with `_check` when
     the stream is made, so a run that is never stepped still rejects a
     state the map does not accept.
     """
@@ -241,6 +244,12 @@ class UpdateMap(ABC):
         if graph is not None and graph.n != state.n:
             raise ValueError(f"graph has n={graph.n} but state has n={state.n}")
 
+    def _idle(self, graph: DirectedGraph, state: AgentState) -> bool:
+        """`_check` the graph and state, then answer whether `step` returns
+        its input: the graph is arc-free or the state is at rest."""
+        self._check(graph, state)
+        return not graph.arcs or state._at_rest()
+
     @abstractmethod
     def step(self, t: int, graph, state: AgentState) -> AgentState:
         raise NotImplementedError
@@ -251,7 +260,7 @@ class LinearAverage(UpdateMap):
 
     Weighted graphs use their own weights; unweighted graphs get
     `default_weight` on every arc.  Matrices are cached per graph, and an
-    arc-free graph is an exact no-op.
+    arc-free graph or a state at rest is an exact no-op.
     """
 
     name = "linear"
@@ -270,8 +279,7 @@ class LinearAverage(UpdateMap):
         return M
 
     def step(self, t: int, graph, state: AgentState) -> AgentState:
-        self._check(graph, state)
-        if not graph.arcs:
+        if self._idle(graph, state):
             return state
         return linear_step(self.matrix_for(graph), state)
 
@@ -297,8 +305,7 @@ class KuramotoTime1(UpdateMap):
         self.substeps = substeps
 
     def step(self, t: int, graph, state: AgentState) -> AgentState:
-        self._check(graph, state)
-        if not graph.arcs:
+        if self._idle(graph, state):
             return state
         src, dst = graph.arc_arrays
         arcs = list(zip(src.tolist(), dst.tolist()))
@@ -346,8 +353,7 @@ class NonlinearConsensus(UpdateMap):
         self.substeps = substeps
 
     def step(self, t: int, graph, state: AgentState) -> AgentState:
-        self._check(graph, state)
-        if not graph.arcs:
+        if self._idle(graph, state):
             return state
         src, dst = graph.arc_arrays
         pairs = zip(src.tolist(), dst.tolist())
@@ -390,8 +396,7 @@ class VicsekHeading(UpdateMap):
     domain = (-_HALF_PI, _HALF_PI)
 
     def step(self, t: int, graph, state: AgentState) -> AgentState:
-        self._check(graph, state)
-        if not graph.arcs:
+        if self._idle(graph, state):
             return state
         theta = state.values
         out = np.empty_like(theta)
@@ -414,8 +419,7 @@ class MaxUpdate(UpdateMap):
     supported_dims = (1, 2)
 
     def step(self, t: int, graph, state: AgentState) -> AgentState:
-        self._check(graph, state)
-        if not graph.arcs:
+        if self._idle(graph, state):
             return state
         out = np.empty_like(state.points)
         ptr, src = graph._in_csr

@@ -90,6 +90,12 @@ class AgentState:
         """Position of agent k (1-based)."""
         return self.points[k - 1]
 
+    def _at_rest(self) -> bool:
+        """All agents at one point, bit for bit, with no -0.0 (which a step
+        may turn into +0.0); the bits are read only if the hull is a point."""
+        pts = self.points
+        return hull(self).vertex_count == 1 and pts.tobytes() == (pts[0] + 0.0).tobytes() * self.n
+
     def __repr__(self) -> str:
         return f"AgentState({self.points.tolist()!r})"
 

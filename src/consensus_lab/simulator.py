@@ -11,9 +11,10 @@ unbounded time intervals stay decidable.
 states one at a time, so `lyapunov.monitor_stream(iter_states(...))` is a
 monitored run that stores nothing.  Schedules answer `next_active`, the
 next time that carries an arc, so a map that is the identity on arc-free
-graphs is not stepped across the silence in between.  `attractivity_probe`
-repeats a run from random initial states around a center and reports how
-often the group reached consensus.
+graphs is not stepped across the silence in between, nor ever after a
+state at rest, which every map keeps.  `attractivity_probe` repeats a run
+from random initial states around a center and reports how often the
+group reached consensus.
 """
 
 from __future__ import annotations
@@ -209,7 +210,8 @@ def iter_states(
     an arc-free stretch, calling neither `graph_at` nor `step` there: with
     no senders, every agent of the paper's model stays where it is, and
     every `UpdateMap` returns its input on an arc-free graph, so the skip
-    is exact.
+    is exact.  So is the skip of every time after the first state at rest
+    (`x0` included), which every `UpdateMap` returns under any graph.
 
     `steps`, `t0` and `x0` are checked when the stream is made, before
     the caller opens any output, not on its first `next()`; so is `x0`
@@ -237,8 +239,9 @@ def _run(
     step, graph_at, next_active = update_map.step, schedule.graph_at, schedule.next_active
     t, end = t0, t0 + steps
     while t < end:
-        active = next_active(t)
-        if active != t:  # [t, active) is arc-free, so x stays put
+        # x stays put over [t, active), and forever from a state at rest
+        active = None if x._at_rest() else next_active(t)
+        if active != t:
             quiet = end if active is None or active > end else active
             for t in range(t + 1, quiet + 1):
                 yield t, x

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from consensus_lab import AgentState, cli
+from consensus_lab import AgentState, LinearAverage, cli, monitor_stream
 from consensus_lab.cli import main
 from consensus_lab.lyapunov import MonitorRecord
 
@@ -321,6 +321,45 @@ def test_csv_rows_format_each_numpy_value_as_before(tmp_path, d, n):
         for r in records
     ]
     assert path.read_bytes().decode().split("\n")[1:] == want + [""]
+
+
+def test_simulate_csv_keeps_minus_zero_until_the_first_step(chain_graph, tmp_path, capsys):
+    # -0.0 is not at rest: the linear step turns it into +0.0
+    csv_path = tmp_path / "run.csv"
+    assert main(["simulate", "--graph", chain_graph, "--x0=-0,-0,-0", "--steps", "3",
+                 "--csv", str(csv_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["consensus_time"] == 0
+    assert csv_path.read_text().split("\n")[1:] == [
+        "0,-0,-0,-0,0,true,1", "1,0,0,0,0,true,1", "2,0,0,0,0,true,1", "3,0,0,0,0,true,1", "",
+    ]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_simulate_csv_after_rest_equals_a_row_by_row_reference(tmp_path, capsys, d):
+    x0 = "0,1,-2.5,0.3" if d == 1 else "0 1; 1 -2.5; -2.5 0.3; 0.3 0"
+    csv_path = tmp_path / "run.csv"
+    assert main(["simulate", "--scenario", "windowed:n=4,T=1,seed=5", "--x0", x0,
+                 "--steps", "150", "--csv", str(csv_path)]) == 0
+    capsys.readouterr()
+    # every record formatted on its own, from a loop that steps at every time
+    schedule, update = cli.make_scenario("windowed:n=4,T=1", seed=5), LinearAverage()
+    x = cli.parse_state(x0)
+    states = [(0, x)]
+    for t in range(150):
+        x = update.step(t, schedule.graph_at(t), x)
+        states.append((t + 1, x))
+    rest = next(t for t, s in states if s._at_rest())
+    assert 0 < rest < 100  # the run reaches rest, and stays there for 50 rows
+    header = ["t"] + [f"{a}{k}" for a in "xy"[:d] for k in range(1, 5)]
+    want = [",".join(header + ["diameter", "contained", "vertices"])] + [
+        ",".join(
+            [str(r.t)]
+            + [f"{v:.17g}" for v in r.state.points.T.ravel()]
+            + [f"{r.diameter:.17g}", "true" if r.contained else "false", str(r.vertex_count)]
+        )
+        for r in monitor_stream(states)
+    ]
+    assert csv_path.read_bytes() == "\n".join(want + [""]).encode()
 
 
 @pytest.mark.parametrize("map_spec", ["linear", "kuramoto"])

@@ -1,10 +1,11 @@
 """State containers, update matrices, nonlinear maps, and assumption checkers."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from consensus_lab import (
@@ -28,7 +29,7 @@ from consensus_lab import (
     validate_gain,
 )
 from consensus_lab import dynamics
-from consensus_lab.dynamics import GAIN_LIBRARY
+from consensus_lab.dynamics import GAIN_LIBRARY, UpdateMap
 
 WORKED_GRAPH = WeightedDigraph(
     DirectedGraph(4, {(2, 1), (1, 2), (3, 2)}),
@@ -320,6 +321,13 @@ def test_validate_gain_accepts_standard_gains():
 def test_validate_gain_rejects_offset():
     with pytest.raises(ValueError, match="gamma\\(0\\)"):
         validate_gain(lambda s: s + 0.1)
+
+
+def test_validate_gain_requires_gamma_of_zero_to_be_exactly_zero():
+    # an offset of 1e-13 moves a consensus state by about 6e-14 per step
+    with pytest.raises(ValueError, match=r"^gain: gamma\(0\) = 1e-13, expected 0$"):
+        validate_gain(lambda s: s + 1e-13)
+    validate_gain(lambda s: -0.0 if s == 0.0 else s)  # -0.0 is 0
 
 
 def test_validate_gain_rejects_even_function():
@@ -798,3 +806,106 @@ def test_convexity_consensus_neighborhood_must_stay_put():
     moved = np.array([1.5, 0.25])
     assert dynamics._strict_violation(moved, nb, 0.0) == "consensus neighborhood moved by 0.25"
     assert dynamics._strict_violation(moved, nb, 0.5) is None
+
+
+# ---------------------------------------------------------------------------
+# States at rest
+
+
+def test_a_state_is_at_rest_when_its_rows_share_their_bits_and_none_is_minus_zero():
+    for x in ([2.5], [2.5, 2.5, 2.5], [0.0, 0.0], [[1.0, -3.0]] * 4, [[0.0, 0.0]] * 2):
+        assert AgentState(x)._at_rest()
+    for x in (
+        [2.5, 2.5, np.nextafter(2.5, 3.0)],
+        [0.0, -0.0],  # one point to the hull, two bit patterns
+        [-0.0, -0.0],  # a step may turn -0.0 into +0.0
+        [-0.0],
+        [[1.0, 0.0], [1.0, -0.0]],
+        [[1.0, 2.0], [1.0, 3.0]],
+    ):
+        assert not AgentState(x)._at_rest()
+
+
+def test_at_rest_reads_the_state_hull_once():
+    x = AgentState([4.0, 4.0, 4.0])
+    assert x._at_rest()
+    h = x._hull
+    assert h is not None and h.vertex_count == 1
+    assert x._at_rest() and hull(x) is h
+
+
+# every substep keeps a point at rest, so a few show what a hundred would
+_ALL_MAPS = [
+    LinearAverage(), KuramotoTime1(substeps=8), NonlinearConsensus(substeps=8), VicsekHeading(),
+    MaxUpdate(),
+]
+
+_REST_GRAPHS = [
+    DirectedGraph(3, {(1, 2)}),
+    DirectedGraph(3, {(1, 2), (2, 3), (3, 1)}),
+    DirectedGraph(3, {(k, l) for k in (1, 2, 3) for l in (1, 2, 3) if k != l}),
+    WeightedDigraph(DirectedGraph(3, {(2, 1), (3, 1)}), {(2, 1): 0.25, (3, 1): 7.0}),
+]
+
+
+def _rest_state(d, c):
+    """Three agents at the point (c, -2 c) + 0.0 (its first d coordinates)."""
+    return AgentState(np.tile(np.array([c, -2.0 * c])[:d] + 0.0, (3, 1)))
+
+
+def _arithmetic(update_map, g, x):
+    """What the map's own arithmetic makes of `x`, with the at-rest skip off."""
+    with mock.patch.object(AgentState, "_at_rest", lambda self: False):
+        out = update_map.step(0, g, x)
+    assert out is not x
+    return out.points
+
+
+def _references(update_map, g, x):
+    """Independent evaluations of the map's arithmetic on `x`."""
+    if isinstance(update_map, LinearAverage):
+        yield linear_step(build_update_matrix(g), x).points
+    elif isinstance(update_map, KuramotoTime1):
+        yield _kuramoto_sorting_reference(g, x.values, update_map.substeps)
+    elif isinstance(update_map, NonlinearConsensus):
+        for gain in GAIN_LIBRARY.values():
+            yield _nonlinear_sorting_reference(g, gain, x.values, update_map.substeps)
+
+
+def _assert_kept_at_rest(update_map, g, x):
+    assert x._at_rest()
+    assert update_map.step(0, g, x) is x
+    want = x.points.tobytes()
+    assert _arithmetic(update_map, g, x).tobytes() == want
+    with np.errstate(over="ignore"):  # the numpy field squares huge points
+        refs = list(_references(update_map, g, x))
+    for ref in refs:
+        assert ref.tobytes() == want
+
+
+@pytest.mark.parametrize(
+    "update_map,d",
+    [(m, d) for m in _ALL_MAPS for d in m.supported_dims],
+    ids=lambda v: v.name if isinstance(v, UpdateMap) else f"d={v}",
+)
+def test_every_map_returns_a_state_at_rest(update_map, d):
+    # the UpdateMap contract that iter_states relies on to stop stepping
+    for c in (0.75, -1.25, 0.0, 1e-310):
+        x = _rest_state(d, c)
+        for g in _REST_GRAPHS:
+            _assert_kept_at_rest(update_map, g, x)
+
+
+@pytest.mark.parametrize("update_map", _ALL_MAPS, ids=lambda m: m.name)
+@settings(max_examples=40, deadline=None)
+@given(c=st.floats(allow_nan=False, allow_infinity=False))
+@example(c=0.0)
+@example(c=-0.0)
+@example(c=-1.5e308)
+def test_every_map_keeps_any_common_point_bit_for_bit(update_map, c):
+    if update_map.domain is not None:
+        c = math.atan(c)  # into vicsek's headings, once halved
+    for d in update_map.supported_dims:
+        x = _rest_state(d, c / 2.0)
+        for g in _REST_GRAPHS:
+            _assert_kept_at_rest(update_map, g, x)

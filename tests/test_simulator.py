@@ -29,6 +29,7 @@ from consensus_lab import (
     summarize,
 )
 from consensus_lab.dynamics import UpdateMap
+from consensus_lab.simulator import GraphSchedule
 
 PAIR = DirectedGraph(2, {(1, 2), (2, 1)})
 
@@ -259,6 +260,54 @@ def test_the_stream_steps_the_map_at_active_times_only():
     got = list(iter_states(sched, counting, [0.0, 1.0, 4.0], steps))
     assert counting.times == [sched.active_position(g) for g in range(1, 31)]
     _same_run(got, _reference_run(sched, LinearAverage(), [0.0, 1.0, 4.0], steps, 0))
+
+
+class _CountingSchedule(GraphSchedule):
+    """Another schedule's graphs, counting `graph_at` calls; its default
+    `next_active` claims no silence, so every time is looked up."""
+
+    def __init__(self, inner):
+        self.inner, self.n, self.first_time = inner, inner.n, inner.first_time
+        self.name = "counting"
+        self.times = []
+
+    def graph_at(self, t):
+        self.times.append(t)
+        return self.inner.graph_at(t)
+
+
+def test_the_stream_stops_stepping_at_the_first_state_at_rest():
+    sched = _CountingSchedule(constant_schedule(PAIR))
+    counting = _CountingAverage()
+    got = list(iter_states(sched, counting, [0.0, 1.0], steps=7, t0=3))
+    assert counting.times == sched.times == [3]  # 0.5, 0.5 from t = 4 on
+    assert [t for t, _ in got] == list(range(3, 11))
+    rest = got[1][1]
+    assert rest.values.tolist() == [0.5, 0.5] and rest._at_rest()
+    assert all(x is rest for _, x in got[1:])
+    _same_run(got, _reference_run(constant_schedule(PAIR), LinearAverage(), [0.0, 1.0], 7, 3))
+
+
+@pytest.mark.parametrize("steps", [0, 1, 50])
+def test_an_initial_state_at_rest_is_never_stepped(steps):
+    sched = _CountingSchedule(constant_schedule(A))
+    counting = _CountingAverage()
+    x0 = AgentState([-2.5, -2.5, -2.5])
+    got = list(iter_states(sched, counting, x0, steps, t0=4))
+    assert counting.times == sched.times == []
+    assert [t for t, _ in got] == list(range(4, 4 + steps + 1))
+    assert all(x is x0 for _, x in got)
+
+
+@pytest.mark.parametrize("x0", [[-0.0, -0.0, -0.0], [0.0, -0.0, 0.0]])
+def test_minus_zero_is_stepped_once_into_rest(x0):
+    # linear steps turn -0.0 into +0.0, so a state with -0.0 is not at rest
+    sched = _CountingSchedule(constant_schedule(A))
+    counting = _CountingAverage()
+    got = list(iter_states(sched, counting, x0, steps=5))
+    assert counting.times == sched.times == [0]
+    assert [x.points.tobytes() for _, x in got[1:]] == [np.zeros((3, 1)).tobytes()] * 5
+    assert all(x is got[1][1] for _, x in got[1:])
 
 
 # ---------------------------------------------------------------------------
