@@ -58,7 +58,7 @@ from .simulator import (
     attractivity_probe,
     constant_schedule,
     disagreement,
-    iter_states,
+    iter_spans,
 )
 
 SEED_ENV_VAR = "CONSENSUS_LAB_SEED"
@@ -263,9 +263,18 @@ def cmd_simulate(args) -> int:
         raise CliError("missing --steps")
     t0 = schedule.first_time if args.t0 is None else args.t0
 
-    records = monitor_stream(iter_states(schedule, update, x0, args.steps, t0), args.slack)
+    spans = iter_spans(schedule, update, x0, args.steps, t0)
+    count = 0
+
+    def span_starts():
+        nonlocal count
+        for t, _, x in spans:
+            count += 1
+            yield t, x
+
+    records = monitor_stream(span_starts(), args.slack)
     if args.csv is not None:
-        records = _write_csv(records, args.csv, x0)
+        records = _write_csv(records, args.csv, x0, t0 + args.steps)
     run = summarize(records, args.tol)
 
     summary = {
@@ -273,6 +282,7 @@ def cmd_simulate(args) -> int:
         "map": update.name,
         "t0": t0,
         "steps": args.steps,
+        "spans": count,
         "n": x0.n,
         "d": x0.d,
         "final_disagreement": run.final.diameter,
@@ -285,22 +295,38 @@ def cmd_simulate(args) -> int:
     return 2 if run.violations else 0
 
 
-def _write_csv(records, path: str, x0: AgentState):
-    """Pass the records through, writing one CSV row per record; the file
-    is opened when the first record is asked for.  A state object that
-    the run repeats has its coordinates formatted once."""
+def _write_csv(records, path: str, x0: AgentState, end: int):
+    """Pass the records through, writing one CSV row per time step through
+    `end`; the file is opened when the first record is asked for.
+
+    Each record is a state that holds until the next record's time, or
+    through `end` for the last one.  Its first row, with the record's
+    verdict, is written when it arrives; the rest of its stretch, contained
+    with the same diameter and vertex count, when the next record does.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         header = ["t"] + [f"{a}{k}" for a in "xy"[: x0.d] for k in range(1, x0.n + 1)]
         fh.write(",".join(header + ["diameter", "contained", "vertices"]) + "\n")
-        state = None
+        tail = None  # the last record's row after its time, for the rest of its stretch
         for rec in records:
-            if rec.state is not state:
-                state = rec.state
-                xs = ",".join(map(_fmt, state.points.T.ravel().tolist()))
-            fh.write(
-                f"{rec.t},{xs},{_fmt(rec.diameter)},{_bool(rec.contained)},{rec.vertex_count}\n"
-            )
+            if tail is not None:
+                _write_rows(fh, tail, since + 1, rec.t)
+            xs = ",".join(map(_fmt, rec.state.points.T.ravel().tolist()))
+            dia = _fmt(rec.diameter)
+            fh.write(f"{rec.t},{xs},{dia},{_bool(rec.contained)},{rec.vertex_count}\n")
+            tail, since = f",{xs},{dia},true,{rec.vertex_count}\n", rec.t
             yield rec
+        if tail is not None:
+            _write_rows(fh, tail, since + 1, end + 1)
+
+
+_CSV_CHUNK = 1024  # rows per write of a repeated state, so memory stays bounded
+
+
+def _write_rows(fh, tail: str, start: int, stop: int) -> None:
+    """Write the rows `{t}{tail}` for t in [start, stop)."""
+    for lo in range(start, stop, _CSV_CHUNK):
+        fh.write(tail.join(map(str, range(lo, min(lo + _CSV_CHUNK, stop)))) + tail)
 
 
 def cmd_connectivity(args) -> int:

@@ -212,10 +212,10 @@ class UpdateMap(ABC):
     with no senders stays where it is) and on a state at rest, all agents
     at one point bit for bit, no coordinate -0.0: no conforming map
     enlarges the hull, and each map's arithmetic keeps that point's bits.
-    `simulator.iter_states` relies on this to skip arc-free stretches and
-    all steps after rest, and checks the initial state with `_check` when
-    the stream is made, so a run that is never stepped still rejects a
-    state the map does not accept.
+    The run engine, `simulator.iter_spans`, relies on this to skip
+    arc-free stretches and all steps after rest, and checks the initial
+    state with `_check` when the stream is made, so a run that is never
+    stepped still rejects a state the map does not accept.
     """
 
     name: str = "update"

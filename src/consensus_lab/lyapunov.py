@@ -10,10 +10,11 @@ This module computes hulls in dimension 1 (intervals) and 2 (monotone-chain
 polygons, prefiltered on large inputs) and measures points and hulls against
 them, in the plane with one kernel and in a power-of-two frame at any scale.
 `monitor_stream` watches a stream of (time, state) pairs, such as
-`simulator.iter_states` yields, recording diameter and containment per
-step, and `summarize` folds its records into a run's verdict.  A
-containment failure is the smoking gun that an update map moved an agent
-outside the group's previous span.
+`simulator.iter_states` yields, or the span starts of
+`simulator.iter_spans`, recording diameter and containment per pair, and
+`summarize` folds its records into a run's verdict.  A containment
+failure is the smoking gun that an update map moved an agent outside the
+group's previous span.
 """
 
 from __future__ import annotations

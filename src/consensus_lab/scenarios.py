@@ -241,6 +241,9 @@ def random_windowed_schedule(
     if length < 1:
         raise ValueError(f"period length must be at least 1, got {length}")
     name = f"windowed:n={n},T={T},length={length},seed={seed}"
+    # One coin per ordered pair, drawn in one call in this order: the same
+    # doubles, and the same generator state, as one draw per pair.
+    pairs = [(k, l) for k in range(1, n + 1) for l in range(1, n + 1) if k != l]
     for attempt in range(_WINDOWED_ATTEMPTS):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, attempt)))
         graphs = []
@@ -248,10 +251,8 @@ def random_windowed_schedule(
             arcs: set[tuple[int, int]] = set()
             if slot % (T + 1) == 0:
                 arcs |= _random_arborescence(n, rng)
-            for k in range(1, n + 1):
-                for l in range(1, n + 1):
-                    if k != l and rng.random() < _EXTRA_ARC_RATE:
-                        arcs.add((k, l))
+            coins = rng.random(len(pairs)).tolist()
+            arcs.update(pair for pair, u in zip(pairs, coins) if u < _EXTRA_ARC_RATE)
             graphs.append(DirectedGraph(n, arcs))
         schedule = PeriodicSchedule(graphs, first_time=0, name=name)
         if all(

@@ -7,13 +7,16 @@ list, and an arbitrary generator function.  Periodic and eventually
 constant schedules expose enough structure that arc unions over
 unbounded time intervals stay decidable.
 
-`iter_states` rolls an update map along a schedule and yields the visited
-states one at a time, so `lyapunov.monitor_stream(iter_states(...))` is a
-monitored run that stores nothing.  Schedules answer `next_active`, the
+The run engine is `iter_spans`: it rolls an update map along a schedule
+and yields one span (t, end, state) per constant stretch, the state
+holding at every time in [t, end].  Schedules answer `next_active`, the
 next time that carries an arc, so a map that is the identity on arc-free
 graphs is not stepped across the silence in between, nor ever after a
-state at rest, which every map keeps.  `attractivity_probe` repeats a run
-from random initial states around a center and reports how often the
+state at rest, which every map keeps; a run costs time in its active
+steps, not in its horizon.  `iter_states` expands the spans into one
+(t, state) pair per time step, so `lyapunov.monitor_stream(iter_states(...))`
+is a monitored run that stores nothing.  `attractivity_probe` repeats a
+run from random initial states around a center and reports how often the
 group reached consensus.
 """
 
@@ -196,22 +199,25 @@ def constant_schedule(graph: DirectedGraph, first_time: int = 0) -> PeriodicSche
 # Runs
 
 
-def iter_states(
+def iter_spans(
     schedule: GraphSchedule,
     update_map: UpdateMap,
     x0,
     steps: int,
     t0: Optional[int] = None,
-) -> Iterator[tuple[int, AgentState]]:
-    """Yield (t, state) from t0 through t0 + steps, stepping the map.
+) -> Iterator[tuple[int, int, AgentState]]:
+    """Yield spans (t, end, state) that tile [t0, t0 + steps], stepping the map.
 
-    There is one pair per time.  The stream asks the schedule for its
-    `next_active` time and yields the same state object at every time of
-    an arc-free stretch, calling neither `graph_at` nor `step` there: with
-    no senders, every agent of the paper's model stays where it is, and
-    every `UpdateMap` returns its input on an arc-free graph, so the skip
-    is exact.  So is the skip of every time after the first state at rest
-    (`x0` included), which every `UpdateMap` returns under any graph.
+    The state holds at every time in [t, end], and the next span starts
+    at end + 1.  A span ends at the schedule's `next_active` time, where
+    the map is stepped into the next span's state, so there is one span
+    more than there are `step` calls, and neither `graph_at` nor `step`
+    is called inside a span:
+    with no senders, every agent of the paper's model stays where it is,
+    and every `UpdateMap` returns its input on an arc-free graph, so the
+    skip is exact.  A state at rest (`x0` included), which every
+    `UpdateMap` returns under any graph, holds through t0 + steps, however
+    far off that is.
 
     `steps`, `t0` and `x0` are checked when the stream is made, before
     the caller opens any output, not on its first `next()`; so is `x0`
@@ -234,22 +240,42 @@ def iter_states(
 
 def _run(
     schedule: GraphSchedule, update_map: UpdateMap, x: AgentState, steps: int, t0: int
-) -> Iterator[tuple[int, AgentState]]:
-    yield t0, x
+) -> Iterator[tuple[int, int, AgentState]]:
     step, graph_at, next_active = update_map.step, schedule.graph_at, schedule.next_active
-    t, end = t0, t0 + steps
-    while t < end:
-        # x stays put over [t, active), and forever from a state at rest
-        active = None if x._at_rest() else next_active(t)
-        if active != t:
-            quiet = end if active is None or active > end else active
-            for t in range(t + 1, quiet + 1):
-                yield t, x
-            if t == end:
-                return
-        x = step(t, graph_at(t), x)
-        t += 1
-        yield t, x
+    t, last = t0, t0 + steps
+    while True:
+        # x holds through the next active time, and forever from a state at rest
+        active = None if t == last or x._at_rest() else next_active(t)
+        if active is None or active >= last:
+            yield t, last, x
+            return
+        yield t, active, x
+        x = step(active, graph_at(active), x)
+        t = active + 1
+
+
+def iter_states(
+    schedule: GraphSchedule,
+    update_map: UpdateMap,
+    x0,
+    steps: int,
+    t0: Optional[int] = None,
+) -> Iterator[tuple[int, AgentState]]:
+    """Yield (t, state) from t0 through t0 + steps: `iter_spans`, one pair
+    per time step.
+
+    Each span's state object is yielded at every time of the span, so an
+    arc-free stretch and the times after a state at rest cost one `yield`
+    each, with no `graph_at` or `step` call.  The arguments are checked
+    when the stream is made, as `iter_spans` checks them.
+    """
+    return _per_step(iter_spans(schedule, update_map, x0, steps, t0))
+
+
+def _per_step(spans) -> Iterator[tuple[int, AgentState]]:
+    for t, end, x in spans:
+        for t in range(t, end + 1):
+            yield t, x
 
 
 def disagreement(state) -> float:
@@ -361,14 +387,14 @@ def attractivity_probe(
         max_exc = 0.0
         d_checkpoint = math.inf
         d_now = math.inf
-        for t, x in iter_states(schedule, update_map, x0, horizon, t0):
+        for t, end, x in iter_spans(schedule, update_map, x0, horizon, t0):
             d_now = disagreement(x)
             max_exc = max(max_exc, d_now)
             if d_now < tol:
                 status = "converged"
                 consensus_time = t
                 break
-            if t - t0 == checkpoint:
+            if t <= t0 + checkpoint <= end:
                 d_checkpoint = d_now
         if status != "converged":
             drop = (d_checkpoint - d_now) / d_checkpoint if d_checkpoint > 0.0 else 0.0

@@ -1,6 +1,7 @@
 """Command-line interface: parsing, subcommands, exit codes, file outputs."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,7 +312,7 @@ def test_csv_rows_format_each_numpy_value_as_before(tmp_path, d, n):
         dia = abs(float(rng.choice(pool)))
         records.append(MonitorRecord(t, dia, bool(t % 3), int(rng.integers(1, 4)), state))
     path = tmp_path / "rows.csv"
-    assert list(cli._write_csv(iter(records), str(path), records[0].state)) == records
+    assert list(cli._write_csv(iter(records), str(path), records[0].state, 29)) == records
     want = [
         ",".join(
             [str(r.t)]
@@ -360,6 +361,71 @@ def test_simulate_csv_after_rest_equals_a_row_by_row_reference(tmp_path, capsys,
         for r in monitor_stream(states)
     ]
     assert csv_path.read_bytes() == "\n".join(want + [""]).encode()
+
+
+class _CountingAverage(LinearAverage):
+    """Linear averaging that counts its `step` calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def step(self, t, graph, state):
+        self.calls += 1
+        return super().step(t, graph, state)
+
+
+@pytest.mark.parametrize("scenario, x0, steps", [
+    ("stretching:n=4", "0,1,0.25,0.5", "700"),
+    ("windowed:n=5,T=2,seed=3", "0,1,0.25,0.5,0.75", "300"),
+    ("counterexample", "0,1,1", "90"),
+])
+def test_simulate_reports_one_span_more_than_map_steps(monkeypatch, capsys, scenario, x0, steps):
+    counting = _CountingAverage()
+    monkeypatch.setitem(cli._MAPS, "linear", lambda pop: counting)
+    assert main(["simulate", "--scenario", scenario, "--x0", x0, "--steps", steps]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert counting.calls > 0
+    assert summary["spans"] == 1 + counting.calls
+
+
+def test_simulate_reaches_a_horizon_of_10_to_the_15_in_two_spans(tmp_path, capsys):
+    graph = tmp_path / "pair.graph"
+    graph.write_text("n=2\narc 1 2\narc 2 1\n")
+    steps = 10**15
+    assert main(["simulate", "--graph", str(graph), "--x0", "0,1", "--steps", str(steps)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["spans"], summary["steps"], summary["consensus_time"]) == (2, steps, 1)
+
+
+def test_simulate_csv_of_a_long_rest_is_written_in_bounded_memory(tmp_path, capsys):
+    graph, csv_path = tmp_path / "pair.graph", tmp_path / "run.csv"
+    graph.write_text("n=2\narc 1 2\narc 2 1\n")
+    steps = 200_000
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--graph", str(graph), "--x0", "0,1", "--steps", str(steps),
+                     "--csv", str(csv_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(capsys.readouterr().out)["spans"] == 2
+    assert peak < 4 * 2**20
+    # every row formatted on its own, from a loop that steps at every time
+    pair, update = cli.read_graph_file(str(graph)), LinearAverage()
+    states = [(0, cli.parse_state("0,1"))]
+    for t in range(steps):
+        states.append((t + 1, update.step(t, pair, states[-1][1])))
+    with open(csv_path, "rb") as fh:
+        assert fh.readline() == b"t,x1,x2,diameter,contained,vertices\n"
+        for r in monitor_stream(states):
+            row = ",".join(
+                [str(r.t)]
+                + [f"{v:.17g}" for v in r.state.points.T.ravel()]
+                + [f"{r.diameter:.17g}", "true" if r.contained else "false", str(r.vertex_count)]
+            )
+            assert fh.readline() == (row + "\n").encode()
+        assert fh.read() == b""
 
 
 @pytest.mark.parametrize("map_spec", ["linear", "kuramoto"])

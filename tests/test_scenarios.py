@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from consensus_lab import scenarios
 from consensus_lab import (
     DirectedGraph,
     IntervalSpec,
@@ -158,6 +159,39 @@ def test_windowed_schedule_is_deterministic_in_seed():
     assert a.graphs == b.graphs
     assert a.name == b.name
     assert a.graphs != c.graphs  # overwhelmingly likely and fixed by the seeds
+
+
+def _scalar_windowed_arcs(n, T, length, seed):
+    """The first attempt's arcs, slot by slot, drawing one coin per ordered
+    pair with its own `rng.random()` call."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0)))
+    out = []
+    for slot in range(length):
+        arcs = set()
+        if slot % (T + 1) == 0:
+            arcs |= scenarios._random_arborescence(n, rng)
+        for k in range(1, n + 1):
+            for l in range(1, n + 1):
+                if k != l and rng.random() < scenarios._EXTRA_ARC_RATE:
+                    arcs.add((k, l))
+        out.append(frozenset(arcs))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 12])
+@pytest.mark.parametrize("T", [0, 2])
+@pytest.mark.parametrize("length", [1, 7])
+@pytest.mark.parametrize("seed", [0, 31])
+def test_windowed_schedule_coins_drawn_in_one_call_match_one_draw_per_pair(n, T, length, seed):
+    sched = random_windowed_schedule(n, T, length, seed)
+    assert [g.arcs for g in sched.graphs] == _scalar_windowed_arcs(n, T, length, seed)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 132])
+def test_one_call_of_k_doubles_equals_k_scalar_draws(k):
+    a, b = np.random.default_rng(9), np.random.default_rng(9)
+    assert a.random(k).tolist() == [b.random() for _ in range(k)]
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_windowed_schedule_validation():

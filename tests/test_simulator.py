@@ -29,7 +29,7 @@ from consensus_lab import (
     summarize,
 )
 from consensus_lab.dynamics import UpdateMap
-from consensus_lab.simulator import GraphSchedule
+from consensus_lab.simulator import GraphSchedule, iter_spans
 
 PAIR = DirectedGraph(2, {(1, 2), (2, 1)})
 
@@ -311,6 +311,129 @@ def test_minus_zero_is_stepped_once_into_rest(x0):
 
 
 # ---------------------------------------------------------------------------
+# The span stream
+
+COMPLETE3 = DirectedGraph(3, {(k, l) for k in (1, 2, 3) for l in (1, 2, 3) if k != l})
+
+SPAN_SCHEDULES = {
+    # next_active claims nothing here, so every time is its own span
+    "generated": GeneratedSchedule(lambda t: B if t % 7 == 3 else (A if t % 4 == 0 else Z),
+                                   n=3, first_time=1),
+    "finite-burst": FiniteSchedule([A, Z, Z, B, Z, A], first_time=2),
+    "periodic": PeriodicSchedule([Z, A, Z, Z, Z, B, Z], first_time=1),
+    "stretching": stretching_bidirectional_schedule(3),
+    "counterexample": counterexample_schedule(),
+    "rest": constant_schedule(COMPLETE3),  # max reaches rest in one step
+}
+SPAN_MAPS = {
+    "linear": LinearAverage,
+    "max": MaxUpdate,
+    "kuramoto": lambda: KuramotoTime1(substeps=2),
+    "nonlinear": lambda: NonlinearConsensus(math.atan, substeps=2),
+    "vicsek": VicsekHeading,
+}
+
+
+def _check_tiling(spans, t0, steps):
+    assert spans[0][0] == t0 and spans[-1][1] == t0 + steps
+    assert all(t <= end for t, end, _ in spans)
+    assert [t for t, _, _ in spans[1:]] == [end + 1 for _, end, _ in spans[:-1]]
+
+
+def _expand(spans):
+    return [(t, x) for start, end, x in spans for t in range(start, end + 1)]
+
+
+@pytest.mark.parametrize("schedule", SPAN_SCHEDULES.values(), ids=SPAN_SCHEDULES)
+@pytest.mark.parametrize("make_map", SPAN_MAPS.values(), ids=SPAN_MAPS)
+def test_expanded_spans_equal_the_per_step_loop(schedule, make_map):
+    x0 = np.linspace(-0.9, 0.7, schedule.n) ** 3
+    for t0 in (schedule.first_time, 9):
+        for steps in (0, 1, 6, 150):
+            spans = list(iter_spans(schedule, make_map(), x0, steps, t0))
+            _check_tiling(spans, t0, steps)
+            _same_run(_expand(spans), _reference_run(schedule, make_map(), x0, steps, t0))
+
+
+@pytest.mark.parametrize("schedule", SPAN_SCHEDULES.values(), ids=SPAN_SCHEDULES)
+def test_spans_step_the_map_once_between_spans(schedule):
+    counting = _CountingAverage()
+    spans = list(iter_spans(schedule, counting, [0.0, 1.0, 4.0], 300))
+    assert len(spans) == 1 + len(counting.times)
+    # each step is taken at the last time of a span, and makes the next one
+    assert counting.times == [end for _, end, _ in spans[:-1]]
+
+
+@pytest.mark.parametrize("schedule", SPAN_SCHEDULES.values(), ids=SPAN_SCHEDULES)
+@pytest.mark.parametrize(
+    "make_map, x0",
+    [(LinearAverage, [0.0, 1.0, 4.0]), (MaxUpdate, [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]])],
+    ids=["linear", "planar-max"],
+)
+def test_summaries_over_span_starts_equal_those_over_every_step(schedule, make_map, x0):
+    steps, tol = 400, 1e-3
+    starts = ((t, x) for t, _, x in iter_spans(schedule, make_map(), x0, steps))
+    by_span = summarize(monitor_stream(starts), tol)
+    by_step = summarize(monitor_stream(iter_states(schedule, make_map(), x0, steps)), tol)
+    assert by_span.consensus_time == by_step.consensus_time
+    assert by_span.violations == by_step.violations
+    assert by_span.final.diameter == by_step.final.diameter
+
+
+def test_span_summaries_see_consensus_and_violations():
+    # the cases above are not vacuous: max on a complete planar graph
+    # escapes the hull once and then rests
+    x0 = [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]]
+    starts = ((t, x) for t, _, x in iter_spans(SPAN_SCHEDULES["rest"], MaxUpdate(), x0, 400))
+    run = summarize(monitor_stream(starts), 1e-3)
+    assert (run.consensus_time, run.violations, run.final.t) == (1, 1, 1)
+
+
+def test_iter_spans_is_validated_when_made():
+    sched = constant_schedule(PAIR, first_time=1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        iter_spans(sched, LinearAverage(), [0.0, 1.0], steps=-1)
+    with pytest.raises(ValueError, match="before the schedule"):
+        iter_spans(sched, LinearAverage(), [0.0, 1.0], steps=1, t0=0)
+    with pytest.raises(ValueError, match="n=3"):
+        iter_spans(sched, LinearAverage(), [0.0, 1.0, 2.0], steps=1)
+    with pytest.raises(ValueError):
+        iter_spans(constant_schedule(empty_graph(3)), VicsekHeading(), [0.0, 2.0, 0.0], steps=1)
+
+
+class _DoublingSchedule(GraphSchedule):
+    """Bidirectional path edges of three agents at t = 2^g (g >= 1), edge
+    1-2 and 2-3 by turns; every other time is arc-free.  Every tail is
+    connected, and the silent gaps double."""
+
+    n, first_time, name = 3, 0, "doubling"
+    EDGES = (DirectedGraph(3, {(1, 2), (2, 1)}), DirectedGraph(3, {(2, 3), (3, 2)}))
+
+    def graph_at(self, t):
+        t = self._check_time(t)
+        return self.EDGES[t.bit_length() % 2] if t >= 2 and t & (t - 1) == 0 else Z
+
+    def next_active(self, t):
+        return max(2, 1 << (self._check_time(t) - 1).bit_length())
+
+
+def test_doubling_schedule_next_active_matches_a_graph_at_scan():
+    sched = _DoublingSchedule()
+    want = _scan_next_active(sched, 0, 3000, ahead=3000)
+    assert [t for t in range(3000) if sched.next_active(t) != want[t]] == []
+
+
+def test_spans_reach_a_horizon_of_2_to_the_70():
+    steps = 2**70
+    spans = list(iter_spans(_DoublingSchedule(), LinearAverage(), [0.0, 1.0, 4.0], steps))
+    assert len(spans) <= 2 * 70 + 2
+    _check_tiling(spans, 0, steps)
+    run = summarize(monitor_stream((t, x) for t, _, x in spans), 1e-6)
+    assert run.consensus_time is not None and run.violations == 0
+    assert run.final.state._at_rest() and run.final.t < steps
+
+
+# ---------------------------------------------------------------------------
 # Disagreement and consensus detection
 
 
@@ -377,6 +500,19 @@ def test_probe_reports_undetermined_for_slow_contraction():
     rep = attractivity_probe(
         constant_schedule(slow), LinearAverage(), center=[0.0, 1.0],
         radius=0.0, samples=1, horizon=100, tol=1e-9, seed=0,
+    )
+    assert rep.samples[0].status == "undetermined"
+
+
+def test_probe_reads_the_checkpoint_inside_a_silent_stretch():
+    # arcs at 0, 45 and 90: the checkpoint t = 90 closes the span [46, 90],
+    # and the step at 90 still shrinks the disagreement, so the run is
+    # undetermined, as a per-step loop would label it
+    slow = WeightedDigraph(PAIR, {(1, 2): 0.01, (2, 1): 0.01})
+    sched = PeriodicSchedule([slow] + [empty_graph(2)] * 44)
+    rep = attractivity_probe(
+        sched, LinearAverage(), center=[0.0, 1.0], radius=0.0, samples=1,
+        horizon=100, tol=1e-9, seed=0,
     )
     assert rep.samples[0].status == "undetermined"
 
