@@ -10,11 +10,11 @@ under the same kind of stretching defeat consensus.
 
 from consensus_lab import (
     LinearAverage,
-    iter_states,
     monitor_stream,
     stretching_bidirectional_schedule,
     summarize,
 )
+from consensus_lab.simulator import iter_spans
 
 
 def timeline(sched, upto):
@@ -44,7 +44,8 @@ def main():
         sched = stretching_bidirectional_schedule(n)
         steps = sched.active_position(200 * n) + 1
         x0 = [float(k % 2) for k in range(n)]
-        run = summarize(monitor_stream(iter_states(sched, LinearAverage(), x0, steps)), tol=1e-6)
+        spans = iter_spans(sched, LinearAverage(), x0, steps)
+        run = summarize(monitor_stream((t, x) for t, _, x in spans), tol=1e-6)
         print(
             f"n={n}: {steps} steps cover {200 * n} active graphs; "
             f"disagreement < 1e-6 first at t = {run.consensus_time}, "

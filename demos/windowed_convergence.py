@@ -15,12 +15,12 @@ from consensus_lab import (
     LinearAverage,
     constant_schedule,
     is_weakly_connected_across,
-    iter_states,
     monitor_stream,
     neighbors,
     random_windowed_schedule,
     summarize,
 )
+from consensus_lab.simulator import iter_spans
 
 
 def main():
@@ -32,10 +32,8 @@ def main():
         print(f"  window [{t0}, {t0 + T}] weakly connected: {ok}")
 
     x0 = np.random.default_rng(1).uniform(0.0, 1.0, n)
-    run = summarize(
-        monitor_stream(iter_states(sched, LinearAverage(), x0, steps=200 * n * (T + 1))),
-        tol=1e-6,
-    )
+    spans = iter_spans(sched, LinearAverage(), x0, steps=200 * n * (T + 1))
+    run = summarize(monitor_stream((t, x) for t, _, x in spans), tol=1e-6)
     print(f"\nstart {np.round(x0, 3).tolist()}")
     print(f"disagreement < 1e-6 first at t = {run.consensus_time}")
     print(f"final disagreement: {run.final.diameter:.3e}\n")
@@ -46,9 +44,9 @@ def main():
     print(f"  neighbors of {{1, 2}}: {sorted(neighbors(frozen, {1, 2}))}")
     print(f"  neighbors of {{3, 4}}: {sorted(neighbors(frozen, {3, 4}))}")
     seen = set()
-    for rec in monitor_stream(
-        iter_states(constant_schedule(frozen), LinearAverage(), [0.0, 0.0, 1.0, 1.0, 0.4], 1000)
-    ):
+    x0 = [0.0, 0.0, 1.0, 1.0, 0.4]
+    spans = iter_spans(constant_schedule(frozen), LinearAverage(), x0, 1000)
+    for rec in monitor_stream((t, x) for t, _, x in spans):
         seen.add(rec.diameter)
     print(f"  disagreement after 1000 steps: {rec.diameter} (identical at every step: {len(seen) == 1})")
     print("  only agent 5 moves; it converges into the gap but cannot close it.")

@@ -8,7 +8,9 @@ by a stochastic matrix built from arc weights; the other maps here are
 classical nonlinear examples (coupled oscillators in chart coordinates,
 odd-gain consensus flows, heading averaging) plus a deliberately
 non-contracting reference map (coordinate-wise max).  Each map is one
-`UpdateMap` subclass, and its `step` is the only definition of the map.
+`UpdateMap` subclass, and its `step` is the only definition of the map;
+the two flow maps each define a field and step it through the generated
+RK4 of their shared base `_FlowMap`.
 
 Two runtime checkers probe the structural assumptions the convergence
 theory rests on: that an agent's update depends only on its own state and
@@ -147,25 +149,75 @@ def linear_step(matrix: StochasticMatrix, state: AgentState) -> AgentState:
 
 
 # ---------------------------------------------------------------------------
-# Fixed-step RK4, shared by the two flow-based maps
+# Generated RK4 kernels, shared by the two flow-based maps
+#
+# A flow map's step is straight-line Python over float locals, in two
+# generated parts: one RK4 kernel per (n, substeps) and one field function
+# per graph.  The source holds only integer indices, fixed tokens and
+# repr(1 / substeps); gains are bound in the namespace by reference.
+
+#: Terms per statement in a generated sum: a left-nested sum of thousands of
+#: terms would nest the parser that deep.
+_SUM_CHUNK = 64
 
 
-def _rk4(field: Callable[[list], list], x: np.ndarray, substeps: int) -> np.ndarray:
-    """The flow from the flat array `x` over one time unit in `substeps` RK4
-    steps, as an (n, 1) array.  The steps run in Python floats: on a few
-    agents numpy's fixed cost per call would be most of a substep.  The
-    stage sums round as numpy's do: v + (0.5 h) d, v + h d and
-    v + (h / 6) (((p + 2 q) + 2 r) + s).  The maps validate `substeps`."""
-    h = 1.0 / substeps
-    a, c = 0.5 * h, h / 6.0
-    y = x.tolist()
-    for _ in range(substeps):
-        k1 = field(y)
-        k2 = field([v + a * d for v, d in zip(y, k1)])
-        k3 = field([v + a * d for v, d in zip(y, k2)])
-        k4 = field([v + h * d for v, d in zip(y, k3)])
-        y = [v + c * (((p + 2.0 * q) + 2.0 * r) + s) for v, p, q, r, s in zip(y, k1, k2, k3, k4)]
-    return np.array(y).reshape(-1, 1)
+def _kernel(source: str, namespace: dict, name: str) -> Callable:
+    """Compile generated `source` into `namespace` and return its function `name`."""
+    exec(compile(source, f"<generated {name}>", "exec"), namespace)
+    return namespace.pop(name)
+
+
+def _rk4_kernel(n: int, substeps: int) -> Callable:
+    """`rk4(field, y)`: the flow of `field` from the n floats `y` over one
+    time unit in `substeps` classical RK4 steps, as a list.
+
+    `field(x0, ..., x{n-1})` returns the n rates as a tuple.  The stage
+    sums round as numpy's do on arrays: v + (0.5 h) d, v + h d and
+    v + (h / 6) (((p + 2 q) + 2 r) + s), with h = 1 / substeps.
+    """
+    ks = range(n)
+
+    def names(v: str) -> str:
+        return ", ".join(f"{v}{k}" for k in ks)
+
+    def stage(coef: str, d: str) -> str:
+        return ", ".join(f"y{k} + {coef} * {d}{k}" for k in ks)
+
+    lines = [
+        "def rk4(field, y):",
+        f"    {names('y')}, = y",
+        f"    h = {1.0 / substeps!r}",
+        "    a = 0.5 * h",
+        "    c = h / 6.0",
+        f"    for _ in range({substeps}):",
+        f"        {names('p')}, = field({names('y')})",
+        f"        {names('q')}, = field({stage('a', 'p')})",
+        f"        {names('r')}, = field({stage('a', 'q')})",
+        f"        {names('s')}, = field({stage('h', 'r')})",
+        *(f"        y{k} = y{k} + c * (((p{k} + 2.0 * q{k}) + 2.0 * r{k}) + s{k})" for k in ks),
+        f"    return [{names('y')}]",
+    ]
+    return _kernel("\n".join(lines) + "\n", {}, "rk4")
+
+
+def _field_kernel(graph: DirectedGraph, terms: list, prelude: list, namespace: dict) -> Callable:
+    """`field(x0, ..., x{n-1})` for one graph: receiver k's rate is 0.0 plus
+    its arcs' `terms`, given in the order of the graph's `arc_arrays`, sorted
+    by (receiver, sender).  The `prelude` lines run first; each sum is cut
+    into statements of at most `_SUM_CHUNK` terms, which adds them in the
+    same order."""
+    by_receiver: dict[int, list[str]] = {}
+    for k, term in zip(graph.arc_arrays[1].tolist(), terms):
+        by_receiver.setdefault(k, []).append(term)
+    lines = [f"def field({', '.join(f'x{k}' for k in range(graph.n))}):"]
+    lines += [f"    {line}" for line in prelude]
+    for k, ts in by_receiver.items():
+        for c in range(0, len(ts), _SUM_CHUNK):
+            head = "0.0" if c == 0 else f"f{k}"
+            lines.append(f"    f{k} = {head} + {' + '.join(ts[c : c + _SUM_CHUNK])}")
+    rates = ", ".join(f"f{k}" if k in by_receiver else "0.0" for k in range(graph.n))
+    lines.append(f"    return ({rates},)")
+    return _kernel("\n".join(lines) + "\n", namespace, "field")
 
 
 _GAIN_GRID = np.linspace(0.125, 4.0, 32)
@@ -284,65 +336,101 @@ class LinearAverage(UpdateMap):
         return linear_step(self.matrix_for(graph), state)
 
 
-class KuramotoTime1(UpdateMap):
-    """Time-1 map of coupled oscillators in chart coordinates.
+class _FlowMap(UpdateMap):
+    """Time-1 map of a coupled flow dx_k/dt = sum over senders i of a term,
+    by `substeps` classical RK4 steps in generated straight-line code.
 
-    Integrates dx_k/dt = sum over senders i of
-    (x_i - x_k) / (sqrt(1 + x_i^2) sqrt(1 + x_k^2)) over one time unit
-    with `substeps` classical RK4 steps.  Coupling is unweighted; only the
-    arc pattern of the graph matters.  Each field evaluation computes the
-    n factors 1 / sqrt(1 + x_k^2) and then adds each arc's term to its
-    receiver in the order of the graph's cached `arc_arrays`, sorted by
-    (receiver, sender), all in Python floats: O(n + m) for m arcs.
+    The map compiles one RK4 kernel per n and one field function per
+    graph, on first use, and keeps both, as `LinearAverage` keeps its
+    matrices.  Compiling is O(n + m) for m arcs, like a step, with a larger
+    constant: on a few agents a graph's field repays its compile within
+    its first 100-substep step, while a first step on thousands of agents
+    mostly compiles.  A term that raises `OverflowError` (as `s**3` and
+    `math.sinh` do past the largest float) fails the step as a non-finite
+    state would.
     """
 
-    name = "kuramoto"
     integrator_backed = True
 
     def __init__(self, substeps: int = 100):
         if substeps < 1:
             raise ValueError(f"substeps must be at least 1, got {substeps}")
         self.substeps = substeps
+        self._kernels: dict[int, Callable] = {}
+        self._fields: dict = {}
+
+    @abstractmethod
+    def _field(self, graph: DirectedGraph) -> Callable:
+        """Compile the field function of `graph` (see `_field_kernel`)."""
+
+    def _integrate(self, graph: DirectedGraph, state: AgentState) -> AgentState:
+        """The flow of `graph`'s field from `state` over one time unit."""
+        field = self._fields.get(graph)
+        if field is None:
+            field = self._fields[graph] = self._field(graph)
+        rk4 = self._kernels.get(graph.n)
+        if rk4 is None:
+            rk4 = self._kernels[graph.n] = _rk4_kernel(graph.n, self.substeps)
+        try:
+            y = rk4(field, state.values.tolist())
+        except OverflowError:
+            raise ValueError("state coordinates must be finite") from None
+        return AgentState._own(np.array(y).reshape(-1, 1))
+
+
+class KuramotoTime1(_FlowMap):
+    """Time-1 map of coupled oscillators in chart coordinates.
+
+    Integrates dx_k/dt = sum over senders i of
+    (x_i - x_k) / (sqrt(1 + x_i^2) sqrt(1 + x_k^2)) over one time unit
+    with `substeps` classical RK4 steps.  Coupling is unweighted; only the
+    arc pattern of the graph matters.  A graph's field function computes
+    r_i = 1 / sqrt(1 + x_i^2) once per agent on an arc and sums each
+    receiver's terms (x_i - x_k) r_i r_k from 0.0 in ascending sender order,
+    all in Python floats: O(n + m) for m arcs.
+    """
+
+    name = "kuramoto"
 
     def step(self, t: int, graph, state: AgentState) -> AgentState:
         if self._idle(graph, state):
             return state
+        return self._integrate(graph, state)
+
+    def _field(self, graph: DirectedGraph) -> Callable:
         src, dst = graph.arc_arrays
         arcs = list(zip(src.tolist(), dst.tolist()))
-
-        def field(x: list) -> list:
-            r = [1.0 / math.sqrt(1.0 + v * v) for v in x]
-            f = [0.0] * len(x)
-            for i, k in arcs:
-                f[k] += (x[i] - x[k]) * r[i] * r[k]
-            return f
-
-        return AgentState._own(_rk4(field, state.values, self.substeps))
+        on_arcs = sorted({i for arc in arcs for i in arc})
+        return _field_kernel(
+            graph,
+            [f"(x{i} - x{k}) * r{i} * r{k}" for i, k in arcs],
+            [f"r{i} = 1.0 / sqrt(1.0 + x{i} * x{i})" for i in on_arcs],
+            {"sqrt": math.sqrt},
+        )
 
 
-class NonlinearConsensus(UpdateMap):
+class NonlinearConsensus(_FlowMap):
     """Time-1 map of dx_k/dt = sum over senders i of gamma_ik(x_i - x_k).
 
     Each arc (i, k) carries an odd, strictly increasing gain; a single
     callable is shared by all arcs.  Gains are validated once, at
     construction.  A mapping of per-arc gains must cover every arc of
     every graph the map is stepped with.  Integration is fixed-step RK4 in
-    Python floats; the field sums each agent's terms in ascending sender
-    order, reading the graph's cached `arc_arrays`.  A gain that raises
-    `OverflowError` (as `s**3` and `math.sinh` do past the largest float)
-    fails the step as a non-finite state would.
+    Python floats; a graph's field function sums each agent's terms from
+    0.0 in ascending sender order and calls the gains it was compiled
+    with, bound by reference.  A gain that raises `OverflowError` (as
+    `s**3` and `math.sinh` do past the largest float) fails the step as a
+    non-finite state would.
     """
 
     name = "nonlinear"
-    integrator_backed = True
 
     def __init__(
         self,
         gains: Union[GainFn, Mapping[Arc, GainFn]] = GAIN_LIBRARY["identity"],
         substeps: int = 100,
     ):
-        if substeps < 1:
-            raise ValueError(f"substeps must be at least 1, got {substeps}")
+        super().__init__(substeps)
         if callable(gains):
             validate_gain(gains)
         else:
@@ -350,32 +438,32 @@ class NonlinearConsensus(UpdateMap):
             for a, fn in sorted(gains.items()):
                 validate_gain(fn, label=f"gain for arc {a}")
         self.gains = gains
-        self.substeps = substeps
 
     def step(self, t: int, graph, state: AgentState) -> AgentState:
         if self._idle(graph, state):
             return state
+        return self._integrate(graph, state)
+
+    def _field(self, graph: DirectedGraph) -> Callable:
         src, dst = graph.arc_arrays
-        pairs = zip(src.tolist(), dst.tolist())
+        arcs = list(zip(src.tolist(), dst.tolist()))
         if callable(self.gains):
-            terms = [(i, k, self.gains) for i, k in pairs]
+            arc_gains = [self.gains] * len(arcs)
         else:
             missing = graph.arcs.difference(self.gains)
             if missing:
                 raise ValueError(f"no gain supplied for arcs {sorted(missing)}")
-            terms = [(i, k, self.gains[(i + 1, k + 1)]) for i, k in pairs]
-
-        def field(x: list) -> list:
-            f = [0.0] * len(x)
-            for i, k, gamma in terms:
-                f[k] += gamma(x[i] - x[k])
-            return f
-
-        try:
-            y = _rk4(field, state.values, self.substeps)
-        except OverflowError:
-            raise ValueError("state coordinates must be finite") from None
-        return AgentState._own(y)
+            arc_gains = [self.gains[(i + 1, k + 1)] for i, k in arcs]
+        names: dict[int, str] = {}  # one namespace name per distinct gain object
+        for fn in arc_gains:
+            names.setdefault(id(fn), f"g{len(names)}")
+        arc_names = [names[id(fn)] for fn in arc_gains]
+        return _field_kernel(
+            graph,
+            [f"{g}(x{i} - x{k})" for g, (i, k) in zip(arc_names, arcs)],
+            [],
+            dict(zip(arc_names, arc_gains)),
+        )
 
 
 class VicsekHeading(UpdateMap):

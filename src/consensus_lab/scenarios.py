@@ -27,7 +27,7 @@ import numpy as np
 from .dynamics import LinearAverage
 from .graphs import DirectedGraph, IntervalSpec, is_weakly_connected_across
 from .lyapunov import AgentState
-from .simulator import GraphSchedule, PeriodicSchedule, iter_states
+from .simulator import GraphSchedule, PeriodicSchedule, iter_spans
 
 # ---------------------------------------------------------------------------
 # The non-converging schedule
@@ -166,20 +166,19 @@ def verify_counterexample(p_max: int = 64) -> CounterexampleReport:
     schedule = counterexample_schedule()
     update = LinearAverage()
     t_samples = counterexample_sample_times(p_max)
-    want = {t: p for p, t in enumerate(t_samples, start=1)}
-    gaps: dict[int, float] = {}
+    gaps: list[float] = []  # gaps[p - 1] is v(p), read from the span holding t_p
     steps = t_samples[-1] - _CE_FIRST_TIME
-    for t, x in iter_states(schedule, update, counterexample_initial_state(), steps):
-        if t in want:
+    for _, end, x in iter_spans(schedule, update, counterexample_initial_state(), steps):
+        while len(gaps) < p_max and t_samples[len(gaps)] <= end:
             v = x.values
-            gaps[want[t]] = float(v[2] - v[0])
+            gaps.append(float(v[2] - v[0]))
     rows = []
     for p in range(1, p_max + 1):
-        gap = gaps[p]
+        gap = gaps[p - 1]
         if p == 1:
             predicted = 0.5
         else:
-            predicted = gaps[p - 1] * (2.0**p - 1.0) / 2.0**p
+            predicted = gaps[p - 2] * (2.0**p - 1.0) / 2.0**p
         rows.append(
             CounterexampleRow(
                 p=p,
@@ -193,7 +192,7 @@ def verify_counterexample(p_max: int = 64) -> CounterexampleReport:
     recursion = 0.5
     for j in range(2, p_max + 1):
         recursion *= (2.0**j - 1.0) / 2.0**j
-    final = gaps[p_max]
+    final = gaps[-1]
     return CounterexampleReport(
         p_max=p_max,
         rows=tuple(rows),

@@ -9,6 +9,7 @@ integrity.  Each criterion prints one visible PASS/FAIL line.
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
@@ -35,7 +36,6 @@ from consensus_lab import (
     is_connected_from,
     is_weakly_connected,
     is_weakly_connected_across,
-    iter_states,
     monitor_stream,
     neighbors,
     random_windowed_schedule,
@@ -44,6 +44,7 @@ from consensus_lab import (
     verify_counterexample,
     weakly_connected_oracle,
 )
+from consensus_lab.simulator import iter_spans
 
 MASTER_SEED = 20260815
 
@@ -69,11 +70,15 @@ class MonitoredRun:
 
 def run_monitored(schedule, update_map, x0, steps, t0=None, tol=1e-6,
                   slack=1e-9, label="", collect=False):
-    """Stream a run through the hull monitor without storing states."""
-    records = monitor_stream(iter_states(schedule, update_map, x0, steps, t0), slack)
+    """Stream a run's span starts through the hull monitor without storing
+    states.  With `collect`, each record's diameter is kept once for every
+    time step of its span."""
+    ends = deque() if collect else None
+    spans = _span_starts(iter_spans(schedule, update_map, x0, steps, t0), ends)
+    records = monitor_stream(spans, slack)
     collected = [] if collect else None
     if collect:
-        records = _diameters_into(collected, records)
+        records = _diameters_into(collected, records, ends)
     run = summarize(records, tol)
     return MonitoredRun(
         label=label,
@@ -85,9 +90,16 @@ def run_monitored(schedule, update_map, x0, steps, t0=None, tol=1e-6,
     )
 
 
-def _diameters_into(out, records):
+def _span_starts(spans, ends):
+    for t, end, x in spans:
+        if ends is not None:
+            ends.append(end)
+        yield t, x
+
+
+def _diameters_into(out, records, ends):
     for rec in records:
-        out.append(rec.diameter)
+        out.extend([rec.diameter] * (ends.popleft() - rec.t + 1))
         yield rec
 
 

@@ -473,6 +473,129 @@ def test_nonlinear_consensus_exact_fixed_point():
 
 
 # ---------------------------------------------------------------------------
+# Generated flow kernels
+
+
+def _scaled_gains(arcs, seed):
+    """A distinct odd, increasing gain c * atan(s) per arc."""
+    scales = np.random.default_rng(seed).uniform(0.5, 2.0, len(arcs)).tolist()
+    return {a: (lambda s, c=c: c * math.atan(s)) for a, c in zip(sorted(arcs), scales)}
+
+
+def _kernel_graphs(seed):
+    """Graphs with n from 2 to 40 in which the upper third of the agents
+    receive from no one."""
+    rng = np.random.default_rng(seed)
+    for n in (2, 3, 5, 8, 13, 21, 40):
+        m = int(rng.integers(1, 3 * n))
+        arcs = {(int(k), int(l)) for k, l in rng.integers(1, n + 1, (m, 2)) if k != l}
+        arcs = {(k, l) for k, l in arcs if l <= max(1, 2 * n // 3)} or {(2, 1)}
+        yield DirectedGraph(n, arcs), rng.uniform(-1.0, 1.0, n)
+
+
+def _assert_flow_kernels_match_the_references(graphs, substeps):
+    for j, (g, x) in enumerate(graphs):
+        assert any(not g.in_sources(k) for k in g.nodes)
+        out = KuramotoTime1(substeps=substeps).step(0, g, AgentState(x)).values
+        assert out.tobytes() == _kuramoto_sorting_reference(g, x, substeps).tobytes()
+        for gains in (GAIN_LIBRARY["arctan"], _scaled_gains(g.arcs, seed=j)):
+            out = NonlinearConsensus(gains, substeps=substeps).step(0, g, AgentState(x)).values
+            ref = _nonlinear_sorting_reference(g, gains, x, substeps)
+            assert out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("substeps", [1, 2, 7])
+def test_flow_kernels_are_bit_identical_to_the_references(substeps):
+    _assert_flow_kernels_match_the_references(_kernel_graphs(seed=substeps), substeps)
+    # each sum starts from 0.0, which turns a sum of -0.0 terms into +0.0
+    signed = NonlinearConsensus(lambda s: -0.0 if s == 0.0 else s, substeps=substeps)
+    pair = DirectedGraph(2, {(1, 2), (2, 1)})
+    assert signed.step(0, pair, AgentState([-0.0, -0.0])).values.tobytes() == bytes(16)
+
+
+def test_flow_kernels_sum_a_hub_of_3000_senders_in_order():
+    # one sum of 3000 terms nests too deep for the compiler, so the field
+    # adds it in chunks of `_SUM_CHUNK` terms, in the same order
+    star = DirectedGraph(3001, {(k, 1) for k in range(2, 3002)})
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, 3001) * 1e-3
+    _assert_flow_kernels_match_the_references([(star, x)], substeps=2)
+
+
+def _compiled(kernel_spy, name):
+    return [c.args[0] for c in kernel_spy.call_args_list if c.args[2] == name]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [KuramotoTime1, lambda: NonlinearConsensus(math.atan), lambda: NonlinearConsensus(
+        _scaled_gains({(1, 2), (2, 3), (3, 1), (1, 3)}, seed=0))],
+    ids=["kuramoto", "one-gain", "per-arc"],
+)
+def test_each_map_compiles_one_field_per_graph_and_one_kernel_per_n(make):
+    g = DirectedGraph(3, {(1, 2), (2, 3), (3, 1)})
+    twin = DirectedGraph(3, {(3, 1), (2, 3), (1, 2)})
+    assert twin == g and twin is not g
+    other = DirectedGraph(3, {(1, 3)})
+    x = np.array([0.5, -0.25, 0.75])
+    with mock.patch.object(dynamics, "_kernel", wraps=dynamics._kernel) as spy:
+        for _ in range(2):  # two map instances compile apart
+            update = make()
+            for t in range(5):
+                update.step(t, g, AgentState(x + t))
+            update.step(5, twin, AgentState(x))
+            assert update.step(6, twin, AgentState(x)).values.tobytes() == (
+                update.step(6, g, AgentState(x)).values.tobytes()
+            )
+            update.step(7, other, AgentState(x))
+    assert len(_compiled(spy, "field")) == 2 * 2
+    assert len(_compiled(spy, "rk4")) == 2
+
+
+def test_a_missing_per_arc_gain_fails_every_step_of_its_graph():
+    g = DirectedGraph(3, {(1, 2), (2, 3), (3, 2)})
+    update = NonlinearConsensus({(1, 2): math.atan, (3, 2): math.atan})
+    for t in range(2):
+        with pytest.raises(ValueError, match=r"^no gain supplied for arcs \[\(2, 3\)\]$"):
+            update.step(t, g, AgentState([0.0, 1.0, 2.0]))
+    ok = DirectedGraph(3, {(1, 2), (3, 2)})
+    assert update.step(2, ok, AgentState([0.0, 1.0, 1.5])).values[1] < 1.0
+
+
+class _SourceNamedGain:
+    """An odd gain whose name and repr read as Python source."""
+
+    __name__ = __qualname__ = "__import__('sys').exit(3)"
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, s):
+        self.calls += 1
+        return math.atan(s)
+
+    def __repr__(self):
+        return "(lambda: __import__('sys').exit(4))()"
+
+
+@pytest.mark.parametrize("per_arc", [False, True])
+def test_gains_are_called_by_reference_and_their_text_stays_out_of_the_source(per_arc):
+    g = DirectedGraph(3, {(1, 2), (2, 3), (3, 1)})
+    gain = _SourceNamedGain()
+    gains = {a: gain for a in g.arcs} if per_arc else gain
+    x = np.array([0.5, -0.25, 0.75])
+    with mock.patch.object(dynamics, "_kernel", wraps=dynamics._kernel) as spy:
+        update = NonlinearConsensus(gains, substeps=3)
+        before = gain.calls
+        out = update.step(0, g, AgentState(x)).values
+    assert gain.calls - before == 3 * 4 * len(g.arcs)
+    assert out.tobytes() == _nonlinear_sorting_reference(g, gains, x, 3).tobytes()
+    sources = [c.args[0] for c in spy.call_args_list]
+    assert len(sources) == 2
+    for text in (gain.__name__, repr(gain), "sys", "exit"):
+        assert all(text not in source for source in sources)
+
+
+# ---------------------------------------------------------------------------
 # Heading averaging and the max map
 
 
