@@ -22,7 +22,7 @@ from consensus_lab import (
     counterexample_schedule,
     disagreement,
     hull,
-    iter_states,
+    iter_spans,
     monitor_stream,
     point_distance,
     summarize,
@@ -33,25 +33,23 @@ def main():
     chain = DirectedGraph(3, {(1, 2), (2, 1), (2, 3), (3, 2)})
     print("monitored averaging on a bidirectional chain:")
     print("  t  diameter      contained  vertices")
-    for rec in monitor_stream(
-        iter_states(constant_schedule(chain), LinearAverage(), [0.0, 1.0, 5.0], steps=8)
-    ):
+    spans = iter_spans(constant_schedule(chain), LinearAverage(), [0.0, 1.0, 5.0], steps=8)
+    for rec in monitor_stream((t, x) for t, _, x in spans):
         print(f"  {rec.t}  {rec.diameter:<12.8f}  {str(rec.contained):<9}  {rec.vertex_count}")
     print("  every step stays inside the previous hull and the diameter falls.\n")
 
     pair = WeightedDigraph(DirectedGraph(2, {(1, 2), (2, 1)}), {(1, 2): 0.5, (2, 1): 0.5})
     x0 = AgentState([0.0, 1.0])
-    run = summarize(
-        monitor_stream(iter_states(constant_schedule(pair), LinearAverage(), x0, steps=6)),
-        tol=1e-9,
-    )
+    spans = iter_spans(constant_schedule(pair), LinearAverage(), x0, steps=6)
+    run = summarize(monitor_stream((t, x) for t, _, x in spans), tol=1e-9)
     d = disagreement(x0) - run.final.diameter
     print(f"half-weight pair: hull diameter shrinks by {d:.8f} over 6 steps")
     print(f"  (gap contracts by 1/3 per step; 1 - (1/3)^6 = {1 - (1 / 3) ** 6:.8f})\n")
 
     complete = DirectedGraph(3, {(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)})
     x0 = AgentState([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]])
-    _, rec = monitor_stream(iter_states(constant_schedule(complete), MaxUpdate(), x0, steps=1))
+    spans = iter_spans(constant_schedule(complete), MaxUpdate(), x0, steps=1)
+    _, rec = monitor_stream((t, x) for t, _, x in spans)
     corner = rec.state.points[0]
     print("coordinate-wise max on a planar triangle:")
     print(f"  after one step every agent sits at {corner.tolist()},")

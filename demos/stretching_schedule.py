@@ -10,11 +10,11 @@ under the same kind of stretching defeat consensus.
 
 from consensus_lab import (
     LinearAverage,
+    iter_spans,
     monitor_stream,
     stretching_bidirectional_schedule,
     summarize,
 )
-from consensus_lab.simulator import iter_spans
 
 
 def timeline(sched, upto):

@@ -15,12 +15,12 @@ from consensus_lab import (
     LinearAverage,
     constant_schedule,
     is_weakly_connected_across,
+    iter_spans,
     monitor_stream,
     neighbors,
     random_windowed_schedule,
     summarize,
 )
-from consensus_lab.simulator import iter_spans
 
 
 def main():

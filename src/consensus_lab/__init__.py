@@ -56,7 +56,7 @@ from .simulator import (
     attractivity_probe,
     constant_schedule,
     disagreement,
-    iter_states,
+    iter_spans,
 )
 from .scenarios import (
     counterexample_initial_state,
@@ -113,7 +113,7 @@ __all__ = [
     "attractivity_probe",
     "constant_schedule",
     "disagreement",
-    "iter_states",
+    "iter_spans",
     "counterexample_initial_state",
     "counterexample_limit",
     "counterexample_sample_times",

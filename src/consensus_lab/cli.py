@@ -264,15 +264,7 @@ def cmd_simulate(args) -> int:
     t0 = schedule.first_time if args.t0 is None else args.t0
 
     spans = iter_spans(schedule, update, x0, args.steps, t0)
-    count = 0
-
-    def span_starts():
-        nonlocal count
-        for t, _, x in spans:
-            count += 1
-            yield t, x
-
-    records = monitor_stream(span_starts(), args.slack)
+    records = monitor_stream(((t, x) for t, _, x in spans), args.slack)
     if args.csv is not None:
         records = _write_csv(records, args.csv, x0, t0 + args.steps)
     run = summarize(records, args.tol)
@@ -282,7 +274,7 @@ def cmd_simulate(args) -> int:
         "map": update.name,
         "t0": t0,
         "steps": args.steps,
-        "spans": count,
+        "spans": run.records,
         "n": x0.n,
         "d": x0.d,
         "final_disagreement": run.final.diameter,

@@ -21,6 +21,7 @@ convex hull of those states unless they all coincide.
 from __future__ import annotations
 
 import math
+import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Union
@@ -311,7 +312,10 @@ class LinearAverage(UpdateMap):
     """Weighted averaging through the stochastic update matrix.
 
     Weighted graphs use their own weights; unweighted graphs get
-    `default_weight` on every arc.  Matrices are cached per graph, and an
+    `default_weight` on every arc.  Matrices are cached per graph under a
+    weak key, shared by equal graphs and dropped with the graph they were
+    built for, so a generator that returns equal graphs as fresh objects
+    gets a matrix built for each, as it gets their views rebuilt.  An
     arc-free graph or a state at rest is an exact no-op.
     """
 
@@ -322,7 +326,7 @@ class LinearAverage(UpdateMap):
         if not (default_weight > 0.0 and math.isfinite(default_weight)):
             raise ValueError(f"default weight must be positive, got {default_weight}")
         self.default_weight = default_weight
-        self._cache: dict = {}
+        self._cache = weakref.WeakKeyDictionary()
 
     def matrix_for(self, graph) -> StochasticMatrix:
         M = self._cache.get(graph)
@@ -341,13 +345,13 @@ class _FlowMap(UpdateMap):
     by `substeps` classical RK4 steps in generated straight-line code.
 
     The map compiles one RK4 kernel per n and one field function per
-    graph, on first use, and keeps both, as `LinearAverage` keeps its
-    matrices.  Compiling is O(n + m) for m arcs, like a step, with a larger
-    constant: on a few agents a graph's field repays its compile within
-    its first 100-substep step, while a first step on thousands of agents
-    mostly compiles.  A term that raises `OverflowError` (as `s**3` and
-    `math.sinh` do past the largest float) fails the step as a non-finite
-    state would.
+    graph, on first use, and keeps each field as `LinearAverage` keeps its
+    matrices, under a weak key.  Compiling is O(n + m) for m arcs, like a
+    step, with a larger constant: on a few agents a graph's field repays
+    its compile within its first 100-substep step, while a first step on
+    thousands of agents mostly compiles.  A term that raises
+    `OverflowError` (as `s**3` and `math.sinh` do past the largest float)
+    fails the step as a non-finite state would.
     """
 
     integrator_backed = True
@@ -357,7 +361,7 @@ class _FlowMap(UpdateMap):
             raise ValueError(f"substeps must be at least 1, got {substeps}")
         self.substeps = substeps
         self._kernels: dict[int, Callable] = {}
-        self._fields: dict = {}
+        self._fields = weakref.WeakKeyDictionary()
 
     @abstractmethod
     def _field(self, graph: DirectedGraph) -> Callable:

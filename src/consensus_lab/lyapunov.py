@@ -9,12 +9,11 @@ so that each state can carry its own hull, computed at most once.
 This module computes hulls in dimension 1 (intervals) and 2 (monotone-chain
 polygons, prefiltered on large inputs) and measures points and hulls against
 them, in the plane with one kernel and in a power-of-two frame at any scale.
-`monitor_stream` watches a stream of (time, state) pairs, such as
-`simulator.iter_states` yields, or the span starts of
+`monitor_stream` watches (time, state) pairs, such as the span starts of
 `simulator.iter_spans`, recording diameter and containment per pair, and
-`summarize` folds its records into a run's verdict.  A containment
-failure is the smoking gun that an update map moved an agent outside the
-group's previous span.
+`summarize` folds its records into a run's verdict.  A containment failure
+is the smoking gun that an update map moved an agent outside the group's
+previous span.
 """
 
 from __future__ import annotations
@@ -490,15 +489,16 @@ def monitor_stream(
     The first record is vacuously contained.
     Because hull shrinkage composes, the check remains meaningful when
     the stream samples a trajectory sparsely.  Records carry their state
-    and its disagreement as `diameter`, so `monitor_stream(iter_states(...))`
-    is a whole monitored run loop, and `summarize` its verdict.
+    and its disagreement as `diameter`, so over the span starts of
+    `iter_spans` it is a whole monitored run loop, and `summarize` its verdict.
 
     `slack` must be nonnegative and finite, and is checked when the stream
     is made.  A state that is the previous record's state object, and an
     immutable `AgentState`, gets the previous record at the new time,
-    contained, with no containment test: an arc-free step returns its
-    input state, and a hull contains itself.  Raw arrays and lists are
-    always hulled afresh, since their caller may edit them in place.
+    contained, with no containment test: a hull contains itself.  Per-step
+    expansions repeat a state, and so do spans of a schedule whose
+    `next_active` claims nothing, across its arc-free steps.  Raw arrays
+    and lists are always hulled afresh, since their caller may edit them.
     """
     _check_slack(slack)
     return _monitor(items, slack + _ROUNDING_ULPS * _EPS)
@@ -523,29 +523,32 @@ def _monitor(items, rel: float) -> Iterator[MonitorRecord]:
 
 class RunSummary(NamedTuple):
     """A monitored run in brief: its last record, the first time its
-    diameter fell below the tolerance (None if it never did), and how many
-    records were not contained in the previous hull."""
+    diameter fell below the tolerance (None if it never did), how many
+    records were not contained in the previous hull, and how many it
+    folded, one per span on span starts."""
 
     final: MonitorRecord
     consensus_time: Optional[int]
     violations: int
+    records: int
 
 
 def summarize(records: Iterable[MonitorRecord], tol: float) -> RunSummary:
     """Fold a nonempty stream of monitor records in one pass.
 
     `tol` must be positive and finite; `consensus_time` is the first
-    record time with `diameter < tol`.
+    record time with `diameter < tol`, the time a per-step stream would
+    report when the records are span starts.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     final: Optional[MonitorRecord] = None
     consensus_time: Optional[int] = None
-    violations = 0
-    for final in records:
+    violations = count = 0
+    for count, final in enumerate(records, 1):
         if consensus_time is None and final.diameter < tol:
             consensus_time = final.t
         violations += not final.contained
     if final is None:
         raise ValueError("no records to summarize")
-    return RunSummary(final, consensus_time, violations)
+    return RunSummary(final, consensus_time, violations, count)

@@ -13,11 +13,11 @@ holding at every time in [t, end].  Schedules answer `next_active`, the
 next time that carries an arc, so a map that is the identity on arc-free
 graphs is not stepped across the silence in between, nor ever after a
 state at rest, which every map keeps; a run costs time in its active
-steps, not in its horizon.  `iter_states` expands the spans into one
-(t, state) pair per time step, so `lyapunov.monitor_stream(iter_states(...))`
-is a monitored run that stores nothing.  `attractivity_probe` repeats a
-run from random initial states around a center and reports how often the
-group reached consensus.
+steps, not in its horizon.  Its span starts fed to
+`lyapunov.monitor_stream` are a monitored run that stores nothing.
+`iter_states` expands the spans into one (t, state) pair per time step.
+`attractivity_probe` repeats a run from random initial states around a
+center and reports how often the group reached consensus.
 """
 
 from __future__ import annotations
@@ -262,7 +262,8 @@ def iter_states(
     t0: Optional[int] = None,
 ) -> Iterator[tuple[int, AgentState]]:
     """Yield (t, state) from t0 through t0 + steps: `iter_spans`, one pair
-    per time step.
+    per time step, for callers that read every time (the per-step tests,
+    `perfbench`'s `monitored_run`); the package itself runs on spans.
 
     Each span's state object is yielded at every time of the span, so an
     arc-free stretch and the times after a state at rest cost one `yield`

@@ -23,7 +23,7 @@ def _run(args):
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     return subprocess.run(
-        [sys.executable, *args],
+        [sys.executable, "-W", "error", *args],
         cwd=ROOT,
         env=env,
         capture_output=True,

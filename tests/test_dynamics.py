@@ -1,5 +1,6 @@
 """State containers, update matrices, nonlinear maps, and assumption checkers."""
 
+import gc
 import math
 from unittest import mock
 
@@ -549,6 +550,25 @@ def test_each_map_compiles_one_field_per_graph_and_one_kernel_per_n(make):
             update.step(7, other, AgentState(x))
     assert len(_compiled(spy, "field")) == 2 * 2
     assert len(_compiled(spy, "rk4")) == 2
+
+
+def test_per_graph_caches_die_with_their_graphs():
+    # a run that meets a fresh graph at every step keeps no matrix and no field
+    rng = np.random.default_rng(8)
+    pairs = [(k, l) for k in range(1, 7) for l in range(1, 7) if k != l]
+    linear, kuramoto = LinearAverage(), KuramotoTime1(substeps=2)
+    x = AgentState([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+    for t in range(300):
+        g = DirectedGraph(6, [pairs[i] for i in rng.permutation(len(pairs))[:8]])
+        linear.step(t, g, x)
+        kuramoto.step(t, g, x)
+    assert len(linear._cache) == len(kuramoto._fields) == 1  # the live g
+    twin = DirectedGraph(6, g.arcs)
+    assert linear.matrix_for(twin) is linear.matrix_for(g)
+    del g, twin
+    gc.collect()
+    assert len(linear._cache) == len(kuramoto._fields) == 0
+    assert len(kuramoto._kernels) == 1
 
 
 def test_a_missing_per_arc_gain_fails_every_step_of_its_graph():

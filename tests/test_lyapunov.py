@@ -22,12 +22,12 @@ from consensus_lab import (
     diameter,
     disagreement,
     hull,
-    iter_states,
     monitor_stream,
     point_distance,
     random_windowed_schedule,
     summarize,
 )
+from consensus_lab.simulator import iter_states
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 

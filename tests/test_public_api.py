@@ -39,7 +39,7 @@ PUBLIC_NAMES = [
     "is_connected_from",
     "is_weakly_connected",
     "is_weakly_connected_across",
-    "iter_states",
+    "iter_spans",
     "linear_step",
     "monitor_stream",
     "neighbors",

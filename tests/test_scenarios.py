@@ -16,14 +16,17 @@ from consensus_lab import (
     counterexample_sample_times,
     counterexample_schedule,
     disagreement,
+    find_root,
+    is_connected_from,
     is_weakly_connected,
     is_weakly_connected_across,
-    iter_states,
     random_windowed_schedule,
     stretching_bidirectional_schedule,
     union_across,
     verify_counterexample,
+    weakly_connected_oracle,
 )
+from consensus_lab.simulator import iter_states
 
 G12 = DirectedGraph(3, {(1, 2)})
 G12_21 = DirectedGraph(3, {(1, 2), (2, 1)})
@@ -162,8 +165,9 @@ def test_windowed_schedule_is_deterministic_in_seed():
 
 
 def _scalar_windowed_arcs(n, T, length, seed):
-    """The first attempt's arcs, slot by slot, drawing one coin per ordered
-    pair with its own `rng.random()` call."""
+    """The schedule's arcs, slot by slot, from the generator seeded with
+    `SeedSequence(entropy=(seed, 0))`, drawing one coin per ordered pair
+    with its own `rng.random()` call."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0)))
     out = []
     for slot in range(length):
@@ -185,6 +189,34 @@ def _scalar_windowed_arcs(n, T, length, seed):
 def test_windowed_schedule_coins_drawn_in_one_call_match_one_draw_per_pair(n, T, length, seed):
     sched = random_windowed_schedule(n, T, length, seed)
     assert [g.arcs for g in sched.graphs] == _scalar_windowed_arcs(n, T, length, seed)
+
+
+def _windowed_grid_lengths(T):
+    # one period, a period shorter than the window, and periods that are
+    # not multiples of T + 1 (every period is a multiple when T = 0)
+    return sorted({1, max(1, T), T + 2, 3 * T + 4})
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_windowed_schedule_every_cyclic_window_is_rooted_by_construction(n):
+    # The library plants arborescences and checks nothing; the union of each
+    # cyclic window is taken here from the period's own graphs.
+    cases = 0
+    for T in range(5):
+        for length in _windowed_grid_lengths(T):
+            for seed in (n * 100 + T * 10 + length, 7):
+                graphs = random_windowed_schedule(n, T, length, seed).graphs
+                for t in range(length):
+                    arcs = set()
+                    for s in range(t, t + T + 1):
+                        arcs |= graphs[s % length].arcs
+                    union = DirectedGraph(n, arcs)
+                    r = find_root(union)
+                    assert r is not None and is_connected_from(union, r), (n, T, length, seed, t)
+                    if n <= 7:
+                        assert weakly_connected_oracle(union)
+                cases += 1
+    assert cases == 36
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 132])

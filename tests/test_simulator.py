@@ -23,13 +23,12 @@ from consensus_lab import (
     disagreement,
     empty_graph,
     hull,
-    iter_states,
     monitor_stream,
     stretching_bidirectional_schedule,
     summarize,
 )
 from consensus_lab.dynamics import UpdateMap
-from consensus_lab.simulator import GraphSchedule, iter_spans
+from consensus_lab.simulator import GraphSchedule, iter_spans, iter_states
 
 PAIR = DirectedGraph(2, {(1, 2), (2, 1)})
 
