@@ -425,6 +425,11 @@ def cmd_probe(args) -> int:
 
 
 def build_parser() -> _Parser:
+    """Build the parser of every subcommand.
+
+    `main` parses with the one parser built at import; only a `--config`
+    call builds another, whose defaults its config file then sets.
+    """
     parser = _Parser(prog="consensus-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     parser.subcommands = sub.choices  # name -> subparser, for --config
@@ -475,11 +480,20 @@ def build_parser() -> _Parser:
     return parser
 
 
+_PARSER = build_parser()  # parse_args leaves it unchanged, so every call shares it
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line and return its exit code.
+
+    Every call parses with the shared parser.  A `--config` call parses
+    again with a parser of its own, so its config values, set there as
+    defaults, never reach a later call.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if getattr(args, "config", None):
+            parser = build_parser()
             sub = parser.subcommands[args.command]
             sub.set_defaults(**_config_defaults(sub, args.config))
             args = parser.parse_args(argv)

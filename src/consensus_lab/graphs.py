@@ -539,7 +539,13 @@ _N_LINE = re.compile(r"^n\s*=\s*(\d+)$")
 def parse_graph_text(
     text: str, bounds: Optional[tuple[float, float]] = None
 ) -> DirectedGraph:
-    """Parse the graph text format.  Raises GraphFormatError with a line number."""
+    """Parse the graph text format.  Raises GraphFormatError with a line number.
+
+    Weighted text gives a `WeightedDigraph` with `bounds`, unweighted text a
+    plain `DirectedGraph`.  Bounds are checked for either: invalid bounds
+    raise `WeightedDigraph`'s ValueError, and since an unweighted arc weighs
+    1.0 in the update matrix, bounds that exclude 1.0 fail on the first arc.
+    """
     n: Optional[int] = None
     arcs: dict[Arc, Optional[float]] = {}
     weighted: Optional[bool] = None
@@ -590,7 +596,9 @@ def parse_graph_text(
         raise GraphFormatError(1, "empty input: expected 'n=<count>'")
     base = DirectedGraph(n, arcs.keys())
     if weighted:
-        return WeightedDigraph(base, {a: w for a, w in arcs.items()}, bounds)
+        return WeightedDigraph(base, arcs, bounds)
+    if bounds is not None:  # checked against the unit weight an unweighted arc has
+        WeightedDigraph(base, dict.fromkeys(arcs, 1.0), bounds)
     return base
 
 
@@ -609,5 +617,7 @@ def format_graph_text(g: DirectedGraph) -> str:
 def read_graph_file(
     path, bounds: Optional[tuple[float, float]] = None
 ) -> DirectedGraph:
+    """Parse the graph file at `path`; `bounds` are checked as in
+    `parse_graph_text`, on unweighted files against unit weights."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse_graph_text(fh.read(), bounds)

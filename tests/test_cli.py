@@ -150,6 +150,25 @@ def test_matrix_bounds_flags(worked_graph, capsys):
     assert "outside declared bounds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("emin, emax, fragment", [
+    ("2", "1", "bounds must satisfy 0 < e_min <= e_max"),
+    ("0", "5", "bounds must satisfy 0 < e_min <= e_max"),
+    ("2", "5", "weight 1.0 for arc (1, 2) outside declared bounds [2.0, 5.0]"),
+])
+def test_matrix_bounds_on_an_unweighted_graph(chain_graph, capsys, emin, emax, fragment):
+    assert main(["matrix", "--graph", chain_graph, "--emin", emin, "--emax", emax]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {fragment}")
+
+
+def test_matrix_bounds_admitting_unit_weight_keep_the_unweighted_output(chain_graph, capsys):
+    assert main(["matrix", "--graph", chain_graph]) == 0
+    plain = capsys.readouterr().out
+    assert main(["matrix", "--graph", chain_graph, "--emin", "0.5", "--emax", "1"]) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_matrix_missing_file(tmp_path, capsys):
     assert main(["matrix", "--graph", str(tmp_path / "nope.graph")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -615,6 +634,46 @@ def test_config_values_are_checked_like_flags(chain_graph, tmp_path, capsys):
     cfg.write_text(f"graph = {chain_graph}\nx0 = 0,1,1\nsteps = 3.5\n")
     assert main(["simulate", "--config", str(cfg)]) == 1
     assert "argument --steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config, missing", [
+    ("simulate", "x0 = 0,1,1\nsteps = 3\n", ["--x0", "0,1,1"]),
+    ("probe", "center = 0,1,1\nsamples = 1\n", ["--samples", "1"]),
+])
+def test_config_values_do_not_reach_a_later_call(
+    chain_graph, tmp_path, capsys, command, config, missing
+):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    assert main([command, "--graph", chain_graph, "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main([command, "--graph", chain_graph] + missing) == 1
+    flag = {"simulate": "--steps", "probe": "--center"}[command]
+    assert capsys.readouterr().err == f"error: missing {flag}\n"
+
+
+def test_a_usage_error_does_not_change_a_later_call(chain_graph, tmp_path, capsys):
+    run = ["simulate", "--graph", chain_graph, "--x0", "0,1,1", "--steps", "3"]
+    assert main(run + ["--csv", str(tmp_path / "alone.csv")]) == 0
+    alone = capsys.readouterr()
+    assert main(["simulate", "--bogus"]) == 1
+    assert "--bogus" in capsys.readouterr().err
+    assert main(run + ["--csv", str(tmp_path / "after.csv")]) == 0
+    assert capsys.readouterr() == alone
+    assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+
+def test_only_a_config_call_builds_a_parser(chain_graph, tmp_path, monkeypatch, capsys):
+    def fail():
+        raise AssertionError("build_parser called")
+
+    monkeypatch.setattr(cli, "build_parser", fail)
+    assert main(["simulate", "--graph", chain_graph, "--x0", "0,1,1", "--steps", "2"]) == 0
+    assert main(["matrix", "--graph", chain_graph]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("steps = 2\n")
+    with pytest.raises(AssertionError, match="build_parser called"):
+        main(["simulate", "--graph", chain_graph, "--x0", "0,1,1", "--config", str(cfg)])
 
 
 def test_map_spec_bad_number_names_spec_and_key(chain_graph, capsys):

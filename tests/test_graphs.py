@@ -532,3 +532,28 @@ def test_parse_with_declared_bounds():
     assert wg.bounds == (0.1, 1.0)
     with pytest.raises(ValueError, match="outside declared bounds"):
         parse_graph_text(text, bounds=(1.0, 2.0))
+
+
+@pytest.mark.parametrize("bounds, message", [
+    ((2.0, 1.0), "bounds must satisfy 0 < e_min <= e_max"),
+    ((0.0, 5.0), "bounds must satisfy 0 < e_min <= e_max"),
+    ((2.0, 5.0), r"weight 1.0 for arc \(2, 3\) outside declared bounds \[2.0, 5.0\]"),
+    ((0.5, 0.9), r"weight 1.0 for arc \(2, 3\) outside declared bounds"),
+])
+def test_parse_checks_bounds_on_unweighted_text(bounds, message):
+    # An unweighted arc weighs 1.0 in the update matrix; the first arc is named.
+    with pytest.raises(ValueError, match=message):
+        parse_graph_text("n=3\narc 2 3\narc 1 2\n", bounds=bounds)
+
+
+@pytest.mark.parametrize("text", ["n=3\narc 2 3\narc 1 2\n", "n=2\n"])
+def test_parse_unweighted_text_within_bounds_stays_unweighted(text):
+    g = parse_graph_text(text, bounds=(0.5, 1.0))
+    assert type(g) is DirectedGraph
+    assert g == parse_graph_text(text)
+
+
+def test_parse_arc_free_text_checks_only_the_bounds_themselves():
+    assert parse_graph_text("n=2\n", bounds=(2.0, 5.0)) == empty_graph(2)
+    with pytest.raises(ValueError, match="0 < e_min <= e_max"):
+        parse_graph_text("n=2\n", bounds=(2.0, 1.0))
