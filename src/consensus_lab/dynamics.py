@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
-from .graphs import Arc, DirectedGraph, WeightedDigraph
+from .graphs import Arc, DirectedGraph, WeightedDigraph, _valid_weight
 from .lyapunov import AgentState, _edge_depths, _segment_offsets, diameter, hull
 
 GainFn = Callable[[float], float]
@@ -111,15 +111,14 @@ def build_update_matrix(g: DirectedGraph, weight: float = 1.0) -> StochasticMatr
     arc-free graph yields the identity.  Builds one triple per arc in
     O(n + m) and allocates no n x n array.
     """
-    if not (weight > 0.0 and math.isfinite(weight)):
-        raise ValueError(f"arc weight must be positive and finite, got {weight}")
+    weight = _valid_weight(weight)
     n = g.n
     src, dst = g.arc_arrays
     if isinstance(g, WeightedDigraph):
         pairs = zip(src.tolist(), dst.tolist())
         w = np.fromiter((g.weights[(k + 1, l + 1)] for k, l in pairs), float, src.size)
     else:
-        w = np.full(src.size, float(weight))
+        w = np.full(src.size, weight)
     denom = 1.0 + np.bincount(dst, w, minlength=n)
     A = w / denom[dst]
     nz = A > 0.0  # a subnormal weight can round to 0 beside a heavier one
@@ -323,9 +322,7 @@ class LinearAverage(UpdateMap):
     supported_dims = (1, 2)
 
     def __init__(self, default_weight: float = 1.0):
-        if not (default_weight > 0.0 and math.isfinite(default_weight)):
-            raise ValueError(f"default weight must be positive, got {default_weight}")
-        self.default_weight = default_weight
+        self.default_weight = _valid_weight(default_weight)
         self._cache = weakref.WeakKeyDictionary()
 
     def matrix_for(self, graph) -> StochasticMatrix:
@@ -524,6 +521,19 @@ class MaxUpdate(UpdateMap):
 # Assumption checkers
 
 
+def _checker_rules(update_map: UpdateMap) -> tuple[float, Optional[tuple[float, float]]]:
+    """The checkers' tolerance for outputs that should agree (1e-12 for an
+    integrator-backed map, else 0), and their sampling domain: the map's,
+    shrunk by 1% of its width at each end (None for all reals).  No map
+    reads the time argument of `step`, so the checkers step at t = 0."""
+    tol = 1e-12 if update_map.integrator_backed else 0.0
+    if update_map.domain is None:
+        return tol, None
+    lo, hi = update_map.domain
+    span = hi - lo
+    return tol, (lo + 0.01 * span, hi - 0.01 * span)
+
+
 @dataclass(frozen=True)
 class LocalityViolation:
     agent: int
@@ -552,7 +562,6 @@ def check_communication_assumption(
     state: AgentState,
     trials: int = 20,
     seed: int = 0,
-    t: int = 0,
 ) -> LocalityReport:
     """Probe whether each agent's update uses only its own and its senders' states.
 
@@ -568,13 +577,9 @@ def check_communication_assumption(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    tol = 1e-12 if update_map.integrator_backed else 0.0
-    baseline = update_map.step(t, graph, state).points
+    tol, domain = _checker_rules(update_map)
+    baseline = update_map.step(0, graph, state).points
     rng = np.random.default_rng(seed)
-    if update_map.domain is not None:
-        lo, hi = update_map.domain
-        span = hi - lo
-        lo, hi = lo + 0.01 * span, hi - 0.01 * span
     violations: list[LocalityViolation] = []
     for k in graph.nodes:
         closed = {k} | set(graph.in_sources(k))
@@ -583,11 +588,11 @@ def check_communication_assumption(
             continue
         for trial in range(trials):
             pts = state.points.copy()
-            if update_map.domain is not None:
-                pts[outside] = rng.uniform(lo, hi, size=(len(outside), state.d))
+            if domain is not None:
+                pts[outside] = rng.uniform(*domain, size=(len(outside), state.d))
             else:
                 pts[outside] += rng.uniform(-1.0, 1.0, size=(len(outside), state.d))
-            out = update_map.step(t, graph, AgentState(pts)).points
+            out = update_map.step(0, graph, AgentState(pts)).points
             delta = float(np.max(np.abs(out[k - 1] - baseline[k - 1])))
             if delta > tol:
                 violations.append(
@@ -671,8 +676,6 @@ def check_strict_convexity(
     samples: int = 100,
     seed: int = 0,
     d: int = 1,
-    box: tuple[float, float] = (-10.0, 10.0),
-    t: int = 0,
 ) -> ConvexityReport:
     """Sample random states and test strict neighborhood-hull contraction.
 
@@ -681,27 +684,24 @@ def check_strict_convexity(
     in-neighborhood (within a margin of 1e-9 of the neighborhood diameter,
     so honest strict interiority is not flagged over rounding).  If the
     neighborhood states all coincide the update must reproduce that value
-    exactly (1e-12 for integrator-backed maps).
+    exactly (1e-12 for integrator-backed maps).  States are sampled in
+    (-10, 10)^d, cut to the checkers' sampling domain; a d the map does not
+    support fails the first `step`.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    if d not in update_map.supported_dims:
-        raise ValueError(f"{update_map.name} does not support d={d}")
-    lo, hi = float(box[0]), float(box[1])
-    if update_map.domain is not None:
-        dlo, dhi = update_map.domain
-        span = dhi - dlo
-        lo, hi = max(lo, dlo + 0.01 * span), min(hi, dhi - 0.01 * span)
+    eq_tol, domain = _checker_rules(update_map)
+    lo, hi = domain or (-10.0, 10.0)
+    lo, hi = max(-10.0, lo), min(10.0, hi)
     if not lo < hi:
         raise ValueError(f"empty sampling box ({lo}, {hi})")
-    eq_tol = 1e-12 if update_map.integrator_backed else 0.0
     rng = np.random.default_rng(seed)
     ptr, src = graph._in_csr
     closed_idx = {k: [k - 1, *src[ptr[k - 1] : ptr[k]]] for k in graph.nodes}
     violations: list[ConvexityViolation] = []
     for s in range(samples):
         pts = rng.uniform(lo, hi, size=(graph.n, d))
-        out = update_map.step(t, graph, AgentState(pts)).points
+        out = update_map.step(0, graph, AgentState(pts)).points
         for k in graph.nodes:
             nb = pts[closed_idx[k]]
             reason = _strict_violation(out[k - 1], nb, eq_tol)

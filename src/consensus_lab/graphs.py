@@ -143,6 +143,15 @@ def _valid_arcs(n: int, arcs: Iterable[Arc]) -> frozenset[Arc]:
     return pairs
 
 
+def _valid_weight(w: float, arc: Optional[Arc] = None) -> float:
+    """w as a float, positive and finite: the rule for every arc weight."""
+    w = float(w)
+    if not (w > 0.0 and math.isfinite(w)):
+        what = "arc weight" if arc is None else f"weight of arc {arc}"
+        raise ValueError(f"{what} must be positive and finite, got {w}")
+    return w
+
+
 def _csr(n: int, entries: Iterable[Arc]) -> tuple[list[int], list[int]]:
     """Compressed sparse row layout of 1-based (row, column) entries of an
     n x n pattern: 0-based row offsets, and every row's 0-based columns in
@@ -213,13 +222,9 @@ class WeightedDigraph(DirectedGraph):
                 parts.append(f"weights for absent arcs {sorted(extra)}")
             raise ValueError("; ".join(parts))
         for arc, w in wmap.items():
-            if not (w > 0.0 and math.isfinite(w)):
-                raise ValueError(f"weight for arc {arc} must be positive and finite, got {w}")
+            _valid_weight(w, arc)
         if bounds is None:
-            if wmap:
-                bounds = (min(wmap.values()), max(wmap.values()))
-            else:
-                bounds = (1.0, 1.0)
+            bounds = (min(wmap.values(), default=1.0), max(wmap.values(), default=1.0))
         e_min, e_max = float(bounds[0]), float(bounds[1])
         if not (0.0 < e_min <= e_max):
             raise ValueError(f"bounds must satisfy 0 < e_min <= e_max, got {bounds}")
@@ -539,7 +544,8 @@ _N_LINE = re.compile(r"^n\s*=\s*(\d+)$")
 def parse_graph_text(
     text: str, bounds: Optional[tuple[float, float]] = None
 ) -> DirectedGraph:
-    """Parse the graph text format.  Raises GraphFormatError with a line number.
+    """Parse the graph text format.  Each line is checked by the graph types'
+    own rules, and an error raises GraphFormatError with its line number.
 
     Weighted text gives a `WeightedDigraph` with `bounds`, unweighted text a
     plain `DirectedGraph`.  Bounds are checked for either: invalid bounds
@@ -553,53 +559,44 @@ def parse_graph_text(
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if n is None:
-            m = _N_LINE.match(line)
-            if not m:
-                raise GraphFormatError(lineno, f"expected 'n=<count>' first, got {raw.strip()!r}")
-            n = int(m.group(1))
-            if n < 1:
-                raise GraphFormatError(lineno, f"node count must be at least 1, got {n}")
-            continue
-        fields = line.split()
-        if fields[0] != "arc" or len(fields) not in (3, 4):
-            raise GraphFormatError(
-                lineno, f"expected 'arc <from> <to> [<weight>]', got {raw.strip()!r}"
-            )
+        fields, w = line.split(), None
         try:
-            k, l = int(fields[1]), int(fields[2])
-        except ValueError:
-            raise GraphFormatError(lineno, f"arc endpoints must be integers: {raw.strip()!r}")
-        if k == l:
-            raise GraphFormatError(lineno, f"self-loop ({k}, {l}) is not allowed")
-        if not (1 <= k <= n and 1 <= l <= n):
-            raise GraphFormatError(lineno, f"arc ({k}, {l}) outside node range 1..{n}")
-        if (k, l) in arcs:
-            raise GraphFormatError(lineno, f"duplicate arc ({k}, {l})")
-        if len(fields) == 4:
-            try:
-                w = float(fields[3])
-            except ValueError:
-                raise GraphFormatError(lineno, f"bad weight {fields[3]!r}")
-            if not w > 0.0:
-                raise GraphFormatError(lineno, f"weight must be positive, got {fields[3]}")
-            if weighted is False:
-                raise GraphFormatError(lineno, "mixed weighted and unweighted arcs")
-            weighted = True
-            arcs[(k, l)] = w
-        else:
-            if weighted is True:
-                raise GraphFormatError(lineno, "mixed weighted and unweighted arcs")
-            weighted = False
-            arcs[(k, l)] = None
+            if n is None:
+                m = _N_LINE.match(line)
+                if not m:
+                    raise ValueError(f"expected 'n=<count>' first, got {raw.strip()!r}")
+                n = DirectedGraph(int(m.group(1))).n  # the node-count rule
+                continue
+            if fields[0] != "arc" or len(fields) not in (3, 4):
+                raise ValueError(f"expected 'arc <from> <to> [<weight>]', got {raw.strip()!r}")
+            k, l = _number(int, fields[1:3], f"arc endpoints must be integers: {raw.strip()!r}")
+            (arc,) = _valid_arcs(n, ((k, l),))
+            if arc in arcs:
+                raise ValueError(f"duplicate arc {arc}")
+            if len(fields) == 4:
+                (w,) = _number(float, fields[3:], f"bad weight {fields[3]!r}")
+                _valid_weight(w)
+            if weighted is not None and weighted != (w is not None):
+                raise ValueError("mixed weighted and unweighted arcs")
+        except ValueError as err:
+            raise GraphFormatError(lineno, str(err)) from None
+        weighted, arcs[arc] = w is not None, w
     if n is None:
         raise GraphFormatError(1, "empty input: expected 'n=<count>'")
-    base = DirectedGraph(n, arcs.keys())
+    base = DirectedGraph._from_valid(n, frozenset(arcs))
     if weighted:
         return WeightedDigraph(base, arcs, bounds)
     if bounds is not None:  # checked against the unit weight an unweighted arc has
         WeightedDigraph(base, dict.fromkeys(arcs, 1.0), bounds)
     return base
+
+
+def _number(kind, fields: list[str], message: str) -> list:
+    """The fields converted by `kind`, or ValueError(message)."""
+    try:
+        return [kind(f) for f in fields]
+    except ValueError:
+        raise ValueError(message) from None
 
 
 def format_graph_text(g: DirectedGraph) -> str:

@@ -258,22 +258,11 @@ class HullPolytope:
     and `hi` (None when d = 2), which is all that `contains`, `diameter`
     and `point_distance` read of it; the hull of a scalar state is made
     from these two floats alone and builds its `vertices` on first access.
+
+    `hull()` is the one constructor: `HullPolytope(...)` raises TypeError.
     """
 
     __slots__ = ("d", "vertex_count", "lo", "hi", "magnitude", "_vertices")
-
-    def __init__(self, vertices: np.ndarray):
-        arr = np.array(vertices, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] not in (1, 2):
-            raise ValueError(f"vertices must be (m, d) with d in {{1, 2}}")
-        arr.flags.writeable = False
-        self.d = arr.shape[1]
-        self.vertex_count = arr.shape[0]
-        self._vertices = arr
-        self.lo = self.hi = None
-        self.magnitude = float(np.abs(arr).max())
-        if self.d == 1:
-            self._set_endpoints(float(arr.min()), float(arr.max()))
 
     @classmethod
     def _interval(cls, lo: float, hi: float) -> "HullPolytope":
@@ -281,13 +270,20 @@ class HullPolytope:
         h = cls.__new__(cls)
         h.d, h._vertices = 1, None
         h.vertex_count = 1 if lo == hi else 2
-        h._set_endpoints(lo, hi)
+        # equal endpoints are one float, so that hi - lo is +0.0 even for -0.0 and 0.0
+        h.lo, h.hi = lo, (lo if lo == hi else hi)
+        h.magnitude = max(-lo, hi)
         return h
 
-    def _set_endpoints(self, lo: float, hi: float) -> None:
-        # equal endpoints are one float, so that hi - lo is +0.0 even for -0.0 and 0.0
-        self.lo, self.hi = lo, (lo if lo == hi else hi)
-        self.magnitude = max(-lo, hi)
+    @classmethod
+    def _polygon(cls, vertices: list) -> "HullPolytope":
+        """The planar hull on the vertices that `_hull_vertices_2d` lists."""
+        h = cls.__new__(cls)
+        h._vertices = v = np.array(vertices, dtype=float)
+        v.flags.writeable = False
+        h.d, h.vertex_count, h.lo, h.hi = 2, v.shape[0], None, None
+        h.magnitude = float(np.abs(v).max())
+        return h
 
     @property
     def vertices(self) -> np.ndarray:
@@ -319,14 +315,14 @@ def hull(x) -> HullPolytope:
 def _hull_of(pts: np.ndarray) -> HullPolytope:
     if pts.shape[1] == 1:
         return HullPolytope._interval(float(pts.min()), float(pts.max()))
-    h = HullPolytope(_hull_vertices_2d(pts))
+    h = HullPolytope._polygon(_hull_vertices_2d(pts))
     # the vertices keep the input's largest magnitude; out of the frame, hull
     # the points scaled into it and map the vertices back to input points
     shift = _frame_shift(h.magnitude)
     if shift:
         q = np.ldexp(pts, shift)
         originals = dict(zip(map(tuple, q.tolist()), pts.tolist()))
-        h = HullPolytope([originals[v] for v in _hull_vertices_2d(q)])
+        h = HullPolytope._polygon([originals[v] for v in _hull_vertices_2d(q)])
     return h
 
 
@@ -393,6 +389,11 @@ def point_distance(h: HullPolytope, point) -> float:
 def _check_slack(slack: float) -> None:
     if not 0.0 <= slack < math.inf:
         raise ValueError(f"slack must be nonnegative and finite, got {slack}")
+
+
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
 
 def contains(outer: HullPolytope, inner: HullPolytope, slack: float = 0.0) -> bool:
@@ -540,8 +541,7 @@ def summarize(records: Iterable[MonitorRecord], tol: float) -> RunSummary:
     record time with `diameter < tol`, the time a per-step stream would
     report when the records are span starts.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    _check_tol(tol)
     final: Optional[MonitorRecord] = None
     consensus_time: Optional[int] = None
     violations = count = 0

@@ -106,12 +106,18 @@ def counterexample_sample_times(p_max: int) -> tuple[int, ...]:
     return tuple(1 + p * (p + 1) // 2 for p in range(1, p_max + 1))
 
 
-def counterexample_limit() -> float:
-    """Limit of the gap sequence: one half times prod_{j>=2} (1 - 2^-j)."""
+def _gap_product(p: int) -> float:
+    """v(p) = 1/2 prod_{j=2..p} (1 - 2^-j), the recursion's gap at sample p."""
     v = 0.5
-    for j in range(2, 64):
+    for j in range(2, p + 1):
         v *= 1.0 - 2.0 ** (-j)
     return v
+
+
+def counterexample_limit() -> float:
+    """Limit of the gap sequence: one half times prod_{j>=2} (1 - 2^-j),
+    whose factors past j = 53 round to 1.0."""
+    return _gap_product(63)
 
 
 @dataclass(frozen=True)
@@ -161,8 +167,6 @@ def verify_counterexample(p_max: int = 64) -> CounterexampleReport:
     the value the recursion predicts from the previous row, and their
     difference.  A mismatch beyond tolerance is reported, not raised.
     """
-    if p_max < 1:
-        raise ValueError(f"p_max must be at least 1, got {p_max}")
     schedule = counterexample_schedule()
     update = LinearAverage()
     t_samples = counterexample_sample_times(p_max)
@@ -189,15 +193,12 @@ def verify_counterexample(p_max: int = 64) -> CounterexampleReport:
                 tol=_recursion_tol(p),
             )
         )
-    recursion = 0.5
-    for j in range(2, p_max + 1):
-        recursion *= (2.0**j - 1.0) / 2.0**j
     final = gaps[-1]
     return CounterexampleReport(
         p_max=p_max,
         rows=tuple(rows),
         final_gap=final,
-        recursion_gap=recursion,
+        recursion_gap=_gap_product(p_max),
         limit_lower_bound=final * (1.0 - 2.0 ** (-p_max)),
     )
 

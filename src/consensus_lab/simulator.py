@@ -30,7 +30,7 @@ import numpy as np
 
 from .dynamics import UpdateMap
 from .graphs import DirectedGraph
-from .lyapunov import AgentState, diameter, hull
+from .lyapunov import AgentState, _check_tol, diameter, hull
 
 
 class GraphSchedule:
@@ -366,8 +366,7 @@ def attractivity_probe(
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     if not (radius >= 0.0 and math.isfinite(radius)):
         raise ValueError(f"radius must be nonnegative and finite, got {radius}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    _check_tol(tol)
     c = center if isinstance(center, AgentState) else AgentState(center)
     t0 = schedule.first_time if t0 is None else int(t0)
     checkpoint = max(1, horizon - horizon // 10)

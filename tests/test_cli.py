@@ -169,6 +169,16 @@ def test_matrix_bounds_admitting_unit_weight_keep_the_unweighted_output(chain_gr
     assert capsys.readouterr().out == plain
 
 
+@pytest.mark.parametrize("weight", ["inf", "1e400"])
+def test_matrix_names_the_line_of_a_non_finite_weight(tmp_path, capsys, weight):
+    path = tmp_path / "g.graph"
+    path.write_text(f"n=2\narc 1 2 {weight}\n")
+    assert main(["matrix", "--graph", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 2: arc weight must be positive and finite")
+
+
 def test_matrix_missing_file(tmp_path, capsys):
     assert main(["matrix", "--graph", str(tmp_path / "nope.graph")]) == 1
     assert "error:" in capsys.readouterr().err

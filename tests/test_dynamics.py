@@ -1,6 +1,7 @@
 """State containers, update matrices, nonlinear maps, and assumption checkers."""
 
 import gc
+import hashlib
 import math
 from unittest import mock
 
@@ -214,6 +215,12 @@ def test_update_matrix_arc_weight_matches_unit_weighted_graph():
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="arc weight must be positive and finite"):
             build_update_matrix(graphs[1], bad)
+
+
+def test_linear_average_checks_its_weight_by_the_weight_rule():
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="arc weight must be positive and finite"):
+            LinearAverage(bad)
 
 
 def test_linear_step_on_a_large_ring():
@@ -851,6 +858,72 @@ def test_convexity_max_map_fails_with_witness():
     w = rep.violations[0]
     assert w.reason
     assert len(w.neighborhood) >= 2
+
+
+def test_convexity_rejects_a_domain_outside_the_sampling_box():
+    class FarMax(MaxUpdate):
+        domain = (20.0, 30.0)
+
+    with pytest.raises(ValueError, match="empty sampling box"):
+        check_strict_convexity(FarMax(), DirectedGraph(2, {(1, 2)}))
+
+
+class _MaxOnUnitInterval(MaxUpdate):
+    domain = (-1.0, 1.0)
+
+
+class _KuramotoOnTwo(KuramotoTime1):
+    domain = (-2.0, 2.0)
+
+
+_CHECKED_MAPS = {
+    "linear": LinearAverage,
+    "kuramoto": KuramotoTime1,
+    "vicsek": VicsekHeading,
+    "max": MaxUpdate,
+    "max on (-1, 1)": _MaxOnUnitInterval,
+    "kuramoto on (-2, 2)": _KuramotoOnTwo,
+}
+
+# Both checkers' reports on the chain 1 -> 2 -> 3 at the default seeds, as
+# recorded before the checkers lost their `box` and `t` options: (map, d,
+# checker, violation count, first 32 hex digits of the sha256 of the
+# report's repr, which covers every field bit for bit).  The maps on a
+# narrowed domain pin where the checkers sample: the domain shrunk by 1% of
+# its width at each end.
+_PINNED_REPORTS = [
+    ("linear", 1, "locality", 0, "9a07d6eb7323923fbc1eb38a63114103"),
+    ("linear", 1, "convexity", 0, "19e96d94bf655f3532a0a190db8cc5ec"),
+    ("linear", 2, "locality", 0, "9a07d6eb7323923fbc1eb38a63114103"),
+    ("linear", 2, "convexity", 0, "19e96d94bf655f3532a0a190db8cc5ec"),
+    ("kuramoto", 1, "locality", 20, "2671f0910dd466faab997ddcea08c0e0"),
+    ("kuramoto", 1, "convexity", 0, "507fad74545d8f8df5061645a426d7ea"),
+    ("vicsek", 1, "locality", 0, "60dc7a57d61dd3f848b2bc1f3bcbc866"),
+    ("vicsek", 1, "convexity", 0, "a691941230ccf8f241c5ba30938d514e"),
+    ("max", 1, "locality", 0, "9140872329f3c73d6d763ccc5825cea0"),
+    ("max", 1, "convexity", 200, "535fe3055222449f09f97717b92b8186"),
+    ("max", 2, "locality", 0, "9140872329f3c73d6d763ccc5825cea0"),
+    ("max", 2, "convexity", 200, "02352054b904570172c9bff52f926ec2"),
+    ("max on (-1, 1)", 1, "locality", 0, "9140872329f3c73d6d763ccc5825cea0"),
+    ("max on (-1, 1)", 1, "convexity", 200, "23e4f50d480a8ebad36627358cb9d8c7"),
+    ("max on (-1, 1)", 2, "locality", 0, "9140872329f3c73d6d763ccc5825cea0"),
+    ("max on (-1, 1)", 2, "convexity", 200, "e8d2708f28e27731b6da0b6d24b69719"),
+    ("kuramoto on (-2, 2)", 1, "locality", 20, "a4720821eb79b9cde86f702e67b51088"),
+    ("kuramoto on (-2, 2)", 1, "convexity", 17, "3791d31d253e93eca365294063a331f3"),
+]
+
+
+@pytest.mark.parametrize("name, d, checker, count, digest", _PINNED_REPORTS)
+def test_checker_reports_are_pinned(name, d, checker, count, digest):
+    update_map = _CHECKED_MAPS[name]()
+    chain = DirectedGraph(3, {(1, 2), (2, 3)})
+    if checker == "locality":
+        x = [0.5, -0.5, 0.75] if d == 1 else [[0.5, 0.25], [-0.5, 0.75], [0.75, -0.25]]
+        rep = check_communication_assumption(update_map, chain, AgentState(x))
+    else:
+        rep = check_strict_convexity(update_map, chain, d=d)
+    assert len(rep.violations) == count
+    assert hashlib.sha256(repr(rep).encode()).hexdigest()[:32] == digest
 
 
 def test_convexity_rejects_unsupported_dim():

@@ -1,5 +1,6 @@
 """Graph construction, neighbor calculus, connectivity, and the text format."""
 
+import math
 import random
 
 import numpy as np
@@ -524,6 +525,21 @@ def test_parse_errors_carry_line_numbers(text, lineno, fragment):
         parse_graph_text(text)
     assert err.value.line == lineno
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("weight", ["inf", "1e400", "nan", "0", "-1"])
+def test_parse_checks_each_weight_by_the_weight_rule_on_its_line(weight):
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph_text(f"n=2\narc 1 2 {weight}\n")
+    assert err.value.line == 2
+    assert "positive and finite" in str(err.value)
+
+
+def test_weight_rule_names_the_arc_of_a_weighted_digraph():
+    g = DirectedGraph(2, {(1, 2)})
+    for bad in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match=r"weight of arc \(1, 2\) must be positive and finite"):
+            WeightedDigraph(g, {(1, 2): bad})
 
 
 def test_parse_with_declared_bounds():

@@ -251,10 +251,24 @@ def test_interval_hulls_agree_with_the_array_formulas():
             assert not contains(outer, inner, float(np.nextafter(gap, 0.0)))
 
 
+def test_hulls_are_made_only_by_hull():
+    # listed clockwise: taken as vertices, this square would put its own
+    # centre outside itself
+    square = [[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]]
+    with pytest.raises(TypeError):
+        HullPolytope(square)
+    with pytest.raises(TypeError):
+        HullPolytope([[0.0], [5.0], [3.0]])
+    h = hull(square)
+    assert point_distance(h, [0.5, 0.5]) == 0.0
+    assert contains(h, hull([[0.5, 0.5]]))
+    assert hull([[0.0], [5.0], [3.0]]).vertex_count == 2
+
+
 def test_interval_hull_of_a_state_equals_the_constructed_polytope():
     for lo, hi in [(-1.0, 3.0), (-0.0, 5e-324), (-1e300, 1e300), (2.0, 2.0), (-0.0, -0.0)]:
         made = hull(AgentState([hi, lo, hi]))
-        built = HullPolytope([[lo], [hi]] if lo != hi else [[lo]])
+        built = hull([[lo], [hi]] if lo != hi else [[lo]])
         assert made.vertices.tobytes() == built.vertices.tobytes()
         assert made.vertex_count == built.vertex_count
         assert (made.lo, made.hi) == (built.lo, built.hi)
@@ -312,7 +326,7 @@ def test_distances_match_per_edge_reference(offset, scale):
         pts = offset + scale * 1.5 * rng.normal(size=(12, 2))
         ref = [_reference_point_distance(outer, p) for p in pts]
         assert [point_distance(outer, p) for p in pts] == ref
-        inner = HullPolytope(pts)
+        inner = hull(pts)
         for slack in (0.0, float(np.median(ref)), max(ref)):
             assert contains(outer, inner, slack) == all(d <= slack for d in ref)
         assert not contains(outer, inner, float(np.nextafter(max(ref), 0.0)))
@@ -377,11 +391,11 @@ def test_prefiltered_hull_near_the_largest_float(n):
 
 
 def test_point_distance_segment_and_point_hulls():
-    seg = HullPolytope([[0.0, 0.0], [2.0, 0.0]])
+    seg = hull([[0.0, 0.0], [2.0, 0.0]])
     assert point_distance(seg, [1.0, 0.0]) == 0.0
     assert point_distance(seg, [1.0, 0.5]) == 0.5
     assert point_distance(seg, [3.0, 0.0]) == 1.0
-    pt = HullPolytope([[1.0, 1.0]])
+    pt = hull([[1.0, 1.0]])
     assert point_distance(pt, [1.0, 1.0]) == 0.0
     assert point_distance(pt, [4.0, 5.0]) == 5.0
 
@@ -440,7 +454,7 @@ def test_planar_diameter_matches_pairwise_loop():
         for i in range(m):
             for j in range(i + 1, m):
                 best = max(best, float(np.hypot(v[i, 0] - v[j, 0], v[i, 1] - v[j, 1])))
-        assert diameter(HullPolytope(v)) == best
+        assert diameter(hull(v)) == best
 
 
 def test_diameter_zero_iff_coincident():
