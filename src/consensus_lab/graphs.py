@@ -25,6 +25,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -71,7 +72,7 @@ class DirectedGraph:
     arcs: frozenset[Arc]
 
     def __init__(self, n: int, arcs: Iterable[Arc] = ()):
-        n = int(n)
+        n = index(n)
         if n < 1:
             raise ValueError(f"node count must be at least 1, got {n}")
         object.__setattr__(self, "n", n)
@@ -131,10 +132,10 @@ class DirectedGraph:
 def _valid_arcs(n: int, arcs: Iterable[Arc]) -> frozenset[Arc]:
     """The arcs as a frozenset of int pairs with distinct endpoints in 1..n.
 
-    Raises for the first bad arc found, checking for a self-loop before
-    the node range.
+    Raises for the first bad arc found (a float endpoint raises TypeError,
+    as in `range`), checking for a self-loop before the node range.
     """
-    pairs = frozenset((int(k), int(l)) for k, l in arcs)
+    pairs = frozenset((index(k), index(l)) for k, l in arcs)
     for k, l in pairs:
         if k == l:
             raise ValueError(f"self-loop ({k}, {l}) is not allowed")
@@ -211,7 +212,7 @@ class WeightedDigraph(DirectedGraph):
         weights: Mapping[Arc, float],
         bounds: Optional[tuple[float, float]] = None,
     ):
-        wmap = {(int(k), int(l)): float(w) for (k, l), w in weights.items()}
+        wmap = {(index(k), index(l)): float(w) for (k, l), w in weights.items()}
         if set(wmap) != set(graph.arcs):
             missing = set(graph.arcs) - set(wmap)
             extra = set(wmap) - set(graph.arcs)
@@ -269,9 +270,9 @@ class IntervalSpec:
     end: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "start", int(self.start))
+        object.__setattr__(self, "start", index(self.start))
         if self.end is not None:
-            object.__setattr__(self, "end", int(self.end))
+            object.__setattr__(self, "end", index(self.end))
             if self.end < self.start:
                 raise ValueError(f"empty interval [{self.start}, {self.end}]")
 
@@ -317,7 +318,7 @@ def neighbors(g: DirectedGraph, L: Iterable[int]) -> NodeSet:
     This is the information-theoretic neighbor set: members of the result
     influence L directly, in one step.  The empty set has no neighbors.
     """
-    s = {_node_index(g, int(k)) for k in L}
+    s = {_node_index(g, index(k)) for k in L}
     return frozenset(v + 1 for v in _senders_outside(*g._in_csr, s))
 
 
@@ -456,46 +457,46 @@ def find_root(g: DirectedGraph) -> Optional[int]:
 def union_across(schedule, interval: IntervalSpec) -> DirectedGraph:
     """Union of the schedule's arc sets over an interval of times.
 
-    The result is a graph on the schedule's nodes.  A union of several
-    graphs drops their weights; a window of one time returns that graph
-    itself, weighted or not, so its cached views are reused.  Unbounded
-    intervals are answered exactly for periodic and eventually-constant
-    schedules, and through the schedule's `tail_union` when it has a
-    closed form; other schedules raise UnsupportedQueryError because an
-    infinite union cannot be scanned.  `schedule` is a
-    `simulator.GraphSchedule`.
+    The result is a graph on the schedule's nodes.  The walk visits the
+    interval's start, then only the times `next_active` names.  A union of
+    several graphs drops their weights; one that meets a single graph,
+    such as a window of one time, returns that graph itself, weighted or
+    not, so its cached views are reused.  `schedule` is a
+    `simulator.GraphSchedule`, and the start passes its `_check_time`.
+
+    A table (finite, periodic and constant schedules) repeats its cycle
+    from `cycle_from`, so one period from max(start, cycle_from) on meets
+    every slot, and any interval, bounded or not, stops there.  Any other
+    schedule answers an unbounded interval by its closed-form `tail_union`,
+    or raises UnsupportedQueryError without one, since an infinite union
+    cannot be scanned; a bounded interval's union lies inside that tail,
+    so its walk stops once their arcs are equal.
     """
-    first = schedule.first_time
-    if interval.start < first:
-        raise ValueError(
-            f"interval {interval} starts before the schedule's first time {first}"
-        )
-    a = interval.start
-    period, constant_from = schedule.period, schedule.constant_from
-    if interval.bounded:
-        b = interval.end
-        if period is not None:
-            b = min(b, a + period - 1)
-        elif constant_from is not None:
-            b = min(b, max(a, constant_from))
-        times = range(a, b + 1)
-    elif period is not None:
-        times = range(a, a + period)
-    elif constant_from is not None:
-        times = range(a, max(a, constant_from) + 1)
+    a = schedule._check_time(interval.start)
+    b, tail = interval.end, None
+    if schedule.cycle_from is not None:
+        last = max(a, schedule.cycle_from) + schedule.period - 1
+        b = last if b is None else min(b, last)
     else:
         tail = schedule.tail_union(a)
-        if tail is not None:
+        if b is None:
+            if tail is None:
+                raise UnsupportedQueryError(
+                    f"cannot take the arc union over unbounded {interval}: the "
+                    "schedule does not repeat and has no closed-form tail union"
+                )
             return tail
-        raise UnsupportedQueryError(
-            f"cannot take the arc union over unbounded {interval}: the schedule "
-            "is neither periodic nor eventually constant and has no closed-form "
-            "tail union"
-        )
-    members = [schedule.graph_at(t) for t in times]
-    for t, g in zip(times, members):
+    members, arcs, t = [], set(), a
+    while t is not None and t <= b:
+        g = schedule.graph_at(t)
         if g.n != schedule.n:
             raise ValueError(f"graph at time {t} has n={g.n}, expected {schedule.n}")
+        members.append(g)
+        if tail is not None:
+            arcs |= g.arcs
+            if arcs == tail.arcs:
+                break
+        t = schedule.next_active(t + 1)
     if len(members) == 1:
         return members[0]
     # The members' arcs are valid for n nodes, so their union needs no check.

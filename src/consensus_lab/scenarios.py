@@ -67,16 +67,14 @@ class CounterexampleSchedule(GraphSchedule):
             raise ValueError(f"block index must be nonnegative, got {s}")
         return 2 * s * s + s + 1
 
-    @classmethod
-    def block_of(cls, t: int) -> tuple[int, int]:
+    def block_of(self, t: int) -> tuple[int, int]:
         """(block index, offset inside the block) for a time t >= 1."""
-        if t < _CE_FIRST_TIME:
-            raise ValueError(f"time must be at least {_CE_FIRST_TIME}, got {t}")
+        t = self._check_time(t)
         s = (math.isqrt(8 * t - 7) - 1) // 4
-        return s, t - cls.block_start(s)
+        return s, t - self.block_start(s)
 
     def graph_at(self, t: int) -> DirectedGraph:
-        s, r = self.block_of(self._check_time(t))
+        s, r = self.block_of(t)
         if r < 2 * s:
             return _G12
         if r == 2 * s:

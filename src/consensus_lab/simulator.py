@@ -3,9 +3,9 @@
 A schedule assigns a communication graph to every integer time at or
 after its first time.  Three kinds cover practical needs: an explicit
 finite list (eventually constant, by default arc-free), a repeating
-list, and an arbitrary generator function.  Periodic and eventually
-constant schedules expose enough structure that arc unions over
-unbounded time intervals stay decidable.
+list, and an arbitrary generator function.  The first two are tables, a
+head of graphs then a cycle repeated forever, so arc unions over any
+time interval of them stay decidable.
 
 The run engine is `iter_spans`: it rolls an update map along a schedule
 and yields one span (t, end, state) per constant stretch, the state
@@ -23,6 +23,7 @@ center and reports how often the group reached consensus.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -34,21 +35,22 @@ from .lyapunov import AgentState, _check_tol, diameter, hull
 
 
 class GraphSchedule:
-    """Base class: a graph for every time t >= first_time.
+    """Base class: a graph for every integer time t >= first_time.
 
-    Subclasses set `period` (repeating schedules) or `constant_from`
-    (schedules that stop changing) when applicable; both stay None
-    otherwise.  `name` identifies the schedule in reports and files.
+    Tables (finite, periodic and constant schedules) are a head of graphs,
+    then a cycle of `period` graphs repeated forever from `cycle_from`;
+    other schedules leave both None.  `name` names the schedule in reports.
     """
 
     first_time: int
     n: int
     name: str
     period: Optional[int] = None
-    constant_from: Optional[int] = None
+    cycle_from: Optional[int] = None
 
     def _check_time(self, t: int) -> int:
-        t = int(t)
+        """t as an int, at or after the first time: the rule for every time."""
+        t = operator.index(t)
         if t < self.first_time:
             raise ValueError(
                 f"time {t} is before the schedule's first time {self.first_time}"
@@ -70,9 +72,8 @@ class GraphSchedule:
     def tail_union(self, start: int) -> Optional[DirectedGraph]:
         """Arc union over [start, infinity), when known in closed form.
 
-        Aperiodic schedules with analyzable structure override this; the
-        default None means the union must be scanned, which is only
-        possible for periodic or eventually constant schedules.
+        Aperiodic schedules with analyzable structure override this; with
+        the default None, only a table's unbounded union can be taken.
         """
         return None
 
@@ -84,22 +85,43 @@ def _node_count(graphs: Sequence[DirectedGraph]) -> int:
     return ns.pop()
 
 
-def _next_active_indices(
-    graphs: Sequence[DirectedGraph], beyond: Optional[int]
-) -> list[Optional[int]]:
-    """For each index i, the least j >= i whose graph has an arc, or
-    `beyond` when no graph from i on has one."""
-    out: list[Optional[int]] = [None] * len(graphs)
-    j = beyond
-    for i in reversed(range(len(graphs))):
-        if graphs[i].arcs:
-            j = i
-        out[i] = j
-    return out
+class _TableSchedule(GraphSchedule):
+    """A head of graphs from `first_time`, then a nonempty cycle repeated
+    forever from `cycle_from`.  Slots are stored cycle first, so i = t -
+    cycle_from indexes them as i % period, or in the head as the negative
+    i.  `_next[i]` is the next active time's offset from `cycle_from`;
+    after the last slot it wraps to the cycle's first active slot.
+    """
+
+    def __init__(self, head, cycle, first_time, name):
+        self.n = _node_count(head + cycle)
+        self.first_time = operator.index(first_time)
+        self.cycle_from = self.first_time + len(head)
+        self.period = len(cycle)
+        self.name = name
+        self._slots = cycle + head
+        j = next((self.period + i for i, g in enumerate(cycle) if g.arcs), None)
+        self._next: list[Optional[int]] = [None] * len(self._slots)
+        for i in reversed(range(-len(head), self.period)):
+            if self._slots[i].arcs:
+                j = i
+            self._next[i] = j
+
+    def graph_at(self, t: int) -> DirectedGraph:
+        i = self._check_time(t) - self.cycle_from
+        return self._slots[i % self.period if i >= 0 else i]
+
+    def next_active(self, t: int) -> Optional[int]:
+        t = self._check_time(t)
+        i = t - self.cycle_from
+        r = i % self.period if i >= 0 else i
+        j = self._next[r]
+        return None if j is None else t - r + j
 
 
-class FiniteSchedule(GraphSchedule):
-    """An explicit list of graphs, then a constant `after` graph forever.
+class FiniteSchedule(_TableSchedule):
+    """An explicit list of graphs, then a constant `after` graph forever:
+    the head `graphs` and the cycle `(after,)`.
 
     `after` defaults to the arc-free graph, modeling a burst of
     communication followed by silence.
@@ -115,28 +137,15 @@ class FiniteSchedule(GraphSchedule):
         graphs = tuple(graphs)
         if not graphs and after is None:
             raise ValueError("need at least one graph or an explicit after graph")
-        self.n = _node_count(graphs if after is None else graphs + (after,))
-        self.graphs = graphs
-        self.after = after if after is not None else DirectedGraph(self.n, ())
-        self.first_time = int(first_time)
-        self.constant_from = self.first_time + len(graphs)
-        self.name = name
-        self._next = _next_active_indices(graphs, len(graphs) if self.after.arcs else None)
-
-    def graph_at(self, t: int) -> DirectedGraph:
-        idx = self._check_time(t) - self.first_time
-        return self.graphs[idx] if idx < len(self.graphs) else self.after
-
-    def next_active(self, t: int) -> Optional[int]:
-        idx = self._check_time(t) - self.first_time
-        if idx >= len(self.graphs):
-            return t if self.after.arcs else None
-        j = self._next[idx]
-        return None if j is None else self.first_time + j
+        if after is None:
+            after = DirectedGraph(graphs[0].n, ())
+        super().__init__(graphs, (after,), first_time, name)
+        self.graphs, self.after = graphs, after
 
 
-class PeriodicSchedule(GraphSchedule):
-    """A list of graphs repeated forever; the period is the list length."""
+class PeriodicSchedule(_TableSchedule):
+    """A list of graphs repeated forever: an empty head and the cycle
+    `graphs`, so the period is the list length."""
 
     def __init__(
         self, graphs: Sequence[DirectedGraph], first_time: int = 0, name: str = "periodic"
@@ -144,31 +153,16 @@ class PeriodicSchedule(GraphSchedule):
         graphs = tuple(graphs)
         if not graphs:
             raise ValueError("need at least one graph")
-        self.n = _node_count(graphs)
+        super().__init__((), graphs, first_time, name)
         self.graphs = graphs
-        self.first_time = int(first_time)
-        self.period = len(graphs)
-        self.name = name
-        # the first active slot of the next period follows the last slot
-        wrap = next((i + self.period for i, g in enumerate(graphs) if g.arcs), None)
-        self._next = _next_active_indices(graphs, wrap)
-
-    def graph_at(self, t: int) -> DirectedGraph:
-        idx = (self._check_time(t) - self.first_time) % self.period
-        return self.graphs[idx]
-
-    def next_active(self, t: int) -> Optional[int]:
-        q, idx = divmod(self._check_time(t) - self.first_time, self.period)
-        j = self._next[idx]
-        return None if j is None else self.first_time + q * self.period + j
 
 
 class GeneratedSchedule(GraphSchedule):
     """Graphs produced by a function of time, each checked for its n.
 
-    A generated schedule declares no `period` or `constant_from`, since
-    nothing checks that the function would honor them; unions over
-    unbounded intervals are refused unless a subclass answers `tail_union`.
+    A generated schedule is no table, since nothing checks that the
+    function repeats; unions over unbounded intervals are refused unless
+    a subclass answers `tail_union`, which also ends bounded ones early.
     """
 
     def __init__(
@@ -179,8 +173,8 @@ class GeneratedSchedule(GraphSchedule):
         name: str = "generated",
     ):
         self.fn = fn
-        self.n = int(n)
-        self.first_time = int(first_time)
+        self.n = operator.index(n)
+        self.first_time = operator.index(first_time)
         self.name = name
 
     def graph_at(self, t: int) -> DirectedGraph:
@@ -219,18 +213,16 @@ def iter_spans(
     `UpdateMap` returns under any graph, holds through t0 + steps, however
     far off that is.
 
-    `steps`, `t0` and `x0` are checked when the stream is made, before
-    the caller opens any output, not on its first `next()`; so is `x0`
-    against the map (its dimension and domain), since a run that never
-    meets an arc never steps the map.
+    `steps` (an integer, as in `range`), `t0` (`GraphSchedule._check_time`)
+    and `x0` are checked when the stream is made, before the caller opens
+    any output, not on its first `next()`; so is `x0` against the map (its
+    dimension and domain), since a run that never meets an arc never steps
+    the map.
     """
+    steps = operator.index(steps)
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
-    t0 = schedule.first_time if t0 is None else int(t0)
-    if t0 < schedule.first_time:
-        raise ValueError(
-            f"t0={t0} is before the schedule's first time {schedule.first_time}"
-        )
+    t0 = schedule.first_time if t0 is None else schedule._check_time(t0)
     x = x0 if isinstance(x0, AgentState) else AgentState(x0)
     if x.n != schedule.n:
         raise ValueError(f"state has n={x.n} but schedule has n={schedule.n}")
@@ -368,7 +360,7 @@ def attractivity_probe(
         raise ValueError(f"radius must be nonnegative and finite, got {radius}")
     _check_tol(tol)
     c = center if isinstance(center, AgentState) else AgentState(center)
-    t0 = schedule.first_time if t0 is None else int(t0)
+    t0 = schedule.first_time if t0 is None else schedule._check_time(t0)
     checkpoint = max(1, horizon - horizon // 10)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(samples)]
     out: list[ProbeSample] = []

@@ -31,6 +31,7 @@ from consensus_lab import (
     union_across,
     weakly_connected_oracle,
 )
+from consensus_lab.scenarios import CounterexampleSchedule, StretchingSchedule
 from consensus_lab.simulator import GraphSchedule
 
 
@@ -130,6 +131,30 @@ def test_construction_coerces_pairs_to_ints():
     assert type(g.n) is int
     once = DirectedGraph(3, ((k, k + 1) for k in (1, 2)))  # a one-shot iterator
     assert once.arcs == {(1, 2), (2, 3)}
+    i64 = np.int64
+    h = DirectedGraph(3, {(1, 2)})
+    assert WeightedDigraph(h, {(i64(1), i64(2)): 0.5}) == WeightedDigraph(h, {(1, 2): 0.5})
+    spec = IntervalSpec(i64(2), i64(9))
+    assert spec == IntervalSpec(2, 9) and type(spec.start) is int and type(spec.end) is int
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: DirectedGraph(2.7),
+        lambda: DirectedGraph(3, {(1.9, 2)}),
+        lambda: WeightedDigraph(DirectedGraph(3, {(1, 2)}), {(1.5, 2): 1.0}),
+        lambda: IntervalSpec(0.5, 3),
+        lambda: IntervalSpec(0, 3.0),
+        lambda: neighbors(DirectedGraph(3, {(1, 2)}), [2.0]),
+    ],
+    ids=["node-count", "arc-endpoint", "weight-key", "interval-start", "interval-end",
+         "neighbors-label"],
+)
+def test_non_integers_are_rejected_not_truncated(make):
+    # as range(2.7) does; int() would make n=2, the arc (1, 2) and [0, 3]
+    with pytest.raises(TypeError):
+        make()
 
 
 def _reach(n, arcs, k):
@@ -462,6 +487,37 @@ def test_union_across_equals_plain_set_union():
             assert union == rebuilt and hash(union) == hash(rebuilt)
             assert all(np.array_equal(x, y) for x, y in zip(union.arc_arrays, rebuilt.arc_arrays))
             assert is_weakly_connected(union) == is_weakly_connected(rebuilt)
+
+
+def _counting(cls):
+    """cls with an instance counter of its `graph_at` calls."""
+
+    class Counting(cls):
+        calls = 0
+
+        def graph_at(self, t):
+            self.calls += 1
+            return super().graph_at(t)
+
+    return Counting
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: _counting(StretchingSchedule)(4), lambda: _counting(CounterexampleSchedule)()],
+    ids=["stretching", "counterexample"],
+)
+def test_bounded_unions_of_closed_form_schedules_stop_at_the_tail(make):
+    sched = make()
+    assert union_across(sched, IntervalSpec(1, 10**6)) == sched.tail_union(1)
+    assert sched.calls <= 100
+    # windows that stop short of the tail are still the plain union
+    rng = random.Random(5)
+    for _ in range(60):
+        a = rng.randint(1, 300)
+        b = rng.randint(a, a + 40)
+        assert union_across(sched, IntervalSpec(a, b)).arcs == _plain_union(sched, range(a, b + 1))
+    g = sched.graph_at(7)
+    assert union_across(sched, IntervalSpec(7, 7)) is g
 
 
 def test_union_across_rejects_member_of_other_size():

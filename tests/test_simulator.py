@@ -10,6 +10,7 @@ from consensus_lab import (
     DirectedGraph,
     FiniteSchedule,
     GeneratedSchedule,
+    IntervalSpec,
     KuramotoTime1,
     LinearAverage,
     MaxUpdate,
@@ -26,6 +27,7 @@ from consensus_lab import (
     monitor_stream,
     stretching_bidirectional_schedule,
     summarize,
+    union_across,
 )
 from consensus_lab.dynamics import UpdateMap
 from consensus_lab.simulator import GraphSchedule, iter_spans, iter_states
@@ -44,7 +46,7 @@ def test_finite_schedule_runs_out_into_after_graph():
     assert sched.graph_at(4) is PAIR
     assert sched.graph_at(5).arcs == frozenset()
     assert sched.graph_at(10**9).arcs == frozenset()
-    assert sched.constant_from == 5
+    assert sched.cycle_from == 5
     with pytest.raises(ValueError, match="before the schedule"):
         sched.graph_at(2)
 
@@ -68,7 +70,7 @@ def test_periodic_schedule_wraps():
     sched = PeriodicSchedule([a, b])
     assert [sched.graph_at(t) for t in range(4)] == [a, b, a, b]
     assert sched.period == 2
-    assert sched.constant_from is None
+    assert sched.cycle_from == sched.first_time
 
 
 def test_generated_schedule_validates_node_count():
@@ -193,6 +195,97 @@ def test_stretching_next_active_matches_a_graph_at_scan(n):
 def test_generated_schedule_next_active_is_the_time_itself():
     sched = GeneratedSchedule(lambda t: Z if t % 3 else A, n=3, first_time=2)
     assert [sched.next_active(t) for t in range(2, 8)] == list(range(2, 8))
+
+
+# Tables (finite, periodic, constant) against their unrolled definitions
+
+FAR = 10**18
+CYCLE = (Z, A, Z, Z, B, Z)
+
+# (schedule, unrolled): unrolled(i) is the graph at first_time + i, as the
+# constructor's arguments define it
+TABLES = [
+    (FiniteSchedule([Z, A, Z, B], first_time=3), lambda i: (Z, A, Z, B)[i] if i < 4 else Z),
+    (FiniteSchedule([A, Z], first_time=2, after=B), lambda i: (A, Z)[i] if i < 2 else B),
+    (PeriodicSchedule(CYCLE, first_time=5), lambda i: CYCLE[i % len(CYCLE)]),
+    (constant_schedule(A, first_time=2), lambda i: A),
+    (constant_schedule(Z), lambda i: Z),
+]
+TABLE_IDS = ["finite-silent-after", "finite-active-after", "periodic-offset",
+             "constant-active", "constant-silent"]
+
+
+@pytest.mark.parametrize("schedule, unrolled", TABLES, ids=TABLE_IDS)
+def test_tables_match_their_unrolled_definition_at_far_times(schedule, unrolled):
+    f, p = schedule.first_time, schedule.period
+    times = range(FAR, FAR + 3 * p + 1)
+    assert [schedule.graph_at(t) for t in times] == [unrolled(t - f) for t in times]
+    # past the head, every slot recurs within one period, so an active time
+    # is at most p - 1 steps ahead, or there is none
+    want = [next((u for u in range(t, t + p) if unrolled(u - f).arcs), None) for t in times]
+    assert [schedule.next_active(t) for t in times] == want
+
+
+@pytest.mark.parametrize("schedule, unrolled", TABLES, ids=TABLE_IDS)
+def test_table_graph_repeats_a_period_back_from_the_cycle(schedule, unrolled):
+    c, p = schedule.cycle_from, schedule.period
+    for t in [*range(c + p, c + 4 * p), *range(FAR, FAR + 2 * p)]:
+        assert schedule.graph_at(t) is schedule.graph_at(t - p)
+
+
+@pytest.mark.parametrize("schedule, unrolled", TABLES, ids=TABLE_IDS)
+def test_table_unions_scan_at_most_one_cycle(schedule, unrolled):
+    f, p = schedule.first_time, schedule.period
+
+    def scan(a, b):
+        return frozenset().union(*(unrolled(t - f).arcs for t in range(a, b + 1)))
+
+    for k in range(2 * p + 1):
+        got = union_across(schedule, IntervalSpec(FAR, FAR + k))
+        assert got.arcs == scan(FAR, FAR + min(k, p - 1))
+    assert union_across(schedule, IntervalSpec(FAR)).arcs == scan(FAR, FAR + p - 1)
+    # from the first time, the head comes before the one cycle
+    assert union_across(schedule, IntervalSpec(f)).arcs == scan(f, schedule.cycle_from + p - 1)
+
+
+def test_times_steps_and_counts_must_be_integers():
+    # as range(2.5) does; int() would silently truncate each of them
+    sched = PeriodicSchedule(CYCLE, first_time=1)
+    for bad in (
+        lambda: sched.graph_at(2.5),
+        lambda: sched.next_active(2.5),
+        lambda: iter_spans(sched, LinearAverage(), [0.0, 1.0, 2.0], steps=2.5),
+        lambda: iter_spans(sched, LinearAverage(), [0.0, 1.0, 2.0], steps=2, t0=1.5),
+        lambda: attractivity_probe(sched, LinearAverage(), [0.0, 1.0, 2.0], 0.1, t0=1.5),
+        lambda: PeriodicSchedule(CYCLE, first_time=0.5),
+        lambda: FiniteSchedule([A], first_time=0.5),
+        lambda: GeneratedSchedule(lambda t: A, n=3.0),
+    ):
+        with pytest.raises(TypeError):
+            bad()
+
+
+def test_numpy_integer_times_give_the_same_schedules_and_runs():
+    i64 = np.int64
+    g = DirectedGraph(i64(3), [(i64(1), i64(2)), (i64(3), i64(2))])
+    sched = FiniteSchedule([g, Z, Z], first_time=i64(2), after=B)
+    ref = FiniteSchedule([DirectedGraph(3, {(1, 2), (3, 2)}), Z, Z], first_time=2, after=B)
+    assert (sched.first_time, sched.cycle_from) == (2, 5)
+    assert type(sched.first_time) is int and type(sched.cycle_from) is int
+    for t in range(2, 10):
+        assert sched.graph_at(i64(t)) == ref.graph_at(t)
+        assert sched.next_active(i64(t)) == ref.next_active(t)
+        assert type(sched.next_active(i64(t))) is int
+
+    def spans(schedule, steps, t0):
+        return [(t, end, x.values.tolist())
+                for t, end, x in iter_spans(schedule, LinearAverage(), [0.0, 1.0, 2.0], steps, t0)]
+
+    run = spans(sched, i64(8), i64(3))
+    assert run == spans(ref, 8, 3)
+    assert all(type(t) is int and type(end) is int for t, end, _ in run)
+    gen = GeneratedSchedule(lambda t: B, n=i64(3), first_time=i64(1))
+    assert type(gen.n) is int and spans(gen, i64(4), None) == spans(constant_schedule(B, 1), 4, None)
 
 
 def _reference_run(schedule, update_map, x0, steps, t0):
