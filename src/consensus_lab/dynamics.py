@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
-from .graphs import Arc, DirectedGraph, WeightedDigraph, _valid_weight
+from .graphs import Arc, DirectedGraph, WeightedDigraph, _valid_count, _valid_weight
 from .lyapunov import AgentState, _edge_depths, _segment_offsets, diameter, hull
 
 GainFn = Callable[[float], float]
@@ -354,9 +354,7 @@ class _FlowMap(UpdateMap):
     integrator_backed = True
 
     def __init__(self, substeps: int = 100):
-        if substeps < 1:
-            raise ValueError(f"substeps must be at least 1, got {substeps}")
-        self.substeps = substeps
+        self.substeps = _valid_count(substeps, 1, "substeps")
         self._kernels: dict[int, Callable] = {}
         self._fields = weakref.WeakKeyDictionary()
 
@@ -575,8 +573,7 @@ def check_communication_assumption(
     motion relays information from further away.  The checker reports
     what the map actually does.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    trials = _valid_count(trials, 1, "trials")
     tol, domain = _checker_rules(update_map)
     baseline = update_map.step(0, graph, state).points
     rng = np.random.default_rng(seed)
@@ -688,8 +685,7 @@ def check_strict_convexity(
     (-10, 10)^d, cut to the checkers' sampling domain; a d the map does not
     support fails the first `step`.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    samples = _valid_count(samples, 1, "samples")
     eq_tol, domain = _checker_rules(update_map)
     lo, hi = domain or (-10.0, 10.0)
     lo, hi = max(-10.0, lo), min(10.0, hi)

@@ -72,9 +72,7 @@ class DirectedGraph:
     arcs: frozenset[Arc]
 
     def __init__(self, n: int, arcs: Iterable[Arc] = ()):
-        n = index(n)
-        if n < 1:
-            raise ValueError(f"node count must be at least 1, got {n}")
+        n = _valid_count(n, 1, "node count")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "arcs", _valid_arcs(n, arcs))
 
@@ -151,6 +149,16 @@ def _valid_weight(w: float, arc: Optional[Arc] = None) -> float:
         what = "arc weight" if arc is None else f"weight of arc {arc}"
         raise ValueError(f"{what} must be positive and finite, got {w}")
     return w
+
+
+def _valid_count(value: int, least: int, what: str) -> int:
+    """value as an int, at least `least`: the rule for every count.  A float
+    raises TypeError, as in `range`, and is never truncated."""
+    v = index(value)
+    if v < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{what} must be {bound}, got {v}")
+    return v
 
 
 def _csr(n: int, entries: Iterable[Arc]) -> tuple[list[int], list[int]]:

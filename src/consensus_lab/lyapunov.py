@@ -386,9 +386,10 @@ def point_distance(h: HullPolytope, point) -> float:
     return _planar_gap(h, p[None, :], float(np.abs(p).max()))
 
 
-def _check_slack(slack: float) -> None:
-    if not 0.0 <= slack < math.inf:
-        raise ValueError(f"slack must be nonnegative and finite, got {slack}")
+def _check_distance(value: float, what: str) -> None:
+    """The rule for a slack or a radius: nonnegative and finite."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{what} must be nonnegative and finite, got {value}")
 
 
 def _check_tol(tol: float) -> None:
@@ -405,7 +406,7 @@ def contains(outer: HullPolytope, inner: HullPolytope, slack: float = 0.0) -> bo
     """
     if outer.d != inner.d:
         raise ValueError(f"dimension mismatch: outer d={outer.d}, inner d={inner.d}")
-    _check_slack(slack)
+    _check_distance(slack, "slack")
     if outer.d == 1:
         return outer.lo - inner.lo <= slack and inner.hi - outer.hi <= slack
     return _planar_gap(outer, inner.vertices, inner.magnitude) <= slack
@@ -501,7 +502,7 @@ def monitor_stream(
     `next_active` claims nothing, across its arc-free steps.  Raw arrays
     and lists are always hulled afresh, since their caller may edit them.
     """
-    _check_slack(slack)
+    _check_distance(slack, "slack")
     return _monitor(items, slack + _ROUNDING_ULPS * _EPS)
 
 

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import LinearAverage
-from .graphs import DirectedGraph, IntervalSpec
+from .graphs import DirectedGraph, IntervalSpec, _valid_count
 from .lyapunov import AgentState
 from .simulator import GraphSchedule, PeriodicSchedule, iter_spans
 
@@ -63,8 +63,7 @@ class CounterexampleSchedule(GraphSchedule):
     @staticmethod
     def block_start(s: int) -> int:
         """Time at which block s begins."""
-        if s < 0:
-            raise ValueError(f"block index must be nonnegative, got {s}")
+        s = _valid_count(s, 0, "block index")
         return 2 * s * s + s + 1
 
     def block_of(self, t: int) -> tuple[int, int]:
@@ -99,8 +98,7 @@ def counterexample_sample_times(p_max: int) -> tuple[int, ...]:
     Consecutive samples are p + 1 steps apart; each lands right after a
     block's mutual exchange between agents 2 and 3.
     """
-    if p_max < 1:
-        raise ValueError(f"p_max must be at least 1, got {p_max}")
+    p_max = _valid_count(p_max, 1, "p_max")
     return tuple(1 + p * (p + 1) // 2 for p in range(1, p_max + 1))
 
 
@@ -231,14 +229,13 @@ def random_windowed_schedule(
     period shorter than T + 1 has slot 0 alone, and a window covers all of
     it).  So every T + 1 consecutive times meet a plant, and the window's
     arc union contains a rooted spanning tree, which is weakly connected.
-    The draws come from `SeedSequence(entropy=(seed, 0))`.
+    The draws come from `SeedSequence(entropy=(seed, 0))`.  n >= 1, T >= 0
+    and length >= 1 are counts (`graphs._valid_count`): a T of 1.5 would
+    plant only at slots 0, 5, ..., leaving 2-step windows without a plant.
     """
-    if n < 1:
-        raise ValueError(f"need at least one node, got n={n}")
-    if T < 0:
-        raise ValueError(f"window slack T must be nonnegative, got {T}")
-    if length < 1:
-        raise ValueError(f"period length must be at least 1, got {length}")
+    n = _valid_count(n, 1, "node count")
+    T = _valid_count(T, 0, "window slack T")
+    length = _valid_count(length, 1, "period length")
     name = f"windowed:n={n},T={T},length={length},seed={seed}"
     # One coin per ordered pair, drawn in one call in this order: the same
     # doubles, and the same generator state, as one draw per pair.
@@ -266,12 +263,12 @@ class StretchingSchedule(GraphSchedule):
     (g - 1)(g + 2) / 2 from the first time and turns on both directions
     of path edge 1 + ((g - 1) mod (n - 1)); it is followed by g arc-free
     steps.  Every tail of the schedule eventually cycles through all path
-    edges, but no fixed window length does.
+    edges, but no fixed window length does.  n >= 2 and the indices and
+    lengths below are counts (`graphs._valid_count`).
     """
 
     def __init__(self, n: int):
-        if n < 2:
-            raise ValueError(f"need at least two nodes, got n={n}")
+        n = _valid_count(n, 2, "node count")
         self.edges = [
             DirectedGraph(n, {(e, e + 1), (e + 1, e)}) for e in range(1, n)
         ]
@@ -280,14 +277,12 @@ class StretchingSchedule(GraphSchedule):
 
     def active_position(self, g: int) -> int:
         """Time of the g-th active step (g >= 1)."""
-        if g < 1:
-            raise ValueError(f"active step index must be at least 1, got {g}")
+        g = _valid_count(g, 1, "active step index")
         return self.first_time + (g - 1) * (g + 2) // 2
 
     def arc_free_window(self, T: int) -> IntervalSpec:
         """A window of T consecutive arc-free times (T >= 1)."""
-        if T < 1:
-            raise ValueError(f"window length must be at least 1, got {T}")
+        T = _valid_count(T, 1, "window length")
         start = self.active_position(T) + 1
         return IntervalSpec(start, start + T - 1)
 

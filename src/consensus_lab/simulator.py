@@ -30,8 +30,8 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .dynamics import UpdateMap
-from .graphs import DirectedGraph
-from .lyapunov import AgentState, _check_tol, diameter, hull
+from .graphs import DirectedGraph, _valid_count
+from .lyapunov import AgentState, _check_distance, _check_tol, diameter, hull
 
 
 class GraphSchedule:
@@ -173,7 +173,7 @@ class GeneratedSchedule(GraphSchedule):
         name: str = "generated",
     ):
         self.fn = fn
-        self.n = operator.index(n)
+        self.n = _valid_count(n, 1, "node count")
         self.first_time = operator.index(first_time)
         self.name = name
 
@@ -213,15 +213,13 @@ def iter_spans(
     `UpdateMap` returns under any graph, holds through t0 + steps, however
     far off that is.
 
-    `steps` (an integer, as in `range`), `t0` (`GraphSchedule._check_time`)
+    `steps` (`graphs._valid_count`), `t0` (`GraphSchedule._check_time`)
     and `x0` are checked when the stream is made, before the caller opens
     any output, not on its first `next()`; so is `x0` against the map (its
     dimension and domain), since a run that never meets an arc never steps
     the map.
     """
-    steps = operator.index(steps)
-    if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
+    steps = _valid_count(steps, 0, "steps")
     t0 = schedule.first_time if t0 is None else schedule._check_time(t0)
     x = x0 if isinstance(x0, AgentState) else AgentState(x0)
     if x.n != schedule.n:
@@ -352,12 +350,9 @@ def attractivity_probe(
     the final tenth of the horizon are labeled undetermined; the rest are
     labeled diverged.  Everything is deterministic in `seed`.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
-    if not (radius >= 0.0 and math.isfinite(radius)):
-        raise ValueError(f"radius must be nonnegative and finite, got {radius}")
+    samples = _valid_count(samples, 1, "samples")
+    horizon = _valid_count(horizon, 1, "horizon")
+    _check_distance(radius, "radius")
     _check_tol(tol)
     c = center if isinstance(center, AgentState) else AgentState(center)
     t0 = schedule.first_time if t0 is None else schedule._check_time(t0)
@@ -406,7 +401,7 @@ def attractivity_probe(
         t0=t0,
         center=tuple(tuple(map(float, row)) for row in c.points),
         radius=float(radius),
-        horizon=int(horizon),
+        horizon=horizon,
         tol=float(tol),
         seed=int(seed),
         samples=tuple(out),
