@@ -466,7 +466,7 @@ def union_across(schedule, interval: IntervalSpec) -> DirectedGraph:
     """Union of the schedule's arc sets over an interval of times.
 
     The result is a graph on the schedule's nodes.  The walk visits the
-    interval's start, then only the times `next_active` names.  A union of
+    interval's start, then only the times `next_change` names.  A union of
     several graphs drops their weights; one that meets a single graph,
     such as a window of one time, returns that graph itself, weighted or
     not, so its cached views are reused.  `schedule` is a
@@ -504,7 +504,7 @@ def union_across(schedule, interval: IntervalSpec) -> DirectedGraph:
             arcs |= g.arcs
             if arcs == tail.arcs:
                 break
-        t = schedule.next_active(t + 1)
+        t = schedule.next_change(t)
     if len(members) == 1:
         return members[0]
     # The members' arcs are valid for n nodes, so their union needs no check.

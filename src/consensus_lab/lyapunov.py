@@ -46,9 +46,10 @@ class AgentState:
 
     Accepts a length-n sequence (d = 1) or an (n, d) array.  Coordinates
     must be finite.  The stored array is read-only, so the state's convex
-    hull never changes: `hull` computes it on first use and keeps it in the
-    state, and every later `hull`, `disagreement` or monitor record of the
-    same state object reads it from there.
+    hull never changes: a scalar map output is born with it (`_own`), any
+    other state gets it from `hull` on first use, and every later `hull`,
+    `disagreement` or monitor record of the same state object reads it,
+    and its kept diameter, from there.
     """
 
     __slots__ = ("points", "_hull")
@@ -63,12 +64,21 @@ class AgentState:
     def _own(cls, arr: np.ndarray) -> "AgentState":
         """Wrap an (n, d) float array that an update map has just made and
         no one else holds, without the copy and the shape checks of
-        `AgentState(...)`; its coordinates are still checked finite."""
-        if not np.isfinite(arr).all():
+        `AgentState(...)`; its coordinates are still checked finite.  A
+        scalar state is born with its hull, whose ends are the array's min
+        and max: these carry a NaN through and show an infinity, so checking
+        them is the finiteness check.  A planar state is hulled on first use.
+        """
+        h = None
+        if arr.shape[1] == 1:
+            h = _hull_of(arr)
+            if not -math.inf < h.lo <= h.hi < math.inf:
+                raise ValueError("state coordinates must be finite")
+        elif not np.isfinite(arr).all():
             raise ValueError("state coordinates must be finite")
         arr.flags.writeable = False
         st = cls.__new__(cls)
-        st.points, st._hull = arr, None
+        st.points, st._hull = arr, h
         return st
 
     @property
@@ -259,10 +269,15 @@ class HullPolytope:
     and `point_distance` read of it; the hull of a scalar state is made
     from these two floats alone and builds its `vertices` on first access.
 
+    The hull keeps its diameter in `_diameter`: an interval's `hi - lo`
+    from when it is made, a polygon's from the first `diameter` call (None
+    until then), so a hull used only for containment never pays the
+    vertex-pair scan.  `diameter` and `simulator.disagreement` read it.
+
     `hull()` is the one constructor: `HullPolytope(...)` raises TypeError.
     """
 
-    __slots__ = ("d", "vertex_count", "lo", "hi", "magnitude", "_vertices")
+    __slots__ = ("d", "vertex_count", "lo", "hi", "magnitude", "_vertices", "_diameter")
 
     @classmethod
     def _interval(cls, lo: float, hi: float) -> "HullPolytope":
@@ -273,6 +288,7 @@ class HullPolytope:
         # equal endpoints are one float, so that hi - lo is +0.0 even for -0.0 and 0.0
         h.lo, h.hi = lo, (lo if lo == hi else hi)
         h.magnitude = max(-lo, hi)
+        h._diameter = h.hi - h.lo
         return h
 
     @classmethod
@@ -281,7 +297,7 @@ class HullPolytope:
         h = cls.__new__(cls)
         h._vertices = v = np.array(vertices, dtype=float)
         v.flags.writeable = False
-        h.d, h.vertex_count, h.lo, h.hi = 2, v.shape[0], None, None
+        h.d, h.vertex_count, h.lo, h.hi, h._diameter = 2, v.shape[0], None, None, None
         h.magnitude = float(np.abs(v).max())
         return h
 
@@ -433,23 +449,24 @@ _DIAMETER_BLOCK = 1 << 20
 
 
 def diameter(h: HullPolytope) -> float:
-    """Largest distance between two hull vertices (0 for a point).
+    """Largest distance between two hull vertices (0 for a point): the
+    value the hull keeps.
 
-    In d = 2 this is the largest `np.hypot` over all vertex pairs, taken
-    in blocks of rows so no temporary exceeds about a million entries.
+    An interval's is `hi - lo`, kept since it was made.  A polygon's is
+    the largest `np.hypot` over all vertex pairs, taken in blocks of rows
+    so no temporary exceeds about a million entries, on the first call;
+    later calls return the kept value.
     """
-    if h.d == 1:
-        return h.hi - h.lo
-    v = h.vertices
-    m = v.shape[0]
-    if m == 1:
-        return 0.0
-    x, y = v[:, 0], v[:, 1]
-    rows = max(1, _DIAMETER_BLOCK // m)
-    return max(
-        float(np.hypot(x[i : i + rows, None] - x, y[i : i + rows, None] - y).max())
-        for i in range(0, m, rows)
-    )
+    if h._diameter is None:
+        v = h.vertices
+        m = v.shape[0]
+        x, y = v[:, 0], v[:, 1]
+        rows = max(1, _DIAMETER_BLOCK // m)
+        h._diameter = max(
+            float(np.hypot(x[i : i + rows, None] - x, y[i : i + rows, None] - y).max())
+            for i in range(0, m, rows)
+        )
+    return h._diameter
 
 
 class MonitorRecord(NamedTuple):
@@ -495,12 +512,15 @@ def monitor_stream(
     `iter_spans` it is a whole monitored run loop, and `summarize` its verdict.
 
     `slack` must be nonnegative and finite, and is checked when the stream
-    is made.  A state that is the previous record's state object, and an
-    immutable `AgentState`, gets the previous record at the new time,
-    contained, with no containment test: a hull contains itself.  Per-step
-    expansions repeat a state, and so do spans of a schedule whose
-    `next_active` claims nothing, across its arc-free steps.  Raw arrays
-    and lists are always hulled afresh, since their caller may edit them.
+    is made.  A new `AgentState` is measured by the hull that it holds or
+    that `hull` makes and keeps in it, and that hull's kept diameter.  A
+    state that is the previous record's state object, and an immutable
+    `AgentState`, gets the previous record's fields at the new time,
+    contained, with no hull and no containment test: a hull contains
+    itself.  Per-step expansions repeat a state, and so do spans of a
+    schedule whose `next_active` claims nothing, across its arc-free steps.
+    Raw arrays and lists are always hulled afresh, since their caller may
+    edit them.
     """
     _check_distance(slack, "slack")
     return _monitor(items, slack + _ROUNDING_ULPS * _EPS)
@@ -513,7 +533,9 @@ def _monitor(items, rel: float) -> Iterator[MonitorRecord]:
     same = nothing  # the last record's state when it is immutable
     for t, st in items:
         if st is same:
-            rec = MonitorRecord(int(t), rec.diameter, True, rec.vertex_count, st)
+            # the last record's fields at the new time, made by tuple.__new__
+            # and not by the named tuple's own __new__, which runs in Python
+            rec = tuple.__new__(MonitorRecord, (int(t), rec.diameter, True, rec.vertex_count, st))
         else:
             h = hull(st)
             ok = prev is None or contains(prev, h, allow)

@@ -82,6 +82,15 @@ class CounterexampleSchedule(GraphSchedule):
             return _G32
         return _G23_32
 
+    def next_change(self, t: int) -> int:
+        """The start of the run of equal graphs after the one holding t:
+        block s's runs start at offsets 0, 2s, 2s + 1 and 4s + 2, so a
+        bounded union walks at most four runs per block, and one block
+        reaches the tail union from any start."""
+        s, r = self.block_of(t)
+        end = next(e for e in (2 * s, 2 * s + 1, 4 * s + 2, 4 * s + 3) if r < e)
+        return self.block_start(s) + end
+
 
 def counterexample_schedule() -> CounterexampleSchedule:
     return CounterexampleSchedule()
@@ -166,6 +175,7 @@ def verify_counterexample(p_max: int = 64) -> CounterexampleReport:
     schedule = counterexample_schedule()
     update = LinearAverage()
     t_samples = counterexample_sample_times(p_max)
+    p_max = len(t_samples)  # the checked count, an int even for a numpy integer
     gaps: list[float] = []  # gaps[p - 1] is v(p), read from the span holding t_p
     steps = t_samples[-1] - _CE_FIRST_TIME
     for _, end, x in iter_spans(schedule, update, counterexample_initial_state(), steps):

@@ -69,6 +69,16 @@ class GraphSchedule:
         """
         return self._check_time(t)
 
+    def next_change(self, t: int) -> Optional[int]:
+        """A time t' > t such that no time in (t, t') carries an arc that
+        `graph_at(t)` lacks, or None when no time after t does.
+
+        The default is `next_active(t + 1)`, since arc-free times add no
+        arc; schedules whose graphs come in runs answer the end of the run.
+        `graphs.union_across` walks these times.
+        """
+        return self.next_active(t + 1)
+
     def tail_union(self, start: int) -> Optional[DirectedGraph]:
         """Arc union over [start, infinity), when known in closed form.
 
@@ -272,10 +282,16 @@ def _per_step(spans) -> Iterator[tuple[int, AgentState]]:
 def disagreement(state) -> float:
     """Hull diameter of the agent positions: 0 exactly at consensus.
 
-    An `AgentState` is hulled once, so this reads the hull that the
-    monitor already made for the same state.
+    An `AgentState` is hulled once, so this reads the hull that the state
+    holds and that hull's kept diameter: it calls `hull` only for a state
+    that holds none or a raw array, and `diameter` only for a polygon whose
+    diameter no one has asked for yet.
     """
-    return diameter(hull(state))
+    h = state._hull if isinstance(state, AgentState) else None
+    if h is None:
+        h = hull(state)
+    d = h._diameter
+    return diameter(h) if d is None else d
 
 
 # ---------------------------------------------------------------------------

@@ -457,6 +457,58 @@ def test_planar_diameter_matches_pairwise_loop():
         assert diameter(hull(v)) == best
 
 
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("values", [
+    [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0, -0.0], [0.0, -0.0, 1.0], [-0.0, 2.5, 0.0, -1.0],
+    [3.0, 3.0], [-1e300, 1e300, 5e-324], [7.0],
+])
+def test_a_scalar_map_output_is_born_with_the_hull_of_its_points(values):
+    pts = np.array(values).reshape(-1, 1)
+    born = AgentState._own(pts.copy())._hull
+    made = lyapunov._hull_of(pts)
+    for key in ("lo", "hi", "magnitude", "vertex_count"):
+        assert _bits(getattr(born, key)) == _bits(getattr(made, key)), key
+    assert _bits(diameter(born)) == _bits(diameter(made)) == _bits(born._diameter)
+    assert born.vertices.tobytes() == made.vertices.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_a_scalar_map_output_that_is_not_finite_is_rejected(bad, where):
+    arr = np.zeros((3, 1))
+    arr[where, 0] = bad
+    with pytest.raises(ValueError, match="^state coordinates must be finite$"):
+        AgentState._own(arr)
+
+
+def test_a_polygon_keeps_the_diameter_of_the_blockwise_formula(monkeypatch):
+    # points on a circle are all vertices; blocks of 280 // m rows: six
+    # with a short last one for m = 40, and 49 for m = 97
+    monkeypatch.setattr(lyapunov, "_DIAMETER_BLOCK", 280)
+    rng = np.random.default_rng(23)
+    for m in (1, 2, 3, 40, 97):
+        a = np.sort(rng.uniform(0.0, 2 * np.pi, m))
+        h = hull(1e3 + np.c_[np.cos(a), np.sin(a)])
+        assert h.vertex_count == m
+        assert h._diameter is None  # a polygon's is made on first use
+        v = h.vertices
+        full = np.hypot(v[:, None, 0] - v[:, 0], v[:, None, 1] - v[:, 1]).max()
+        assert _bits(diameter(h)) == _bits(full) == _bits(h._diameter)
+        assert diameter(h) is h._diameter  # the kept float, not a recomputation
+
+
+def test_a_repeated_state_record_is_the_record_its_constructor_builds():
+    a = AgentState([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    recs = list(monitor_stream([(0, a), (np.int64(1), a), (2, a)]))
+    for t, rec in enumerate(recs[1:], 1):
+        want = lyapunov.MonitorRecord(t, recs[0].diameter, True, recs[0].vertex_count, a)
+        assert type(rec) is lyapunov.MonitorRecord and type(rec.t) is int
+        assert rec == want and rec._asdict() == want._asdict()
+
+
 def test_diameter_zero_iff_coincident():
     assert diameter(hull(np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]]))) == 0.0
     assert diameter(hull(np.array([[1.0, 2.0], [1.0, 2.0 + 1e-12]]))) > 0.0

@@ -2,6 +2,7 @@
 schedules, and the stretching bidirectional schedule."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -77,6 +78,47 @@ def test_unbounded_tail_union_is_connected():
     assert is_weakly_connected_across(sched, IntervalSpec(1))
 
 
+def _run_ends(sched, t):
+    """The first time after t whose graph is not the one at t, by a scan."""
+    g, u = sched.graph_at(t), t + 1
+    while sched.graph_at(u) is g:
+        u += 1
+    return u
+
+
+def test_next_change_is_the_end_of_the_run_holding_t():
+    sched = counterexample_schedule()
+    for t in range(1, sched.block_start(9)):
+        assert sched.next_change(t) == _run_ends(sched, t), t
+
+
+def _boundaries(sched, blocks):
+    """Every run boundary of the given blocks: offsets 0, 2s, 2s + 1 and 4s + 2."""
+    for s in blocks:
+        b = sched.block_start(s)
+        yield from (b, b + 2 * s, b + 2 * s + 1, b + 4 * s + 2)
+
+
+def test_bounded_counterexample_unions_match_the_per_time_walk():
+    # every window of up to 12 times that starts within 6 of a run boundary
+    sched = counterexample_schedule()
+    for edge in _boundaries(sched, (0, 1, 2, 3, 7, 40)):
+        for a in range(max(1, edge - 6), edge + 7):
+            for b in range(a, a + 12):
+                want = set()
+                for t in range(a, b + 1):
+                    want |= sched.graph_at(t).arcs
+                assert union_across(sched, IntervalSpec(a, b)).arcs == want, (a, b)
+
+
+def test_a_far_counterexample_window_answers_at_once():
+    sched = counterexample_schedule()
+    start = time.perf_counter()
+    union = union_across(sched, IntervalSpec(10**12, 2 * 10**12))
+    assert time.perf_counter() - start < 0.1
+    assert union == sched.tail_union(10**12) and is_weakly_connected(union)
+
+
 def test_initial_state_and_sample_times():
     x0 = counterexample_initial_state()
     assert x0.values.tolist() == [0.0, 1.0, 1.0]
@@ -108,6 +150,13 @@ def test_verification_report_small():
     gaps = [r.gap for r in rep.rows]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     assert all(g > counterexample_limit() for g in gaps)
+
+
+def test_verification_report_of_a_numpy_count_is_the_int_report():
+    # the report keeps the checked count, not the numpy integer it was given
+    rep = verify_counterexample(np.int64(8))
+    assert type(rep.p_max) is int and type(rep.limit_lower_bound) is float
+    assert repr(rep) == repr(verify_counterexample(8))
 
 
 def test_verification_exact_early_gaps():

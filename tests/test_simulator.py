@@ -1,10 +1,12 @@
 """Schedules, stepping, consensus detection, and probing."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from consensus_lab import lyapunov, simulator
 from consensus_lab import (
     AgentState,
     DirectedGraph,
@@ -548,6 +550,33 @@ def test_disagreement_scalar_and_planar():
     assert disagreement(AgentState([2.0, 2.0])) == 0.0
     square = AgentState([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     assert disagreement(square) == pytest.approx(math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_a_monitored_per_step_run_hulls_each_distinct_state_once(n, monkeypatch):
+    hulled = []
+    real = lyapunov._hull_of
+    monkeypatch.setattr(lyapunov, "_hull_of", lambda pts: hulled.append(pts) or real(pts))
+    sched = stretching_bidirectional_schedule(n)
+    steps = sched.active_position(40) + 1
+    s1, s2 = itertools.tee(iter_states(sched, LinearAverage(), np.linspace(0.0, 1.0, n), steps))
+    states = {}
+    for (t, x), rec in zip(s1, monitor_stream(s2)):
+        assert disagreement(x) == rec.diameter
+        states[id(x)] = x
+    assert len(states) == 41  # x0 and one state per active step
+    assert sorted(map(id, hulled)) == sorted(id(x.points) for x in states.values())
+
+
+def test_disagreement_reads_a_held_hull_and_hulls_only_a_state_without_one(monkeypatch):
+    calls = []
+    real = simulator.hull
+    monkeypatch.setattr(simulator, "hull", lambda x: calls.append(x) or real(x))
+    born = LinearAverage().step(0, PAIR, AgentState([0.0, 1.0]))  # holds its hull
+    fresh = AgentState([0.0, 1.0])
+    raw = np.array([0.0, 1.0])
+    assert [disagreement(x) for x in (born, born, fresh, fresh, raw, raw)] == [0.0, 0.0] + [1.0] * 4
+    assert [id(x) for x in calls] == [id(fresh), id(raw), id(raw)]
 
 
 def test_summarize_finds_consensus_time():
