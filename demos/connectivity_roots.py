@@ -1,11 +1,10 @@
-"""Weak connectivity, neighbor sets, and constructive root finding.
+"""Weak connectivity, neighbor sets, and the lowest root.
 
 A digraph is weakly connected here when some node (a root) has directed
 paths to every other node.  Two independent deciders are compared: a
-breadth-first search from every node, and an oracle that checks the
+depth-first search over all nodes, and an oracle that checks the
 neighbor condition on every ordered pair of disjoint node sets.  The
-constructive finder locates a root by repeatedly piercing one of two
-candidate sets with a neighbor.
+same search names the lowest root.
 """
 
 import numpy as np

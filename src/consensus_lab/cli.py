@@ -40,7 +40,6 @@ from .graphs import (
     IntervalSpec,
     find_root,
     is_bidirectional,
-    is_weakly_connected,
     read_graph_file,
     union_across,
     weakly_connected_oracle,
@@ -329,15 +328,15 @@ def cmd_connectivity(args) -> int:
     interval = parse_interval(args.interval) if args.interval else IntervalSpec(0)
     g = union_across(schedule, interval)
 
-    wc = is_weakly_connected(g)
     root = find_root(g)
+    wc = root is not None
     print(f"weakly_connected={_bool(wc)}")
     print(f"root={root if root is not None else 'none'}")
     print(f"bidirectional={_bool(is_bidirectional(g))}")
     code = 0
     if g.n <= 7:
         oracle = weakly_connected_oracle(g)
-        agrees = oracle == wc and (root is not None) == wc
+        agrees = oracle == wc
         print(f"oracle={_bool(oracle)}")
         print(f"oracle_agrees={_bool(agrees)}")
         if not agrees:

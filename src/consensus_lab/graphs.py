@@ -12,8 +12,9 @@ The module provides:
   `WeightedDigraph`, which adds arc weights, so every query below takes
   either kind,
 * the neighbor calculus and reachability queries,
+* the lowest root, from the same search that decides weak connectivity,
 * a subset-pair connectivity oracle (brute force, independent of the
-  path-based queries) and a constructive root finder,
+  path-based queries),
 * arc unions across time intervals of a graph schedule, and
 * a plain-text graph file format.
 """
@@ -296,14 +297,6 @@ class IntervalSpec:
 # Neighbor calculus and reachability
 
 
-def _senders_outside(in_ptr: Sequence[int], src: Sequence[int], s: set[int]) -> set[int]:
-    """0-based nodes outside s that send an arc into s, read from CSR slices."""
-    senders: set[int] = set()
-    for l in s:
-        senders.update(src[in_ptr[l] : in_ptr[l + 1]])
-    return senders - s
-
-
 def _reaches_all(out_ptr: Sequence[int], out_dst: Sequence[int], k: int) -> bool:
     """True when 0-based node k has a directed path to every node."""
     seen = bytearray(len(out_ptr) - 1)
@@ -327,7 +320,11 @@ def neighbors(g: DirectedGraph, L: Iterable[int]) -> NodeSet:
     influence L directly, in one step.  The empty set has no neighbors.
     """
     s = {_node_index(g, index(k)) for k in L}
-    return frozenset(v + 1 for v in _senders_outside(*g._in_csr, s))
+    in_ptr, src = g._in_csr
+    senders: set[int] = set()
+    for l in s:
+        senders.update(src[in_ptr[l] : in_ptr[l + 1]])
+    return frozenset(v + 1 for v in senders - s)
 
 
 def is_connected_from(g: DirectedGraph, k: int) -> bool:
@@ -335,8 +332,9 @@ def is_connected_from(g: DirectedGraph, k: int) -> bool:
     return _reaches_all(*g._out_csr, _node_index(g, k))
 
 
-def is_weakly_connected(g: DirectedGraph) -> bool:
-    """True when some node has directed paths to all others.
+def _lowest_root(g: DirectedGraph) -> Optional[int]:
+    """The lowest 0-based root of g, or None: the one root search, which
+    `is_weakly_connected` and `find_root` both call.
 
     One iterative search over all nodes, then at most one reachability
     query, in O(n + m) (as in Tarjan 1972).  Each search tree holds what
@@ -362,7 +360,24 @@ def is_weakly_connected(g: DirectedGraph) -> bool:
                     seen[v] = 1
                     stack.append(v)
         last = s
-    return last == 0 or _reaches_all(out_ptr, out_dst, last)
+    return last if last == 0 or _reaches_all(out_ptr, out_dst, last) else None
+
+
+def is_weakly_connected(g: DirectedGraph) -> bool:
+    """True when some node has directed paths to all others (`_lowest_root`)."""
+    return _lowest_root(g) is not None
+
+
+def find_root(g: DirectedGraph) -> Optional[int]:
+    """The lowest root (a node with directed paths to all others), or None,
+    from the same search as `is_weakly_connected` (see `_lowest_root`).
+
+    The root found is the start of the last search tree, and it is the
+    lowest one: every lower node lies in an earlier tree, and none there
+    reaches it, or that tree's start would have reached it too.
+    """
+    r = _lowest_root(g)
+    return None if r is None else r + 1
 
 
 def is_bidirectional(g: DirectedGraph) -> bool:
@@ -409,53 +424,6 @@ def weakly_connected_oracle(g: DirectedGraph) -> bool:
                 return False
             l2 = (l2 - 1) & comp
     return True
-
-
-def find_root(g: DirectedGraph) -> Optional[int]:
-    """Find a node with directed paths to all others, or None.
-
-    Constructive search: grow two disjoint node sets F1 >= L1 and
-    F2 >= L2 such that every node of L_j reaches every node of F_j.  Each
-    round picks the lowest-labeled node sending an arc into L2 (or, if
-    there is none, into L1, with the roles swapped) and applies one of
-    four moves; either the explored region F1 | F2 grows or the live
-    region L1 | L2 grows, so the search terminates.  If neither side has
-    a neighbor the graph is disconnected and None is returned.
-    """
-    n = g.n
-    if n == 1:
-        return 1
-    in_ptr, src = g._in_csr
-    # 0-based labels throughout, so every min picks the same node.  F1 and
-    # F2 stay disjoint and their union only grows, so it holds every node
-    # when their sizes sum to n, and the lowest node outside it is found by
-    # a cursor that never moves back.
-    L1, F1 = {0}, {0}
-    L2, F2 = {1}, {1}
-    low = 0  # every node below `low` lies in F1 | F2
-    while True:
-        nb2 = _senders_outside(in_ptr, src, L2)
-        if nb2:
-            m = min(nb2)
-        else:
-            nb1 = _senders_outside(in_ptr, src, L1)
-            if not nb1:
-                return None  # (L1, L2) witnesses disconnection
-            m = min(nb1)
-            L1, F1, L2, F2 = L2, F2, L1, F1  # mirror: pierce side 1 instead
-        # m sends an arc into L2, so m reaches everything L2 reaches
-        if m in F1:
-            if len(F1) + len(F2) == n:
-                return min(L1) + 1
-            F1 |= F2
-            while low in F1:
-                low += 1
-            L2, F2 = {low}, {low}
-        elif m not in F2:
-            L2 = {m}
-            F2.add(m)
-        else:  # m in F2 - L2
-            L2.add(m)
 
 
 # ---------------------------------------------------------------------------

@@ -72,24 +72,23 @@ class CounterexampleSchedule(GraphSchedule):
         s = (math.isqrt(8 * t - 7) - 1) // 4
         return s, t - self.block_start(s)
 
-    def graph_at(self, t: int) -> DirectedGraph:
+    def _run(self, t: int) -> tuple[DirectedGraph, int]:
+        """(graph at t, start of the next run of equal graphs): block s's
+        four runs end at offsets 2s (empty in block 0), 2s + 1, 4s + 2 and
+        4s + 3, the block's length."""
         s, r = self.block_of(t)
-        if r < 2 * s:
-            return _G12
-        if r == 2 * s:
-            return _G12_21
-        if r <= 4 * s + 1:
-            return _G32
-        return _G23_32
+        runs = ((_G12, 2 * s), (_G12_21, 2 * s + 1), (_G32, 4 * s + 2), (_G23_32, 4 * s + 3))
+        g, end = next(run for run in runs if r < run[1])
+        return g, self.block_start(s) + end
+
+    def graph_at(self, t: int) -> DirectedGraph:
+        return self._run(t)[0]
 
     def next_change(self, t: int) -> int:
-        """The start of the run of equal graphs after the one holding t:
-        block s's runs start at offsets 0, 2s, 2s + 1 and 4s + 2, so a
-        bounded union walks at most four runs per block, and one block
+        """The start of the run of equal graphs after the one holding t, so
+        a bounded union walks at most four runs per block, and one block
         reaches the tail union from any start."""
-        s, r = self.block_of(t)
-        end = next(e for e in (2 * s, 2 * s + 1, 4 * s + 2, 4 * s + 3) if r < e)
-        return self.block_start(s) + end
+        return self._run(t)[1]
 
 
 def counterexample_schedule() -> CounterexampleSchedule:

@@ -258,7 +258,8 @@ def test_searches_agree_with_oracle_and_definition():
 
 
 def _find_root_reference(g):
-    """find_root's moves on frozensets, with neighbor sets read off the arcs."""
+    """The constructive reference: grow two node sets by piercing them with
+    neighbors, on frozensets, with neighbor sets read off the arcs."""
     if g.n == 1:
         return 1
 
@@ -298,6 +299,28 @@ def test_find_root_picks_the_reference_root():
         rooted.append(DirectedGraph(n, arcs))
     for g in rooted + list(_random_digraphs(seed=43)):
         assert find_root(g) == _find_root_reference(g), g
+
+
+def _lowest_root_by_definition(g):
+    return min((k for k in g.nodes if is_connected_from(g, k)), default=None)
+
+
+def test_find_root_is_the_lowest_root_on_every_small_digraph():
+    checked = 0
+    for n in (1, 2, 3, 4):
+        pairs = [(k, l) for k in range(1, n + 1) for l in range(1, n + 1) if k != l]
+        for mask in range(1 << len(pairs)):
+            g = DirectedGraph(n, {p for i, p in enumerate(pairs) if mask >> i & 1})
+            assert find_root(g) == _lowest_root_by_definition(g), g
+            checked += 1
+    assert checked == 4165
+    # 3 and 4 are both roots; the search starts its last tree at 3
+    assert find_root(DirectedGraph(4, {(3, 4), (4, 3), (4, 1), (3, 2)})) == 3
+
+
+@given(digraphs())
+def test_find_root_is_the_lowest_root(g):
+    assert find_root(g) == _lowest_root_by_definition(g)
 
 
 def test_node_queries_reject_bad_labels():
