@@ -39,9 +39,10 @@ class StochasticMatrix:
 
     Holds the diagonal `diag` and the nonzero off-diagonal entries as
     0-based triples (`rows[i]`, `cols[i]`, `weights[i]`) sorted by
-    (row, col); all arrays are read-only.  Validation and storage cost
-    O(n + m) for m off-diagonal nonzeros.  `entries` builds the dense
-    n x n array on demand.
+    (row, col); all arrays are read-only.  `StochasticMatrix(entries)`
+    checks a dense matrix (square, finite, nonnegative, rows within
+    `_ROW_SUM_TOL` of 1, positive diagonal); `build_update_matrix` wraps
+    its own with `_own`, unchecked.  `entries` builds the dense array.
     """
 
     __slots__ = ("n", "diag", "rows", "cols", "weights")
@@ -52,34 +53,32 @@ class StochasticMatrix:
         arr = np.array(entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError(f"matrix must be square, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("matrix entries must be finite")
+        if np.any(arr < 0.0):
+            raise ValueError("matrix entries must be nonnegative")
         off = arr != 0.0
         np.fill_diagonal(off, False)
         rows, cols = np.nonzero(off)
-        M = self._from_triples(arr.shape[0], arr.diagonal(), rows, cols, arr[rows, cols])
+        diag, weights = arr.diagonal().copy(), arr[rows, cols]
+        sums = diag + np.bincount(rows, weights, minlength=len(arr))
+        bad = np.nonzero(np.abs(sums - 1.0) > self._ROW_SUM_TOL)[0]
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(f"row {k + 1} sums to {float(sums[k])!r}, not 1")
+        if np.any(diag <= 0.0):
+            raise ValueError("diagonal entries must be strictly positive")
+        M = self._own(len(arr), diag, rows, cols, weights)
         for name in self.__slots__:
             setattr(self, name, getattr(M, name))
 
     @classmethod
-    def _from_triples(cls, n, diag, rows, cols, weights) -> "StochasticMatrix":
-        """Validate and wrap off-diagonal triples already sorted by (row, col)."""
-        diag = np.array(diag, dtype=float)
-        weights = np.array(weights, dtype=float)
-        if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(weights))):
-            raise ValueError("matrix entries must be finite")
-        if np.any(diag < 0.0) or np.any(weights < 0.0):
-            raise ValueError("matrix entries must be nonnegative")
-        rows = np.array(rows, dtype=np.intp)
-        sums = diag + np.bincount(rows, weights, minlength=n)
-        bad = np.nonzero(np.abs(sums - 1.0) > cls._ROW_SUM_TOL)[0]
-        if bad.size:
-            k = int(bad[0])
-            raise ValueError(f"row {k + 1} sums to {sums[k]!r}, not 1")
-        if np.any(diag <= 0.0):
-            raise ValueError("diagonal entries must be strictly positive")
+    def _own(cls, n, diag, rows, cols, weights) -> "StochasticMatrix":
+        """Wrap the fresh, unshared arrays of a matrix that is stochastic by
+        construction, triples sorted by (row, col): no copy and no check."""
         M = cls.__new__(cls)
-        M.n = int(n)
-        M.diag, M.rows, M.cols, M.weights = diag, rows, np.array(cols, dtype=np.intp), weights
-        for arr in (M.diag, M.rows, M.cols, M.weights):
+        M.n, M.diag, M.rows, M.cols, M.weights = int(n), diag, rows, cols, weights
+        for arr in (diag, rows, cols, weights):
             arr.flags.writeable = False
         return M
 
@@ -110,6 +109,13 @@ def build_update_matrix(g: DirectedGraph, weight: float = 1.0) -> StochasticMatr
     gets `weight` (positive and finite, default 1) on every arc.  The
     arc-free graph yields the identity.  Builds one triple per arc in
     O(n + m) and allocates no n x n array.
+
+    Stochastic by construction: `_valid_weight` makes every weight
+    positive and finite, so unless 1 + S_k overflows (the one check, a
+    ValueError naming node k) it lies in [1, inf), the diagonal in (0, 1],
+    each entry is finite and nonnegative, and a row with j senders sums to
+    1 within (j + 2) eps, one j-term sum and j + 1 quotients to first order
+    (Higham, Accuracy and Stability of Numerical Algorithms, section 4.2).
     """
     weight = _valid_weight(weight)
     n = g.n
@@ -120,9 +126,12 @@ def build_update_matrix(g: DirectedGraph, weight: float = 1.0) -> StochasticMatr
     else:
         w = np.full(src.size, weight)
     denom = 1.0 + np.bincount(dst, w, minlength=n)
+    k = int(np.argmax(denom))  # the first infinite 1 + S_k, if any
+    if denom[k] == math.inf:
+        raise ValueError(f"the arc weights into node {k + 1} sum past the largest float")
     A = w / denom[dst]
     nz = A > 0.0  # a subnormal weight can round to 0 beside a heavier one
-    return StochasticMatrix._from_triples(n, 1.0 / denom, dst[nz], src[nz], A[nz])
+    return StochasticMatrix._own(n, 1.0 / denom, dst[nz], src[nz], A[nz])
 
 
 def linear_step(matrix: StochasticMatrix, state: AgentState) -> AgentState:

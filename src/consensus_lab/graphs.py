@@ -297,20 +297,17 @@ class IntervalSpec:
 # Neighbor calculus and reachability
 
 
-def _reaches_all(out_ptr: Sequence[int], out_dst: Sequence[int], k: int) -> bool:
-    """True when 0-based node k has a directed path to every node."""
-    seen = bytearray(len(out_ptr) - 1)
+def _search(out_ptr: Sequence[int], out_dst: Sequence[int], seen: bytearray, k: int) -> bytearray:
+    """Mark 0-based node k and what it reaches through unmarked nodes; return `seen`."""
     seen[k] = 1
-    count = 1
     stack = [k]
     while stack:
         u = stack.pop()
         for v in out_dst[out_ptr[u] : out_ptr[u + 1]]:
             if not seen[v]:
                 seen[v] = 1
-                count += 1
                 stack.append(v)
-    return count == len(seen)
+    return seen
 
 
 def neighbors(g: DirectedGraph, L: Iterable[int]) -> NodeSet:
@@ -329,7 +326,7 @@ def neighbors(g: DirectedGraph, L: Iterable[int]) -> NodeSet:
 
 def is_connected_from(g: DirectedGraph, k: int) -> bool:
     """True when node k has a directed path to every other node."""
-    return _reaches_all(*g._out_csr, _node_index(g, k))
+    return 0 not in _search(*g._out_csr, bytearray(g.n), _node_index(g, k))
 
 
 def _lowest_root(g: DirectedGraph) -> Optional[int]:
@@ -349,18 +346,10 @@ def _lowest_root(g: DirectedGraph) -> Optional[int]:
     seen = bytearray(g.n)
     last = 0
     for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = 1
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in out_dst[out_ptr[u] : out_ptr[u + 1]]:
-                if not seen[v]:
-                    seen[v] = 1
-                    stack.append(v)
-        last = s
-    return last if last == 0 or _reaches_all(out_ptr, out_dst, last) else None
+        if not seen[s]:
+            _search(out_ptr, out_dst, seen, s)
+            last = s
+    return last if last == 0 or 0 not in _search(out_ptr, out_dst, bytearray(g.n), last) else None
 
 
 def is_weakly_connected(g: DirectedGraph) -> bool:

@@ -82,6 +82,12 @@ def test_stochastic_matrix_validation():
         StochasticMatrix([[0.0, 1.0], [0.0, 1.0]])
 
 
+def test_stochastic_matrix_prints_a_bad_row_sum_as_a_float():
+    with pytest.raises(ValueError) as e:
+        StochasticMatrix([[0.5, 0.6], [0.0, 1.0]])
+    assert str(e.value) == "row 1 sums to 1.1, not 1"
+
+
 # ---------------------------------------------------------------------------
 # Update matrix and linear stepping
 
@@ -215,6 +221,66 @@ def test_update_matrix_arc_weight_matches_unit_weighted_graph():
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="arc weight must be positive and finite"):
             build_update_matrix(graphs[1], bad)
+
+
+STAR_WEIGHTS = (1.0, 0.3, 3.0, 1e-300, 1e300)
+
+
+def _star(senders):
+    """Nodes 2..senders+1 each send one arc into node 1."""
+    return DirectedGraph(senders + 1, [(i, 1) for i in range(2, senders + 2)])
+
+
+def _assert_stochastic_by_construction(M, g):
+    """Finite nonnegative entries, a positive diagonal, and each row with k
+    senders summing to 1 within (k + 2) eps, the first-order rounding bound
+    of its one k-term sum and k + 1 quotients."""
+    eps = np.finfo(float).eps
+    assert np.all(np.isfinite(M.diag)) and np.all(M.diag > 0.0)
+    assert np.all(np.isfinite(M.weights)) and np.all(M.weights >= 0.0)
+    rows = [[d] for d in M.diag.tolist()]
+    for r, w in zip(M.rows.tolist(), M.weights.tolist()):
+        rows[r].append(w)
+    senders = np.bincount(g.arc_arrays[1], minlength=g.n).tolist()
+    for row, k in zip(rows, senders):
+        assert abs(math.fsum(row) - 1.0) <= (k + 2) * eps
+
+
+def test_built_matrices_are_stochastic_by_construction():
+    rng = np.random.default_rng(24)
+    for _ in range(300):
+        n = int(rng.integers(1, 41))
+        density = rng.uniform(0.05, 0.9)
+        pairs = [(k, l) for k in range(1, n + 1) for l in range(1, n + 1) if k != l]
+        arcs = [p for p in pairs if rng.random() < density]
+        weights = {a: float(10.0 ** rng.uniform(-12.0, 12.0)) for a in arcs}
+        g = WeightedDigraph(DirectedGraph(n, arcs), weights)
+        _assert_stochastic_by_construction(build_update_matrix(g), g)
+    g = _star(1_000)
+    for w in STAR_WEIGHTS:
+        _assert_stochastic_by_construction(build_update_matrix(g, w), g)
+
+
+def test_a_hundred_thousand_senders_get_their_matrix_and_step():
+    # a fixed 1e-12 bound on the float row sum rejected these matrices
+    g = _star(100_000)
+    for w in STAR_WEIGHTS:
+        _assert_stochastic_by_construction(build_update_matrix(g, w), g)
+    M = build_update_matrix(g)
+    assert M.rows.size == 100_000 and M.diag[0] == 1.0 / 100_001.0
+    x = np.ones(g.n)
+    x[0] = 0.0
+    out = LinearAverage().step(0, g, AgentState(x)).values
+    assert 0.0 < out[0] < 1.0 and np.all(out[1:] == 1.0)
+
+
+def test_overflowing_in_weight_names_its_node():
+    g = DirectedGraph(3, {(1, 3), (2, 3)})
+    message = "^the arc weights into node 3 sum past the largest float$"
+    with pytest.raises(ValueError, match=message):
+        build_update_matrix(WeightedDigraph(g, {(1, 3): 1e308, (2, 3): 1e308}))
+    with pytest.raises(ValueError, match=message):
+        build_update_matrix(g, 1e308)
 
 
 def test_linear_average_checks_its_weight_by_the_weight_rule():
