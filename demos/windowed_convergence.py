@@ -14,12 +14,13 @@ from consensus_lab import (
     IntervalSpec,
     LinearAverage,
     constant_schedule,
-    is_weakly_connected_across,
+    is_weakly_connected,
     iter_spans,
     monitor_stream,
     neighbors,
     random_windowed_schedule,
     summarize,
+    union_across,
 )
 
 
@@ -28,7 +29,7 @@ def main():
     sched = random_windowed_schedule(n=n, T=T, length=9, seed=42)
     print(f"random periodic schedule: n={n}, window slack T={T}, period {sched.period}")
     for t0 in range(sched.period):
-        ok = is_weakly_connected_across(sched, IntervalSpec(t0, t0 + T))
+        ok = is_weakly_connected(union_across(sched, IntervalSpec(t0, t0 + T)))
         print(f"  window [{t0}, {t0 + T}] weakly connected: {ok}")
 
     x0 = np.random.default_rng(1).uniform(0.0, 1.0, n)

@@ -13,13 +13,11 @@ from .graphs import (
     IntervalSpec,
     UnsupportedQueryError,
     WeightedDigraph,
-    empty_graph,
     find_root,
     format_graph_text,
     is_bidirectional,
     is_connected_from,
     is_weakly_connected,
-    is_weakly_connected_across,
     neighbors,
     parse_graph_text,
     relabel,
@@ -76,13 +74,11 @@ __all__ = [
     "IntervalSpec",
     "UnsupportedQueryError",
     "WeightedDigraph",
-    "empty_graph",
     "find_root",
     "format_graph_text",
     "is_bidirectional",
     "is_connected_from",
     "is_weakly_connected",
-    "is_weakly_connected_across",
     "neighbors",
     "parse_graph_text",
     "relabel",

@@ -117,9 +117,6 @@ class DirectedGraph:
         ptr, dst = self._out_csr
         return frozenset(v + 1 for v in dst[ptr[j] : ptr[j + 1]])
 
-    def has_arc(self, k: int, l: int) -> bool:
-        return (k, l) in self.arcs
-
     @property
     def nodes(self) -> range:
         return range(1, self.n + 1)
@@ -188,10 +185,6 @@ def _node_index(g: DirectedGraph, k: int) -> int:
     return k - 1
 
 
-def empty_graph(n: int) -> DirectedGraph:
-    return DirectedGraph(n, ())
-
-
 @dataclass(frozen=True)
 class WeightedDigraph(DirectedGraph):
     """Directed graph with a positive weight on every arc.
@@ -249,9 +242,6 @@ class WeightedDigraph(DirectedGraph):
             bounds=bounds, _items=items, _hash=hash((graph, items, bounds)),
         )
 
-    def weight(self, k: int, l: int) -> float:
-        return self.weights[(k, l)]
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -285,12 +275,8 @@ class IntervalSpec:
             if self.end < self.start:
                 raise ValueError(f"empty interval [{self.start}, {self.end}]")
 
-    @property
-    def bounded(self) -> bool:
-        return self.end is not None
-
     def __str__(self) -> str:
-        return f"[{self.start}, {self.end if self.bounded else 'inf'}]"
+        return f"[{self.start}, {'inf' if self.end is None else self.end}]"
 
 
 # ---------------------------------------------------------------------------
@@ -467,11 +453,6 @@ def union_across(schedule, interval: IntervalSpec) -> DirectedGraph:
     # The members' arcs are valid for n nodes, so their union needs no check.
     arcs = frozenset().union(*(g.arcs for g in members))
     return DirectedGraph._from_valid(schedule.n, arcs)
-
-
-def is_weakly_connected_across(schedule, interval: IntervalSpec) -> bool:
-    """True when the arc union over the interval is weakly connected."""
-    return is_weakly_connected(union_across(schedule, interval))
 
 
 # ---------------------------------------------------------------------------

@@ -24,20 +24,23 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 import numpy as np
 
 
+_SHAPE_RULE = "expected (n,) or (n, d) points with n >= 1 and d in {1, 2}"
+
+
 def _as_points(x) -> np.ndarray:
-    """The (n, d) points of an `AgentState` (validated when it was made) or
-    of a raw array or nested list, validated here."""
-    if isinstance(x, AgentState):
-        return x.points
-    pts = np.asarray(x, dtype=float)
+    """A raw array or nested list as a fresh, validated (n, d) float array."""
+    try:
+        pts = np.array(x, dtype=float)
+    except ValueError:  # rows of different lengths, or a coordinate not a number
+        if len({np.shape(row) for row in x}) > 1:
+            raise ValueError(f"{_SHAPE_RULE}, got rows of different lengths") from None
+        raise
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     if not np.all(np.isfinite(pts)):
         raise ValueError("state coordinates must be finite")
     if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] not in (1, 2):
-        raise ValueError(
-            f"expected (n,) or (n, d) points with n >= 1 and d in {{1, 2}}, got shape {pts.shape}"
-        )
+        raise ValueError(f"{_SHAPE_RULE}, got shape {pts.shape}")
     return pts
 
 
@@ -55,7 +58,7 @@ class AgentState:
     __slots__ = ("points", "_hull")
 
     def __init__(self, points):
-        arr = _as_points(np.array(points, dtype=float))  # a private copy
+        arr = _as_points(points)
         arr.flags.writeable = False
         self.points = arr
         self._hull: Optional[HullPolytope] = None
@@ -95,10 +98,6 @@ class AgentState:
         if self.d != 1:
             raise ValueError(f"values is for scalar states, this one has d={self.d}")
         return self.points[:, 0]
-
-    def point(self, k: int) -> np.ndarray:
-        """Position of agent k (1-based)."""
-        return self.points[k - 1]
 
     def _at_rest(self) -> bool:
         """All agents at one point, bit for bit, with no -0.0 (which a step

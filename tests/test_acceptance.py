@@ -35,12 +35,12 @@ from consensus_lab import (
     find_root,
     is_connected_from,
     is_weakly_connected,
-    is_weakly_connected_across,
     monitor_stream,
     neighbors,
     random_windowed_schedule,
     stretching_bidirectional_schedule,
     summarize,
+    union_across,
     verify_counterexample,
     weakly_connected_oracle,
 )
@@ -131,7 +131,7 @@ def windowed_results():
         seed = int(seeds[i] % 2**31)
         sched = random_windowed_schedule(n, T, length, seed)
         windows_ok = all(
-            is_weakly_connected_across(sched, IntervalSpec(t0, t0 + T))
+            is_weakly_connected(union_across(sched, IntervalSpec(t0, t0 + T)))
             for t0 in range(length)
         )
         x0 = np.random.default_rng(seed + 1).uniform(0.0, 1.0, n)

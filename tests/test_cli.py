@@ -86,6 +86,18 @@ def test_parse_state():
         cli.parse_state("0,x,1")
 
 
+@pytest.mark.parametrize("command,option,spec", [
+    ("simulate", "--x0", "0 0; 1 0; 0.5"),
+    ("simulate", "--x0", "0,1,1;"),
+    ("probe", "--center", "0 0; 1 0; 0.5"),
+], ids=["simulate-short-row", "simulate-empty-row", "probe-short-row"])
+def test_ragged_state_fails_with_the_shape_message(chain_graph, capsys, command, option, spec):
+    assert main([command, "--graph", chain_graph, option, spec]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: bad state {spec!r}: expected (n,) or (n, d) points"
+    )
+
+
 def test_parse_interval():
     assert (cli.parse_interval("3,9").start, cli.parse_interval("3,9").end) == (3, 9)
     assert cli.parse_interval("4").end == 4
@@ -219,6 +231,12 @@ def test_connectivity_stretching_arc_free_window(capsys):
     code = main(["connectivity", "--scenario", "stretching:n=3", "--interval", "6,8"])
     assert code == 0
     assert "weakly_connected=false" in capsys.readouterr().out
+
+
+def test_connectivity_exits_2_when_the_oracle_disagrees(chain_graph, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "weakly_connected_oracle", lambda g: False)
+    assert main(["connectivity", "--graph", chain_graph]) == 2
+    assert "oracle_agrees=false" in capsys.readouterr().out
 
 
 def test_connectivity_usage_errors(chain_graph, capsys):

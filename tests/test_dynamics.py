@@ -24,7 +24,6 @@ from consensus_lab import (
     check_communication_assumption,
     check_strict_convexity,
     diameter,
-    empty_graph,
     hull,
     linear_step,
     random_windowed_schedule,
@@ -47,10 +46,10 @@ def test_state_accepts_flat_and_planar_input():
     s = AgentState([0.0, 1.0, 2.0])
     assert s.n == 3 and s.d == 1
     assert s.values.tolist() == [0.0, 1.0, 2.0]
-    assert s.point(2).tolist() == [1.0]
+    assert s.points[1].tolist() == [1.0]
     p = AgentState([[0.0, 1.0], [2.0, 3.0]])
     assert p.n == 2 and p.d == 2
-    assert p.point(1).tolist() == [0.0, 1.0]
+    assert p.points[0].tolist() == [0.0, 1.0]
 
 
 def test_state_rejects_bad_input():
@@ -62,6 +61,14 @@ def test_state_rejects_bad_input():
         AgentState([0.0, float("nan")])
     with pytest.raises(ValueError, match="scalar"):
         AgentState([[0.0, 1.0]]).values
+
+
+def test_state_rejects_ragged_rows_with_the_shape_message():
+    ragged = r"^expected \(n,\) or \(n, d\) points .*, got rows of different lengths$"
+    with pytest.raises(ValueError, match=ragged):
+        AgentState([[0.0, 0.0], [1.0]])
+    with pytest.raises(ValueError, match="could not convert"):
+        AgentState([[0.0, "x"], [1.0, 2.0]])
 
 
 def test_state_is_read_only():
@@ -80,6 +87,11 @@ def test_stochastic_matrix_validation():
         StochasticMatrix([[0.5, 0.6], [0.0, 1.0]])
     with pytest.raises(ValueError, match="diagonal"):
         StochasticMatrix([[0.0, 1.0], [0.0, 1.0]])
+
+
+def test_stochastic_matrix_rejects_an_infinite_entry():
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        StochasticMatrix([[1.0, math.inf], [0.0, 1.0]])
 
 
 def test_stochastic_matrix_prints_a_bad_row_sum_as_a_float():
@@ -112,7 +124,7 @@ def test_update_matrix_unit_weights_for_bare_graph():
 
 
 def test_update_matrix_of_arc_free_graph_is_identity():
-    assert np.array_equal(build_update_matrix(empty_graph(3)).entries, np.eye(3))
+    assert np.array_equal(build_update_matrix(DirectedGraph(3)).entries, np.eye(3))
 
 
 def test_linear_step_worked_example():
@@ -122,7 +134,7 @@ def test_linear_step_worked_example():
 
 
 def test_linear_step_dimension_mismatch():
-    m = build_update_matrix(empty_graph(3))
+    m = build_update_matrix(DirectedGraph(3))
     with pytest.raises(ValueError, match="n=2"):
         linear_step(m, AgentState([0.0, 1.0]))
 
@@ -166,10 +178,10 @@ def test_update_matrix_and_linear_step_match_python_reference():
             senders = sorted(g.graph.in_sources(k))
             s = 0.0
             for i in senders:
-                s += g.weight(i, k)
+                s += g.weights[(i, k)]
             assert A[k - 1][k - 1] == 1.0 / (1.0 + s)
             for i in senders:
-                assert A[k - 1][i - 1] == g.weight(i, k) / (1.0 + s)
+                assert A[k - 1][i - 1] == g.weights[(i, k)] / (1.0 + s)
         for d in (1, 2):
             pts = rng.uniform(-10.0, 10.0, (n, d))
             out = linear_step(M, AgentState(pts)).points.tolist()
@@ -207,7 +219,7 @@ def test_update_matrix_drops_entries_that_round_to_zero():
 
 def test_update_matrix_arc_weight_matches_unit_weighted_graph():
     rng = np.random.default_rng(8)
-    graphs = [empty_graph(3)] + [_random_weighted_graph(rng, n).graph for n in (2, 5, 12)]
+    graphs = [DirectedGraph(3)] + [_random_weighted_graph(rng, n).graph for n in (2, 5, 12)]
     for g in graphs:
         for w in (1.0, 0.25, 3.0, 1e-3, 1e6, 5e-324):
             direct = build_update_matrix(g, w)
@@ -713,7 +725,7 @@ def test_vicsek_rejects_out_of_domain():
         VicsekHeading().step(0, g, AgentState([0.0, math.pi / 2]))
     # also where nothing moves: the check does not depend on the graph
     with pytest.raises(ValueError, match=r"agent 1 is at -2.0, outside the open interval \(-1.57"):
-        VicsekHeading().step(0, empty_graph(2), AgentState([-2.0, 3.0]))
+        VicsekHeading().step(0, DirectedGraph(2), AgentState([-2.0, 3.0]))
 
 
 def test_vicsek_and_max_read_self_then_ascending_senders():
@@ -762,10 +774,15 @@ def test_linear_average_weighted_graph_uses_given_weights():
     assert np.allclose(out.values, [1 / 3, 6 / 7, 1.0, 1.0], rtol=0, atol=1e-15)
 
 
+def test_linear_average_rejects_a_graph_of_another_size():
+    with pytest.raises(ValueError, match="graph has n=4 but state has n=3"):
+        LinearAverage().step(0, DirectedGraph(4, {(1, 2)}), AgentState([0.0, 1.0, 2.0]))
+
+
 def test_linear_average_arc_free_graph_is_identity_object():
     lam = LinearAverage()
     x = AgentState([1.0, 2.0])
-    assert lam.step(0, empty_graph(2), x) is x
+    assert lam.step(0, DirectedGraph(2), x) is x
 
 
 @pytest.mark.parametrize(
@@ -778,7 +795,7 @@ def test_every_map_returns_its_input_on_an_arc_free_graph(update_map):
     for x in ([1.0, -0.5, 0.25], [[1.0, 2.0], [0.0, -1.0], [3.0, 3.0]]):
         x = AgentState(x)
         if x.d in update_map.supported_dims:
-            assert update_map.step(0, empty_graph(3), x) is x
+            assert update_map.step(0, DirectedGraph(3), x) is x
 
 
 @pytest.mark.parametrize(
@@ -826,12 +843,12 @@ def test_a_map_output_is_wrapped_without_a_copy_but_checked_finite():
 def test_update_map_rejects_unsupported_dim():
     planar = AgentState([[0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(ValueError, match="does not support d=2"):
-        KuramotoTime1().step(0, empty_graph(2), planar)
+        KuramotoTime1().step(0, DirectedGraph(2), planar)
     with pytest.raises(ValueError, match="does not support d=2"):
-        VicsekHeading().step(0, empty_graph(2), planar)
+        VicsekHeading().step(0, DirectedGraph(2), planar)
     # the linear and max maps accept planar states
-    LinearAverage().step(0, empty_graph(2), planar)
-    MaxUpdate().step(0, empty_graph(2), planar)
+    LinearAverage().step(0, DirectedGraph(2), planar)
+    MaxUpdate().step(0, DirectedGraph(2), planar)
 
 
 def test_nonlinear_consensus_validates_at_construction():
@@ -994,7 +1011,7 @@ def test_checker_reports_are_pinned(name, d, checker, count, digest):
 
 def test_convexity_rejects_unsupported_dim():
     with pytest.raises(ValueError, match="does not support d=2"):
-        check_strict_convexity(KuramotoTime1(), empty_graph(2), d=2)
+        check_strict_convexity(KuramotoTime1(), DirectedGraph(2), d=2)
 
 
 # The checker's arithmetic as it stood before its geometry moved to the hull

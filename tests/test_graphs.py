@@ -19,7 +19,6 @@ from consensus_lab import (
     FiniteSchedule,
     GeneratedSchedule,
     PeriodicSchedule,
-    empty_graph,
     find_root,
     format_graph_text,
     is_bidirectional,
@@ -31,6 +30,7 @@ from consensus_lab import (
     union_across,
     weakly_connected_oracle,
 )
+from consensus_lab.graphs import as_directed
 from consensus_lab.scenarios import CounterexampleSchedule, StretchingSchedule
 from consensus_lab.simulator import GraphSchedule
 
@@ -79,7 +79,7 @@ def test_in_and_out_adjacency():
     assert g.in_sources(2) == {1, 3}
     assert g.in_sources(3) == frozenset()
     assert g.out_targets(3) == {2}
-    assert g.has_arc(3, 2) and not g.has_arc(2, 3)
+    assert (3, 2) in g.arcs and (2, 3) not in g.arcs
 
 
 def test_weighted_digraph_requires_matching_weights():
@@ -111,8 +111,8 @@ def test_weighted_digraph_equality_and_hash():
 
 
 def test_interval_spec_validation():
-    assert IntervalSpec(3, 7).bounded
-    assert not IntervalSpec(3).bounded
+    assert IntervalSpec(3, 7).end is not None
+    assert IntervalSpec(3).end is None
     with pytest.raises(ValueError, match="empty interval"):
         IntervalSpec(5, 4)
 
@@ -372,7 +372,7 @@ def test_connected_from_chain():
 
 def test_weak_connectivity_examples():
     assert is_weakly_connected(DirectedGraph(1, set()))
-    assert not is_weakly_connected(empty_graph(2))
+    assert not is_weakly_connected(DirectedGraph(2))
     assert is_weakly_connected(DirectedGraph(3, {(1, 2), (2, 3), (3, 1)}))
     # pair plus an isolated node
     assert not is_weakly_connected(DirectedGraph(3, {(1, 2), (2, 1)}))
@@ -394,12 +394,12 @@ def test_weak_connectivity_matches_definition_on_random_digraphs():
 def test_bidirectional():
     assert is_bidirectional(DirectedGraph(3, {(1, 2), (2, 1)}))
     assert not is_bidirectional(DirectedGraph(3, {(1, 2), (2, 3), (3, 2)}))
-    assert is_bidirectional(empty_graph(2))
+    assert is_bidirectional(DirectedGraph(2))
 
 
 def test_oracle_node_cap():
     with pytest.raises(ValueError, match="capped"):
-        weakly_connected_oracle(empty_graph(13))
+        weakly_connected_oracle(DirectedGraph(13))
 
 
 def test_oracle_matches_bfs_exhaustively_n3():
@@ -419,7 +419,7 @@ def test_oracle_matches_bfs_random(g):
 def test_find_root_examples():
     assert find_root(DirectedGraph(3, {(1, 2), (2, 3)})) == 1
     assert find_root(DirectedGraph(1, set())) == 1
-    assert find_root(empty_graph(2)) is None
+    assert find_root(DirectedGraph(2)) is None
     assert find_root(DirectedGraph(2, {(1, 2)})) == 1
     assert find_root(DirectedGraph(2, {(2, 1)})) == 2
     cyc = DirectedGraph(4, {(1, 2), (2, 3), (3, 4), (4, 1)})
@@ -445,7 +445,27 @@ def test_connectivity_is_relabeling_invariant(g, rnd):
 
 def test_relabel_requires_permutation():
     with pytest.raises(ValueError, match="permutation"):
-        relabel(empty_graph(3), [1, 1, 2])
+        relabel(DirectedGraph(3), [1, 1, 2])
+
+
+def test_relabel_carries_each_weight_and_the_bounds_with_the_arc():
+    g = WeightedDigraph(
+        DirectedGraph(3, {(1, 2), (2, 3)}), {(1, 2): 0.5, (2, 3): 4.0}, bounds=(0.25, 8.0)
+    )
+    perm = [2, 3, 1]
+    h = relabel(g, perm)
+    assert isinstance(h, WeightedDigraph)
+    assert dict(h.weights) == {(2, 3): 0.5, (3, 1): 4.0}
+    assert h.bounds == (0.25, 8.0)
+    inverse = [perm.index(k) + 1 for k in g.nodes]
+    assert relabel(h, inverse) == g
+
+
+def test_as_directed_returns_the_unweighted_graph():
+    base = DirectedGraph(2, {(1, 2)})
+    wg = WeightedDigraph(base, {(1, 2): 3.0})
+    assert as_directed(wg) is wg.graph
+    assert as_directed(base) is base
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +575,7 @@ def test_union_across_rejects_member_of_other_size():
 
 
 def test_union_across_rejects_early_start():
-    sched = PeriodicSchedule([empty_graph(2)], first_time=3)
+    sched = PeriodicSchedule([DirectedGraph(2)], first_time=3)
     with pytest.raises(ValueError, match="before the schedule"):
         union_across(sched, IntervalSpec(2, 5))
 
@@ -649,6 +669,6 @@ def test_parse_unweighted_text_within_bounds_stays_unweighted(text):
 
 
 def test_parse_arc_free_text_checks_only_the_bounds_themselves():
-    assert parse_graph_text("n=2\n", bounds=(2.0, 5.0)) == empty_graph(2)
+    assert parse_graph_text("n=2\n", bounds=(2.0, 5.0)) == DirectedGraph(2)
     with pytest.raises(ValueError, match="0 < e_min <= e_max"):
         parse_graph_text("n=2\n", bounds=(2.0, 1.0))

@@ -61,10 +61,9 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     tree = _tree(path)
+    used = _used_names(tree)
     unused = sorted(
-        (line, name)
-        for name, line in _imported_names(tree).items()
-        if name not in _used_names(tree)
+        (line, name) for name, line in _imported_names(tree).items() if name not in used
     )
     assert not unused, f"{path.name}: unused imports {unused}"
 

@@ -413,6 +413,17 @@ def test_contains_basic():
     assert contains(outer, outer)  # reflexive
 
 
+def test_contains_rejects_hulls_of_different_dimensions():
+    with pytest.raises(ValueError, match="dimension mismatch: outer d=1, inner d=2"):
+        contains(hull([0.0, 1.0]), hull(UNIT_SQUARE))
+
+
+def test_hull_rejects_ragged_rows_with_the_shape_message():
+    ragged = r"^expected \(n,\) or \(n, d\) points .*, got rows of different lengths$"
+    with pytest.raises(ValueError, match=ragged):
+        hull([[0.0, 0.0], [1.0]])
+
+
 def test_contains_slack():
     outer = hull(UNIT_SQUARE)
     nudged = hull(UNIT_SQUARE * (1.0 + 1e-12))

@@ -31,14 +31,12 @@ PUBLIC_NAMES = [
     "counterexample_schedule",
     "diameter",
     "disagreement",
-    "empty_graph",
     "find_root",
     "format_graph_text",
     "hull",
     "is_bidirectional",
     "is_connected_from",
     "is_weakly_connected",
-    "is_weakly_connected_across",
     "iter_spans",
     "linear_step",
     "monitor_stream",

@@ -20,7 +20,6 @@ from consensus_lab import (
     find_root,
     is_connected_from,
     is_weakly_connected,
-    is_weakly_connected_across,
     random_windowed_schedule,
     stretching_bidirectional_schedule,
     union_across,
@@ -75,7 +74,7 @@ def test_unbounded_tail_union_is_connected():
     sched = counterexample_schedule()
     tail = union_across(sched, IntervalSpec(10**9))
     assert tail.arcs == {(1, 2), (2, 1), (3, 2), (2, 3)}
-    assert is_weakly_connected_across(sched, IntervalSpec(1))
+    assert is_weakly_connected(union_across(sched, IntervalSpec(1)))
 
 
 def _run_ends(sched, t):
@@ -201,7 +200,7 @@ def test_windowed_schedule_every_window_connected():
     sched = random_windowed_schedule(n=4, T=2, length=9, seed=5)
     assert sched.period == 9
     for t0 in range(sched.first_time, sched.first_time + 9):
-        assert is_weakly_connected_across(sched, IntervalSpec(t0, t0 + 2))
+        assert is_weakly_connected(union_across(sched, IntervalSpec(t0, t0 + 2)))
 
 
 def test_windowed_schedule_is_deterministic_in_seed():
@@ -287,7 +286,7 @@ def test_windowed_schedule_validation():
 def test_windowed_schedule_short_period_still_covers_window():
     # a period shorter than the window is fine: the wrap repeats the plant
     sched = random_windowed_schedule(n=3, T=3, length=2, seed=0)
-    assert is_weakly_connected_across(sched, IntervalSpec(0, 3))
+    assert is_weakly_connected(union_across(sched, IntervalSpec(0, 3)))
 
 
 def test_windowed_schedule_converges_under_averaging():
@@ -334,14 +333,14 @@ def test_stretching_arc_free_windows_grow_without_bound():
         assert win.end - win.start + 1 == T
         for t in range(win.start, win.end + 1):
             assert not sched.graph_at(t).arcs
-        assert not is_weakly_connected_across(sched, win)
+        assert not is_weakly_connected(union_across(sched, win))
 
 
 def test_stretching_tail_union_is_full_path():
     sched = stretching_bidirectional_schedule(4)
     tail = union_across(sched, IntervalSpec(1000))
     assert tail.arcs == {(1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3)}
-    assert is_weakly_connected_across(sched, IntervalSpec(0))
+    assert is_weakly_connected(union_across(sched, IntervalSpec(0)))
 
 
 def test_stretching_converges_under_averaging():

@@ -24,7 +24,6 @@ from consensus_lab import (
     constant_schedule,
     counterexample_schedule,
     disagreement,
-    empty_graph,
     hull,
     monitor_stream,
     stretching_bidirectional_schedule,
@@ -54,14 +53,14 @@ def test_finite_schedule_runs_out_into_after_graph():
 
 
 def test_finite_schedule_explicit_after():
-    sched = FiniteSchedule([empty_graph(2)], after=PAIR)
+    sched = FiniteSchedule([DirectedGraph(2)], after=PAIR)
     assert sched.graph_at(99) is PAIR
     assert FiniteSchedule([], after=PAIR).graph_at(0) is PAIR
 
 
 def test_finite_schedule_node_count_mismatch():
     with pytest.raises(ValueError, match="node count"):
-        FiniteSchedule([empty_graph(2), empty_graph(3)])
+        FiniteSchedule([DirectedGraph(2), DirectedGraph(3)])
     with pytest.raises(ValueError, match="at least one"):
         FiniteSchedule([])
 
@@ -76,7 +75,7 @@ def test_periodic_schedule_wraps():
 
 
 def test_generated_schedule_validates_node_count():
-    sched = GeneratedSchedule(lambda t: empty_graph(3 if t > 0 else 2), n=2)
+    sched = GeneratedSchedule(lambda t: DirectedGraph(3 if t > 0 else 2), n=2)
     assert sched.graph_at(0).n == 2
     with pytest.raises(ValueError, match="expected 2"):
         sched.graph_at(1)
@@ -129,7 +128,7 @@ def test_iter_states_honors_t0():
 def test_iter_states_checks_the_state_against_the_map_when_made():
     # Nothing on these schedules is ever stepped, so the check cannot wait
     # for a step.
-    silent = FiniteSchedule([], after=empty_graph(3))
+    silent = FiniteSchedule([], after=DirectedGraph(3))
     planar = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
     with pytest.raises(ValueError, match="kuramoto does not support d=2"):
         iter_states(silent, KuramotoTime1(), planar, steps=5)
@@ -145,7 +144,7 @@ def test_iter_states_checks_the_state_against_the_map_when_made():
 
 A = DirectedGraph(3, {(1, 2)})
 B = DirectedGraph(3, {(2, 3), (3, 2)})
-Z = empty_graph(3)
+Z = DirectedGraph(3)
 
 
 def _scan_next_active(schedule, lo, hi, ahead=20):
@@ -492,7 +491,7 @@ def test_iter_spans_is_validated_when_made():
     with pytest.raises(ValueError, match="n=3"):
         iter_spans(sched, LinearAverage(), [0.0, 1.0, 2.0], steps=1)
     with pytest.raises(ValueError):
-        iter_spans(constant_schedule(empty_graph(3)), VicsekHeading(), [0.0, 2.0, 0.0], steps=1)
+        iter_spans(constant_schedule(DirectedGraph(3)), VicsekHeading(), [0.0, 2.0, 0.0], steps=1)
 
 
 class _DoublingSchedule(GraphSchedule):
@@ -586,7 +585,7 @@ def test_summarize_finds_consensus_time():
 
     assert run(PAIR, 1e-9).consensus_time == 1
     assert run(PAIR, 2.0).consensus_time == 0
-    assert run(empty_graph(2), 1e-9).consensus_time is None
+    assert run(DirectedGraph(2), 1e-9).consensus_time is None
     with pytest.raises(ValueError, match="tol"):
         run(PAIR, 0.0)
 
@@ -608,7 +607,7 @@ def test_probe_converges_on_constant_pair():
 
 def test_probe_diverges_when_nothing_moves():
     rep = attractivity_probe(
-        constant_schedule(empty_graph(2)), LinearAverage(), center=[0.0, 1.0],
+        constant_schedule(DirectedGraph(2)), LinearAverage(), center=[0.0, 1.0],
         radius=0.0, samples=2, horizon=20, tol=1e-6, seed=0,
     )
     assert rep.converged_fraction == 0.0
@@ -630,7 +629,7 @@ def test_probe_reads_the_checkpoint_inside_a_silent_stretch():
     # and the step at 90 still shrinks the disagreement, so the run is
     # undetermined, as a per-step loop would label it
     slow = WeightedDigraph(PAIR, {(1, 2): 0.01, (2, 1): 0.01})
-    sched = PeriodicSchedule([slow] + [empty_graph(2)] * 44)
+    sched = PeriodicSchedule([slow] + [DirectedGraph(2)] * 44)
     rep = attractivity_probe(
         sched, LinearAverage(), center=[0.0, 1.0], radius=0.0, samples=1,
         horizon=100, tol=1e-9, seed=0,
