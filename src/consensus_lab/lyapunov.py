@@ -31,8 +31,8 @@ def _as_points(x) -> np.ndarray:
     """A raw array or nested list as a fresh, validated (n, d) float array."""
     try:
         pts = np.array(x, dtype=float)
-    except ValueError:  # rows of different lengths, or a coordinate not a number
-        if len({np.shape(row) for row in x}) > 1:
+    except ValueError as e:  # ragged rows at any depth, or a coordinate not a number
+        if str(e).startswith("setting an array element with a sequence"):
             raise ValueError(f"{_SHAPE_RULE}, got rows of different lengths") from None
         raise
     if pts.ndim == 1:
@@ -516,10 +516,8 @@ def monitor_stream(
     state that is the previous record's state object, and an immutable
     `AgentState`, gets the previous record's fields at the new time,
     contained, with no hull and no containment test: a hull contains
-    itself.  Per-step expansions repeat a state, and so do spans of a
-    schedule whose `next_active` claims nothing, across its arc-free steps.
-    Raw arrays and lists are always hulled afresh, since their caller may
-    edit them.
+    itself.  Per-step expansions repeat a state.  Raw arrays and lists are
+    always hulled afresh, since their caller may edit them.
     """
     _check_distance(slack, "slack")
     return _monitor(items, slack + _ROUNDING_ULPS * _EPS)

@@ -303,11 +303,9 @@ class StretchingSchedule(GraphSchedule):
             arcs |= g.arcs
         return DirectedGraph(self.n, arcs)
 
-    def next_active(self, t: int) -> int:
-        """The time of the first active step at or after t."""
-        g = _active_before(self._check_time(t) - self.first_time)
-        at = self.active_position(g)
-        return at if at == t else self.active_position(g + 1)
+    def next_change(self, t: int) -> int:
+        """The time of the first active step after t."""
+        return self.active_position(_active_before(self._check_time(t) - self.first_time) + 1)
 
     def graph_at(self, t: int) -> DirectedGraph:
         q = self._check_time(t) - self.first_time

@@ -9,11 +9,11 @@ time interval of them stay decidable.
 
 The run engine is `iter_spans`: it rolls an update map along a schedule
 and yields one span (t, end, state) per constant stretch, the state
-holding at every time in [t, end].  Schedules answer `next_active`, the
-next time that carries an arc, so a map that is the identity on arc-free
-graphs is not stepped across the silence in between, nor ever after a
-state at rest, which every map keeps; a run costs time in its active
-steps, not in its horizon.  Its span starts fed to
+holding at every time in [t, end].  From an arc-free time, schedules
+answer `next_change`, the next time that can carry an arc, so a map that
+is the identity on arc-free graphs is not stepped across the silence in
+between, nor ever after a state at rest, which every map keeps; a run
+costs time in its active steps, not in its horizon.  Its span starts fed to
 `lyapunov.monitor_stream` are a monitored run that stores nothing.
 `iter_states` expands the spans into one (t, state) pair per time step.
 `attractivity_probe` repeats a run from random initial states around a
@@ -22,7 +22,6 @@ center and reports how often the group reached consensus.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterator, Optional, Sequence
@@ -60,24 +59,17 @@ class GraphSchedule:
     def graph_at(self, t: int) -> DirectedGraph:
         raise NotImplementedError
 
-    def next_active(self, t: int) -> Optional[int]:
-        """A time t' >= t such that every time in [t, t') is arc-free, or
-        None when no time at or after t carries an arc.
-
-        The default t' = t claims nothing and is always sound; schedules
-        that know where their arcs are answer the next time with an arc.
-        """
-        return self._check_time(t)
-
     def next_change(self, t: int) -> Optional[int]:
         """A time t' > t such that no time in (t, t') carries an arc that
         `graph_at(t)` lacks, or None when no time after t does.
 
-        The default is `next_active(t + 1)`, since arc-free times add no
-        arc; schedules whose graphs come in runs answer the end of the run.
-        `graphs.union_across` walks these times.
+        The default t + 1 claims nothing and is always sound.  Tables and
+        the stretching schedule answer the next time with an arc, and
+        schedules whose graphs come in runs the end of the run.  After an
+        arc-free time, this is where `iter_spans` looks next, and None
+        means silence forever; `graphs.union_across` walks these times.
         """
-        return self.next_active(t + 1)
+        return self._check_time(t) + 1
 
     def tail_union(self, start: int) -> Optional[DirectedGraph]:
         """Arc union over [start, infinity), when known in closed form.
@@ -99,8 +91,9 @@ class _TableSchedule(GraphSchedule):
     """A head of graphs from `first_time`, then a nonempty cycle repeated
     forever from `cycle_from`.  Slots are stored cycle first, so i = t -
     cycle_from indexes them as i % period, or in the head as the negative
-    i.  `_next[i]` is the next active time's offset from `cycle_from`;
-    after the last slot it wraps to the cycle's first active slot.
+    i.  `_next[i]` is the offset from `cycle_from` of the first time at
+    or after slot i with an arc; after the last slot it wraps to the
+    cycle's first such slot.
     """
 
     def __init__(self, head, cycle, first_time, name):
@@ -121,8 +114,8 @@ class _TableSchedule(GraphSchedule):
         i = self._check_time(t) - self.cycle_from
         return self._slots[i % self.period if i >= 0 else i]
 
-    def next_active(self, t: int) -> Optional[int]:
-        t = self._check_time(t)
+    def next_change(self, t: int) -> Optional[int]:
+        t = self._check_time(t) + 1
         i = t - self.cycle_from
         r = i % self.period if i >= 0 else i
         j = self._next[r]
@@ -213,10 +206,11 @@ def iter_spans(
     """Yield spans (t, end, state) that tile [t0, t0 + steps], stepping the map.
 
     The state holds at every time in [t, end], and the next span starts
-    at end + 1.  A span ends at the schedule's `next_active` time, where
-    the map is stepped into the next span's state, so there is one span
-    more than there are `step` calls, and neither `graph_at` nor `step`
-    is called inside a span:
+    at end + 1.  A span ends at the first time with an arc, where the map
+    is stepped into the next span's state, so there is one span more than
+    there are `step` calls.  From an arc-free time the run looks next at
+    the schedule's `next_change`, so `graph_at` is called only at the
+    times that it names, and `step` never inside a span:
     with no senders, every agent of the paper's model stays where it is,
     and every `UpdateMap` returns its input on an arc-free graph, so the
     skip is exact.  A state at rest (`x0` included), which every
@@ -241,17 +235,22 @@ def iter_spans(
 def _run(
     schedule: GraphSchedule, update_map: UpdateMap, x: AgentState, steps: int, t0: int
 ) -> Iterator[tuple[int, int, AgentState]]:
-    step, graph_at, next_active = update_map.step, schedule.graph_at, schedule.next_active
+    step, graph_at, next_change = update_map.step, schedule.graph_at, schedule.next_change
     t, last = t0, t0 + steps
     while True:
-        # x holds through the next active time, and forever from a state at rest
-        active = None if t == last or x._at_rest() else next_active(t)
-        if active is None or active >= last:
+        # x holds through the next time with an arc, and forever from a state at rest
+        a = None if x._at_rest() else t
+        while a is not None and a < last:
+            g = graph_at(a)
+            if g.arcs:
+                break
+            a = next_change(a)
+        if a is None or a >= last:
             yield t, last, x
             return
-        yield t, active, x
-        x = step(active, graph_at(active), x)
-        t = active + 1
+        yield t, a, x
+        x = step(a, g, x)
+        t = a + 1
 
 
 def iter_states(
@@ -341,11 +340,6 @@ class ProbeReport:
         }
 
 
-#: Relative disagreement drop over the last tenth of the horizon below
-#: which an unconverged run is called diverged rather than undetermined.
-_STALL_THRESHOLD = 1e-3
-
-
 def attractivity_probe(
     schedule: GraphSchedule,
     update_map: UpdateMap,
@@ -362,9 +356,11 @@ def attractivity_probe(
     Each sample starts uniformly in the ball of the given radius around
     `center` (in the flattened state space) and is stepped until its
     disagreement drops below `tol` (converged) or the horizon is reached.
-    Unconverged runs whose disagreement is still visibly shrinking over
-    the final tenth of the horizon are labeled undetermined; the rest are
-    labeled diverged.  Everything is deterministic in `seed`.
+    An unconverged run is labeled diverged only when nothing can move it
+    again: the graph at its last span's start is arc-free and the
+    schedule's `next_change` there is None, so its state holds forever.
+    Every other unconverged run is undetermined.  Everything is
+    deterministic in `seed`.
     """
     samples = _valid_count(samples, 1, "samples")
     horizon = _valid_count(horizon, 1, "horizon")
@@ -372,7 +368,6 @@ def attractivity_probe(
     _check_tol(tol)
     c = center if isinstance(center, AgentState) else AgentState(center)
     t0 = schedule.first_time if t0 is None else schedule._check_time(t0)
-    checkpoint = max(1, horizon - horizon // 10)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(samples)]
     out: list[ProbeSample] = []
     for i in range(samples):
@@ -385,23 +380,19 @@ def attractivity_probe(
         else:
             offset = direction / norm * radius * rng.uniform(0.0, 1.0) ** (1.0 / dim)
         x0 = AgentState(c.points + offset.reshape(c.n, c.d))
-        status = "diverged"
+        status = "undetermined"
         consensus_time: Optional[int] = None
         max_exc = 0.0
-        d_checkpoint = math.inf
-        d_now = math.inf
-        for t, end, x in iter_spans(schedule, update_map, x0, horizon, t0):
+        for t, _, x in iter_spans(schedule, update_map, x0, horizon, t0):
             d_now = disagreement(x)
             max_exc = max(max_exc, d_now)
             if d_now < tol:
                 status = "converged"
                 consensus_time = t
                 break
-            if t <= t0 + checkpoint <= end:
-                d_checkpoint = d_now
-        if status != "converged":
-            drop = (d_checkpoint - d_now) / d_checkpoint if d_checkpoint > 0.0 else 0.0
-            status = "undetermined" if drop > _STALL_THRESHOLD else "diverged"
+        else:
+            if not schedule.graph_at(t).arcs and schedule.next_change(t) is None:
+                status = "diverged"
         out.append(
             ProbeSample(
                 index=i,

@@ -67,6 +67,8 @@ def test_state_rejects_ragged_rows_with_the_shape_message():
     ragged = r"^expected \(n,\) or \(n, d\) points .*, got rows of different lengths$"
     with pytest.raises(ValueError, match=ragged):
         AgentState([[0.0, 0.0], [1.0]])
+    with pytest.raises(ValueError, match=ragged):
+        AgentState([[[0.0], [1.0, 2.0]], [[0.0], [1.0, 2.0]]])
     with pytest.raises(ValueError, match="could not convert"):
         AgentState([[0.0, "x"], [1.0, 2.0]])
 
