@@ -583,6 +583,7 @@ def check_communication_assumption(
     what the map actually does.
     """
     trials = _valid_count(trials, 1, "trials")
+    seed = _valid_count(seed, 0, "seed")
     tol, domain = _checker_rules(update_map)
     baseline = update_map.step(0, graph, state).points
     rng = np.random.default_rng(seed)
@@ -695,6 +696,7 @@ def check_strict_convexity(
     support fails the first `step`.
     """
     samples = _valid_count(samples, 1, "samples")
+    seed = _valid_count(seed, 0, "seed")
     eq_tol, domain = _checker_rules(update_map)
     lo, hi = domain or (-10.0, 10.0)
     lo, hi = max(-10.0, lo), min(10.0, hi)

@@ -456,7 +456,7 @@ def union_across(schedule, interval: IntervalSpec) -> DirectedGraph:
 
 
 # ---------------------------------------------------------------------------
-# Relabeling (used by symmetry tests and demos)
+# Relabeling (a public helper; the symmetry tests use it)
 
 
 def relabel(

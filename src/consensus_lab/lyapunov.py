@@ -407,11 +407,6 @@ def _check_distance(value: float, what: str) -> None:
         raise ValueError(f"{what} must be nonnegative and finite, got {value}")
 
 
-def _check_tol(tol: float) -> None:
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-
-
 def contains(outer: HullPolytope, inner: HullPolytope, slack: float = 0.0) -> bool:
     """True when every vertex of `inner` is within `slack` of `outer`.
 
@@ -545,30 +540,42 @@ def _monitor(items, rel: float) -> Iterator[MonitorRecord]:
 class RunSummary(NamedTuple):
     """A monitored run in brief: its last record, the first time its
     diameter fell below the tolerance (None if it never did), how many
-    records were not contained in the previous hull, and how many it
-    folded, one per span on span starts."""
+    records were not contained in the previous hull, how many it folded
+    (one per span on span starts), and `peak`, the largest diameter."""
 
     final: MonitorRecord
     consensus_time: Optional[int]
     violations: int
     records: int
+    peak: float
 
 
 def summarize(records: Iterable[MonitorRecord], tol: float) -> RunSummary:
     """Fold a nonempty stream of monitor records in one pass.
 
-    `tol` must be positive and finite; `consensus_time` is the first
-    record time with `diameter < tol`, the time a per-step stream would
-    report when the records are span starts.
+    `tol` must be positive and finite, a rule checked here alone;
+    `consensus_time` is the first record time with `diameter < tol`, the
+    time a per-step stream would report when the records are span starts.
     """
-    _check_tol(tol)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     final: Optional[MonitorRecord] = None
     consensus_time: Optional[int] = None
     violations = count = 0
+    peak = 0.0
     for count, final in enumerate(records, 1):
         if consensus_time is None and final.diameter < tol:
             consensus_time = final.t
+        peak = max(peak, final.diameter)
         violations += not final.contained
     if final is None:
         raise ValueError("no records to summarize")
-    return RunSummary(final, consensus_time, violations, count)
+    return RunSummary(final, consensus_time, violations, count, peak)
+
+
+def _through_consensus(records: Iterable[MonitorRecord], tol: float) -> Iterator[MonitorRecord]:
+    """The records through the first one whose diameter is below tol."""
+    for rec in records:
+        yield rec
+        if rec.diameter < tol:
+            return

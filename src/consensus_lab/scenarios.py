@@ -245,6 +245,7 @@ def random_windowed_schedule(
     n = _valid_count(n, 1, "node count")
     T = _valid_count(T, 0, "window slack T")
     length = _valid_count(length, 1, "period length")
+    seed = _valid_count(seed, 0, "seed")
     name = f"windowed:n={n},T={T},length={length},seed={seed}"
     # One coin per ordered pair, drawn in one call in this order: the same
     # doubles, and the same generator state, as one draw per pair.

@@ -30,7 +30,8 @@ import numpy as np
 
 from .dynamics import UpdateMap
 from .graphs import DirectedGraph, _valid_count
-from .lyapunov import AgentState, _check_distance, _check_tol, diameter, hull
+from .lyapunov import AgentState, _check_distance, _through_consensus, diameter, hull
+from .lyapunov import monitor_stream, summarize
 
 
 class GraphSchedule:
@@ -354,24 +355,27 @@ def attractivity_probe(
     """Sample initial states near a center and count consensus outcomes.
 
     Each sample starts uniformly in the ball of the given radius around
-    `center` (in the flattened state space) and is stepped until its
-    disagreement drops below `tol` (converged) or the horizon is reached.
-    An unconverged run is labeled diverged only when nothing can move it
-    again: the graph at its last span's start is arc-free and the
-    schedule's `next_change` there is None, so its state holds forever.
-    Every other unconverged run is undetermined.  Everything is
-    deterministic in `seed`.
+    `center` (in the flattened state space).  Its run is `simulate`'s
+    monitored run, cut after its first record below `tol`; its `summarize`
+    gives the consensus time (converged), the final disagreement and the
+    peak (`max_excursion`).  An unconverged run is diverged only when
+    nothing can move it again: the graph at its last span's start is
+    arc-free and the schedule's `next_change` there is None, so its state
+    holds forever; any other is undetermined.  The radius must keep each
+    sample and its disagreement finite (two agents' offsets in the ball
+    differ by at most sqrt(2) radius).  Everything is deterministic in `seed`.
     """
     samples = _valid_count(samples, 1, "samples")
     horizon = _valid_count(horizon, 1, "horizon")
+    seed = _valid_count(seed, 0, "seed")
     _check_distance(radius, "radius")
-    _check_tol(tol)
     c = center if isinstance(center, AgentState) else AgentState(center)
+    if not np.isfinite([hull(c).magnitude + radius, disagreement(c) + 2**0.5 * radius]).all():
+        raise ValueError(f"radius must keep every sample around the center finite, got {radius}")
     t0 = schedule.first_time if t0 is None else schedule._check_time(t0)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(samples)]
     out: list[ProbeSample] = []
-    for i in range(samples):
-        rng = rngs[i]
+    for i, rng in enumerate(rngs):
         dim = c.n * c.d
         direction = rng.standard_normal(dim)
         norm = float(np.linalg.norm(direction))
@@ -380,28 +384,14 @@ def attractivity_probe(
         else:
             offset = direction / norm * radius * rng.uniform(0.0, 1.0) ** (1.0 / dim)
         x0 = AgentState(c.points + offset.reshape(c.n, c.d))
-        status = "undetermined"
-        consensus_time: Optional[int] = None
-        max_exc = 0.0
-        for t, _, x in iter_spans(schedule, update_map, x0, horizon, t0):
-            d_now = disagreement(x)
-            max_exc = max(max_exc, d_now)
-            if d_now < tol:
-                status = "converged"
-                consensus_time = t
-                break
-        else:
-            if not schedule.graph_at(t).arcs and schedule.next_change(t) is None:
-                status = "diverged"
-        out.append(
-            ProbeSample(
-                index=i,
-                status=status,
-                final_disagreement=d_now,
-                max_excursion=max_exc,
-                consensus_time=consensus_time,
-            )
-        )
+        spans = iter_spans(schedule, update_map, x0, horizon, t0)
+        run = summarize(_through_consensus(monitor_stream((t, x) for t, _, x in spans), tol), tol)
+        t, status = run.final.t, "converged"
+        if run.consensus_time is None:
+            held = not schedule.graph_at(t).arcs and schedule.next_change(t) is None
+            status = "diverged" if held else "undetermined"
+        out.append(ProbeSample(i, status, final_disagreement=run.final.diameter,
+                               max_excursion=run.peak, consensus_time=run.consensus_time))
     return ProbeReport(
         schedule_name=schedule.name,
         map_name=update_map.name,
@@ -410,6 +400,6 @@ def attractivity_probe(
         radius=float(radius),
         horizon=horizon,
         tol=float(tol),
-        seed=int(seed),
+        seed=seed,
         samples=tuple(out),
     )

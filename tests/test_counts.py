@@ -79,6 +79,15 @@ COUNTS = {
         "window slack T", 0, 2, lambda v: _schedule(random_windowed_schedule(4, v, 5))),
     "random_windowed_schedule length": (
         "period length", 1, 3, lambda v: _schedule(random_windowed_schedule(4, 1, v))),
+    "random_windowed_schedule seed": (
+        "seed", 0, 3, lambda v: _schedule(random_windowed_schedule(4, 1, 5, v))),
+    "attractivity_probe seed": ("seed", 0, 3, lambda v: _probe(seed=v)),
+    "check_communication_assumption seed": (
+        "seed", 0, 3,
+        lambda v: check_communication_assumption(
+            LinearAverage(), PATH, AgentState([0.0, 1.0, 2.0]), trials=2, seed=v)),
+    "check_strict_convexity seed": (
+        "seed", 0, 3, lambda v: check_strict_convexity(LinearAverage(), PATH, samples=2, seed=v)),
     "StretchingSchedule n": ("node count", 2, 3, lambda v: _schedule(StretchingSchedule(v))),
     "active_position g": ("active step index", 1, 4, StretchingSchedule(3).active_position),
     "arc_free_window T": ("window length", 1, 3, StretchingSchedule(3).arc_free_window),

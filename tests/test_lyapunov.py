@@ -702,3 +702,14 @@ def test_summarize_folds_the_records():
             summarize(monitor_stream(_escape_stream()), tol)
     with pytest.raises(ValueError, match="no records"):
         summarize([], 1e-9)
+
+
+def test_summarize_keeps_the_peak_diameter():
+    # the peak is the largest record diameter, wherever it falls in the run
+    a = AgentState([[0.0, 0.0], [1.0, 0.0]])
+    b = AgentState([[0.0, 0.0], [3.0, 4.0]])
+    c = AgentState([[0.0, 0.0], [0.0, 2.0]])
+    assert summarize(monitor_stream([(0, a), (1, b), (2, c)]), tol=1e-9).peak == 5.0
+    assert summarize(monitor_stream(_escape_stream()), tol=0.5).peak == float(np.hypot(2.0, 1.0))
+    # a run at consensus throughout peaks at zero
+    assert summarize(monitor_stream([(0, [2.0, 2.0])]), tol=1e-9).peak == 0.0

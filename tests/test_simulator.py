@@ -670,6 +670,80 @@ def test_probe_calls_a_sample_diverged_only_when_nothing_can_move_it(schedule, c
     assert [s.status for s in rep.samples] == [want] * 5
 
 
+def _probe_by_the_span_loop(schedule, update_map, center, radius, samples, horizon, tol, seed,
+                            t0):
+    """The probe's own fold over spans, as it stood before each sample became
+    a `summarize` of its monitored run: a reference for the merged fold."""
+    c = AgentState(center)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(samples)]
+    out = []
+    for i, rng in enumerate(rngs):
+        dim = c.n * c.d
+        direction = rng.standard_normal(dim)
+        norm = float(np.linalg.norm(direction))
+        if norm == 0.0:
+            offset = np.zeros(dim)
+        else:
+            offset = direction / norm * radius * rng.uniform(0.0, 1.0) ** (1.0 / dim)
+        x0 = AgentState(c.points + offset.reshape(c.n, c.d))
+        status, consensus_time, max_exc = "undetermined", None, 0.0
+        for t, _, x in iter_spans(schedule, update_map, x0, horizon, t0):
+            d_now = disagreement(x)
+            max_exc = max(max_exc, d_now)
+            if d_now < tol:
+                status, consensus_time = "converged", t
+                break
+        else:
+            if not schedule.graph_at(t).arcs and schedule.next_change(t) is None:
+                status = "diverged"
+        out.append(simulator.ProbeSample(i, status, d_now, max_exc, consensus_time))
+    return out
+
+
+@pytest.mark.parametrize(
+    "schedule, make_map, center, radius, tol, t0, want",
+    [
+        (constant_schedule(PAIR), LinearAverage, [0.0, 1.0], 0.1, 1e-9, None, "converged"),
+        (stretching_bidirectional_schedule(3), LinearAverage, [0.0, 0.0, 0.0], 1.0, 1e-6,
+         None, "undetermined"),
+        (FiniteSchedule([A]), LinearAverage, [0.0, 1.0, 4.0], 1.0, 1e-6, None, "diverged"),
+        (constant_schedule(PAIR), LinearAverage, [2.0, 2.0], 1e-9, 1e-6, 5, "converged"),
+        (PeriodicSchedule([A, B, Z]), MaxUpdate, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], 0.5,
+         1e-6, None, "undetermined"),
+    ],
+    ids=["converged", "stretching", "burst-then-silence", "below-tol-at-t0", "planar-max"],
+)
+def test_probe_samples_equal_the_span_loop_bit_for_bit(schedule, make_map, center, radius,
+                                                       tol, t0, want):
+    kwargs = dict(radius=radius, samples=4, horizon=50, tol=tol, seed=7, t0=t0)
+    got = attractivity_probe(schedule, make_map(), center, **kwargs).samples
+    ref = _probe_by_the_span_loop(schedule, make_map(), center, **kwargs)
+    assert [s.status for s in ref] == [want] * 4
+    # repr tells every float apart bit for bit, -0.0 from 0.0 too
+    assert list(map(repr, got)) == list(map(repr, ref))
+    if t0 is not None:
+        assert all(s.consensus_time == t0 for s in got)
+
+
+def test_probe_refuses_a_radius_whose_samples_can_overflow():
+    # two agents' offsets differ by up to sqrt(2) times the radius: at
+    # 1.7e308 the ball holds samples whose disagreement is no float
+    edgeless, one_arc = constant_schedule(DirectedGraph(2)), constant_schedule(
+        DirectedGraph(2, {(1, 2)}))
+    for schedule in (edgeless, one_arc):
+        for seed in range(4):
+            with pytest.raises(ValueError, match="^radius must keep every sample"):
+                attractivity_probe(schedule, LinearAverage(), [0.0, 0.0], 1.7e308, samples=3,
+                                   horizon=3, seed=seed)
+    # the center's own magnitude counts: every coordinate must stay a float
+    with pytest.raises(ValueError, match="^radius must keep every sample"):
+        attractivity_probe(edgeless, LinearAverage(), [1.7e308, 1.7e308], 1e307)
+    for seed in range(4):
+        rep = attractivity_probe(one_arc, LinearAverage(), [0.0, 0.0], 1.2e308, samples=3,
+                                 horizon=3, seed=seed)
+        assert all(math.isfinite(s.max_excursion) for s in rep.samples)
+
+
 def test_probe_is_deterministic_in_seed():
     kwargs = dict(center=[0.0, 1.0, 0.3], radius=0.2, samples=4, horizon=30, tol=1e-6)
     g = DirectedGraph(3, {(1, 2), (2, 1), (2, 3), (3, 2)})
