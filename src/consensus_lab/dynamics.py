@@ -309,7 +309,7 @@ class UpdateMap(ABC):
         """`_check` the graph and state, then answer whether `step` returns
         its input: the graph is arc-free or the state is at rest."""
         self._check(graph, state)
-        return not graph.arcs or state._at_rest()
+        return not graph._keys.size or state._at_rest()
 
     @abstractmethod
     def step(self, t: int, graph, state: AgentState) -> AgentState:

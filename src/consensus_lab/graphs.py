@@ -8,9 +8,9 @@ node is called a root.
 
 The module provides:
 
-* immutable graph types: `DirectedGraph`, and its subclass
-  `WeightedDigraph`, which adds arc weights, so every query below takes
-  either kind,
+* immutable graph types: `DirectedGraph`, stored as one sorted array of
+  integer arc keys, and its subclass `WeightedDigraph`, which adds arc
+  weights, so every query below takes either kind,
 * the neighbor calculus and reachability queries,
 * the lowest root, from the same search that decides weak connectivity,
 * a subset-pair connectivity oracle (brute force, independent of the
@@ -21,7 +21,6 @@ The module provides:
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -49,61 +48,90 @@ class UnsupportedQueryError(ValueError):
     """The schedule cannot answer the requested interval query."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectedGraph:
-    """Directed graph on nodes 1..n with arc set `arcs`.
+    """Directed graph on nodes 1..n.
 
     Instances are immutable and hashable.  Arcs (k, l) are validated to
-    have distinct endpoints inside 1..n.  The validated `arcs` frozenset is
-    the one stored form.  Its views are derived on first use and cached on
-    the instance:
+    have distinct endpoints inside 1..n.  The one stored form is `_keys`,
+    the sorted, read-only intp array of the arcs' receiver-major keys
+    (l - 1) n + (k - 1); equality and the hash, computed once, read `n`
+    and the keys alone.  Everything else is derived from the keys:
 
+    * `arcs`, a frozenset of int pairs, built on each read and not kept;
+    * `arc_arrays`, the 0-based (sender, receiver) numpy arrays in key
+      order, for the update matrix and the flow maps;
     * `_in_csr` and `_out_csr`, the in- and out-adjacency in compressed
-      sparse row layout (see `_csr`), which `in_sources`, `out_targets`,
-      the connectivity searches and the Vicsek and max maps walk;
-    * `arc_arrays`, the arcs as read-only numpy arrays in `_in_csr` order,
-      for the update matrix and the flow maps.
+      sparse row layout, which `in_sources`, `out_targets`, the
+      connectivity searches and the Vicsek and max maps walk: lists of
+      Python ints, read-only by contract, since the searches index them
+      from the interpreter, where numpy's per-element cost would dominate.
 
-    Caching is safe because neither `n` nor `arcs` can change after
-    construction, no view is written after it is built, and none takes
-    part in equality or hashing.
+    The last three are cached on first use, which is safe because nothing
+    they are made from can change after construction and no view is
+    written after it is built.
     """
 
     n: int
-    arcs: frozenset[Arc]
+    _keys: np.ndarray
 
     def __init__(self, n: int, arcs: Iterable[Arc] = ()):
         n = _valid_count(n, 1, "node count")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "arcs", _valid_arcs(n, arcs))
+        keys = np.array(_valid_arcs(n, arcs), dtype=np.intp)
+        keys.flags.writeable = False
+        vars(self).update(n=n, _keys=keys)  # once, past the frozen __setattr__
 
     @classmethod
-    def _from_valid(cls, n: int, arcs: frozenset[Arc]) -> "DirectedGraph":
-        """Wrap arcs already validated for n nodes, such as a union of graphs' arcs."""
+    def _own(cls, n: int, keys: np.ndarray) -> "DirectedGraph":
+        """Wrap the sorted, distinct intp keys of arcs valid for n nodes
+        that the package has just made, such as a union's or a generated
+        schedule's, without `_valid_arcs`; the keys are made read-only."""
+        keys.flags.writeable = False
         g = cls.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "arcs", arcs)
+        vars(g).update(n=n, _keys=keys)
         return g
 
-    @cached_property
-    def _in_csr(self) -> tuple[list[int], list[int]]:
-        """(ptr, src): the senders of node j + 1 are src[ptr[j]:ptr[j + 1]], 0-based."""
-        return _csr(self.n, ((l, k) for k, l in self.arcs))
-
-    @cached_property
-    def _out_csr(self) -> tuple[list[int], list[int]]:
-        """(ptr, dst): the receivers of node j + 1 are dst[ptr[j]:ptr[j + 1]], 0-based."""
-        return _csr(self.n, self.arcs)
+    @property
+    def arcs(self) -> frozenset[Arc]:
+        """The arcs (k, l), built from the keys on each read."""
+        dst, src = np.divmod(self._keys, self.n)
+        return frozenset(zip((src + 1).tolist(), (dst + 1).tolist()))
 
     @cached_property
     def arc_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """0-based (src, dst) int arrays of every arc, read-only and sorted by
         (receiver, sender)."""
-        ptr, senders = self._in_csr
-        src = np.array(senders, dtype=np.intp)
-        dst = np.repeat(np.arange(self.n, dtype=np.intp), np.diff(ptr))
+        dst, src = np.divmod(self._keys, self.n)
         src.flags.writeable = dst.flags.writeable = False
         return src, dst
+
+    @cached_property
+    def _in_csr(self) -> tuple[list[int], list[int]]:
+        """(ptr, src): the senders of node j + 1 are src[ptr[j]:ptr[j + 1]],
+        0-based and ascending."""
+        src, dst = self.arc_arrays
+        return np.searchsorted(dst, np.arange(self.n + 1)).tolist(), src.tolist()
+
+    @cached_property
+    def _out_csr(self) -> tuple[list[int], list[int]]:
+        """(ptr, dst): the receivers of node j + 1 are dst[ptr[j]:ptr[j + 1]],
+        0-based and ascending, read from the sorted sender-major keys."""
+        n = self.n
+        src, dst = self.arc_arrays
+        out = np.sort(src * n + dst)
+        return np.searchsorted(out, np.arange(0, n * n + 1, n)).tolist(), (out % n).tolist()
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.n, self._keys.tobytes()))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or (self.n == other.n and np.array_equal(self._keys, other._keys))
 
     def in_sources(self, k: int) -> NodeSet:
         """Nodes that send an arc into node k."""
@@ -125,19 +153,27 @@ class DirectedGraph:
         return f"DirectedGraph(n={self.n}, arcs={sorted(self.arcs)!r})"
 
 
-def _valid_arcs(n: int, arcs: Iterable[Arc]) -> frozenset[Arc]:
-    """The arcs as a frozenset of int pairs with distinct endpoints in 1..n.
-
-    Raises for the first bad arc found (a float endpoint raises TypeError,
-    as in `range`), checking for a self-loop before the node range.
+def _valid_arcs(n: int, arcs: Iterable[Arc]) -> list[int]:
+    """The sorted, distinct keys (l - 1) n + (k - 1) of the arcs, each a pair
+    of ints with distinct endpoints in 1..n.  Raises for the first bad arc
+    (a float endpoint raises TypeError, as in `range`), checking for a
+    self-loop before the node range, and for arcs on more nodes than keys
+    can number in an intp.
     """
-    pairs = frozenset((index(k), index(l)) for k, l in arcs)
-    for k, l in pairs:
+    keys = set()
+    for k, l in arcs:
+        k, l = index(k), index(l)
         if k == l:
             raise ValueError(f"self-loop ({k}, {l}) is not allowed")
         if not (1 <= k <= n and 1 <= l <= n):
             raise ValueError(f"arc ({k}, {l}) outside node range 1..{n}")
-    return pairs
+        keys.add((l - 1) * n + k - 1)
+    if keys and n > _KEYED_NODES:
+        raise ValueError(f"a graph with arcs has at most {_KEYED_NODES} nodes, got n={n}")
+    return sorted(keys)
+
+
+_KEYED_NODES = math.isqrt(np.iinfo(np.intp).max)  # so that n * n - 1 is an intp
 
 
 def _valid_weight(w: float, arc: Optional[Arc] = None) -> float:
@@ -159,33 +195,13 @@ def _valid_count(value: int, least: int, what: str) -> int:
     return v
 
 
-def _csr(n: int, entries: Iterable[Arc]) -> tuple[list[int], list[int]]:
-    """Compressed sparse row layout of 1-based (row, column) entries of an
-    n x n pattern: 0-based row offsets, and every row's 0-based columns in
-    ascending order, concatenated.
-
-    This is the layout `scipy.sparse.csgraph` searches walk.  It is kept as
-    lists of Python ints, read-only by contract, because the searches index
-    it from the interpreter, where numpy's per-call cost would dominate the
-    small graphs most schedules hold.  Tuples would be immutable, but the
-    interpreter keeps freed small tuples on free lists, which raised peak
-    memory by megabytes when thousands of small window unions came and went.
-    """
-    rows: list[list[int]] = [[] for _ in range(n)]
-    for r, c in entries:
-        rows[r - 1].append(c - 1)
-    for row in rows:
-        row.sort()
-    return [0, *itertools.accumulate(map(len, rows))], list(itertools.chain.from_iterable(rows))
-
-
 def _node_index(g: DirectedGraph, k: int) -> int:
     if not (1 <= k <= g.n):
         raise ValueError(f"node {k} outside 1..{g.n}")
     return k - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedDigraph(DirectedGraph):
     """Directed graph with a positive weight on every arc.
 
@@ -198,10 +214,10 @@ class WeightedDigraph(DirectedGraph):
     omitted they default to the tight range spanned by the weights (or
     (1, 1) for an arc-free graph).
 
-    Equality compares the fields, so a weighted graph equals only a
-    weighted graph with the same arcs, weights and bounds, never its
-    unweighted `graph`.  The hash is computed once, into `_hash`, since
-    `LinearAverage` hashes the graph on every step.
+    A weighted graph equals only a weighted graph with the same arcs,
+    weights and bounds, never its unweighted `graph`.  The hash is
+    computed once, into `_hash`, since `LinearAverage` hashes the graph on
+    every step.
     """
 
     graph: DirectedGraph
@@ -215,9 +231,9 @@ class WeightedDigraph(DirectedGraph):
         bounds: Optional[tuple[float, float]] = None,
     ):
         wmap = {(index(k), index(l)): float(w) for (k, l), w in weights.items()}
-        if set(wmap) != set(graph.arcs):
-            missing = set(graph.arcs) - set(wmap)
-            extra = set(wmap) - set(graph.arcs)
+        given, arcs = set(wmap), graph.arcs
+        if given != arcs:
+            missing, extra = arcs - given, given - arcs
             parts = []
             if missing:
                 parts.append(f"missing weights for arcs {sorted(missing)}")
@@ -238,12 +254,17 @@ class WeightedDigraph(DirectedGraph):
                 )
         items, bounds = tuple(sorted(wmap.items())), (e_min, e_max)
         vars(self).update(  # once, past the frozen __setattr__
-            n=graph.n, arcs=graph.arcs, graph=graph, weights=MappingProxyType(wmap),
+            n=graph.n, _keys=graph._keys, graph=graph, weights=MappingProxyType(wmap),
             bounds=bounds, _items=items, _hash=hash((graph, items, bounds)),
         )
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.graph, self._items, self.bounds) == (other.graph, other._items, other.bounds)
 
     def __repr__(self) -> str:
         return (
@@ -356,8 +377,11 @@ def find_root(g: DirectedGraph) -> Optional[int]:
 
 
 def is_bidirectional(g: DirectedGraph) -> bool:
-    """True when the arc set is symmetric: (k, l) present iff (l, k) present."""
-    return all((l, k) in g.arcs for (k, l) in g.arcs)
+    """True when the arc set is symmetric: (k, l) present iff (l, k) present,
+    that is, when the arcs' sender-major keys, sorted, are their
+    receiver-major keys."""
+    src, dst = g.arc_arrays
+    return np.array_equal(np.sort(src * g.n + dst), g._keys)
 
 
 _ORACLE_NODE_CAP = 12
@@ -437,22 +461,25 @@ def union_across(schedule, interval: IntervalSpec) -> DirectedGraph:
                     "schedule does not repeat and has no closed-form tail union"
                 )
             return tail
-    members, arcs, t = [], set(), a
+    members, seen, t = [], set(), a
+    want = None if tail is None else set(tail._keys.tolist())
     while t is not None and t <= b:
         g = schedule.graph_at(t)
         if g.n != schedule.n:
             raise ValueError(f"graph at time {t} has n={g.n}, expected {schedule.n}")
         members.append(g)
-        if tail is not None:
-            arcs |= g.arcs
-            if arcs == tail.arcs:
+        if want is not None:
+            seen.update(g._keys.tolist())
+            if seen == want:
                 break
         t = schedule.next_change(t)
     if len(members) == 1:
         return members[0]
-    # The members' arcs are valid for n nodes, so their union needs no check.
-    arcs = frozenset().union(*(g.arcs for g in members))
-    return DirectedGraph._from_valid(schedule.n, arcs)
+    # The members' keys are valid for n nodes, so their union needs no check:
+    # one sort of their concatenation, then a neighbour mask drops repeats
+    # (keys are nonnegative), at a fraction of `np.unique`'s cost.
+    keys = np.sort(np.concatenate([g._keys for g in members]))
+    return DirectedGraph._own(schedule.n, keys[np.diff(keys, prepend=-1) != 0])
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +544,8 @@ def parse_graph_text(
             if fields[0] != "arc" or len(fields) not in (3, 4):
                 raise ValueError(f"expected 'arc <from> <to> [<weight>]', got {raw.strip()!r}")
             k, l = _number(int, fields[1:3], f"arc endpoints must be integers: {raw.strip()!r}")
-            (arc,) = _valid_arcs(n, ((k, l),))
+            _valid_arcs(n, ((k, l),))
+            arc = (k, l)
             if arc in arcs:
                 raise ValueError(f"duplicate arc {arc}")
             if len(fields) == 4:
@@ -530,7 +558,7 @@ def parse_graph_text(
         weighted, arcs[arc] = w is not None, w
     if n is None:
         raise GraphFormatError(1, "empty input: expected 'n=<count>'")
-    base = DirectedGraph._from_valid(n, frozenset(arcs))
+    base = DirectedGraph(n, arcs)
     if weighted:
         return WeightedDigraph(base, arcs, bounds)
     if bounds is not None:  # checked against the unit weight an unweighted arc has

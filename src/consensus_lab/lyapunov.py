@@ -507,7 +507,10 @@ def monitor_stream(
 
     `slack` must be nonnegative and finite, and is checked when the stream
     is made.  A new `AgentState` is measured by the hull that it holds or
-    that `hull` makes and keeps in it, and that hull's kept diameter.  A
+    that `hull` makes and keeps in it, and that hull's kept diameter; a
+    diameter that overflows a float raises ValueError, since no verdict
+    or report could use it (a map whose outputs leave the input's hull,
+    as the coordinate-wise max does, can overflow it from a finite one).  A
     state that is the previous record's state object, and an immutable
     `AgentState`, gets the previous record's fields at the new time,
     contained, with no hull and no containment test: a hull contains
@@ -532,6 +535,8 @@ def _monitor(items, rel: float) -> Iterator[MonitorRecord]:
             h = hull(st)
             ok = prev is None or contains(prev, h, allow)
             rec = MonitorRecord(int(t), diameter(h), ok, h.vertex_count, st)
+            if rec.diameter == math.inf:
+                raise ValueError(f"state at time {rec.t}: its disagreement overflows a float")
             prev, allow = h, min(rel * h.magnitude, _MAX)
             same = st if isinstance(st, AgentState) else nothing
         yield rec

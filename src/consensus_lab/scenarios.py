@@ -223,6 +223,7 @@ def _random_arborescence(n: int, rng: np.random.Generator) -> set[tuple[int, int
 
 
 _EXTRA_ARC_RATE = 0.15
+_COINS_PER_PASS = 1 << 16  # bounds a pass's coin and hit arrays
 
 
 def random_windowed_schedule(
@@ -247,18 +248,35 @@ def random_windowed_schedule(
     length = _valid_count(length, 1, "period length")
     seed = _valid_count(seed, 0, "seed")
     name = f"windowed:n={n},T={T},length={length},seed={seed}"
-    # One coin per ordered pair, drawn in one call in this order: the same
-    # doubles, and the same generator state, as one draw per pair.
-    pairs = [(k, l) for k in range(1, n + 1) for l in range(1, n + 1) if k != l]
+    # One coin per ordered pair (k, l), k != l, per slot, in the k-major
+    # order in which `~eye` lists its entries.  Generator.random draws
+    # concatenate exactly, so the coins of consecutive slots are drawn in
+    # one call up to the next plant: the same doubles, and the same
+    # generator state, as one draw per pair.  A pass lays its slots' hits
+    # out as (sender, receiver) matrices, whose transposes list each slot's
+    # arc keys in the receiver-major order a graph stores.
+    m, pairs = n * (n - 1), ~np.eye(n, dtype=bool)
+    per_pass = max(1, _COINS_PER_PASS // max(m, 1))
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0)))
     graphs = []
-    for slot in range(length):
-        arcs: set[tuple[int, int]] = set()
-        if slot % (T + 1) == 0:
-            arcs |= _random_arborescence(n, rng)
-        coins = rng.random(len(pairs)).tolist()
-        arcs.update(pair for pair, u in zip(pairs, coins) if u < _EXTRA_ARC_RATE)
-        graphs.append(DirectedGraph(n, arcs))
+    for first in range(0, length, per_pass):
+        slots = range(first, min(first + per_pass, length))
+        coins, plants, run = [], [], 0
+        for slot in slots:
+            if slot % (T + 1) == 0:
+                if run:
+                    coins.append(rng.random((run, m)))
+                plants += [(slot - first, k - 1, l - 1) for k, l in _random_arborescence(n, rng)]
+                run = 0
+            run += 1
+        coins.append(rng.random((run, m)))
+        hits = np.zeros((len(slots), n, n), dtype=bool)
+        hits[:, pairs] = np.concatenate(coins) < _EXTRA_ARC_RATE
+        if plants:
+            hits[tuple(zip(*plants))] = True
+        row, keys = np.nonzero(hits.transpose(0, 2, 1).reshape(len(slots), n * n))
+        split = np.split(keys, np.searchsorted(row, range(1, len(slots))))
+        graphs += [DirectedGraph._own(n, k) for k in split]
     return PeriodicSchedule(graphs, first_time=0, name=name)
 
 
@@ -279,10 +297,13 @@ class StretchingSchedule(GraphSchedule):
 
     def __init__(self, n: int):
         n = _valid_count(n, 2, "node count")
+        # Edge e's arcs e + 1 -> e and e -> e + 1 have the receiver-major
+        # keys (e - 1) n + e and e n + e - 1.
         self.edges = [
-            DirectedGraph(n, {(e, e + 1), (e + 1, e)}) for e in range(1, n)
+            DirectedGraph._own(n, np.array([(e - 1) * n + e, e * n + e - 1], dtype=np.intp))
+            for e in range(1, n)
         ]
-        self._empty = DirectedGraph(n, ())
+        self._empty = DirectedGraph._own(n, np.empty(0, dtype=np.intp))
         self.n, self.first_time, self.name = n, 0, f"stretching:n={n}"
 
     def active_position(self, g: int) -> int:
@@ -299,10 +320,7 @@ class StretchingSchedule(GraphSchedule):
     def tail_union(self, start: int) -> DirectedGraph:
         # Active steps recur forever and cycle through all path edges, so
         # every tail union is the full bidirectional path.
-        arcs: set[tuple[int, int]] = set()
-        for g in self.edges:
-            arcs |= g.arcs
-        return DirectedGraph(self.n, arcs)
+        return DirectedGraph(self.n, {arc for g in self.edges for arc in g.arcs})
 
     def next_change(self, t: int) -> int:
         """The time of the first active step after t."""

@@ -104,10 +104,10 @@ class _TableSchedule(GraphSchedule):
         self.period = len(cycle)
         self.name = name
         self._slots = cycle + head
-        j = next((self.period + i for i, g in enumerate(cycle) if g.arcs), None)
+        j = next((self.period + i for i, g in enumerate(cycle) if g._keys.size), None)
         self._next: list[Optional[int]] = [None] * len(self._slots)
         for i in reversed(range(-len(head), self.period)):
-            if self._slots[i].arcs:
+            if self._slots[i]._keys.size:
                 j = i
             self._next[i] = j
 
@@ -243,7 +243,7 @@ def _run(
         a = None if x._at_rest() else t
         while a is not None and a < last:
             g = graph_at(a)
-            if g.arcs:
+            if g._keys.size:
                 break
             a = next_change(a)
         if a is None or a >= last:
@@ -388,7 +388,7 @@ def attractivity_probe(
         run = summarize(_through_consensus(monitor_stream((t, x) for t, _, x in spans), tol), tol)
         t, status = run.final.t, "converged"
         if run.consensus_time is None:
-            held = not schedule.graph_at(t).arcs and schedule.next_change(t) is None
+            held = not schedule.graph_at(t)._keys.size and schedule.next_change(t) is None
             status = "diverged" if held else "undetermined"
         out.append(ProbeSample(i, status, final_disagreement=run.final.diameter,
                                max_excursion=run.peak, consensus_time=run.consensus_time))

@@ -768,3 +768,18 @@ def test_closed_stdout_exits_141_quietly(chain_graph, monkeypatch, capsys, faili
     code = main(["simulate", "--graph", chain_graph, "--x0", "0,1,1", "--steps", "5"])
     assert code == 141
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--x0", "0 0; 1.3e308 0.5e308; 0.5e308 1.3e308", "--steps", "2"],
+    ["probe", "--center", "0 0; 1.3e308 0.5e308; 0.5e308 1.3e308", "--radius", "0",
+     "--samples", "1", "--horizon", "3"],
+])
+def test_a_max_map_disagreement_that_overflows_fails_with_one_line(chain_graph, capsys, command):
+    # the input's disagreement is a float, but the max map's first output
+    # lies outside its hull and its disagreement is not
+    code = main([*command, "--graph", chain_graph, "--map", "max"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: state at time 1: its disagreement overflows a float\n"

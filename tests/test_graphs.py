@@ -1,5 +1,6 @@
 """Graph construction, neighbor calculus, connectivity, and the text format."""
 
+import itertools
 import math
 import random
 
@@ -672,3 +673,120 @@ def test_parse_arc_free_text_checks_only_the_bounds_themselves():
     assert parse_graph_text("n=2\n", bounds=(2.0, 5.0)) == DirectedGraph(2)
     with pytest.raises(ValueError, match="0 < e_min <= e_max"):
         parse_graph_text("n=2\n", bounds=(2.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# The stored keys and the views derived from them
+
+
+def _reference_csr(n, entries):
+    """Compressed sparse row layout of 1-based (row, column) entries, built
+    from Python tuples: 0-based row offsets and each row's ascending columns."""
+    rows = [[] for _ in range(n)]
+    for r, c in entries:
+        rows[r - 1].append(c - 1)
+    for row in rows:
+        row.sort()
+    return [0, *itertools.accumulate(map(len, rows))], list(itertools.chain.from_iterable(rows))
+
+
+def _assert_views_match_the_reference(g, arcs):
+    n = g.n
+    assert type(g.arcs) is frozenset and g.arcs == arcs
+    assert all(type(k) is int and type(l) is int for k, l in g.arcs)
+    in_ptr, in_src = _reference_csr(n, ((l, k) for k, l in arcs))
+    assert g._in_csr == (in_ptr, in_src)
+    assert g._out_csr == _reference_csr(n, arcs)
+    for ptr, idx in (g._in_csr, g._out_csr):
+        assert all(type(v) is int for v in ptr + idx)
+    src, dst = g.arc_arrays
+    assert src.tolist() == in_src
+    assert dst.tolist() == [j for j in range(n) for _ in range(in_ptr[j + 1] - in_ptr[j])]
+    keys = g._keys
+    assert keys.dtype == np.intp and not keys.flags.writeable
+    assert keys.tolist() == sorted((l - 1) * n + k - 1 for k, l in arcs)
+    twin = DirectedGraph(n, sorted(arcs, reverse=True))
+    assert twin == g and hash(twin) == hash(g)
+
+
+@given(digraphs(max_n=7))
+def test_views_match_the_tuple_reference(g):
+    _assert_views_match_the_reference(g, frozenset(g.arcs))
+
+
+def _random_graphs_up_to_60(count, seed):
+    """Seeded graphs with n in 1..60 and densities from arc-free to complete."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(1, 60)
+        pairs = [(k, l) for k in range(1, n + 1) for l in range(1, n + 1) if k != l]
+        rate = (0.0, 1.0, rng.random() ** 3, rng.random())[i % 4]
+        yield n, frozenset(p for p in pairs if rng.random() < rate)
+
+
+def test_views_equality_and_hash_match_the_tuple_reference_up_to_60_nodes():
+    built = []
+    for n, arcs in _random_graphs_up_to_60(120, seed=5):
+        g = DirectedGraph(n, arcs)
+        _assert_views_match_the_reference(g, arcs)
+        built.append((g, n, arcs))
+    # equality is the reference's (n, arc set) equality, and equal graphs hash alike
+    rng = random.Random(6)
+    pairs = [(a, b) for a in built for b in built if a[1] == b[1]] + rng.sample(
+        [(a, b) for a in built for b in built], 400)
+    for (g, n, arcs), (h, m, other) in pairs:
+        assert (g == h) == ((n, arcs) == (m, other))
+        assert (g != h) == ((n, arcs) != (m, other))
+        if g == h:
+            assert hash(g) == hash(h)
+    # dropping one arc, or moving the graph to another node count, breaks equality
+    g, n, arcs = next(b for b in built if len(b[2]) > 1)
+    assert DirectedGraph(n, sorted(arcs)[1:]) != g
+    assert DirectedGraph(n + 1, arcs) != g
+    # a weighted graph never equals an unweighted one on the same arcs
+    wg = WeightedDigraph(g, dict.fromkeys(arcs, 1.0))
+    assert wg != g and g != wg and wg.graph == g
+
+
+def test_union_equals_and_hashes_like_the_graph_built_from_its_arcs():
+    rng = random.Random(9)
+    for n, arcs in _random_graphs_up_to_60(40, seed=8):
+        members = [
+            DirectedGraph(n, {a for a in arcs if rng.random() < 0.5}) for _ in range(3)
+        ]
+        union = union_across(PeriodicSchedule(members), IntervalSpec(0, 2))
+        built = DirectedGraph(n, frozenset().union(*(g.arcs for g in members)))
+        assert union == built and hash(union) == hash(built)
+        _assert_views_match_the_reference(union, built.arcs)
+        # one matrix serves both: the cache finds the union's under the built graph
+        avg = LinearAverage()
+        assert avg.matrix_for(built) is avg.matrix_for(union)
+
+
+def test_thousand_node_table_union_equals_the_frozenset_union():
+    rng = np.random.default_rng(4)
+    n = 1000
+    members = []
+    for _ in range(5):
+        src, dst = rng.integers(1, n + 1, 3 * n), rng.integers(1, n + 1, 3 * n)
+        members.append(DirectedGraph(n, [(k, l) for k, l in zip(src.tolist(), dst.tolist())
+                                         if k != l]))
+    sched = PeriodicSchedule(members)
+    for a, b in ((0, 4), (1, 3), (3, 7), (2, 2)):
+        union = union_across(sched, IntervalSpec(a, b))
+        want = frozenset().union(*(members[t % 5].arcs for t in range(a, b + 1)))
+        assert union.arcs == want
+        assert union == DirectedGraph(n, want)
+
+
+def test_arcs_on_more_nodes_than_keys_can_number_are_refused():
+    # a key (l - 1) n + (k - 1) must be an intp: past isqrt(intp max) nodes an
+    # arc fails the arc rule, in the parser with its line; an arc-free graph
+    # of any size is still made
+    cap = math.isqrt(np.iinfo(np.intp).max)
+    assert DirectedGraph(cap, {(1, cap)}).arcs == {(1, cap)}
+    with pytest.raises(ValueError, match=f"^a graph with arcs has at most {cap} nodes, got n={cap + 1}$"):
+        DirectedGraph(cap + 1, {(1, 2)})
+    with pytest.raises(GraphFormatError, match="^line 2: a graph with arcs has at most"):
+        parse_graph_text(f"n={cap + 1}\narc 1 2\n")
+    assert DirectedGraph(cap + 1).n == cap + 1

@@ -1,5 +1,6 @@
 """Hull computation, containment, and streamed run monitoring."""
 
+import math
 import warnings
 from operator import attrgetter
 
@@ -713,3 +714,19 @@ def test_summarize_keeps_the_peak_diameter():
     assert summarize(monitor_stream(_escape_stream()), tol=0.5).peak == float(np.hypot(2.0, 1.0))
     # a run at consensus throughout peaks at zero
     assert summarize(monitor_stream([(0, [2.0, 2.0])]), tol=1e-9).peak == 0.0
+
+
+def test_monitor_refuses_a_state_whose_disagreement_overflows():
+    # the max map's output leaves the input's hull: from a finite
+    # disagreement, agent 3 moves to (1.3e308, 1.3e308), 1.8e308 from agent 1
+    chain = DirectedGraph(3, {(1, 2), (2, 3)})
+    x0 = [[0.0, 0.0], [1.3e308, 0.5e308], [0.5e308, 1.3e308]]
+    recs = monitor_stream(iter_states(constant_schedule(chain), MaxUpdate(), x0, 2))
+    assert next(recs).diameter < math.inf
+    with np.errstate(over="ignore"), pytest.raises(  # numpy's own overflow warning aside
+        ValueError, match="^state at time 1: its disagreement overflows a float$"
+    ):
+        next(recs)
+    # a scalar state's spread overflows as well
+    with pytest.raises(ValueError, match="^state at time 0: its disagreement overflows"):
+        list(monitor_stream([(0, AgentState([-1.7e308, 1.7e308]))]))

@@ -366,3 +366,41 @@ def test_closed_form_schedules_check_the_time(schedule):
     assert schedule.graph_at(np.int64(schedule.first_time)) == schedule.graph_at(
         schedule.first_time
     )
+
+
+def _tuple_windowed_schedule(n, T, length, seed):
+    """The generator as it was written on Python tuples: a plant at every
+    multiple of T + 1, then one coin per ordered pair drawn per slot in one
+    call, and each slot's arcs as a validated graph."""
+    pairs = [(k, l) for k in range(1, n + 1) for l in range(1, n + 1) if k != l]
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0)))
+    graphs = []
+    for slot in range(length):
+        arcs = set()
+        if slot % (T + 1) == 0:
+            arcs |= scenarios._random_arborescence(n, rng)
+        coins = rng.random(len(pairs)).tolist()
+        arcs.update(pair for pair, u in zip(pairs, coins) if u < scenarios._EXTRA_ARC_RATE)
+        graphs.append(DirectedGraph(n, arcs))
+    return tuple(graphs)
+
+
+def test_windowed_schedule_matches_the_tuple_generator():
+    # 2,600 schedules: every node count up to 13, every T up to 4, periods
+    # shorter than, equal to and longer than the window
+    for n in range(1, 14):
+        for T in range(5):
+            for length in (1, 2, 5, 16):
+                for seed in range(10):
+                    got = random_windowed_schedule(n, T, length, seed).graphs
+                    assert got == _tuple_windowed_schedule(n, T, length, seed), (n, T, length, seed)
+
+
+@pytest.mark.parametrize("n, T, length", [(300, 2, 4), (100, 3, 16)])
+def test_windowed_schedule_matches_the_tuple_generator_across_passes(n, T, length):
+    # at n = 300 one slot's coins fill a pass; at n = 100 a pass holds six
+    # slots, so passes start at plants and between them
+    got = random_windowed_schedule(n, T, length, seed=3).graphs
+    want = _tuple_windowed_schedule(n, T, length, seed=3)
+    assert [g.arcs for g in got] == [g.arcs for g in want]
+    assert got == want
