@@ -252,10 +252,10 @@ class WeightedDigraph(DirectedGraph):
                 raise ValueError(
                     f"weight {w} for arc {arc} outside declared bounds [{e_min}, {e_max}]"
                 )
-        items, bounds = tuple(sorted(wmap.items())), (e_min, e_max)
+        bounds = (e_min, e_max)
         vars(self).update(  # once, past the frozen __setattr__
             n=graph.n, _keys=graph._keys, graph=graph, weights=MappingProxyType(wmap),
-            bounds=bounds, _items=items, _hash=hash((graph, items, bounds)),
+            bounds=bounds, _hash=hash((graph, frozenset(wmap.items()), bounds)),
         )
 
     def __hash__(self) -> int:
@@ -264,11 +264,11 @@ class WeightedDigraph(DirectedGraph):
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.graph, self._items, self.bounds) == (other.graph, other._items, other.bounds)
+        return (self.graph, self.weights, self.bounds) == (other.graph, other.weights, other.bounds)
 
     def __repr__(self) -> str:
         return (
-            f"WeightedDigraph(n={self.n}, weights={dict(self._items)!r}, "
+            f"WeightedDigraph(n={self.n}, weights={dict(sorted(self.weights.items()))!r}, "
             f"bounds={self.bounds!r})"
         )
 

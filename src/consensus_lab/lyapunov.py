@@ -449,17 +449,18 @@ def diameter(h: HullPolytope) -> float:
     An interval's is `hi - lo`, kept since it was made.  A polygon's is
     the largest `np.hypot` over all vertex pairs, taken in blocks of rows
     so no temporary exceeds about a million entries, on the first call;
-    later calls return the kept value.
+    later calls return the kept value.  An overflow is a quiet `inf`.
     """
     if h._diameter is None:
         v = h.vertices
         m = v.shape[0]
         x, y = v[:, 0], v[:, 1]
         rows = max(1, _DIAMETER_BLOCK // m)
-        h._diameter = max(
-            float(np.hypot(x[i : i + rows, None] - x, y[i : i + rows, None] - y).max())
-            for i in range(0, m, rows)
-        )
+        with np.errstate(over="ignore"):
+            h._diameter = max(
+                float(np.hypot(x[i : i + rows, None] - x, y[i : i + rows, None] - y).max())
+                for i in range(0, m, rows)
+            )
     return h._diameter
 
 

@@ -287,7 +287,7 @@ def test_criterion_5_stretching(stretching_results, capsys):
             win = case.sched.arc_free_window(T)
             ok = ok and win.end - win.start + 1 == T
             ok = ok and all(
-                not case.sched.graph_at(t).arcs for t in range(win.start, win.end + 1)
+                not case.sched.graph_at(t)._keys.size for t in range(win.start, win.end + 1)
             )
 
     elapsed = time.perf_counter() - start + stretching_results.elapsed

@@ -27,10 +27,12 @@ from consensus_lab import (
     hull,
     linear_step,
     random_windowed_schedule,
+    stretching_bidirectional_schedule,
     validate_gain,
 )
 from consensus_lab import dynamics
 from consensus_lab.dynamics import GAIN_LIBRARY, UpdateMap
+from consensus_lab.simulator import iter_spans
 
 WORKED_GRAPH = WeightedDigraph(
     DirectedGraph(4, {(2, 1), (1, 2), (3, 2)}),
@@ -71,6 +73,13 @@ def test_state_rejects_ragged_rows_with_the_shape_message():
         AgentState([[[0.0], [1.0, 2.0]], [[0.0], [1.0, 2.0]]])
     with pytest.raises(ValueError, match="could not convert"):
         AgentState([[0.0, "x"], [1.0, 2.0]])
+
+
+def test_state_and_matrix_reprs():
+    assert repr(AgentState([[0, 1.5], [2, -3]])) == "AgentState([[0.0, 1.5], [2.0, -3.0]])"
+    assert repr(AgentState([1, 2])) == "AgentState([[1.0], [2.0]])"
+    M = build_update_matrix(DirectedGraph(2, {(1, 2)}))
+    assert repr(M) == "StochasticMatrix([[1.0, 0.0], [0.5, 0.5]])"
 
 
 def test_state_is_read_only():
@@ -798,6 +807,60 @@ def test_every_map_returns_its_input_on_an_arc_free_graph(update_map):
         x = AgentState(x)
         if x.d in update_map.supported_dims:
             assert update_map.step(0, DirectedGraph(3), x) is x
+
+
+class _AverageMove(UpdateMap):
+    """A map that defines only its move, linear averaging on (-10, 10),
+    and keeps the graph of each `_move` call."""
+
+    name = "average-move"
+    domain = (-10.0, 10.0)
+
+    def __init__(self):
+        self.moved = []
+
+    def _move(self, graph, state):
+        self.moved.append(graph)
+        return linear_step(build_update_matrix(graph), state)
+
+
+def test_the_one_step_moves_only_a_state_off_rest_on_a_graph_with_arcs():
+    m, g = _AverageMove(), DirectedGraph(3, {(1, 2), (2, 3)})
+    x, rest = AgentState([0.0, 1.0, 4.0]), AgentState([2.5, 2.5, 2.5])
+    assert m.step(0, DirectedGraph(3), x) is x
+    assert m.step(0, g, rest) is rest
+    assert m.moved == []
+    out = m.step(0, g, x)
+    assert m.moved == [g]
+    assert out.points.tobytes() == linear_step(build_update_matrix(g), x).points.tobytes()
+    # the base move is no map's
+    with pytest.raises(NotImplementedError):
+        UpdateMap().step(0, g, x)
+
+
+def test_the_one_step_checks_before_it_skips():
+    m = _AverageMove()
+    for g in (DirectedGraph(4), DirectedGraph(4, {(1, 2)})):
+        with pytest.raises(ValueError, match="^graph has n=4 but state has n=3$"):
+            m.step(0, g, AgentState([0.0, 1.0, 4.0]))
+    for g in (DirectedGraph(2), DirectedGraph(2, {(1, 2)})):
+        with pytest.raises(ValueError, match="^average-move does not support d=2$"):
+            m.step(0, g, AgentState([[0.0, 0.0], [0.0, 0.0]]))
+        with pytest.raises(
+            ValueError,
+            match=r"^average-move: agent 2 is at 10\.0, outside the open interval \(-10\.0, 10\.0\)$",
+        ):
+            m.step(0, g, AgentState([0.0, 10.0]))
+    assert m.moved == []
+
+
+def test_the_one_step_moves_at_the_active_times_of_a_stretching_run():
+    sched = stretching_bidirectional_schedule(3)
+    active = [sched.active_position(g) for g in range(1, 31)]
+    m = _AverageMove()
+    spans = list(iter_spans(sched, m, [0.0, 1.0, 4.0], active[-1] + 5))
+    assert [end for _, end, _ in spans[:-1]] == active
+    assert m.moved == [sched.graph_at(t) for t in active]
 
 
 @pytest.mark.parametrize(

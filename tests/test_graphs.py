@@ -109,6 +109,17 @@ def test_weighted_digraph_equality_and_hash():
     b = WeightedDigraph(g, {(1, 2): 1.5})
     assert a == b and hash(a) == hash(b)
     assert a != WeightedDigraph(g, {(1, 2): 2.5})
+    # the order the weights are given in is not part of the graph
+    pair = DirectedGraph(2, {(1, 2), (2, 1)})
+    c = WeightedDigraph(pair, {(2, 1): 0.5, (1, 2): 2.0})
+    d = WeightedDigraph(pair, {(1, 2): 2.0, (2, 1): 0.5})
+    assert c == d and hash(c) == hash(d)
+    assert c != WeightedDigraph(pair, {(1, 2): 2.0, (2, 1): 0.5}, bounds=(0.5, 4.0))
+
+
+def test_weighted_digraph_repr_sorts_its_weights():
+    g = WeightedDigraph(DirectedGraph(3, {(2, 1), (1, 2)}), {(2, 1): 0.5, (1, 2): 2.0})
+    assert repr(g) == "WeightedDigraph(n=3, weights={(1, 2): 2.0, (2, 1): 0.5}, bounds=(0.5, 2.0))"
 
 
 def test_interval_spec_validation():
@@ -503,10 +514,8 @@ def test_union_across_generated_without_period():
 
 
 def _plain_union(schedule, times):
-    arcs = set()
-    for t in times:
-        arcs |= schedule.graph_at(t).arcs
-    return arcs
+    """The union of the arcs at `times`, each distinct graph's read once."""
+    return set().union(*(g.arcs for g in {schedule.graph_at(t) for t in times}))
 
 
 def test_union_across_equals_plain_set_union():

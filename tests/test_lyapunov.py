@@ -723,10 +723,13 @@ def test_monitor_refuses_a_state_whose_disagreement_overflows():
     x0 = [[0.0, 0.0], [1.3e308, 0.5e308], [0.5e308, 1.3e308]]
     recs = monitor_stream(iter_states(constant_schedule(chain), MaxUpdate(), x0, 2))
     assert next(recs).diameter < math.inf
-    with np.errstate(over="ignore"), pytest.raises(  # numpy's own overflow warning aside
-        ValueError, match="^state at time 1: its disagreement overflows a float$"
-    ):
+    with pytest.raises(ValueError, match="^state at time 1: its disagreement overflows a float$"):
         next(recs)
+    # the planar diameter past the largest float is a quiet inf, with no
+    # numpy overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert disagreement(AgentState([[0, 0], [1.3e308, 1.3e308], [0.5e308, 1.3e308]])) == math.inf
     # a scalar state's spread overflows as well
     with pytest.raises(ValueError, match="^state at time 0: its disagreement overflows"):
         list(monitor_stream([(0, AgentState([-1.7e308, 1.7e308]))]))

@@ -63,6 +63,8 @@ def test_finite_schedule_node_count_mismatch():
         FiniteSchedule([DirectedGraph(2), DirectedGraph(3)])
     with pytest.raises(ValueError, match="at least one"):
         FiniteSchedule([])
+    with pytest.raises(ValueError, match="^need at least one graph$"):
+        PeriodicSchedule([])
 
 
 def test_periodic_schedule_wraps():
@@ -153,7 +155,7 @@ def _scan_next_change(schedule, lo, hi, ahead=20):
     out, nxt = {}, None
     for t in reversed(range(lo, hi + ahead)):
         out[t] = nxt
-        if schedule.graph_at(t).arcs:
+        if schedule.graph_at(t)._keys.size:
             nxt = t
     return {t: out[t] for t in range(lo, hi)}
 
@@ -222,7 +224,7 @@ def test_tables_match_their_unrolled_definition_at_far_times(schedule, unrolled)
     assert [schedule.graph_at(t) for t in times] == [unrolled(t - f) for t in times]
     # past the head, every slot recurs within one period, so the next time
     # with an arc is at most p steps ahead, or there is none
-    want = [next((u for u in range(t + 1, t + 1 + p) if unrolled(u - f).arcs), None)
+    want = [next((u for u in range(t + 1, t + 1 + p) if unrolled(u - f)._keys.size), None)
             for t in times]
     assert [schedule.next_change(t) for t in times] == want
 
@@ -239,7 +241,7 @@ def test_table_unions_scan_at_most_one_cycle(schedule, unrolled):
     f, p = schedule.first_time, schedule.period
 
     def scan(a, b):
-        return frozenset().union(*(unrolled(t - f).arcs for t in range(a, b + 1)))
+        return frozenset().union(*(g.arcs for g in {unrolled(t - f) for t in range(a, b + 1)}))
 
     for k in range(2 * p + 1):
         got = union_across(schedule, IntervalSpec(FAR, FAR + k))
@@ -498,7 +500,7 @@ def test_iter_spans_is_validated_when_made():
 
 def test_a_generated_schedule_spans_its_arc_free_times_together():
     sched, steps = SPAN_SCHEDULES["generated"], 150
-    arc_times = [t for t in range(1, 1 + steps) if sched.graph_at(t).arcs]
+    arc_times = [t for t in range(1, 1 + steps) if sched.graph_at(t)._keys.size]
     spans = list(iter_spans(sched, LinearAverage(), [0.0, 1.0, 4.0], steps))
     assert len(spans) == len(arc_times) + 1 < steps
     assert [end for _, end, _ in spans[:-1]] == arc_times
@@ -694,7 +696,7 @@ def _probe_by_the_span_loop(schedule, update_map, center, radius, samples, horiz
                 status, consensus_time = "converged", t
                 break
         else:
-            if not schedule.graph_at(t).arcs and schedule.next_change(t) is None:
+            if not schedule.graph_at(t)._keys.size and schedule.next_change(t) is None:
                 status = "diverged"
         out.append(simulator.ProbeSample(i, status, d_now, max_exc, consensus_time))
     return out
