@@ -392,10 +392,13 @@ def _planar_gap(h: HullPolytope, pts: np.ndarray, magnitude: float) -> float:
 
 
 def point_distance(h: HullPolytope, point) -> float:
-    """Euclidean distance from a point to the hull (0 inside)."""
+    """Euclidean distance from a point to the hull (0 inside).  The point
+    must have the hull's dimension and finite coordinates."""
     p = np.asarray(point, dtype=float).reshape(-1)
     if p.shape[0] != h.d:
         raise ValueError(f"point has dimension {p.shape[0]}, hull has d={h.d}")
+    if not np.isfinite(p).all():
+        raise ValueError(f"point coordinates must be finite, got {p.tolist()}")
     if h.d == 1:
         return max(h.lo - float(p[0]), float(p[0]) - h.hi, 0.0)
     return _planar_gap(h, p[None, :], float(np.abs(p).max()))

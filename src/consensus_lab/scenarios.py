@@ -187,7 +187,7 @@ def verify_counterexample(p_max: int = 64) -> CounterexampleReport:
         if p == 1:
             predicted = 0.5
         else:
-            predicted = gaps[p - 2] * (2.0**p - 1.0) / 2.0**p
+            predicted = gaps[p - 2] * (1.0 - 2.0**-p)
         rows.append(
             CounterexampleRow(
                 p=p,
@@ -212,18 +212,16 @@ def verify_counterexample(p_max: int = 64) -> CounterexampleReport:
 # Random periodic schedules with guaranteed connected windows
 
 
-def _random_arborescence(n: int, rng: np.random.Generator) -> set[tuple[int, int]]:
-    """Arcs of a random spanning tree directed away from a random root."""
-    order = [int(v) + 1 for v in rng.permutation(n)]
-    arcs: set[tuple[int, int]] = set()
-    for i in range(1, n):
-        parent = order[int(rng.integers(0, i))]
-        arcs.add((parent, order[i]))
-    return arcs
+def _random_arborescence(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """0-based (sender, receiver) arrays of the arcs of a random spanning
+    tree directed away from a random root: node order[i] hangs from a
+    uniform earlier node of a random order."""
+    order = rng.permutation(n)
+    parents = [rng.integers(0, i) for i in range(1, n)]
+    return order[parents], order[1:]
 
 
 _EXTRA_ARC_RATE = 0.15
-_COINS_PER_PASS = 1 << 16  # bounds a pass's coin and hit arrays
 
 
 def random_windowed_schedule(
@@ -239,8 +237,13 @@ def random_windowed_schedule(
     period shorter than T + 1 has slot 0 alone, and a window covers all of
     it).  So every T + 1 consecutive times meet a plant, and the window's
     arc union contains a rooted spanning tree, which is weakly connected.
-    The draws come from `SeedSequence(entropy=(seed, 0))`.  n >= 1, T >= 0
-    and length >= 1 are counts (`graphs._valid_count`): a T of 1.5 would
+    The draws come from `SeedSequence(entropy=(seed, 0))`, slot by slot:
+    first the plant, if the slot has one (a random order of the nodes,
+    then each later node's parent among the earlier ones), then one coin
+    per ordered pair (k, l), k != l, in k-major order, which adds the arc
+    k -> l when it is below `_EXTRA_ARC_RATE`.  This order is what makes
+    an (n, T, length, seed) name one schedule.  n >= 1, T >= 0 and
+    length >= 1 are counts (`graphs._valid_count`): a T of 1.5 would
     plant only at slots 0, 5, ..., leaving 2-step windows without a plant.
     """
     n = _valid_count(n, 1, "node count")
@@ -248,35 +251,19 @@ def random_windowed_schedule(
     length = _valid_count(length, 1, "period length")
     seed = _valid_count(seed, 0, "seed")
     name = f"windowed:n={n},T={T},length={length},seed={seed}"
-    # One coin per ordered pair (k, l), k != l, per slot, in the k-major
-    # order in which `~eye` lists its entries.  Generator.random draws
-    # concatenate exactly, so the coins of consecutive slots are drawn in
-    # one call up to the next plant: the same doubles, and the same
-    # generator state, as one draw per pair.  A pass lays its slots' hits
-    # out as (sender, receiver) matrices, whose transposes list each slot's
-    # arc keys in the receiver-major order a graph stores.
-    m, pairs = n * (n - 1), ~np.eye(n, dtype=bool)
-    per_pass = max(1, _COINS_PER_PASS // max(m, 1))
+    # The receiver-major keys l * n + k of the ordered pairs, in the coins'
+    # k-major order, which is the order in which `~eye` lists its entries.
+    sender, receiver = np.nonzero(~np.eye(n, dtype=bool))
+    pair_keys = receiver * n + sender
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0)))
     graphs = []
-    for first in range(0, length, per_pass):
-        slots = range(first, min(first + per_pass, length))
-        coins, plants, run = [], [], 0
-        for slot in slots:
-            if slot % (T + 1) == 0:
-                if run:
-                    coins.append(rng.random((run, m)))
-                plants += [(slot - first, k - 1, l - 1) for k, l in _random_arborescence(n, rng)]
-                run = 0
-            run += 1
-        coins.append(rng.random((run, m)))
-        hits = np.zeros((len(slots), n, n), dtype=bool)
-        hits[:, pairs] = np.concatenate(coins) < _EXTRA_ARC_RATE
-        if plants:
-            hits[tuple(zip(*plants))] = True
-        row, keys = np.nonzero(hits.transpose(0, 2, 1).reshape(len(slots), n * n))
-        split = np.split(keys, np.searchsorted(row, range(1, len(slots))))
-        graphs += [DirectedGraph._own(n, k) for k in split]
+    for slot in range(length):
+        hits = np.zeros(n * n, dtype=bool)
+        if slot % (T + 1) == 0:
+            k, l = _random_arborescence(n, rng)
+            hits[l * n + k] = True
+        hits[pair_keys[rng.random(pair_keys.size) < _EXTRA_ARC_RATE]] = True
+        graphs.append(DirectedGraph._own(n, hits.nonzero()[0]))
     return PeriodicSchedule(graphs, first_time=0, name=name)
 
 

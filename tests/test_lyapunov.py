@@ -296,6 +296,19 @@ def test_point_distance_polygon():
     assert point_distance(h, [2.0, 2.0]) == pytest.approx(np.sqrt(2.0))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_point_distance_refuses_a_non_finite_point(bad):
+    interval = hull(AgentState([0.0, 2.0]))
+    triangle = hull(AgentState([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="point coordinates must be finite"):
+        point_distance(interval, [bad])
+    for point in ([bad, 0.0], [0.0, bad]):
+        with pytest.raises(ValueError, match="point coordinates must be finite"):
+            point_distance(triangle, point)
+    assert point_distance(interval, [3.5]) == 1.5
+    assert point_distance(triangle, [2.0, 0.0]) == 1.0
+
+
 def _reference_point_distance(h, p):
     """point_distance as a per-edge Python loop over scalar dot products:
     the reference for the vectorised distances."""

@@ -166,6 +166,16 @@ def test_verification_exact_early_gaps():
     assert [r.gap for r in rep.rows] == expected
 
 
+def test_verification_predictions_are_the_ratio_spelling_bit_for_bit():
+    # (1 - 2^-p) scales exactly up to p = 53 and rounds to 1.0 from p = 54
+    # on, as the ratio (2^p - 1) / 2^p does; only the ratio overflows past
+    # p = 1023
+    rep = verify_counterexample(64)
+    gaps = [r.gap for r in rep.rows]
+    want = [0.5] + [gaps[p - 2] * (2.0**p - 1.0) / 2.0**p for p in range(2, 65)]
+    assert [r.predicted for r in rep.rows] == want
+
+
 def test_verification_flags_bad_rows():
     rep = verify_counterexample(6)
     bad_row = rep.rows[3].__class__(
@@ -214,6 +224,18 @@ def test_windowed_schedule_is_deterministic_in_seed():
     assert a.graphs != c.graphs  # overwhelmingly likely and fixed by the seeds
 
 
+def _arborescence_arcs(n, rng):
+    """The 1-based arcs of a random spanning tree directed away from a
+    random root, with the library's draws: a random order of the nodes,
+    then one `rng.integers(0, i)` per later node for its parent."""
+    order = [int(v) + 1 for v in rng.permutation(n)]
+    arcs = set()
+    for i in range(1, n):
+        parent = order[int(rng.integers(0, i))]
+        arcs.add((parent, order[i]))
+    return arcs
+
+
 def _scalar_windowed_arcs(n, T, length, seed):
     """The schedule's arcs, slot by slot, from the generator seeded with
     `SeedSequence(entropy=(seed, 0))`, drawing one coin per ordered pair
@@ -223,7 +245,7 @@ def _scalar_windowed_arcs(n, T, length, seed):
     for slot in range(length):
         arcs = set()
         if slot % (T + 1) == 0:
-            arcs |= scenarios._random_arborescence(n, rng)
+            arcs |= _arborescence_arcs(n, rng)
         for k in range(1, n + 1):
             for l in range(1, n + 1):
                 if k != l and rng.random() < scenarios._EXTRA_ARC_RATE:
@@ -236,7 +258,7 @@ def _scalar_windowed_arcs(n, T, length, seed):
 @pytest.mark.parametrize("T", [0, 2])
 @pytest.mark.parametrize("length", [1, 7])
 @pytest.mark.parametrize("seed", [0, 31])
-def test_windowed_schedule_coins_drawn_in_one_call_match_one_draw_per_pair(n, T, length, seed):
+def test_windowed_schedule_matches_one_draw_per_pair(n, T, length, seed):
     sched = random_windowed_schedule(n, T, length, seed)
     assert [g.arcs for g in sched.graphs] == _scalar_windowed_arcs(n, T, length, seed)
 
@@ -380,7 +402,7 @@ def _tuple_windowed_schedule(n, T, length, seed):
     for slot in range(length):
         arcs = set()
         if slot % (T + 1) == 0:
-            arcs |= scenarios._random_arborescence(n, rng)
+            arcs |= _arborescence_arcs(n, rng)
         coins = rng.random(len(pairs)).tolist()
         arcs.update(pair for pair, u in zip(pairs, coins) if u < scenarios._EXTRA_ARC_RATE)
         graphs.append(DirectedGraph(n, arcs))
@@ -399,9 +421,9 @@ def test_windowed_schedule_matches_the_tuple_generator():
 
 
 @pytest.mark.parametrize("n, T, length", [(300, 2, 4), (100, 3, 16)])
-def test_windowed_schedule_matches_the_tuple_generator_across_passes(n, T, length):
-    # at n = 300 one slot's coins fill a pass; at n = 100 a pass holds six
-    # slots, so passes start at plants and between them
+def test_windowed_schedule_matches_the_tuple_generator_at_large_n(n, T, length):
+    # n = 300 draws 89,700 coins a slot; n = 100 runs a 16-slot period
+    # whose plants fall at every fourth slot
     got = random_windowed_schedule(n, T, length, seed=3).graphs
     want = _tuple_windowed_schedule(n, T, length, seed=3)
     assert [g.arcs for g in got] == [g.arcs for g in want]
