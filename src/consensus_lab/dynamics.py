@@ -20,6 +20,7 @@ convex hull of those states unless they all coincide.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from abc import ABC, abstractmethod
@@ -161,9 +162,11 @@ def linear_step(matrix: StochasticMatrix, state: AgentState) -> AgentState:
 # Generated RK4 kernels, shared by the two flow-based maps
 #
 # A flow map's step is straight-line Python over float locals, in two
-# generated parts: one RK4 kernel per (n, substeps) and one field function
-# per graph.  The source holds only integer indices, fixed tokens and
-# repr(1 / substeps); gains are bound in the namespace by reference.
+# generated parts: one RK4 kernel per (n, substeps), shared by every map in
+# the process, and one field function per graph.  The source holds only
+# integer indices, fixed tokens and repr(1 / substeps): a library gain is
+# written as its fixed expression template, any other gain is bound in the
+# namespace by reference.
 
 #: Terms per statement in a generated sum: a left-nested sum of thousands of
 #: terms would nest the parser that deep.
@@ -176,6 +179,7 @@ def _kernel(source: str, namespace: dict, name: str) -> Callable:
     return namespace.pop(name)
 
 
+@functools.lru_cache(maxsize=8)
 def _rk4_kernel(n: int, substeps: int) -> Callable:
     """`rk4(field, y)`: the flow of `field` from the n floats `y` over one
     time unit in `substeps` classical RK4 steps, as a list.
@@ -183,6 +187,12 @@ def _rk4_kernel(n: int, substeps: int) -> Callable:
     `field(x0, ..., x{n-1})` returns the n rates as a tuple.  The stage
     sums round as numpy's do on arrays: v + (0.5 h) d, v + h d and
     v + (h / 6) (((p + 2 q) + 2 r) + s), with h = 1 / substeps.
+
+    A kernel is a pure function of (n, substeps) over an empty namespace,
+    so every map instance in the process shares it.  The cache keeps the 8
+    most recently used kernels.  A kernel holds up to about 1.2 kB per
+    agent (2.4 MB at n = 2000, measured with `tracemalloc`), so the cache
+    holds at most about 19 MB while all eight are at n = 2000.
     """
     ks = range(n)
 
@@ -212,20 +222,25 @@ def _rk4_kernel(n: int, substeps: int) -> Callable:
 def _field_kernel(graph: DirectedGraph, terms: list, prelude: list, namespace: dict) -> Callable:
     """`field(x0, ..., x{n-1})` for one graph: receiver k's rate is 0.0 plus
     its arcs' `terms`, given in the order of the graph's `arc_arrays`, sorted
-    by (receiver, sender).  The `prelude` lines run first; each sum is cut
-    into statements of at most `_SUM_CHUNK` terms, which adds them in the
-    same order."""
+    by (receiver, sender).  The `prelude` lines run first, and one return
+    tuple holds every rate's sum.  A receiver with more than `_SUM_CHUNK`
+    terms gets one statement `f{k} = ...` for each leading chunk of that
+    many, and its last chunk stays in the tuple; the terms are added in the
+    same order either way."""
     by_receiver: dict[int, list[str]] = {}
     for k, term in zip(graph.arc_arrays[1].tolist(), terms):
         by_receiver.setdefault(k, []).append(term)
     lines = [f"def field({', '.join(f'x{k}' for k in range(graph.n))}):"]
     lines += [f"    {line}" for line in prelude]
+    rates = ["0.0"] * graph.n
     for k, ts in by_receiver.items():
-        for c in range(0, len(ts), _SUM_CHUNK):
-            head = "0.0" if c == 0 else f"f{k}"
-            lines.append(f"    f{k} = {head} + {' + '.join(ts[c : c + _SUM_CHUNK])}")
-    rates = ", ".join(f"f{k}" if k in by_receiver else "0.0" for k in range(graph.n))
-    lines.append(f"    return ({rates},)")
+        chunks = [" + ".join(ts[c : c + _SUM_CHUNK]) for c in range(0, len(ts), _SUM_CHUNK)]
+        head = "0.0"
+        for chunk in chunks[:-1]:
+            lines.append(f"    f{k} = {head} + {chunk}")
+            head = f"f{k}"
+        rates[k] = f"{head} + {chunks[-1]}"
+    lines.append(f"    return ({', '.join(rates)},)")
     return _kernel("\n".join(lines) + "\n", namespace, "field")
 
 
@@ -253,11 +268,15 @@ def validate_gain(gain: GainFn, label: str = "gain") -> None:
         raise ValueError(f"{label}: not strictly increasing on the sample grid")
 
 
-GAIN_LIBRARY: dict[str, GainFn] = {
-    "identity": lambda s: s,
-    "cubic": lambda s: s**3,
-    "arctan": math.atan,
-}
+#: The library gains, each with the template of its term in a generated
+#: field: the same float operation as a call of the gain, without its frame.
+_LIBRARY_TERMS: tuple[tuple[str, GainFn, str], ...] = (
+    ("identity", lambda s: s, "({})"),
+    ("cubic", lambda s: s**3, "({}) ** 3"),
+    ("arctan", math.atan, "atan({})"),
+)
+
+GAIN_LIBRARY: dict[str, GainFn] = {name: fn for name, fn, _ in _LIBRARY_TERMS}
 
 _HALF_PI = math.pi / 2.0
 
@@ -351,12 +370,13 @@ class _FlowMap(UpdateMap):
     """Time-1 map of a coupled flow dx_k/dt = sum over senders i of a term,
     by `substeps` classical RK4 steps in generated straight-line code.
 
-    The map compiles one RK4 kernel per n and one field function per
-    graph, on first use, and keeps each field as `LinearAverage` keeps its
-    matrices, under a weak key.  Compiling is O(n + m) for m arcs, like a
-    step, with a larger constant: on a few agents a graph's field repays
-    its compile within its first 100-substep step, while a first step on
-    thousands of agents mostly compiles.  A term that raises
+    The map compiles one field function per graph on first use and keeps
+    each as `LinearAverage` keeps its matrices, under a weak key; its RK4
+    kernel comes from `_rk4_kernel`, compiled once per (n, substeps) in the
+    process and shared by every flow map.  Compiling is O(n + m) for m
+    arcs, like a step, with a larger constant: on a few agents a graph's
+    field repays its compile within its first 100-substep step, while a
+    first step on thousands of agents mostly compiles.  A term that raises
     `OverflowError` (as `s**3` and `math.sinh` do past the largest float)
     fails the step as a non-finite state would.
     """
@@ -365,7 +385,6 @@ class _FlowMap(UpdateMap):
 
     def __init__(self, substeps: int = 100):
         self.substeps = _valid_count(substeps, 1, "substeps")
-        self._kernels: dict[int, Callable] = {}
         self._fields = weakref.WeakKeyDictionary()
 
     @abstractmethod
@@ -377,11 +396,8 @@ class _FlowMap(UpdateMap):
         field = self._fields.get(graph)
         if field is None:
             field = self._fields[graph] = self._field(graph)
-        rk4 = self._kernels.get(graph.n)
-        if rk4 is None:
-            rk4 = self._kernels[graph.n] = _rk4_kernel(graph.n, self.substeps)
         try:
-            y = rk4(field, state.values.tolist())
+            y = _rk4_kernel(graph.n, self.substeps)(field, state.values.tolist())
         except OverflowError:
             raise ValueError("state coordinates must be finite") from None
         return AgentState._own(np.array(y).reshape(-1, 1))
@@ -423,10 +439,12 @@ class NonlinearConsensus(_FlowMap):
     construction.  A mapping of per-arc gains must cover every arc of
     every graph the map is stepped with.  Integration is fixed-step RK4 in
     Python floats; a graph's field function sums each agent's terms from
-    0.0 in ascending sender order and calls the gains it was compiled
-    with, bound by reference.  A gain that raises `OverflowError` (as
-    `s**3` and `math.sinh` do past the largest float) fails the step as a
-    non-finite state would.
+    0.0 in ascending sender order.  A term of a library gain (the very
+    object in `GAIN_LIBRARY`, matched with `is`) is written out, as
+    `(d)`, `(d) ** 3` or `atan(d)` for d = x_i - x_k: the float operation
+    of a call, without the call.  Any other gain is called by reference.
+    A gain that raises `OverflowError` (as `s**3` and `math.sinh` do past
+    the largest float) fails the step as a non-finite state would.
     """
 
     name = "nonlinear"
@@ -457,15 +475,19 @@ class NonlinearConsensus(_FlowMap):
             if missing:
                 raise ValueError(f"no gain supplied for arcs {sorted(missing)}")
             arc_gains = [self.gains[(i + 1, k + 1)] for i, k in arcs]
-        names: dict[int, str] = {}  # one namespace name per distinct gain object
+        # one term template per distinct gain object, keyed by id: a gain is
+        # matched to the library by identity, never by == or its hash
+        templates = {id(lib): term for _, lib, term in _LIBRARY_TERMS}
+        namespace: dict[str, Callable] = {"atan": math.atan}  # then g0, g1, ...
         for fn in arc_gains:
-            names.setdefault(id(fn), f"g{len(names)}")
-        arc_names = [names[id(fn)] for fn in arc_gains]
+            if id(fn) not in templates:
+                name = f"g{len(namespace) - 1}"
+                namespace[name], templates[id(fn)] = fn, name + "({})"
         return _field_kernel(
             graph,
-            [f"{g}(x{i} - x{k})" for g, (i, k) in zip(arc_names, arcs)],
+            [templates[id(fn)].format(f"x{i} - x{k}") for fn, (i, k) in zip(arc_gains, arcs)],
             [],
-            dict(zip(arc_names, arc_gains)),
+            namespace,
         )
 
 

@@ -590,20 +590,43 @@ def _kernel_graphs(seed):
         yield DirectedGraph(n, arcs), rng.uniform(-1.0, 1.0, n)
 
 
+def _mixed_gains(arcs):
+    """Per-arc gains that cycle through the three library gains and one
+    user callable, so one field holds written-out and called terms."""
+    cycle = [*GAIN_LIBRARY.values(), lambda s: 2.0 * math.atan(s)]
+    return {a: cycle[j % 4] for j, a in enumerate(sorted(arcs))}
+
+
 def _assert_flow_kernels_match_the_references(graphs, substeps):
+    """Compare each flow map with its reference, bit for bit, and return how
+    many nonlinear steps overflowed: a stiff gain past RK4's stability
+    (ROADMAP item 6) must fail its step where the reference is not finite."""
+    overflows = 0
     for j, (g, x) in enumerate(graphs):
         assert any(not g.in_sources(k) for k in g.nodes)
         out = KuramotoTime1(substeps=substeps).step(0, g, AgentState(x)).values
         assert out.tobytes() == _kuramoto_sorting_reference(g, x, substeps).tobytes()
-        for gains in (GAIN_LIBRARY["arctan"], _scaled_gains(g.arcs, seed=j)):
-            out = NonlinearConsensus(gains, substeps=substeps).step(0, g, AgentState(x)).values
-            ref = _nonlinear_sorting_reference(g, gains, x, substeps)
-            assert out.tobytes() == ref.tobytes()
+        per_arc = (_scaled_gains(g.arcs, seed=j), _mixed_gains(g.arcs))
+        for gains in (*GAIN_LIBRARY.values(), *per_arc):
+            update = NonlinearConsensus(gains, substeps=substeps)
+            with np.errstate(over="ignore", invalid="ignore"):
+                ref = _nonlinear_sorting_reference(g, gains, x, substeps)
+            if np.all(np.isfinite(ref)):
+                assert update.step(0, g, AgentState(x)).values.tobytes() == ref.tobytes()
+            else:
+                overflows += 1
+                with pytest.raises(ValueError, match="^state coordinates must be finite$"):
+                    update.step(0, g, AgentState(x))
+    return overflows
 
 
 @pytest.mark.parametrize("substeps", [1, 2, 7])
 def test_flow_kernels_are_bit_identical_to_the_references(substeps):
-    _assert_flow_kernels_match_the_references(_kernel_graphs(seed=substeps), substeps)
+    # every library gain, written out, and per-arc gains that mix written-out
+    # and called terms in one field; at 2 substeps the cubic gain overflows
+    # on the 40-agent graph, as its reference does (about 0.2 s for all three)
+    overflows = _assert_flow_kernels_match_the_references(_kernel_graphs(seed=substeps), substeps)
+    assert overflows == (1 if substeps == 2 else 0)
     # each sum starts from 0.0, which turns a sum of -0.0 terms into +0.0
     signed = NonlinearConsensus(lambda s: -0.0 if s == 0.0 else s, substeps=substeps)
     pair = DirectedGraph(2, {(1, 2), (2, 1)})
@@ -612,10 +635,13 @@ def test_flow_kernels_are_bit_identical_to_the_references(substeps):
 
 def test_flow_kernels_sum_a_hub_of_3000_senders_in_order():
     # one sum of 3000 terms nests too deep for the compiler, so the field
-    # adds it in chunks of `_SUM_CHUNK` terms, in the same order
+    # adds it in chunks of `_SUM_CHUNK` terms, in the same order, for the
+    # Kuramoto map and each gain; the mixed gains overflow at the hub, whose
+    # identity terms make 2 substeps unstable and feed the cubic ones
+    # (about 1 s)
     star = DirectedGraph(3001, {(k, 1) for k in range(2, 3002)})
     x = np.random.default_rng(5).uniform(-1.0, 1.0, 3001) * 1e-3
-    _assert_flow_kernels_match_the_references([(star, x)], substeps=2)
+    assert _assert_flow_kernels_match_the_references([(star, x)], substeps=2) == 1
 
 
 def _compiled(kernel_spy, name):
@@ -634,8 +660,9 @@ def test_each_map_compiles_one_field_per_graph_and_one_kernel_per_n(make):
     assert twin == g and twin is not g
     other = DirectedGraph(3, {(1, 3)})
     x = np.array([0.5, -0.25, 0.75])
+    dynamics._rk4_kernel.cache_clear()
     with mock.patch.object(dynamics, "_kernel", wraps=dynamics._kernel) as spy:
-        for _ in range(2):  # two map instances compile apart
+        for _ in range(2):  # two map instances compile their fields apart
             update = make()
             for t in range(5):
                 update.step(t, g, AgentState(x + t))
@@ -645,7 +672,7 @@ def test_each_map_compiles_one_field_per_graph_and_one_kernel_per_n(make):
             )
             update.step(7, other, AgentState(x))
     assert len(_compiled(spy, "field")) == 2 * 2
-    assert len(_compiled(spy, "rk4")) == 2
+    assert len(_compiled(spy, "rk4")) == 1  # and share one RK4 kernel
 
 
 def test_per_graph_caches_die_with_their_graphs():
@@ -654,6 +681,7 @@ def test_per_graph_caches_die_with_their_graphs():
     pairs = [(k, l) for k in range(1, 7) for l in range(1, 7) if k != l]
     linear, kuramoto = LinearAverage(), KuramotoTime1(substeps=2)
     x = AgentState([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+    dynamics._rk4_kernel.cache_clear()
     for t in range(300):
         g = DirectedGraph(6, [pairs[i] for i in rng.permutation(len(pairs))[:8]])
         linear.step(t, g, x)
@@ -664,7 +692,7 @@ def test_per_graph_caches_die_with_their_graphs():
     del g, twin
     gc.collect()
     assert len(linear._cache) == len(kuramoto._fields) == 0
-    assert len(kuramoto._kernels) == 1
+    assert dynamics._rk4_kernel.cache_info().currsize == 1
 
 
 def test_a_missing_per_arc_gain_fails_every_step_of_its_graph():
@@ -693,12 +721,11 @@ class _SourceNamedGain:
         return "(lambda: __import__('sys').exit(4))()"
 
 
-@pytest.mark.parametrize("per_arc", [False, True])
-def test_gains_are_called_by_reference_and_their_text_stays_out_of_the_source(per_arc):
+def _assert_called_by_reference(gain, per_arc):
     g = DirectedGraph(3, {(1, 2), (2, 3), (3, 1)})
-    gain = _SourceNamedGain()
     gains = {a: gain for a in g.arcs} if per_arc else gain
     x = np.array([0.5, -0.25, 0.75])
+    dynamics._rk4_kernel.cache_clear()
     with mock.patch.object(dynamics, "_kernel", wraps=dynamics._kernel) as spy:
         update = NonlinearConsensus(gains, substeps=3)
         before = gain.calls
@@ -709,6 +736,103 @@ def test_gains_are_called_by_reference_and_their_text_stays_out_of_the_source(pe
     assert len(sources) == 2
     for text in (gain.__name__, repr(gain), "sys", "exit"):
         assert all(text not in source for source in sources)
+
+
+@pytest.mark.parametrize("per_arc", [False, True])
+def test_gains_are_called_by_reference_and_their_text_stays_out_of_the_source(per_arc):
+    _assert_called_by_reference(_SourceNamedGain(), per_arc)
+
+
+class _UnhashableGain(_SourceNamedGain):
+    """A gain with `__eq__` and no `__hash__`, so no dict can hold it as a key."""
+
+    def __eq__(self, other):
+        return other is self
+
+
+class _AtanLookalike(_SourceNamedGain):
+    """A gain that claims to be `math.atan` to `==` and to hashing."""
+
+    def __eq__(self, other):
+        return other is self or other is math.atan
+
+    def __hash__(self):
+        return hash(math.atan)
+
+
+@pytest.mark.parametrize("per_arc", [False, True])
+@pytest.mark.parametrize("make", [_UnhashableGain, _AtanLookalike])
+def test_gains_are_matched_to_the_library_by_identity(make, per_arc):
+    # only the library's own objects are written out; these two are called
+    gain = make()
+    if make is _AtanLookalike:
+        assert gain == math.atan and hash(gain) == hash(math.atan)
+    else:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(gain)
+    _assert_called_by_reference(gain, per_arc)
+
+
+def test_one_field_writes_library_gains_out_and_calls_the_others():
+    g = DirectedGraph(3, {(1, 2), (1, 3), (2, 1), (2, 3), (3, 1)})
+    gains = _mixed_gains(g.arcs)
+    with mock.patch.object(dynamics, "_kernel", wraps=dynamics._kernel) as spy:
+        NonlinearConsensus(gains, substeps=2).step(0, g, AgentState([0.5, -0.25, 0.75]))
+    (source,) = _compiled(spy, "field")
+    # sorted arcs (1, 2), (1, 3), (2, 1), (2, 3), (3, 1) take identity,
+    # cubic, arctan, the user gain and identity again
+    assert source.splitlines()[1:] == [
+        "    return (0.0 + atan(x1 - x0) + (x2 - x0), "
+        "0.0 + (x0 - x1), 0.0 + (x0 - x2) ** 3 + g0(x1 - x2),)"
+    ]
+
+
+def test_flow_maps_share_one_rk4_kernel_per_n_and_substeps():
+    g = DirectedGraph(3, {(1, 2), (2, 3), (3, 1)})
+    x = AgentState([0.5, -0.25, 0.75])
+    rk4 = dynamics._rk4_kernel
+    rk4.cache_clear()
+    kernels = []
+
+    def spy(n, substeps):
+        kernels.append(rk4(n, substeps))
+        return kernels[-1]
+
+    with mock.patch.object(dynamics, "_rk4_kernel", spy):
+        KuramotoTime1(substeps=5).step(0, g, x)
+        NonlinearConsensus(math.atan, substeps=5).step(0, g, x)
+        NonlinearConsensus(substeps=6).step(0, g, x)
+    assert kernels[0] is kernels[1] and kernels[2] is not kernels[0]
+    assert rk4.cache_info().misses == 2
+    bound = rk4.cache_info().maxsize
+    assert bound == 8
+    for substeps in range(1, bound + 3):
+        KuramotoTime1(substeps=substeps).step(0, g, x)
+        assert rk4.cache_info().currsize <= bound
+    assert rk4.cache_info().currsize == bound
+
+
+@pytest.mark.parametrize(
+    "name,scale,coarse,ref_substeps",
+    [("arctan", 3.0, 8, 256), ("cubic", 1.0, 100, 1600)],
+    ids=["arctan", "cubic"],
+)
+def test_library_gains_halve_their_error_as_a_fourth_order_method(name, scale, coarse, ref_substeps):
+    # criterion 8's step-halving check, for the library gains: the cubic
+    # gain is stiff for wide states (ROADMAP item 6), so it is checked on
+    # states in [-1, 1], the probe benchmark's scale, at 100 and 200
+    # substeps (about 0.1 s for both gains)
+    g = DirectedGraph(4, {(1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3), (1, 4)})
+    rng = np.random.default_rng(20260815)
+    gain = GAIN_LIBRARY[name]
+    for _ in range(10):
+        x = AgentState(rng.uniform(-scale, scale, 4))
+        ref = NonlinearConsensus(gain, ref_substeps).step(0, g, x).points
+        err = [
+            float(np.max(np.abs(NonlinearConsensus(gain, k).step(0, g, x).points - ref)))
+            for k in (coarse, 2 * coarse)
+        ]
+        assert 12.0 <= err[0] / err[1] <= 20.0
 
 
 # ---------------------------------------------------------------------------
