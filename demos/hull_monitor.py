@@ -12,14 +12,14 @@ import numpy as np
 
 from consensus_lab import (
     AgentState,
+    CounterexampleSchedule,
     DirectedGraph,
     LinearAverage,
     MaxUpdate,
+    PeriodicSchedule,
     WeightedDigraph,
     attractivity_probe,
-    constant_schedule,
     counterexample_initial_state,
-    counterexample_schedule,
     disagreement,
     hull,
     iter_spans,
@@ -33,14 +33,14 @@ def main():
     chain = DirectedGraph(3, {(1, 2), (2, 1), (2, 3), (3, 2)})
     print("monitored averaging on a bidirectional chain:")
     print("  t  diameter      contained  vertices")
-    spans = iter_spans(constant_schedule(chain), LinearAverage(), [0.0, 1.0, 5.0], steps=8)
+    spans = iter_spans(PeriodicSchedule([chain]), LinearAverage(), [0.0, 1.0, 5.0], steps=8)
     for rec in monitor_stream((t, x) for t, _, x in spans):
         print(f"  {rec.t}  {rec.diameter:<12.8f}  {str(rec.contained):<9}  {rec.vertex_count}")
     print("  every step stays inside the previous hull and the diameter falls.\n")
 
     pair = WeightedDigraph(DirectedGraph(2, {(1, 2), (2, 1)}), {(1, 2): 0.5, (2, 1): 0.5})
     x0 = AgentState([0.0, 1.0])
-    spans = iter_spans(constant_schedule(pair), LinearAverage(), x0, steps=6)
+    spans = iter_spans(PeriodicSchedule([pair]), LinearAverage(), x0, steps=6)
     run = summarize(monitor_stream((t, x) for t, _, x in spans), tol=1e-9)
     d = disagreement(x0) - run.final.diameter
     print(f"half-weight pair: hull diameter shrinks by {d:.8f} over 6 steps")
@@ -48,7 +48,7 @@ def main():
 
     complete = DirectedGraph(3, {(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)})
     x0 = AgentState([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]])
-    spans = iter_spans(constant_schedule(complete), MaxUpdate(), x0, steps=1)
+    spans = iter_spans(PeriodicSchedule([complete]), MaxUpdate(), x0, steps=1)
     _, rec = monitor_stream((t, x) for t, _, x in spans)
     corner = rec.state.points[0]
     print("coordinate-wise max on a planar triangle:")
@@ -57,7 +57,7 @@ def main():
     print(f"  monitor record: contained = {rec.contained} (the map is not hull-preserving in d=2)\n")
 
     report = attractivity_probe(
-        constant_schedule(chain),
+        PeriodicSchedule([chain]),
         LinearAverage(),
         center=[0.0, 0.5, 1.0],
         radius=0.5,
@@ -71,7 +71,7 @@ def main():
     print(f"  consensus times {times}\n")
 
     report = attractivity_probe(
-        counterexample_schedule(),
+        CounterexampleSchedule(),
         LinearAverage(),
         center=counterexample_initial_state(),
         radius=0.05,

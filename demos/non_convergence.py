@@ -10,9 +10,9 @@ this demo verifies against the simulation.
 """
 
 from consensus_lab import (
+    CounterexampleSchedule,
     IntervalSpec,
     counterexample_limit,
-    counterexample_schedule,
     is_weakly_connected,
     union_across,
     verify_counterexample,
@@ -20,7 +20,7 @@ from consensus_lab import (
 
 
 def main():
-    sched = counterexample_schedule()
+    sched = CounterexampleSchedule()
 
     print("the first 22 graphs of the schedule (t = 1 ...):")
     for t in range(1, 23):

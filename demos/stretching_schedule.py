@@ -10,9 +10,9 @@ under the same kind of stretching defeat consensus.
 
 from consensus_lab import (
     LinearAverage,
+    StretchingSchedule,
     iter_spans,
     monitor_stream,
-    stretching_bidirectional_schedule,
     summarize,
 )
 
@@ -30,7 +30,7 @@ def timeline(sched, upto):
 
 
 def main():
-    sched = stretching_bidirectional_schedule(4)
+    sched = StretchingSchedule(4)
     print("activity timeline for n=4 (digit = lower end of the active edge):")
     print("  " + timeline(sched, 70))
     print("silent gaps after the g-th active step have length g.\n")
@@ -41,7 +41,7 @@ def main():
     print()
 
     for n in (3, 4, 5):
-        sched = stretching_bidirectional_schedule(n)
+        sched = StretchingSchedule(n)
         steps = sched.active_position(200 * n) + 1
         x0 = [float(k % 2) for k in range(n)]
         spans = iter_spans(sched, LinearAverage(), x0, steps)

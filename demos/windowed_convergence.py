@@ -13,7 +13,7 @@ from consensus_lab import (
     DirectedGraph,
     IntervalSpec,
     LinearAverage,
-    constant_schedule,
+    PeriodicSchedule,
     is_weakly_connected,
     iter_spans,
     monitor_stream,
@@ -46,7 +46,7 @@ def main():
     print(f"  neighbors of {{3, 4}}: {sorted(neighbors(frozen, {3, 4}))}")
     seen = set()
     x0 = [0.0, 0.0, 1.0, 1.0, 0.4]
-    spans = iter_spans(constant_schedule(frozen), LinearAverage(), x0, 1000)
+    spans = iter_spans(PeriodicSchedule([frozen]), LinearAverage(), x0, 1000)
     for rec in monitor_stream((t, x) for t, _, x in spans):
         seen.add(rec.diameter)
     print(f"  disagreement after 1000 steps: {rec.diameter} (identical at every step: {len(seen) == 1})")

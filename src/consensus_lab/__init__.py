@@ -52,17 +52,16 @@ from .simulator import (
     GeneratedSchedule,
     PeriodicSchedule,
     attractivity_probe,
-    constant_schedule,
     disagreement,
     iter_spans,
 )
 from .scenarios import (
+    CounterexampleSchedule,
+    StretchingSchedule,
     counterexample_initial_state,
     counterexample_limit,
     counterexample_sample_times,
-    counterexample_schedule,
     random_windowed_schedule,
-    stretching_bidirectional_schedule,
     verify_counterexample,
 )
 
@@ -107,14 +106,13 @@ __all__ = [
     "GeneratedSchedule",
     "PeriodicSchedule",
     "attractivity_probe",
-    "constant_schedule",
     "disagreement",
     "iter_spans",
+    "CounterexampleSchedule",
+    "StretchingSchedule",
     "counterexample_initial_state",
     "counterexample_limit",
     "counterexample_sample_times",
-    "counterexample_schedule",
     "random_windowed_schedule",
-    "stretching_bidirectional_schedule",
     "verify_counterexample",
 ]

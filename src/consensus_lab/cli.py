@@ -46,16 +46,16 @@ from .graphs import (
 )
 from .lyapunov import DEFAULT_SLACK, AgentState, monitor_stream, summarize
 from .scenarios import (
+    CounterexampleSchedule,
+    StretchingSchedule,
     counterexample_limit,
-    counterexample_schedule,
     random_windowed_schedule,
-    stretching_bidirectional_schedule,
     verify_counterexample,
 )
 from .simulator import (
     GraphSchedule,
+    PeriodicSchedule,
     attractivity_probe,
-    constant_schedule,
     disagreement,
     iter_spans,
 )
@@ -140,9 +140,9 @@ def _nonlinear(pop) -> UpdateMap:
 
 
 _SCENARIOS = {
-    "counterexample": lambda pop, seed: counterexample_schedule(),
+    "counterexample": lambda pop, seed: CounterexampleSchedule(),
     "windowed": _windowed,
-    "stretching": lambda pop, seed: stretching_bidirectional_schedule(pop("n", int)),
+    "stretching": lambda pop, seed: StretchingSchedule(pop("n", int)),
 }
 
 _MAPS = {
@@ -235,17 +235,8 @@ def _resolve_schedule(args) -> GraphSchedule:
     if (args.graph is None) == (args.scenario is None):
         raise CliError("give exactly one of --graph or --scenario")
     if args.graph is not None:
-        return constant_schedule(read_graph_file(args.graph))
+        return PeriodicSchedule([read_graph_file(args.graph)], name="constant")
     return make_scenario(args.scenario, _seed(args))
-
-
-def _add_schedule_args(sub) -> None:
-    sub.add_argument("--graph", help="graph file; used as a constant schedule")
-    sub.add_argument(
-        "--scenario",
-        help="scenario spec: counterexample | windowed:n=..,T=..[,length=..,seed=..] "
-        "| stretching:n=..",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -433,23 +424,35 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.subcommands = sub.choices  # name -> subparser, for --config
 
-    p = sub.add_parser("simulate", help="run a schedule and write trajectory CSV")
-    _add_schedule_args(p)
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--map", default="linear", help="update map spec (default linear)")
+    # Options that several subcommands share, each defined once; the
+    # subcommands share their actions, so build the parents per parser.
+    schedule = argparse.ArgumentParser(add_help=False)
+    schedule.add_argument("--graph", help="graph file; used as a constant schedule")
+    schedule.add_argument(
+        "--scenario",
+        help="scenario spec: counterexample | windowed:n=..,T=..[,length=..,seed=..] "
+        "| stretching:n=..",
+    )
+    schedule.add_argument("--seed", type=int)
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config", help="key=value config file")
+    run.add_argument("--map", default="linear", help="update map spec (default linear)")
+    run.add_argument("--t0", type=int)
+    run.add_argument("--tol", type=float, default=1e-6, help="consensus detection tolerance")
+
+    p = sub.add_parser(
+        "simulate", parents=[schedule, run], help="run a schedule and write trajectory CSV"
+    )
     p.add_argument("--x0", help="initial state, e.g. '0,1,1' or '0 0; 1 0'")
     p.add_argument("--steps", type=int)
-    p.add_argument("--t0", type=int)
-    p.add_argument("--tol", type=float, default=1e-6, help="consensus detection tolerance")
     p.add_argument("--slack", type=float, default=DEFAULT_SLACK, help="hull containment slack")
     p.add_argument("--csv", help="write per-step CSV here")
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("connectivity", help="connectivity queries on a graph or schedule")
-    _add_schedule_args(p)
+    p = sub.add_parser(
+        "connectivity", parents=[schedule], help="connectivity queries on a graph or schedule"
+    )
     p.add_argument("--interval", help="'a,b' bounded, 'a,inf' unbounded, 'a' single")
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_connectivity)
 
     p = sub.add_parser("counterexample", help="verify the non-convergence recursion")
@@ -462,17 +465,13 @@ def build_parser() -> _Parser:
     p.add_argument("--emax", type=float, help="declared upper weight bound")
     p.set_defaults(func=cmd_matrix)
 
-    p = sub.add_parser("probe", help="attractivity probe from random initial states")
-    _add_schedule_args(p)
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--map", default="linear", help="update map spec (default linear)")
+    p = sub.add_parser(
+        "probe", parents=[schedule, run], help="attractivity probe from random initial states"
+    )
     p.add_argument("--center", help="center state, e.g. '0,1,1'")
     p.add_argument("--radius", type=float, default=0.5)
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--horizon", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--t0", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", help="write the JSON report here ('-' for stdout)")
     p.set_defaults(func=cmd_probe)
 

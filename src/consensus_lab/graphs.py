@@ -439,9 +439,9 @@ def union_across(schedule, interval: IntervalSpec) -> DirectedGraph:
     not, so its cached views are reused.  `schedule` is a
     `simulator.GraphSchedule`, and the start passes its `_check_time`.
 
-    A table (finite, periodic and constant schedules) repeats its cycle
-    from `cycle_from`, so one period from max(start, cycle_from) on meets
-    every slot, and any interval, bounded or not, stops there.  Any other
+    A table (a finite or periodic schedule) repeats its cycle from
+    `cycle_from`, so one period from max(start, cycle_from) on meets every
+    slot, and any interval, bounded or not, stops there.  Any other
     schedule answers an unbounded interval by its closed-form `tail_union`,
     or raises UnsupportedQueryError without one, since an infinite union
     cannot be scanned; a bounded interval's union lies inside that tail,

@@ -1,25 +1,26 @@
 """Named schedule families with known convergence behavior.
 
-Three constructions:
+Three constructions, each built by its class or function:
 
-* A three-agent schedule whose every-tail arc unions are weakly
-  connected, yet unit-weight averaging never reaches consensus: the
-  communication windows needed for connectivity stretch out so fast that
-  the residual disagreement survives in the limit.  The gap between
+* `CounterexampleSchedule()`: three agents whose every-tail arc unions
+  are weakly connected, yet unit-weight averaging never reaches
+  consensus: the windows needed for connectivity stretch out so fast
+  that the residual disagreement survives in the limit.  The gap between
   agents 3 and 1 at specific sample times obeys an exact product
   recursion, which makes the whole pipeline self-auditing.
-* Random periodic schedules that plant a rooted spanning tree often
-  enough that every window of T + 1 consecutive steps is weakly
-  connected; averaging must then converge uniformly.
-* A bidirectional single-edge schedule with ever-growing silent gaps.
-  No fixed window length stays connected, but every tail is, and for
-  bidirectional communication that is enough for consensus.
+* `random_windowed_schedule`: periodic schedules that plant a rooted
+  spanning tree often enough that every window of T + 1 consecutive
+  steps is weakly connected; averaging must then converge uniformly.
+* `StretchingSchedule(n)`: one bidirectional edge at a time, with
+  ever-growing silent gaps.  No fixed window length stays connected, but
+  every tail is, and for bidirectional communication that is enough.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -46,6 +47,7 @@ _G12 = DirectedGraph(3, {(1, 2)})
 _G12_21 = DirectedGraph(3, {(1, 2), (2, 1)})
 _G32 = DirectedGraph(3, {(3, 2)})
 _G23_32 = DirectedGraph(3, {(2, 3), (3, 2)})
+_CE_TAIL = DirectedGraph(3, {(1, 2), (2, 1), (3, 2), (2, 3)})
 
 _CE_FIRST_TIME = 1
 
@@ -58,7 +60,7 @@ class CounterexampleSchedule(GraphSchedule):
     def tail_union(self, start: int) -> DirectedGraph:
         # Every tail contains a complete block with s >= 1, and such a
         # block uses all four arc sets.
-        return DirectedGraph(3, {(1, 2), (2, 1), (3, 2), (2, 3)})
+        return _CE_TAIL
 
     @staticmethod
     def block_start(s: int) -> int:
@@ -89,10 +91,6 @@ class CounterexampleSchedule(GraphSchedule):
         a bounded union walks at most four runs per block, and one block
         reaches the tail union from any start."""
         return self._run(t)[1]
-
-
-def counterexample_schedule() -> CounterexampleSchedule:
-    return CounterexampleSchedule()
 
 
 def counterexample_initial_state() -> AgentState:
@@ -171,7 +169,7 @@ def verify_counterexample(p_max: int = 64) -> CounterexampleReport:
     the value the recursion predicts from the previous row, and their
     difference.  A mismatch beyond tolerance is reported, not raised.
     """
-    schedule = counterexample_schedule()
+    schedule = CounterexampleSchedule()
     update = LinearAverage()
     t_samples = counterexample_sample_times(p_max)
     p_max = len(t_samples)  # the checked count, an int even for a numpy integer
@@ -305,9 +303,13 @@ class StretchingSchedule(GraphSchedule):
         return IntervalSpec(start, start + T - 1)
 
     def tail_union(self, start: int) -> DirectedGraph:
+        return self._path
+
+    @cached_property
+    def _path(self) -> DirectedGraph:
         # Active steps recur forever and cycle through all path edges, so
-        # every tail union is the full bidirectional path.
-        return DirectedGraph(self.n, {arc for g in self.edges for arc in g.arcs})
+        # every tail union is the full bidirectional path, its edges' keys.
+        return DirectedGraph._own(self.n, np.sort(np.concatenate([g._keys for g in self.edges])))
 
     def next_change(self, t: int) -> int:
         """The time of the first active step after t."""
@@ -328,4 +330,5 @@ def _active_before(q: int) -> int:
 
 
 def stretching_bidirectional_schedule(n: int) -> StretchingSchedule:
+    """`StretchingSchedule(n)`, kept only as perfbench's entry point."""
     return StretchingSchedule(n)

@@ -3,9 +3,10 @@
 A schedule assigns a communication graph to every integer time at or
 after its first time.  Three kinds cover practical needs: an explicit
 finite list (eventually constant, by default arc-free), a repeating
-list, and an arbitrary generator function.  The first two are tables, a
-head of graphs then a cycle repeated forever, so arc unions over any
-time interval of them stay decidable.
+list (`PeriodicSchedule([g])` is constant), and a generator function.
+The first two are tables, a head of graphs then a cycle repeated
+forever, so arc unions over any time interval of them stay decidable;
+the closed-form families are classes in `scenarios`.
 
 The run engine is `iter_spans`: it rolls an update map along a schedule
 and yields one span (t, end, state) per constant stretch, the state
@@ -37,9 +38,9 @@ from .lyapunov import monitor_stream, summarize
 class GraphSchedule:
     """Base class: a graph for every integer time t >= first_time.
 
-    Tables (finite, periodic and constant schedules) are a head of graphs,
-    then a cycle of `period` graphs repeated forever from `cycle_from`;
-    other schedules leave both None.  `name` names the schedule in reports.
+    Tables (finite and periodic schedules) are a head of graphs, then a
+    cycle of `period` graphs repeated forever from `cycle_from`; other
+    schedules leave both None.  `name` names the schedule in reports.
     """
 
     first_time: int
@@ -186,11 +187,6 @@ class GeneratedSchedule(GraphSchedule):
         if g.n != self.n:
             raise ValueError(f"generator returned a graph with n={g.n}, expected {self.n}")
         return g
-
-
-def constant_schedule(graph: DirectedGraph, first_time: int = 0) -> PeriodicSchedule:
-    """The same graph at every time."""
-    return PeriodicSchedule([graph], first_time, name="constant")
 
 
 # ---------------------------------------------------------------------------

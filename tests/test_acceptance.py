@@ -20,25 +20,25 @@ import pytest
 
 from consensus_lab import (
     AgentState,
+    CounterexampleSchedule,
     DirectedGraph,
     IntervalSpec,
     KuramotoTime1,
     LinearAverage,
     MaxUpdate,
     NonlinearConsensus,
+    PeriodicSchedule,
+    StretchingSchedule,
     VicsekHeading,
     check_strict_convexity,
     cli,
-    constant_schedule,
     counterexample_initial_state,
-    counterexample_schedule,
     find_root,
     is_connected_from,
     is_weakly_connected,
     monitor_stream,
     neighbors,
     random_windowed_schedule,
-    stretching_bidirectional_schedule,
     summarize,
     union_across,
     verify_counterexample,
@@ -113,7 +113,7 @@ def counterexample_results():
     report = verify_counterexample(64)
     t_last = 1 + 64 * 65 // 2
     run = run_monitored(
-        counterexample_schedule(), LinearAverage(), counterexample_initial_state(),
+        CounterexampleSchedule(), LinearAverage(), counterexample_initial_state(),
         steps=t_last - 1, t0=1, tol=1e-9, label="counterexample",
     )
     return SimpleNamespace(report=report, run=run, elapsed=time.perf_counter() - start)
@@ -151,7 +151,7 @@ def necessity_results():
     start = time.perf_counter()
     runs = {
         W: run_monitored(
-            constant_schedule(NECESSITY_GRAPH), LinearAverage(),
+            PeriodicSchedule([NECESSITY_GRAPH]), LinearAverage(),
             [0.0, 0.0, 1.0, 1.0, 0.4], steps=W, tol=1e-9,
             label=f"necessity[W={W}]", collect=True,
         )
@@ -165,7 +165,7 @@ def stretching_results():
     start = time.perf_counter()
     cases = []
     for n in (3, 4, 5):
-        sched = stretching_bidirectional_schedule(n)
+        sched = StretchingSchedule(n)
         steps = sched.active_position(200 * n) + 1 - sched.first_time
         x0 = np.linspace(0.0, 1.0, n)
         run = run_monitored(sched, LinearAverage(), x0, steps=steps, label=f"stretching[n={n}]")
@@ -345,13 +345,13 @@ def flow_runs():
     path5 = DirectedGraph(5, {(k, k + 1) for k in range(1, 5)} | {(k + 1, k) for k in range(1, 5)})
     ring5 = DirectedGraph(5, {(k, k % 5 + 1) for k in range(1, 6)} | {(k % 5 + 1, k) for k in range(1, 6)})
     runs = [
-        run_monitored(constant_schedule(path5), KuramotoTime1(),
+        run_monitored(PeriodicSchedule([path5]), KuramotoTime1(),
                       np.linspace(-2.0, 2.0, 5), steps=100, label="kuramoto"),
-        run_monitored(constant_schedule(ring5), NonlinearConsensus(gains=lambda s: s**3),
+        run_monitored(PeriodicSchedule([ring5]), NonlinearConsensus(gains=lambda s: s**3),
                       np.linspace(-1.0, 1.5, 5), steps=100, label="nonlinear"),
-        run_monitored(constant_schedule(path5), VicsekHeading(),
+        run_monitored(PeriodicSchedule([path5]), VicsekHeading(),
                       np.linspace(-1.2, 1.3, 5), steps=100, label="vicsek"),
-        run_monitored(constant_schedule(path5), MaxUpdate(),
+        run_monitored(PeriodicSchedule([path5]), MaxUpdate(),
                       np.linspace(0.0, 1.0, 5), steps=100, label="max"),
     ]
     return SimpleNamespace(runs=runs, elapsed=time.perf_counter() - start)

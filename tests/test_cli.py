@@ -611,6 +611,14 @@ def test_probe_rejects_bad_tol(chain_graph, capsys, value):
     assert "error: tol must be positive and finite" in captured.err
 
 
+def test_a_graph_file_runs_as_the_constant_schedule(chain_graph, capsys):
+    assert main(["simulate", "--graph", chain_graph, "--x0", "0,1,1", "--steps", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["schedule"] == "constant"
+    assert main(["probe", "--graph", chain_graph, "--center", "0,1,1", "--samples", "1",
+                 "--horizon", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["schedule"] == "constant"
+
+
 # ---------------------------------------------------------------------------
 # Config files and environment
 
@@ -702,6 +710,44 @@ def test_only_a_config_call_builds_a_parser(chain_graph, tmp_path, monkeypatch, 
     cfg.write_text("steps = 2\n")
     with pytest.raises(AssertionError, match="build_parser called"):
         main(["simulate", "--graph", chain_graph, "--x0", "0,1,1", "--config", str(cfg)])
+
+
+# Each subcommand's long options, with their defaults and value types: a
+# config file's keys are these names, so the table is the config surface too.
+OPTION_TABLE = {
+    "simulate": {
+        "--graph": (None, None), "--scenario": (None, None), "--seed": (None, "int"),
+        "--config": (None, None), "--map": ("linear", None), "--t0": (None, "int"),
+        "--tol": (1e-6, "float"), "--x0": (None, None), "--steps": (None, "int"),
+        "--slack": (1e-9, "float"), "--csv": (None, None),
+    },
+    "connectivity": {
+        "--graph": (None, None), "--scenario": (None, None), "--seed": (None, "int"),
+        "--interval": (None, None),
+    },
+    "counterexample": {"--pmax": (64, "int")},
+    "matrix": {"--graph": (None, None), "--emin": (None, "float"), "--emax": (None, "float")},
+    "probe": {
+        "--graph": (None, None), "--scenario": (None, None), "--seed": (None, "int"),
+        "--config": (None, None), "--map": ("linear", None), "--t0": (None, "int"),
+        "--tol": (1e-6, "float"), "--center": (None, None), "--radius": (0.5, "float"),
+        "--samples": (20, "int"), "--horizon": (1000, "int"), "--out": (None, None),
+    },
+}
+
+
+def test_each_subcommand_keeps_its_options_and_defaults():
+    parser = cli.build_parser()
+    table = {
+        name: {
+            opt: (action.default, getattr(action.type, "__name__", None))
+            for action in sub._actions
+            for opt in action.option_strings
+            if opt.startswith("--") and opt != "--help"
+        }
+        for name, sub in parser.subcommands.items()
+    }
+    assert table == OPTION_TABLE
 
 
 def test_map_spec_bad_number_names_spec_and_key(chain_graph, capsys):

@@ -17,10 +17,10 @@ from consensus_lab import (
     GeneratedSchedule,
     KuramotoTime1,
     LinearAverage,
+    PeriodicSchedule,
     attractivity_probe,
     check_communication_assumption,
     check_strict_convexity,
-    constant_schedule,
     counterexample_sample_times,
     iter_spans,
     random_windowed_schedule,
@@ -49,7 +49,7 @@ def _run(steps):
 
 def _probe(**given):
     kwargs = dict(radius=0.3, samples=2, horizon=6, tol=1e-6, seed=4) | given
-    return attractivity_probe(constant_schedule(PAIR), LinearAverage(), [0.0, 1.0], **kwargs)
+    return attractivity_probe(PeriodicSchedule([PAIR]), LinearAverage(), [0.0, 1.0], **kwargs)
 
 
 def _flow(substeps):

@@ -1,13 +1,16 @@
-"""Every demo script runs to completion, and README's quick start prints
-what its comments say."""
+"""Every demo script runs to completion, README's quick start prints what
+its comments say, and every command of README's command block exits 0."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from consensus_lab import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -46,3 +49,20 @@ def test_readme_quick_start_prints_its_comments():
     proc = _run(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == expected
+
+
+def test_readme_command_block_runs_as_written(tmp_path, monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    # the block first writes the graph file of "Graph file format", which
+    # its commands then read
+    name, text = re.search(r"^cat > (\S+) <<'EOF'\n(.*?^)EOF$", block, re.M | re.S).groups()
+    assert text == re.search(r"## Graph file format\n\n```\n(.*?)```", readme, re.S).group(1)
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    commands = re.findall(r"^consensus-lab (.*)$", block.replace("\\\n", " "), re.M)
+    assert len(commands) == 7
+    for command in commands:
+        assert cli.main(shlex.split(command)) == 0, command
+        assert capsys.readouterr().err == "", command

@@ -18,6 +18,7 @@ from consensus_lab import (
     MaxUpdate,
     NonlinearConsensus,
     StochasticMatrix,
+    StretchingSchedule,
     VicsekHeading,
     WeightedDigraph,
     build_update_matrix,
@@ -27,7 +28,6 @@ from consensus_lab import (
     hull,
     linear_step,
     random_windowed_schedule,
-    stretching_bidirectional_schedule,
     validate_gain,
 )
 from consensus_lab import dynamics
@@ -979,7 +979,7 @@ def test_the_one_step_checks_before_it_skips():
 
 
 def test_the_one_step_moves_at_the_active_times_of_a_stretching_run():
-    sched = stretching_bidirectional_schedule(3)
+    sched = StretchingSchedule(3)
     active = [sched.active_position(g) for g in range(1, 31)]
     m = _AverageMove()
     spans = list(iter_spans(sched, m, [0.0, 1.0, 4.0], active[-1] + 5))

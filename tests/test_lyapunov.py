@@ -17,8 +17,8 @@ from consensus_lab import (
     HullPolytope,
     LinearAverage,
     MaxUpdate,
+    PeriodicSchedule,
     WeightedDigraph,
-    constant_schedule,
     contains,
     diameter,
     disagreement,
@@ -568,7 +568,8 @@ def test_raw_points_must_be_finite():
 
 def test_monitor_stream_linear_averaging_never_expands():
     g = DirectedGraph(3, {(1, 2), (2, 1), (3, 2), (2, 3)})
-    states = iter_states(constant_schedule(g), LinearAverage(), AgentState([0.0, 1.0, 0.5]), steps=40)
+    x0 = AgentState([0.0, 1.0, 0.5])
+    states = iter_states(PeriodicSchedule([g]), LinearAverage(), x0, steps=40)
     recs = list(monitor_stream(states))
     assert len(recs) == 41
     assert all(r.contained for r in recs)
@@ -580,7 +581,8 @@ def test_monitor_stream_linear_averaging_never_expands():
 def test_monitor_composes_across_sparse_sampling():
     # keeping only every 7th state must not create false violations
     g = DirectedGraph(3, {(1, 2), (2, 1), (3, 2), (2, 3)})
-    states = iter_states(constant_schedule(g), LinearAverage(), AgentState([0.0, 1.0, 0.5]), steps=42)
+    x0 = AgentState([0.0, 1.0, 0.5])
+    states = iter_states(PeriodicSchedule([g]), LinearAverage(), x0, steps=42)
     sparse = ((t, s) for t, s in states if t % 7 == 0)
     assert all(r.contained for r in monitor_stream(sparse))
 
@@ -609,7 +611,7 @@ def test_monitor_flags_a_max_map_escape_at_every_scale(magnitude):
     # (M, M), 0.7 M outside the previous hull, whatever the scale M
     cycle = DirectedGraph(2, {(1, 2), (2, 1)})
     x0 = [[0.0, magnitude], [magnitude, 0.0]]
-    recs = list(monitor_stream(iter_states(constant_schedule(cycle), MaxUpdate(), x0, 2)))
+    recs = list(monitor_stream(iter_states(PeriodicSchedule([cycle]), MaxUpdate(), x0, 2)))
     assert [r.contained for r in recs] == [True, False, True]
     assert recs[1].state.points.tolist() == [[magnitude, magnitude]] * 2
 
@@ -622,7 +624,7 @@ def test_a_huge_slack_contains_every_step_without_overflowing():
 def test_monitor_max_map_stays_contained():
     # the max map rides the hull boundary but never leaves it
     g = DirectedGraph(3, {(1, 2), (2, 3), (3, 1)})
-    states = iter_states(constant_schedule(g), MaxUpdate(), AgentState([0.0, 1.0, 0.5]), steps=10)
+    states = iter_states(PeriodicSchedule([g]), MaxUpdate(), AgentState([0.0, 1.0, 0.5]), steps=10)
     assert all(r.contained for r in monitor_stream(states))
 
 
@@ -630,7 +632,7 @@ def test_half_weight_pair_diameter_contracts_by_a_third_per_step():
     g = WeightedDigraph(
         DirectedGraph(2, {(1, 2), (2, 1)}), {(1, 2): 0.5, (2, 1): 0.5}
     )
-    states = iter_states(constant_schedule(g), LinearAverage(), AgentState([0.0, 1.0]), steps=10)
+    states = iter_states(PeriodicSchedule([g]), LinearAverage(), AgentState([0.0, 1.0]), steps=10)
     recs = list(monitor_stream(states))
     # each step the gap contracts by (2/3 - 1/3) = 1/3
     d = recs[0].diameter - recs[5].diameter
@@ -734,7 +736,7 @@ def test_monitor_refuses_a_state_whose_disagreement_overflows():
     # disagreement, agent 3 moves to (1.3e308, 1.3e308), 1.8e308 from agent 1
     chain = DirectedGraph(3, {(1, 2), (2, 3)})
     x0 = [[0.0, 0.0], [1.3e308, 0.5e308], [0.5e308, 1.3e308]]
-    recs = monitor_stream(iter_states(constant_schedule(chain), MaxUpdate(), x0, 2))
+    recs = monitor_stream(iter_states(PeriodicSchedule([chain]), MaxUpdate(), x0, 2))
     assert next(recs).diameter < math.inf
     with pytest.raises(ValueError, match="^state at time 1: its disagreement overflows a float$"):
         next(recs)

@@ -4,6 +4,7 @@ import consensus_lab
 
 PUBLIC_NAMES = [
     "AgentState",
+    "CounterexampleSchedule",
     "DirectedGraph",
     "FiniteSchedule",
     "GeneratedSchedule",
@@ -16,6 +17,7 @@ PUBLIC_NAMES = [
     "NonlinearConsensus",
     "PeriodicSchedule",
     "StochasticMatrix",
+    "StretchingSchedule",
     "UnsupportedQueryError",
     "VicsekHeading",
     "WeightedDigraph",
@@ -23,12 +25,10 @@ PUBLIC_NAMES = [
     "build_update_matrix",
     "check_communication_assumption",
     "check_strict_convexity",
-    "constant_schedule",
     "contains",
     "counterexample_initial_state",
     "counterexample_limit",
     "counterexample_sample_times",
-    "counterexample_schedule",
     "diameter",
     "disagreement",
     "find_root",
@@ -45,7 +45,6 @@ PUBLIC_NAMES = [
     "point_distance",
     "random_windowed_schedule",
     "relabel",
-    "stretching_bidirectional_schedule",
     "summarize",
     "union_across",
     "validate_gain",

@@ -9,19 +9,19 @@ import pytest
 
 from consensus_lab import scenarios
 from consensus_lab import (
+    CounterexampleSchedule,
     DirectedGraph,
     IntervalSpec,
     LinearAverage,
+    StretchingSchedule,
     counterexample_initial_state,
     counterexample_limit,
     counterexample_sample_times,
-    counterexample_schedule,
     disagreement,
     find_root,
     is_connected_from,
     is_weakly_connected,
     random_windowed_schedule,
-    stretching_bidirectional_schedule,
     union_across,
     verify_counterexample,
     weakly_connected_oracle,
@@ -47,14 +47,14 @@ def literal_block_sequence(s_max):
 
 
 def test_block_layout_matches_literal_sequence():
-    sched = counterexample_schedule()
+    sched = CounterexampleSchedule()
     literal = literal_block_sequence(12)
     for i, g in enumerate(literal):
         assert sched.graph_at(sched.first_time + i) == g, f"offset {i}"
 
 
 def test_block_lengths_and_starts():
-    sched = counterexample_schedule()
+    sched = CounterexampleSchedule()
     # block s spans 4s + 3 times, so block s starts at 1 + sum = 2s^2 + s + 1
     for s in range(8):
         assert sched.block_start(s) == 2 * s * s + s + 1
@@ -65,13 +65,13 @@ def test_block_lengths_and_starts():
 
 def test_no_single_graph_is_weakly_connected():
     # one agent is always silent; connectivity only emerges across time
-    sched = counterexample_schedule()
+    sched = CounterexampleSchedule()
     for t in range(1, 200):
         assert not is_weakly_connected(sched.graph_at(t))
 
 
 def test_unbounded_tail_union_is_connected():
-    sched = counterexample_schedule()
+    sched = CounterexampleSchedule()
     tail = union_across(sched, IntervalSpec(10**9))
     assert tail.arcs == {(1, 2), (2, 1), (3, 2), (2, 3)}
     assert is_weakly_connected(union_across(sched, IntervalSpec(1)))
@@ -86,7 +86,7 @@ def _run_ends(sched, t):
 
 
 def test_next_change_is_the_end_of_the_run_holding_t():
-    sched = counterexample_schedule()
+    sched = CounterexampleSchedule()
     for t in range(1, sched.block_start(9)):
         assert sched.next_change(t) == _run_ends(sched, t), t
 
@@ -100,7 +100,7 @@ def _boundaries(sched, blocks):
 
 def test_bounded_counterexample_unions_match_the_per_time_walk():
     # every window of up to 12 times that starts within 6 of a run boundary
-    sched = counterexample_schedule()
+    sched = CounterexampleSchedule()
     for edge in _boundaries(sched, (0, 1, 2, 3, 7, 40)):
         for a in range(max(1, edge - 6), edge + 7):
             want, seen = set(), set()  # each distinct graph's arcs are read once
@@ -113,7 +113,7 @@ def test_bounded_counterexample_unions_match_the_per_time_walk():
 
 
 def test_a_far_counterexample_window_answers_at_once():
-    sched = counterexample_schedule()
+    sched = CounterexampleSchedule()
     start = time.perf_counter()
     union = union_across(sched, IntervalSpec(10**12, 2 * 10**12))
     assert time.perf_counter() - start < 0.1
@@ -198,7 +198,7 @@ def test_verification_rejects_small_pmax():
 
 
 def test_disagreement_never_falls_below_limit_along_whole_run():
-    sched = counterexample_schedule()
+    sched = CounterexampleSchedule()
     lo = counterexample_limit() * (1.0 - 1e-9)
     for t, x in iter_states(sched, LinearAverage(), counterexample_initial_state(), steps=500, t0=1):
         assert disagreement(x) > lo
@@ -326,7 +326,7 @@ def test_windowed_schedule_converges_under_averaging():
 
 
 def test_stretching_active_positions_and_silence():
-    sched = stretching_bidirectional_schedule(3)
+    sched = StretchingSchedule(3)
     # the g-th active graph sits at position (g-1)(g+2)/2, gaps stretch by one
     positions = [sched.active_position(g) for g in range(1, 7)]
     assert positions == [0, 2, 5, 9, 14, 20]
@@ -338,7 +338,7 @@ def test_stretching_active_positions_and_silence():
 
 
 def test_stretching_cycles_path_edges():
-    sched = stretching_bidirectional_schedule(4)
+    sched = StretchingSchedule(4)
     # path edges (1-2), (2-3), (3-4) appear cyclically at active positions
     expected = [
         {(1, 2), (2, 1)},
@@ -351,7 +351,7 @@ def test_stretching_cycles_path_edges():
 
 
 def test_stretching_arc_free_windows_grow_without_bound():
-    sched = stretching_bidirectional_schedule(5)
+    sched = StretchingSchedule(5)
     for T in (1, 2, 3, 10, 40):
         win = sched.arc_free_window(T)
         assert win.end - win.start + 1 == T
@@ -361,14 +361,35 @@ def test_stretching_arc_free_windows_grow_without_bound():
 
 
 def test_stretching_tail_union_is_full_path():
-    sched = stretching_bidirectional_schedule(4)
+    sched = StretchingSchedule(4)
     tail = union_across(sched, IntervalSpec(1000))
     assert tail.arcs == {(1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3)}
     assert is_weakly_connected(union_across(sched, IntervalSpec(0)))
 
 
+def test_closed_form_tail_unions_are_built_once():
+    sched = StretchingSchedule(4)
+    assert "_path" not in vars(sched)  # the constructor leaves it to the first call
+    tail = sched.tail_union(0)
+    assert sched.tail_union(10**12) is tail
+    assert tail == DirectedGraph(4, {(1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3)})
+    ce = CounterexampleSchedule().tail_union(1)
+    assert CounterexampleSchedule().tail_union(10**12) is ce
+    assert ce == DirectedGraph(3, {(1, 2), (2, 1), (3, 2), (2, 3)})
+
+
+def test_stretching_bidirectional_schedule_is_the_class():
+    # the benchmark's entry point, which the package itself no longer calls
+    for n in range(2, 7):
+        got, want = scenarios.stretching_bidirectional_schedule(n), StretchingSchedule(n)
+        assert type(got) is StretchingSchedule and got.name == want.name
+        for t in range(501):
+            assert got.graph_at(t) == want.graph_at(t)
+            assert got.next_change(t) == want.next_change(t)
+
+
 def test_stretching_converges_under_averaging():
-    sched = stretching_bidirectional_schedule(3)
+    sched = StretchingSchedule(3)
     steps = sched.active_position(60) + 1
     for _, final in iter_states(sched, LinearAverage(), [0.0, 1.0, 0.25], steps=steps):
         pass
@@ -377,11 +398,11 @@ def test_stretching_converges_under_averaging():
 
 def test_stretching_rejects_tiny_n():
     with pytest.raises(ValueError):
-        stretching_bidirectional_schedule(1)
+        StretchingSchedule(1)
 
 
 @pytest.mark.parametrize(
-    "schedule", [counterexample_schedule(), stretching_bidirectional_schedule(4)],
+    "schedule", [CounterexampleSchedule(), StretchingSchedule(4)],
     ids=["counterexample", "stretching"],
 )
 def test_closed_form_schedules_check_the_time(schedule):

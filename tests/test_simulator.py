@@ -9,6 +9,7 @@ import pytest
 from consensus_lab import lyapunov, simulator
 from consensus_lab import (
     AgentState,
+    CounterexampleSchedule,
     DirectedGraph,
     FiniteSchedule,
     GeneratedSchedule,
@@ -18,15 +19,13 @@ from consensus_lab import (
     MaxUpdate,
     NonlinearConsensus,
     PeriodicSchedule,
+    StretchingSchedule,
     VicsekHeading,
     WeightedDigraph,
     attractivity_probe,
-    constant_schedule,
-    counterexample_schedule,
     disagreement,
     hull,
     monitor_stream,
-    stretching_bidirectional_schedule,
     summarize,
     union_across,
 )
@@ -83,20 +82,12 @@ def test_generated_schedule_validates_node_count():
         sched.graph_at(1)
 
 
-def test_constant_schedule():
-    sched = constant_schedule(PAIR, first_time=7)
-    assert sched.name == "constant"
-    assert sched.graph_at(7) is PAIR
-    assert sched.graph_at(7000) is PAIR
-    assert sched.period == 1
-
-
 # ---------------------------------------------------------------------------
 # Stepping
 
 
 def test_iter_states_counts_and_times():
-    pairs = list(iter_states(constant_schedule(PAIR), LinearAverage(), [0.0, 1.0], steps=3))
+    pairs = list(iter_states(PeriodicSchedule([PAIR]), LinearAverage(), [0.0, 1.0], steps=3))
     assert [t for t, _ in pairs] == [0, 1, 2, 3]
     assert pairs[0][1].values.tolist() == [0.0, 1.0]
     assert pairs[1][1].values.tolist() == [0.5, 0.5]
@@ -113,7 +104,7 @@ def test_iter_states_follows_schedule_switches():
 
 def test_iter_states_validation():
     # Checked when the stream is made, before anything is iterated.
-    sched = constant_schedule(PAIR, first_time=2)
+    sched = PeriodicSchedule([PAIR], first_time=2)
     with pytest.raises(ValueError, match="nonnegative"):
         iter_states(sched, LinearAverage(), [0.0, 1.0], steps=-1)
     with pytest.raises(ValueError, match="before the schedule"):
@@ -123,7 +114,8 @@ def test_iter_states_validation():
 
 
 def test_iter_states_honors_t0():
-    states = iter_states(constant_schedule(PAIR, first_time=0), LinearAverage(), [0.0, 1.0], steps=2, t0=5)
+    sched = PeriodicSchedule([PAIR], first_time=0)
+    states = iter_states(sched, LinearAverage(), [0.0, 1.0], steps=2, t0=5)
     assert [t for t, _ in states] == [5, 6, 7]
 
 
@@ -137,7 +129,7 @@ def test_iter_states_checks_the_state_against_the_map_when_made():
     with pytest.raises(ValueError, match="vicsek: agent 2 is at 2.0, outside"):
         iter_states(silent, VicsekHeading(), [0.0, 2.0, 0.0], steps=5)
     with pytest.raises(ValueError, match="vicsek: agent 3 is at -1.5707963267948966"):
-        iter_states(constant_schedule(DirectedGraph(3, {(1, 2)})), VicsekHeading(),
+        iter_states(PeriodicSchedule([DirectedGraph(3, {(1, 2)})]), VicsekHeading(),
                     [0.0, 0.5, -math.pi / 2], steps=0)
 
 
@@ -170,7 +162,7 @@ def _scan_next_change(schedule, lo, hi, ahead=20):
         (PeriodicSchedule([Z, A, Z, Z, B, Z, Z], first_time=5), 5, 60),
         (PeriodicSchedule([Z, Z, Z], first_time=1), 1, 20),
         (PeriodicSchedule([A, B]), 0, 10),
-        (constant_schedule(Z, first_time=2), 2, 10),
+        (PeriodicSchedule([Z], first_time=2), 2, 10),
     ],
     ids=["finite-silent-after", "finite-active-after", "finite-all-silent",
          "finite-only-after", "periodic", "periodic-all-silent", "periodic-all-active",
@@ -188,7 +180,7 @@ def test_next_change_matches_a_graph_at_scan(schedule, lo, hi):
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_stretching_next_change_matches_a_graph_at_scan(n):
-    sched = stretching_bidirectional_schedule(n)
+    sched = StretchingSchedule(n)
     # the gap after t < 5000 is under 100 steps, so the scan finds every answer
     want = _scan_next_change(sched, 0, 5000, ahead=100)
     assert [t for t in range(5000) if sched.next_change(t) != want[t]] == []
@@ -210,8 +202,8 @@ TABLES = [
     (FiniteSchedule([Z, A, Z, B], first_time=3), lambda i: (Z, A, Z, B)[i] if i < 4 else Z),
     (FiniteSchedule([A, Z], first_time=2, after=B), lambda i: (A, Z)[i] if i < 2 else B),
     (PeriodicSchedule(CYCLE, first_time=5), lambda i: CYCLE[i % len(CYCLE)]),
-    (constant_schedule(A, first_time=2), lambda i: A),
-    (constant_schedule(Z), lambda i: Z),
+    (PeriodicSchedule([A], first_time=2), lambda i: A),
+    (PeriodicSchedule([Z]), lambda i: Z),
 ]
 TABLE_IDS = ["finite-silent-after", "finite-active-after", "periodic-offset",
              "constant-active", "constant-silent"]
@@ -288,7 +280,8 @@ def test_numpy_integer_times_give_the_same_schedules_and_runs():
     assert run == spans(ref, 8, 3)
     assert all(type(t) is int and type(end) is int for t, end, _ in run)
     gen = GeneratedSchedule(lambda t: B, n=i64(3), first_time=i64(1))
-    assert type(gen.n) is int and spans(gen, i64(4), None) == spans(constant_schedule(B, 1), 4, None)
+    assert type(gen.n) is int
+    assert spans(gen, i64(4), None) == spans(PeriodicSchedule([B], 1), 4, None)
 
 
 def _reference_run(schedule, update_map, x0, steps, t0):
@@ -313,7 +306,7 @@ def _same_run(got, want):
 @pytest.mark.parametrize(
     "schedule",
     [
-        stretching_bidirectional_schedule(4),
+        StretchingSchedule(4),
         FiniteSchedule([Z, A, Z, Z, B, Z, Z], first_time=1),
         FiniteSchedule([Z, Z, A], first_time=1, after=B),
         PeriodicSchedule([Z, A, Z, Z, Z, B, Z], first_time=1),
@@ -349,7 +342,7 @@ class _CountingAverage(UpdateMap):
 
 
 def test_the_stream_steps_the_map_at_active_times_only():
-    sched = stretching_bidirectional_schedule(3)
+    sched = StretchingSchedule(3)
     steps = sched.active_position(30) + 5
     counting = _CountingAverage()
     got = list(iter_states(sched, counting, [0.0, 1.0, 4.0], steps))
@@ -373,7 +366,7 @@ class _CountingSchedule(GraphSchedule):
 
 
 def test_the_stream_stops_stepping_at_the_first_state_at_rest():
-    sched = _CountingSchedule(constant_schedule(PAIR))
+    sched = _CountingSchedule(PeriodicSchedule([PAIR]))
     counting = _CountingAverage()
     got = list(iter_states(sched, counting, [0.0, 1.0], steps=7, t0=3))
     assert counting.times == sched.times == [3]  # 0.5, 0.5 from t = 4 on
@@ -381,12 +374,12 @@ def test_the_stream_stops_stepping_at_the_first_state_at_rest():
     rest = got[1][1]
     assert rest.values.tolist() == [0.5, 0.5] and rest._at_rest()
     assert all(x is rest for _, x in got[1:])
-    _same_run(got, _reference_run(constant_schedule(PAIR), LinearAverage(), [0.0, 1.0], 7, 3))
+    _same_run(got, _reference_run(PeriodicSchedule([PAIR]), LinearAverage(), [0.0, 1.0], 7, 3))
 
 
 @pytest.mark.parametrize("steps", [0, 1, 50])
 def test_an_initial_state_at_rest_is_never_stepped(steps):
-    sched = _CountingSchedule(constant_schedule(A))
+    sched = _CountingSchedule(PeriodicSchedule([A]))
     counting = _CountingAverage()
     x0 = AgentState([-2.5, -2.5, -2.5])
     got = list(iter_states(sched, counting, x0, steps, t0=4))
@@ -398,7 +391,7 @@ def test_an_initial_state_at_rest_is_never_stepped(steps):
 @pytest.mark.parametrize("x0", [[-0.0, -0.0, -0.0], [0.0, -0.0, 0.0]])
 def test_minus_zero_is_stepped_once_into_rest(x0):
     # linear steps turn -0.0 into +0.0, so a state with -0.0 is not at rest
-    sched = _CountingSchedule(constant_schedule(A))
+    sched = _CountingSchedule(PeriodicSchedule([A]))
     counting = _CountingAverage()
     got = list(iter_states(sched, counting, x0, steps=5))
     assert counting.times == sched.times == [0]
@@ -418,9 +411,9 @@ SPAN_SCHEDULES = {
                                    n=3, first_time=1),
     "finite-burst": FiniteSchedule([A, Z, Z, B, Z, A], first_time=2),
     "periodic": PeriodicSchedule([Z, A, Z, Z, Z, B, Z], first_time=1),
-    "stretching": stretching_bidirectional_schedule(3),
-    "counterexample": counterexample_schedule(),
-    "rest": constant_schedule(COMPLETE3),  # max reaches rest in one step
+    "stretching": StretchingSchedule(3),
+    "counterexample": CounterexampleSchedule(),
+    "rest": PeriodicSchedule([COMPLETE3]),  # max reaches rest in one step
 }
 SPAN_MAPS = {
     "linear": LinearAverage,
@@ -487,7 +480,7 @@ def test_span_summaries_see_consensus_and_violations():
 
 
 def test_iter_spans_is_validated_when_made():
-    sched = constant_schedule(PAIR, first_time=1)
+    sched = PeriodicSchedule([PAIR], first_time=1)
     with pytest.raises(ValueError, match="nonnegative"):
         iter_spans(sched, LinearAverage(), [0.0, 1.0], steps=-1)
     with pytest.raises(ValueError, match="before the schedule"):
@@ -495,7 +488,7 @@ def test_iter_spans_is_validated_when_made():
     with pytest.raises(ValueError, match="n=3"):
         iter_spans(sched, LinearAverage(), [0.0, 1.0, 2.0], steps=1)
     with pytest.raises(ValueError):
-        iter_spans(constant_schedule(DirectedGraph(3)), VicsekHeading(), [0.0, 2.0, 0.0], steps=1)
+        iter_spans(PeriodicSchedule([DirectedGraph(3)]), VicsekHeading(), [0.0, 2.0, 0.0], steps=1)
 
 
 def test_a_generated_schedule_spans_its_arc_free_times_together():
@@ -570,7 +563,7 @@ def test_a_monitored_per_step_run_hulls_each_distinct_state_once(n, monkeypatch)
     hulled = []
     real = lyapunov._hull_of
     monkeypatch.setattr(lyapunov, "_hull_of", lambda pts: hulled.append(pts) or real(pts))
-    sched = stretching_bidirectional_schedule(n)
+    sched = StretchingSchedule(n)
     steps = sched.active_position(40) + 1
     s1, s2 = itertools.tee(iter_states(sched, LinearAverage(), np.linspace(0.0, 1.0, n), steps))
     states = {}
@@ -594,7 +587,7 @@ def test_disagreement_reads_a_held_hull_and_hulls_only_a_state_without_one(monke
 
 def test_summarize_finds_consensus_time():
     def run(graph, tol):
-        states = iter_states(constant_schedule(graph), LinearAverage(), [0.0, 1.0], steps=3)
+        states = iter_states(PeriodicSchedule([graph]), LinearAverage(), [0.0, 1.0], steps=3)
         return summarize(monitor_stream(states), tol)
 
     assert run(PAIR, 1e-9).consensus_time == 1
@@ -610,7 +603,7 @@ def test_summarize_finds_consensus_time():
 
 def test_probe_converges_on_constant_pair():
     rep = attractivity_probe(
-        constant_schedule(PAIR), LinearAverage(), center=[0.0, 1.0], radius=0.1,
+        PeriodicSchedule([PAIR]), LinearAverage(), center=[0.0, 1.0], radius=0.1,
         samples=5, horizon=50, tol=1e-9, seed=3,
     )
     assert rep.converged_fraction == 1.0
@@ -621,7 +614,7 @@ def test_probe_converges_on_constant_pair():
 
 def test_probe_diverges_when_nothing_moves():
     rep = attractivity_probe(
-        constant_schedule(DirectedGraph(2)), LinearAverage(), center=[0.0, 1.0],
+        PeriodicSchedule([DirectedGraph(2)]), LinearAverage(), center=[0.0, 1.0],
         radius=0.0, samples=2, horizon=20, tol=1e-6, seed=0,
     )
     assert rep.converged_fraction == 0.0
@@ -632,7 +625,7 @@ def test_probe_diverges_when_nothing_moves():
 def test_probe_reports_undetermined_for_slow_contraction():
     slow = WeightedDigraph(PAIR, {(1, 2): 0.01, (2, 1): 0.01})
     rep = attractivity_probe(
-        constant_schedule(slow), LinearAverage(), center=[0.0, 1.0],
+        PeriodicSchedule([slow]), LinearAverage(), center=[0.0, 1.0],
         radius=0.0, samples=1, horizon=100, tol=1e-9, seed=0,
     )
     assert rep.samples[0].status == "undetermined"
@@ -656,12 +649,12 @@ def test_probe_leaves_a_run_that_ends_in_a_silent_stretch_undetermined():
     [
         # converges, but only after the horizon: its silent gaps keep
         # coming, and so do its arcs
-        (stretching_bidirectional_schedule(3), [0.0, 0.0, 0.0], "undetermined"),
+        (StretchingSchedule(3), [0.0, 0.0, 0.0], "undetermined"),
         # one step, then silence forever: the state holds
         (FiniteSchedule([A]), [0.0, 1.0, 4.0], "diverged"),
         # arcs at every time; that the pairs never meet needs a closed-set
         # witness, which this probe does not look for
-        (constant_schedule(DirectedGraph(4, {(1, 2), (2, 1), (3, 4), (4, 3)})),
+        (PeriodicSchedule([DirectedGraph(4, {(1, 2), (2, 1), (3, 4), (4, 3)})]),
          [0.0, 0.0, 1.0, 1.0], "undetermined"),
     ],
     ids=["stretching", "burst-then-silence", "two-pairs"],
@@ -705,11 +698,11 @@ def _probe_by_the_span_loop(schedule, update_map, center, radius, samples, horiz
 @pytest.mark.parametrize(
     "schedule, make_map, center, radius, tol, t0, want",
     [
-        (constant_schedule(PAIR), LinearAverage, [0.0, 1.0], 0.1, 1e-9, None, "converged"),
-        (stretching_bidirectional_schedule(3), LinearAverage, [0.0, 0.0, 0.0], 1.0, 1e-6,
+        (PeriodicSchedule([PAIR]), LinearAverage, [0.0, 1.0], 0.1, 1e-9, None, "converged"),
+        (StretchingSchedule(3), LinearAverage, [0.0, 0.0, 0.0], 1.0, 1e-6,
          None, "undetermined"),
         (FiniteSchedule([A]), LinearAverage, [0.0, 1.0, 4.0], 1.0, 1e-6, None, "diverged"),
-        (constant_schedule(PAIR), LinearAverage, [2.0, 2.0], 1e-9, 1e-6, 5, "converged"),
+        (PeriodicSchedule([PAIR]), LinearAverage, [2.0, 2.0], 1e-9, 1e-6, 5, "converged"),
         (PeriodicSchedule([A, B, Z]), MaxUpdate, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], 0.5,
          1e-6, None, "undetermined"),
     ],
@@ -730,8 +723,8 @@ def test_probe_samples_equal_the_span_loop_bit_for_bit(schedule, make_map, cente
 def test_probe_refuses_a_radius_whose_samples_can_overflow():
     # two agents' offsets differ by up to sqrt(2) times the radius: at
     # 1.7e308 the ball holds samples whose disagreement is no float
-    edgeless, one_arc = constant_schedule(DirectedGraph(2)), constant_schedule(
-        DirectedGraph(2, {(1, 2)}))
+    edgeless = PeriodicSchedule([DirectedGraph(2)])
+    one_arc = PeriodicSchedule([DirectedGraph(2, {(1, 2)})])
     for schedule in (edgeless, one_arc):
         for seed in range(4):
             with pytest.raises(ValueError, match="^radius must keep every sample"):
@@ -749,19 +742,19 @@ def test_probe_refuses_a_radius_whose_samples_can_overflow():
 def test_probe_is_deterministic_in_seed():
     kwargs = dict(center=[0.0, 1.0, 0.3], radius=0.2, samples=4, horizon=30, tol=1e-6)
     g = DirectedGraph(3, {(1, 2), (2, 1), (2, 3), (3, 2)})
-    a = attractivity_probe(constant_schedule(g), LinearAverage(), seed=11, **kwargs)
-    b = attractivity_probe(constant_schedule(g), LinearAverage(), seed=11, **kwargs)
+    a = attractivity_probe(PeriodicSchedule([g]), LinearAverage(), seed=11, **kwargs)
+    b = attractivity_probe(PeriodicSchedule([g]), LinearAverage(), seed=11, **kwargs)
     assert a.to_json_dict() == b.to_json_dict()
 
 
 def test_probe_json_shape():
     rep = attractivity_probe(
-        constant_schedule(PAIR), LinearAverage(), center=[0.0, 1.0], radius=0.1,
+        PeriodicSchedule([PAIR]), LinearAverage(), center=[0.0, 1.0], radius=0.1,
         samples=2, horizon=10, tol=1e-6, seed=1,
     )
     d = rep.to_json_dict()
     assert d["samples"] == 2
-    assert d["schedule"] == "constant" and d["map"] == "linear"
+    assert d["schedule"] == "periodic" and d["map"] == "linear"
     assert len(d["per_sample"]) == 2
     assert {"index", "status", "final_disagreement", "max_excursion", "consensus_time"} <= set(
         d["per_sample"][0]
@@ -769,7 +762,7 @@ def test_probe_json_shape():
 
 
 def test_probe_validation():
-    sched = constant_schedule(PAIR)
+    sched = PeriodicSchedule([PAIR])
     with pytest.raises(ValueError, match="samples"):
         attractivity_probe(sched, LinearAverage(), [0.0, 1.0], 0.1, samples=0)
     with pytest.raises(ValueError, match="horizon"):
