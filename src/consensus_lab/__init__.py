@@ -42,6 +42,7 @@ from .lyapunov import (
     HullPolytope,
     contains,
     diameter,
+    disagreement,
     hull,
     monitor_stream,
     point_distance,
@@ -52,7 +53,6 @@ from .simulator import (
     GeneratedSchedule,
     PeriodicSchedule,
     attractivity_probe,
-    disagreement,
     iter_spans,
 )
 from .scenarios import (
@@ -98,6 +98,7 @@ __all__ = [
     "HullPolytope",
     "contains",
     "diameter",
+    "disagreement",
     "hull",
     "monitor_stream",
     "point_distance",
@@ -106,7 +107,6 @@ __all__ = [
     "GeneratedSchedule",
     "PeriodicSchedule",
     "attractivity_probe",
-    "disagreement",
     "iter_spans",
     "CounterexampleSchedule",
     "StretchingSchedule",

@@ -44,7 +44,7 @@ from .graphs import (
     union_across,
     weakly_connected_oracle,
 )
-from .lyapunov import DEFAULT_SLACK, AgentState, monitor_stream, summarize
+from .lyapunov import DEFAULT_SLACK, AgentState, disagreement, monitor_stream, summarize
 from .scenarios import (
     CounterexampleSchedule,
     StretchingSchedule,
@@ -56,7 +56,6 @@ from .simulator import (
     GraphSchedule,
     PeriodicSchedule,
     attractivity_probe,
-    disagreement,
     iter_spans,
 )
 

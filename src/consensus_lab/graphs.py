@@ -539,7 +539,7 @@ def parse_graph_text(
                 m = _N_LINE.match(line)
                 if not m:
                     raise ValueError(f"expected 'n=<count>' first, got {raw.strip()!r}")
-                n = DirectedGraph(int(m.group(1))).n  # the node-count rule
+                n = _valid_count(int(m.group(1)), 1, "node count")
                 continue
             if fields[0] != "arc" or len(fields) not in (3, 4):
                 raise ValueError(f"expected 'arc <from> <to> [<weight>]', got {raw.strip()!r}")

@@ -9,6 +9,8 @@ so that each state can carry its own hull, computed at most once.
 This module computes hulls in dimension 1 (intervals) and 2 (monotone-chain
 polygons, prefiltered on large inputs) and measures points and hulls against
 them, in the plane with one kernel and in a power-of-two frame at any scale.
+`disagreement`, a state's hull diameter, is the measure that every run,
+probe and report reads.
 `monitor_stream` watches (time, state) pairs, such as the span starts of
 `simulator.iter_spans`, recording diameter and containment per pair, and
 `summarize` folds its records into a run's verdict.  A containment failure
@@ -271,7 +273,7 @@ class HullPolytope:
     The hull keeps its diameter in `_diameter`: an interval's `hi - lo`
     from when it is made, a polygon's from the first `diameter` call (None
     until then), so a hull used only for containment never pays the
-    vertex-pair scan.  `diameter` and `simulator.disagreement` read it.
+    vertex-pair scan.  `diameter` and `disagreement` read it.
 
     `hull()` is the one constructor: `HullPolytope(...)` raises TypeError.
     """
@@ -465,6 +467,21 @@ def diameter(h: HullPolytope) -> float:
                 for i in range(0, m, rows)
             )
     return h._diameter
+
+
+def disagreement(state) -> float:
+    """Hull diameter of the agent positions: 0 exactly at consensus.
+
+    An `AgentState` is hulled once, so this reads the hull that the state
+    holds and that hull's kept diameter: it calls `hull` only for a state
+    that holds none or a raw array, and `diameter` only for a polygon whose
+    diameter no one has asked for yet.
+    """
+    h = state._hull if isinstance(state, AgentState) else None
+    if h is None:
+        h = hull(state)
+    d = h._diameter
+    return diameter(h) if d is None else d
 
 
 class MonitorRecord(NamedTuple):

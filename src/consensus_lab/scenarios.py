@@ -56,11 +56,9 @@ class CounterexampleSchedule(GraphSchedule):
     """The stretching-block schedule on three agents (first time 1)."""
 
     n, first_time, name = 3, _CE_FIRST_TIME, "counterexample"
-
-    def tail_union(self, start: int) -> DirectedGraph:
-        # Every tail contains a complete block with s >= 1, and such a
-        # block uses all four arc sets.
-        return _CE_TAIL
+    # Every tail contains a complete block with s >= 1, and such a block
+    # uses all four arc sets.
+    _tail = _CE_TAIL
 
     @staticmethod
     def block_start(s: int) -> int:
@@ -302,11 +300,8 @@ class StretchingSchedule(GraphSchedule):
         start = self.active_position(T) + 1
         return IntervalSpec(start, start + T - 1)
 
-    def tail_union(self, start: int) -> DirectedGraph:
-        return self._path
-
     @cached_property
-    def _path(self) -> DirectedGraph:
+    def _tail(self) -> DirectedGraph:
         # Active steps recur forever and cycle through all path edges, so
         # every tail union is the full bidirectional path, its edges' keys.
         return DirectedGraph._own(self.n, np.sort(np.concatenate([g._keys for g in self.edges])))

@@ -6,7 +6,8 @@ finite list (eventually constant, by default arc-free), a repeating
 list (`PeriodicSchedule([g])` is constant), and a generator function.
 The first two are tables, a head of graphs then a cycle repeated
 forever, so arc unions over any time interval of them stay decidable;
-the closed-form families are classes in `scenarios`.
+the closed-form families are classes in `scenarios`, each declaring the
+tail union that `GraphSchedule.tail_union` returns after its time check.
 
 The run engine is `iter_spans`: it rolls an update map along a schedule
 and yields one span (t, end, state) per constant stretch, the state
@@ -18,7 +19,8 @@ costs time in its active steps, not in its horizon.  Its span starts fed to
 `lyapunov.monitor_stream` are a monitored run that stores nothing.
 `iter_states` expands the spans into one (t, state) pair per time step.
 `attractivity_probe` repeats a run from random initial states around a
-center and reports how often the group reached consensus.
+center and reports how often the group reached consensus, measured by
+`lyapunov.disagreement`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .dynamics import UpdateMap
 from .graphs import DirectedGraph, _valid_count
-from .lyapunov import AgentState, _check_distance, _through_consensus, diameter, hull
+from .lyapunov import AgentState, _check_distance, _through_consensus, disagreement, hull
 from .lyapunov import monitor_stream, summarize
 
 
@@ -40,7 +42,8 @@ class GraphSchedule:
 
     Tables (finite and periodic schedules) are a head of graphs, then a
     cycle of `period` graphs repeated forever from `cycle_from`; other
-    schedules leave both None.  `name` names the schedule in reports.
+    schedules leave both None.  A closed-form schedule declares `_tail`,
+    the arc union of every tail.  `name` names the schedule in reports.
     """
 
     first_time: int
@@ -48,6 +51,7 @@ class GraphSchedule:
     name: str
     period: Optional[int] = None
     cycle_from: Optional[int] = None
+    _tail: Optional[DirectedGraph] = None
 
     def _check_time(self, t: int) -> int:
         """t as an int, at or after the first time: the rule for every time."""
@@ -76,10 +80,12 @@ class GraphSchedule:
     def tail_union(self, start: int) -> Optional[DirectedGraph]:
         """Arc union over [start, infinity), when known in closed form.
 
-        Aperiodic schedules with analyzable structure override this; with
-        the default None, only a table's unbounded union can be taken.
+        `start` is checked as every time is, and the answer is `_tail`,
+        the same for every tail.  With the default None, only a table's
+        unbounded union can be taken.
         """
-        return None
+        self._check_time(start)
+        return self._tail
 
 
 def _node_count(graphs: Sequence[DirectedGraph]) -> int:
@@ -167,7 +173,8 @@ class GeneratedSchedule(GraphSchedule):
 
     A generated schedule is no table, since nothing checks that the
     function repeats; unions over unbounded intervals are refused unless
-    a subclass answers `tail_union`, which also ends bounded ones early.
+    a subclass declares its `_tail` for `tail_union`, which also ends
+    bounded ones early.
     """
 
     def __init__(
@@ -266,28 +273,8 @@ def iter_states(
     each, with no `graph_at` or `step` call.  The arguments are checked
     when the stream is made, as `iter_spans` checks them.
     """
-    return _per_step(iter_spans(schedule, update_map, x0, steps, t0))
-
-
-def _per_step(spans) -> Iterator[tuple[int, AgentState]]:
-    for t, end, x in spans:
-        for t in range(t, end + 1):
-            yield t, x
-
-
-def disagreement(state) -> float:
-    """Hull diameter of the agent positions: 0 exactly at consensus.
-
-    An `AgentState` is hulled once, so this reads the hull that the state
-    holds and that hull's kept diameter: it calls `hull` only for a state
-    that holds none or a raw array, and `diameter` only for a polygon whose
-    diameter no one has asked for yet.
-    """
-    h = state._hull if isinstance(state, AgentState) else None
-    if h is None:
-        h = hull(state)
-    d = h._diameter
-    return diameter(h) if d is None else d
+    spans = iter_spans(schedule, update_map, x0, steps, t0)
+    return ((t, x) for start, end, x in spans for t in range(start, end + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +304,6 @@ class ProbeReport:
 
     @property
     def converged_fraction(self) -> float:
-        if not self.samples:
-            return 0.0
         return sum(s.status == "converged" for s in self.samples) / len(self.samples)
 
     def to_json_dict(self) -> dict:

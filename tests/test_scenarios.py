@@ -13,6 +13,7 @@ from consensus_lab import (
     DirectedGraph,
     IntervalSpec,
     LinearAverage,
+    PeriodicSchedule,
     StretchingSchedule,
     counterexample_initial_state,
     counterexample_limit,
@@ -369,7 +370,7 @@ def test_stretching_tail_union_is_full_path():
 
 def test_closed_form_tail_unions_are_built_once():
     sched = StretchingSchedule(4)
-    assert "_path" not in vars(sched)  # the constructor leaves it to the first call
+    assert "_tail" not in vars(sched)  # the constructor leaves it to the first call
     tail = sched.tail_union(0)
     assert sched.tail_union(10**12) is tail
     assert tail == DirectedGraph(4, {(1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3)})
@@ -411,6 +412,22 @@ def test_closed_form_schedules_check_the_time(schedule):
     assert schedule.graph_at(np.int64(schedule.first_time)) == schedule.graph_at(
         schedule.first_time
     )
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [CounterexampleSchedule(), StretchingSchedule(3), PeriodicSchedule([DirectedGraph(3)], 2)],
+    ids=["counterexample", "stretching", "periodic"],
+)
+def test_tail_union_checks_its_start_as_graph_at_does(schedule):
+    before = schedule.first_time - 1
+    with pytest.raises(ValueError) as want:
+        schedule.graph_at(before)
+    with pytest.raises(ValueError) as got:
+        schedule.tail_union(before)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(TypeError):
+        schedule.tail_union(schedule.first_time + 0.5)
 
 
 def _tuple_windowed_schedule(n, T, length, seed):

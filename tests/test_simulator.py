@@ -575,10 +575,10 @@ def test_a_monitored_per_step_run_hulls_each_distinct_state_once(n, monkeypatch)
 
 
 def test_disagreement_reads_a_held_hull_and_hulls_only_a_state_without_one(monkeypatch):
-    calls = []
-    real = simulator.hull
-    monkeypatch.setattr(simulator, "hull", lambda x: calls.append(x) or real(x))
     born = LinearAverage().step(0, PAIR, AgentState([0.0, 1.0]))  # holds its hull
+    calls = []
+    real = lyapunov.hull
+    monkeypatch.setattr(lyapunov, "hull", lambda x: calls.append(x) or real(x))
     fresh = AgentState([0.0, 1.0])
     raw = np.array([0.0, 1.0])
     assert [disagreement(x) for x in (born, born, fresh, fresh, raw, raw)] == [0.0, 0.0] + [1.0] * 4
