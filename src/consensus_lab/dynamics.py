@@ -106,9 +106,9 @@ def build_update_matrix(g: DirectedGraph, weight: float = 1.0) -> StochasticMatr
     where S_k is the total weight into k, summed over senders in ascending
     order: the arcs are read from the graph's cached `arc_arrays`, which
     are sorted by (receiver, sender).  A `WeightedDigraph` uses its own
-    weights (no update map reads them anywhere else); any other graph
-    gets `weight` (positive and finite, default 1) on every arc.  The
-    arc-free graph yields the identity.  Builds one triple per arc in
+    weight array, stored in that key order (no map reads weights elsewhere);
+    any other graph gets `weight` (positive and finite, default 1) on every
+    arc.  The arc-free graph yields the identity.  Builds one triple per arc in
     O(n + m) and allocates no n x n array.
 
     Stochastic by construction: `_valid_weight` makes every weight
@@ -121,11 +121,7 @@ def build_update_matrix(g: DirectedGraph, weight: float = 1.0) -> StochasticMatr
     weight = _valid_weight(weight)
     n = g.n
     src, dst = g.arc_arrays
-    if isinstance(g, WeightedDigraph):
-        pairs = zip(src.tolist(), dst.tolist())
-        w = np.fromiter((g.weights[(k + 1, l + 1)] for k, l in pairs), float, src.size)
-    else:
-        w = np.full(src.size, weight)
+    w = g._weights if isinstance(g, WeightedDigraph) else np.full(src.size, weight)
     denom = 1.0 + np.bincount(dst, w, minlength=n)
     k = int(np.argmax(denom))  # the first infinite 1 + S_k, if any
     if denom[k] == math.inf:

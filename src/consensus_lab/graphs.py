@@ -55,8 +55,8 @@ class DirectedGraph:
     Instances are immutable and hashable.  Arcs (k, l) are validated to
     have distinct endpoints inside 1..n.  The one stored form is `_keys`,
     the sorted, read-only intp array of the arcs' receiver-major keys
-    (l - 1) n + (k - 1); equality and the hash, computed once, read `n`
-    and the keys alone.  Everything else is derived from the keys:
+    (l - 1) n + (k - 1); equality and the hash, computed once, read `_form()`:
+    `n` and the key bytes alone.  Everything else is derived from the keys:
 
     * `arcs`, a frozenset of int pairs, built on each read and not kept;
     * `arc_arrays`, the 0-based (sender, receiver) numpy arrays in key
@@ -91,11 +91,15 @@ class DirectedGraph:
         vars(g).update(n=n, _keys=keys)
         return g
 
+    def _pairs(self) -> Iterable[Arc]:
+        """The arcs (k, l) in key order, built from the keys on each call."""
+        dst, src = np.divmod(self._keys, self.n)
+        return zip((src + 1).tolist(), (dst + 1).tolist())
+
     @property
     def arcs(self) -> frozenset[Arc]:
         """The arcs (k, l), built from the keys on each read."""
-        dst, src = np.divmod(self._keys, self.n)
-        return frozenset(zip((src + 1).tolist(), (dst + 1).tolist()))
+        return frozenset(self._pairs())
 
     @cached_property
     def arc_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -121,9 +125,12 @@ class DirectedGraph:
         out = np.sort(src * n + dst)
         return np.searchsorted(out, np.arange(0, n * n + 1, n)).tolist(), (out % n).tolist()
 
+    def _form(self) -> tuple:
+        return (self.n, self._keys.tobytes())
+
     @cached_property
     def _hash(self) -> int:
-        return hash((self.n, self._keys.tobytes()))
+        return hash(self._form())
 
     def __hash__(self) -> int:
         return self._hash
@@ -131,7 +138,7 @@ class DirectedGraph:
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return other is self or (self.n == other.n and np.array_equal(self._keys, other._keys))
+        return other is self or self._form() == other._form()
 
     def in_sources(self, k: int) -> NodeSet:
         """Nodes that send an arc into node k."""
@@ -157,8 +164,7 @@ def _valid_arcs(n: int, arcs: Iterable[Arc]) -> list[int]:
     """The sorted, distinct keys (l - 1) n + (k - 1) of the arcs, each a pair
     of ints with distinct endpoints in 1..n.  Raises for the first bad arc
     (a float endpoint raises TypeError, as in `range`), checking for a
-    self-loop before the node range, and for arcs on more nodes than keys
-    can number in an intp.
+    self-loop before the node range, then for any n past `_KEYED_NODES`.
     """
     keys = set()
     for k, l in arcs:
@@ -168,8 +174,8 @@ def _valid_arcs(n: int, arcs: Iterable[Arc]) -> list[int]:
         if not (1 <= k <= n and 1 <= l <= n):
             raise ValueError(f"arc ({k}, {l}) outside node range 1..{n}")
         keys.add((l - 1) * n + k - 1)
-    if keys and n > _KEYED_NODES:
-        raise ValueError(f"a graph with arcs has at most {_KEYED_NODES} nodes, got n={n}")
+    if n > _KEYED_NODES:
+        raise ValueError(f"a graph has at most {_KEYED_NODES} nodes, got n={n}")
     return sorted(keys)
 
 
@@ -205,9 +211,10 @@ def _node_index(g: DirectedGraph, k: int) -> int:
 class WeightedDigraph(DirectedGraph):
     """Directed graph with a positive weight on every arc.
 
-    It is the `DirectedGraph` on the arcs of `graph`, so every query,
-    adjacency view, update map and schedule takes it as it is; only the
-    update matrix, `relabel` and the text format read the weights.
+    It is the `DirectedGraph` on the arcs of `graph`, sharing its keys, so
+    every query, adjacency view, update map and schedule takes it as it
+    is; only the update matrix, `relabel` and the text format read the
+    weights, stored once as `_weights`, a read-only float array in key order.
 
     `bounds = (e_min, e_max)` declares the admissible weight range,
     0 < e_min <= e_max; every weight must lie inside it.  When bounds are
@@ -215,13 +222,10 @@ class WeightedDigraph(DirectedGraph):
     (1, 1) for an arc-free graph).
 
     A weighted graph equals only a weighted graph with the same arcs,
-    weights and bounds, never its unweighted `graph`.  The hash is
-    computed once, into `_hash`, since `LinearAverage` hashes the graph on
-    every step.
+    weights and bounds (its `_form`), never its unweighted `graph`.
     """
 
-    graph: DirectedGraph
-    weights: Mapping[Arc, float]
+    _weights: np.ndarray
     bounds: tuple[float, float]
 
     def __init__(
@@ -231,7 +235,8 @@ class WeightedDigraph(DirectedGraph):
         bounds: Optional[tuple[float, float]] = None,
     ):
         wmap = {(index(k), index(l)): float(w) for (k, l), w in weights.items()}
-        given, arcs = set(wmap), graph.arcs
+        in_order = list(graph._pairs())
+        given, arcs = set(wmap), set(in_order)
         if given != arcs:
             missing, extra = arcs - given, given - arcs
             parts = []
@@ -252,19 +257,17 @@ class WeightedDigraph(DirectedGraph):
                 raise ValueError(
                     f"weight {w} for arc {arc} outside declared bounds [{e_min}, {e_max}]"
                 )
-        bounds = (e_min, e_max)
-        vars(self).update(  # once, past the frozen __setattr__
-            n=graph.n, _keys=graph._keys, graph=graph, weights=MappingProxyType(wmap),
-            bounds=bounds, _hash=hash((graph, frozenset(wmap.items()), bounds)),
-        )
+        w = np.array([wmap[arc] for arc in in_order], dtype=float)
+        w.flags.writeable = False
+        vars(self).update(n=graph.n, _keys=graph._keys, _weights=w, bounds=(e_min, e_max))
 
-    def __hash__(self) -> int:
-        return self._hash
+    @property
+    def weights(self) -> Mapping[Arc, float]:
+        """The read-only arc weights, built from `_weights` on each read."""
+        return MappingProxyType(dict(zip(self._pairs(), self._weights.tolist())))
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.graph, self.weights, self.bounds) == (other.graph, other.weights, other.bounds)
+    def _form(self) -> tuple:
+        return super()._form() + (self._weights.tobytes(), self.bounds)
 
     def __repr__(self) -> str:
         return (
@@ -274,12 +277,12 @@ class WeightedDigraph(DirectedGraph):
 
 
 def as_directed(g: DirectedGraph) -> DirectedGraph:
-    """The unweighted graph on g's arcs: `g.graph` for a weighted graph, else g.
+    """The unweighted graph on g's arcs: g, or one sharing a weighted g's keys.
 
     No query needs it, since a weighted graph is a `DirectedGraph`; it is
     kept for callers outside the package that want the unweighted graph.
     """
-    return g.graph if isinstance(g, WeightedDigraph) else g
+    return DirectedGraph._own(g.n, g._keys) if isinstance(g, WeightedDigraph) else g
 
 
 @dataclass(frozen=True)
@@ -540,6 +543,7 @@ def parse_graph_text(
                 if not m:
                     raise ValueError(f"expected 'n=<count>' first, got {raw.strip()!r}")
                 n = _valid_count(int(m.group(1)), 1, "node count")
+                _valid_arcs(n, ())  # the node cap, named on this line
                 continue
             if fields[0] != "arc" or len(fields) not in (3, 4):
                 raise ValueError(f"expected 'arc <from> <to> [<weight>]', got {raw.strip()!r}")

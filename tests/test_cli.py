@@ -196,6 +196,17 @@ def test_matrix_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_connectivity_names_the_line_of_a_node_count_past_the_cap(tmp_path, capsys):
+    # an arc-free graph is capped too: its node count is refused on its line,
+    # before any O(n) view is built
+    path = tmp_path / "g.graph"
+    path.write_text(f"n={2**63}\n")
+    assert main(["connectivity", "--graph", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line 1: a graph has at most 3037000499 nodes, got n={2**63}\n"
+
+
 # ---------------------------------------------------------------------------
 # connectivity
 

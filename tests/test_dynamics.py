@@ -32,6 +32,7 @@ from consensus_lab import (
 )
 from consensus_lab import dynamics
 from consensus_lab.dynamics import GAIN_LIBRARY, UpdateMap
+from consensus_lab.graphs import as_directed
 from consensus_lab.simulator import iter_spans
 
 WORKED_GRAPH = WeightedDigraph(
@@ -185,8 +186,8 @@ def test_update_matrix_and_linear_step_match_python_reference():
         g = _random_weighted_graph(rng, n)
         M = build_update_matrix(g)
         A = M.entries.tolist()
-        for k in g.graph.nodes:
-            senders = sorted(g.graph.in_sources(k))
+        for k in g.nodes:
+            senders = sorted(g.in_sources(k))
             s = 0.0
             for i in senders:
                 s += g.weights[(i, k)]
@@ -197,10 +198,10 @@ def test_update_matrix_and_linear_step_match_python_reference():
             pts = rng.uniform(-10.0, 10.0, (n, d))
             out = linear_step(M, AgentState(pts)).points.tolist()
             x = pts.tolist()
-            for k in g.graph.nodes:
+            for k in g.nodes:
                 for j in range(d):
                     acc = 0.0
-                    for i in sorted(g.graph.in_sources(k)):
+                    for i in sorted(g.in_sources(k)):
                         acc += A[k - 1][i - 1] * (x[i - 1][j] - x[k - 1][j])
                     assert out[k - 1][j] == x[k - 1][j] + acc
 
@@ -230,7 +231,7 @@ def test_update_matrix_drops_entries_that_round_to_zero():
 
 def test_update_matrix_arc_weight_matches_unit_weighted_graph():
     rng = np.random.default_rng(8)
-    graphs = [DirectedGraph(3)] + [_random_weighted_graph(rng, n).graph for n in (2, 5, 12)]
+    graphs = [DirectedGraph(3)] + [as_directed(_random_weighted_graph(rng, n)) for n in (2, 5, 12)]
     for g in graphs:
         for w in (1.0, 0.25, 3.0, 1e-3, 1e6, 5e-324):
             direct = build_update_matrix(g, w)
@@ -387,7 +388,7 @@ def test_kuramoto_matches_dense_reference():
         g = _random_weighted_graph(rng, n)
         x = rng.uniform(-3.0, 3.0, n)
         out = update.step(0, g, AgentState(x)).values
-        ref = _dense_kuramoto_reference(g.graph, x, 10)
+        ref = _dense_kuramoto_reference(g, x, 10)
         if n <= 7:
             assert np.array_equal(out, ref)
         else:

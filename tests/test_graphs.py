@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -224,7 +225,7 @@ def test_weighted_digraph_is_the_graph_of_its_arcs():
         weighted.append(wg)
         assert isinstance(wg, DirectedGraph)
         assert (wg.n, wg.arcs) == (g.n, g.arcs)
-        assert wg != wg.graph and wg.graph != wg
+        assert wg != g and g != wg and as_directed(wg) == g
         again = WeightedDigraph(DirectedGraph(g.n, list(g.arcs)), dict(wg.weights))
         assert again == wg and hash(again) == hash(wg)
         assert all(np.array_equal(x, y) for x, y in zip(wg.arc_arrays, g.arc_arrays))
@@ -243,14 +244,14 @@ def test_weighted_digraph_is_the_graph_of_its_arcs():
         a = rng.randint(0, 5)
         interval = IntervalSpec(a, a + rng.randint(0, 5))
         union = union_across(PeriodicSchedule(members), interval)
-        plain = union_across(PeriodicSchedule([wg.graph for wg in members]), interval)
+        plain = union_across(PeriodicSchedule([as_directed(wg) for wg in members]), interval)
         assert (union.n, union.arcs) == (plain.n, plain.arcs)
     # A weighted graph and its unweighted graph are two cache keys.
     wg = WeightedDigraph(DirectedGraph(2, {(1, 2)}), {(1, 2): 3.0})
     avg, x = LinearAverage(), AgentState([0.0, 1.0])
     assert avg.step(0, wg, x).values.tolist() == [0.0, 0.25]
-    assert avg.step(0, wg.graph, x).values.tolist() == [0.0, 0.5]
-    assert avg.matrix_for(wg) is not avg.matrix_for(wg.graph)
+    assert avg.step(0, as_directed(wg), x).values.tolist() == [0.0, 0.5]
+    assert avg.matrix_for(wg) is not avg.matrix_for(as_directed(wg))
 
 
 def test_searches_agree_with_oracle_and_definition():
@@ -473,10 +474,31 @@ def test_relabel_carries_each_weight_and_the_bounds_with_the_arc():
     assert relabel(h, inverse) == g
 
 
+def test_weighted_digraph_stores_its_weights_once_in_key_order():
+    # no second graph and no arc-keyed dict: the graph's own key array and
+    # one read-only weight array in key order, whatever the mapping's order
+    g = DirectedGraph(3, {(1, 2), (3, 1), (2, 3), (2, 1)})
+    wg = WeightedDigraph(g, {(2, 3): 4.0, (1, 2): 0.5, (3, 1): 2.0, (2, 1): 1.5})
+    assert set(vars(wg)) == {"n", "_keys", "_weights", "bounds"}
+    assert not any(isinstance(v, (Mapping, DirectedGraph)) for v in vars(wg).values())
+    assert wg._keys is g._keys
+    src, dst = g.arc_arrays
+    assert list(zip((src + 1).tolist(), (dst + 1).tolist())) == [(2, 1), (3, 1), (1, 2), (2, 3)]
+    assert wg._weights.dtype == float and wg._weights.tolist() == [1.5, 2.0, 0.5, 4.0]
+    with pytest.raises(ValueError):
+        wg._weights[0] = 1.0
+    assert dict(wg.weights) == {(2, 3): 4.0, (1, 2): 0.5, (3, 1): 2.0, (2, 1): 1.5}
+    with pytest.raises(TypeError):
+        wg.weights[(2, 3)] = 1.0
+    assert WeightedDigraph(DirectedGraph(2), {})._weights.tolist() == []
+
+
 def test_as_directed_returns_the_unweighted_graph():
     base = DirectedGraph(2, {(1, 2)})
     wg = WeightedDigraph(base, {(1, 2): 3.0})
-    assert as_directed(wg) is wg.graph
+    plain = as_directed(wg)
+    assert plain.__class__ is DirectedGraph and plain == base and hash(plain) == hash(base)
+    assert plain._keys is wg._keys is base._keys
     assert as_directed(base) is base
 
 
@@ -754,7 +776,7 @@ def test_views_equality_and_hash_match_the_tuple_reference_up_to_60_nodes():
     assert DirectedGraph(n + 1, arcs) != g
     # a weighted graph never equals an unweighted one on the same arcs
     wg = WeightedDigraph(g, dict.fromkeys(arcs, 1.0))
-    assert wg != g and g != wg and wg.graph == g
+    assert wg != g and g != wg and as_directed(wg) == g
 
 
 def test_union_equals_and_hashes_like_the_graph_built_from_its_arcs():
@@ -789,13 +811,18 @@ def test_thousand_node_table_union_equals_the_frozenset_union():
 
 
 def test_arcs_on_more_nodes_than_keys_can_number_are_refused():
-    # a key (l - 1) n + (k - 1) must be an intp: past isqrt(intp max) nodes an
-    # arc fails the arc rule, in the parser with its line; an arc-free graph
-    # of any size is still made
+    # a key (l - 1) n + (k - 1) must be an intp: past isqrt(intp max) nodes a
+    # graph fails the arc rule, with or without arcs, in the parser on its
+    # n line; only refused sizes are built here, since a query on an
+    # arc-free graph near the cap allocates O(n)
     cap = math.isqrt(np.iinfo(np.intp).max)
     assert DirectedGraph(cap, {(1, cap)}).arcs == {(1, cap)}
-    with pytest.raises(ValueError, match=f"^a graph with arcs has at most {cap} nodes, got n={cap + 1}$"):
+    with pytest.raises(ValueError, match=f"^a graph has at most {cap} nodes, got n={cap + 1}$"):
         DirectedGraph(cap + 1, {(1, 2)})
-    with pytest.raises(GraphFormatError, match="^line 2: a graph with arcs has at most"):
+    with pytest.raises(GraphFormatError, match="^line 1: a graph has at most"):
         parse_graph_text(f"n={cap + 1}\narc 1 2\n")
-    assert DirectedGraph(cap + 1).n == cap + 1
+    with pytest.raises(GraphFormatError, match=f"^line 2: a graph has at most {cap} nodes, got n={2**63}$"):
+        parse_graph_text(f"# no arcs\nn={2**63}\n")
+    for n in (cap + 1, 2**63):
+        with pytest.raises(ValueError, match=f"^a graph has at most {cap} nodes, got n={n}$"):
+            DirectedGraph(n)
