@@ -508,7 +508,7 @@ def main(argv=None) -> int:
             os.dup2(devnull, fd)
             os.close(devnull)
         return 141  # 128 + SIGPIPE
-    except (CliError, ValueError, OSError) as e:
+    except (CliError, ValueError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -496,9 +496,11 @@ class VicsekHeading(UpdateMap):
     arctangent branch so they stay in the same interval.  The angle is
     computed relative to each agent's own heading (the circular mean is
     rotation invariant), so a neighborhood at a common heading keeps that
-    heading bit-exactly.  The sines and cosines are summed over the agent
-    itself, then its senders in ascending order, read from the graph's
-    cached in-adjacency.
+    heading bit-exactly.  The sines and cosines of the agent, then of its
+    senders in ascending order (the graph's cached in-adjacency), are
+    summed by `np.sum`: left to right below 8 terms, else in numpy's
+    pairwise order (8 interleaved partial sums from 8 terms on, in-degree
+    7 or more), which can differ from the left-to-right sum in the last bit.
     """
 
     name = "vicsek"

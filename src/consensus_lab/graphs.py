@@ -202,6 +202,8 @@ def _valid_count(value: int, least: int, what: str) -> int:
 
 
 def _node_index(g: DirectedGraph, k: int) -> int:
+    """Node label k in 1..n as a 0-based index; a float raises as in `range`."""
+    k = index(k)
     if not (1 <= k <= g.n):
         raise ValueError(f"node {k} outside 1..{g.n}")
     return k - 1
@@ -326,7 +328,7 @@ def neighbors(g: DirectedGraph, L: Iterable[int]) -> NodeSet:
     This is the information-theoretic neighbor set: members of the result
     influence L directly, in one step.  The empty set has no neighbors.
     """
-    s = {_node_index(g, index(k)) for k in L}
+    s = {_node_index(g, k) for k in L}
     in_ptr, src = g._in_csr
     senders: set[int] = set()
     for l in s:

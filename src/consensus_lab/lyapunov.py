@@ -259,6 +259,9 @@ def _hull_vertices_2d(pts: np.ndarray) -> list:
     return verts
 
 
+_DIAMETER_BLOCK = 1 << 20
+
+
 class HullPolytope:
     """Convex hull snapshot: an interval (d=1) or CCW polygon (d=2).
 
@@ -270,10 +273,7 @@ class HullPolytope:
     and `point_distance` read of it; the hull of a scalar state is made
     from these two floats alone and builds its `vertices` on first access.
 
-    The hull keeps its diameter in `_diameter`: an interval's `hi - lo`
-    from when it is made, a polygon's from the first `diameter` call (None
-    until then), so a hull used only for containment never pays the
-    vertex-pair scan.  `diameter` and `disagreement` read it.
+    The hull is made with its diameter, which it keeps in `_diameter`.
 
     `hull()` is the one constructor: `HullPolytope(...)` raises TypeError.
     """
@@ -293,13 +293,22 @@ class HullPolytope:
         return h
 
     @classmethod
-    def _polygon(cls, vertices: list) -> "HullPolytope":
-        """The planar hull on the vertices that `_hull_vertices_2d` lists."""
+    def _polygon(cls, v: np.ndarray, magnitude: float) -> "HullPolytope":
+        """The planar hull on the (m, 2) vertices `v` that `_hull_vertices_2d`
+        lists, whose largest coordinate magnitude is `magnitude`, and its
+        diameter: the largest `np.hypot` over all vertex pairs, taken in
+        blocks of rows so no temporary exceeds about a million entries."""
         h = cls.__new__(cls)
-        h._vertices = v = np.array(vertices, dtype=float)
         v.flags.writeable = False
-        h.d, h.vertex_count, h.lo, h.hi, h._diameter = 2, v.shape[0], None, None, None
-        h.magnitude = float(np.abs(v).max())
+        m = v.shape[0]
+        h.d, h.vertex_count, h.lo, h.hi, h.magnitude, h._vertices = 2, m, None, None, magnitude, v
+        x, y = v[:, 0], v[:, 1]
+        rows = max(1, _DIAMETER_BLOCK // m)
+        with np.errstate(over="ignore"):
+            h._diameter = max(
+                float(np.hypot(x[i : i + rows, None] - x, y[i : i + rows, None] - y).max())
+                for i in range(0, m, rows)
+            )
         return h
 
     @property
@@ -332,15 +341,17 @@ def hull(x) -> HullPolytope:
 def _hull_of(pts: np.ndarray) -> HullPolytope:
     if pts.shape[1] == 1:
         return HullPolytope._interval(float(pts.min()), float(pts.max()))
-    h = HullPolytope._polygon(_hull_vertices_2d(pts))
+    v = np.array(_hull_vertices_2d(pts), dtype=float)
+    magnitude = float(np.abs(v).max())
     # the vertices keep the input's largest magnitude; out of the frame, hull
     # the points scaled into it and map the vertices back to input points
-    shift = _frame_shift(h.magnitude)
+    shift = _frame_shift(magnitude)
     if shift:
         q = np.ldexp(pts, shift)
         originals = dict(zip(map(tuple, q.tolist()), pts.tolist()))
-        h = HullPolytope._polygon([originals[v] for v in _hull_vertices_2d(q)])
-    return h
+        v = np.array([originals[u] for u in _hull_vertices_2d(q)], dtype=float)
+        magnitude = float(np.abs(v).max())
+    return HullPolytope._polygon(v, magnitude)
 
 
 def _framed(h: HullPolytope, pts: np.ndarray, magnitude: float):
@@ -444,28 +455,13 @@ def _segment_offsets(h: HullPolytope, point: np.ndarray) -> tuple[float, float, 
     return math.ldexp(float(perp[0, 0]), -shift), s * length, (1.0 - s) * length
 
 
-_DIAMETER_BLOCK = 1 << 20
-
-
 def diameter(h: HullPolytope) -> float:
-    """Largest distance between two hull vertices (0 for a point): the
-    value the hull keeps.
-
-    An interval's is `hi - lo`, kept since it was made.  A polygon's is
-    the largest `np.hypot` over all vertex pairs, taken in blocks of rows
-    so no temporary exceeds about a million entries, on the first call;
-    later calls return the kept value.  An overflow is a quiet `inf`.
+    """Largest distance between two hull vertices (0 for a point), which
+    the hull keeps from when it is made: an interval's `hi - lo`, a
+    polygon's largest `np.hypot` over all vertex pairs (`_polygon`), where
+    an overflow is a quiet `inf`.  So a caller who builds a large planar
+    hull only to test containment pays that O(m^2) scan too.
     """
-    if h._diameter is None:
-        v = h.vertices
-        m = v.shape[0]
-        x, y = v[:, 0], v[:, 1]
-        rows = max(1, _DIAMETER_BLOCK // m)
-        with np.errstate(over="ignore"):
-            h._diameter = max(
-                float(np.hypot(x[i : i + rows, None] - x, y[i : i + rows, None] - y).max())
-                for i in range(0, m, rows)
-            )
     return h._diameter
 
 
@@ -473,15 +469,11 @@ def disagreement(state) -> float:
     """Hull diameter of the agent positions: 0 exactly at consensus.
 
     An `AgentState` is hulled once, so this reads the hull that the state
-    holds and that hull's kept diameter: it calls `hull` only for a state
-    that holds none or a raw array, and `diameter` only for a polygon whose
-    diameter no one has asked for yet.
+    holds and that hull's diameter: it calls `hull` only for a state that
+    holds none or a raw array.
     """
     h = state._hull if isinstance(state, AgentState) else None
-    if h is None:
-        h = hull(state)
-    d = h._diameter
-    return diameter(h) if d is None else d
+    return (hull(state) if h is None else h)._diameter
 
 
 class MonitorRecord(NamedTuple):

@@ -196,6 +196,31 @@ def test_matrix_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_an_input_too_large_to_allocate_exits_1_with_numpy_s_message(tmp_path, monkeypatch, capsys):
+    # n=1000000 is under the node cap, but the dense update matrix would take
+    # 7.28 TiB: the allocation is refused here, as numpy refuses it, unmade
+    path = tmp_path / "g.graph"
+    path.write_text("n=1000000\n")
+    message = (
+        "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)"
+        " and data type float64"
+    )
+    zeros, asked = np.zeros, []
+
+    def refuse_the_dense_matrix(shape, *args, **kwargs):
+        if shape == (10**6, 10**6):
+            asked.append(shape)
+            raise MemoryError(message)
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", refuse_the_dense_matrix)
+    assert main(["matrix", "--graph", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert asked == [(10**6, 10**6)]
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_connectivity_names_the_line_of_a_node_count_past_the_cap(tmp_path, capsys):
     # an arc-free graph is capped too: its node count is refused on its line,
     # before any O(n) view is built

@@ -347,6 +347,23 @@ def test_node_queries_reject_bad_labels():
             is_connected_from(g, k)
 
 
+def test_node_queries_take_labels_through_index():
+    # a float raises as in range(2.0), never an internal indexing error
+    g = DirectedGraph(3, {(1, 2), (2, 3)})
+    queries = {
+        "in_sources": g.in_sources,
+        "out_targets": g.out_targets,
+        "is_connected_from": lambda k: is_connected_from(g, k),
+        "neighbors": lambda k: neighbors(g, [k]),
+    }
+    for name, query in queries.items():
+        for k in (2.0, 1.0, 1.5):
+            with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+                query(k)
+        assert query(np.int64(2)) == query(2), name
+    assert g.in_sources(np.int64(2)) == {1} and g.out_targets(np.int64(2)) == {3}
+
+
 # ---------------------------------------------------------------------------
 # Neighbors
 

@@ -518,11 +518,55 @@ def test_a_polygon_keeps_the_diameter_of_the_blockwise_formula(monkeypatch):
         a = np.sort(rng.uniform(0.0, 2 * np.pi, m))
         h = hull(1e3 + np.c_[np.cos(a), np.sin(a)])
         assert h.vertex_count == m
-        assert h._diameter is None  # a polygon's is made on first use
+        assert type(h._diameter) is float  # made with the hull
         v = h.vertices
         full = np.hypot(v[:, None, 0] - v[:, 0], v[:, None, 1] - v[:, 1]).max()
         assert _bits(diameter(h)) == _bits(full) == _bits(h._diameter)
         assert diameter(h) is h._diameter  # the kept float, not a recomputation
+
+
+def _blockwise_diameter(v: np.ndarray, block: int) -> float:
+    """The largest vertex-pair `np.hypot` over blocks of block // m rows."""
+    m = v.shape[0]
+    rows = max(1, block // m)
+    return max(
+        float(np.hypot(v[i : i + rows, None, 0] - v[:, 0], v[i : i + rows, None, 1] - v[:, 1]).max())
+        for i in range(0, m, rows)
+    )
+
+
+@pytest.mark.parametrize("block", [280, lyapunov._DIAMETER_BLOCK])
+def test_a_planar_hull_holds_its_diameter_as_soon_as_it_is_built(monkeypatch, block):
+    # blocks of one row for m >= 141 at 280; one block at the default
+    monkeypatch.setattr(lyapunov, "_DIAMETER_BLOCK", block)
+    rng = np.random.default_rng(29)
+    for m in (1, 2, 3, 40, 97, 300):
+        a = np.sort(rng.uniform(0.0, 2 * np.pi, m))
+        h = lyapunov._hull_of(-5e2 + np.c_[np.cos(a), np.sin(a)])
+        assert h.vertex_count == m
+        assert _bits(h._diameter) == _bits(_blockwise_diameter(h.vertices, block))
+    st = AgentState(rng.normal(size=(500, 2)))  # prefiltered: fewer vertices than points
+    held = hull(st)._diameter
+    assert _bits(held) == _bits(_blockwise_diameter(hull(st).vertices, block))
+    assert disagreement(st) is held
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-200])
+def test_a_hull_out_of_the_frame_scans_only_the_polygon_it_returns(monkeypatch, scale):
+    pts = scale * np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.2], [1.0, 1.0], [0.0, 1.0]])
+    assert lyapunov._frame_shift(float(np.abs(pts).max()))  # hulled in a scaled frame
+    scans = []
+    hypot = np.hypot
+    monkeypatch.setattr(np, "hypot", lambda *a: scans.append(a) or hypot(*a))
+    st = AgentState(pts)
+    d = disagreement(st)
+    assert len(scans) == 1  # one block: the returned polygon's vertex pairs
+    v = hull(st).vertices
+    assert sorted(v.tolist()) == sorted(pts[[0, 1, 3, 4]].tolist())  # input points
+    assert scans[0][0].shape == (4, 4)
+    assert diameter(hull(st)) is d and len(scans) == 1
+    assert _bits(d) == _bits(_blockwise_diameter(v, lyapunov._DIAMETER_BLOCK))
+    assert d == pytest.approx(np.sqrt(2.0) * scale)
 
 
 def test_a_repeated_state_record_is_the_record_its_constructor_builds():
