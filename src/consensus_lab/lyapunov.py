@@ -122,12 +122,13 @@ _OCTAGON = 0.5 * np.array(
 )
 
 # Below this many points the prefilter's fixed numpy cost exceeds what it
-# saves the chain (measured crossover: 80-96 points for uniform square,
-# uniform disk and Gaussian clouds).
-_PREFILTER_MIN_POINTS = 96
+# saves the chain, and fewer left uncertified end its passes (measured
+# crossover: 48-56 points for uniform square, disk and Gaussian clouds; as
+# the stop threshold, 48, 64 and 96 tie within noise at 200-10^4 points).
+_PREFILTER_MIN_POINTS = 64
 
-# Quickhull rounds of the prefilter: each at most doubles the ring, so the
-# final ring has at most 8 * 2**_PREFILTER_ROUNDS points (see `_prefilter`).
+# Refinements of the prefilter's ring: each at most doubles it, so a pass
+# tests at most 8 * 2**_PREFILTER_ROUNDS edges (see `_prefilter`).
 _PREFILTER_ROUNDS = 3
 
 _EPS = float(np.finfo(float).eps)
@@ -141,18 +142,18 @@ def _prefilter(pts: np.ndarray) -> np.ndarray:
     Akl & Toussaint's prefilter, refined quickhull-style.  The ring starts
     as the input points extreme in the 8 `_OCTAGON` directions, in CCW
     order, without repeated consecutive points (a zero-length edge
-    certifies nothing).  Each of `_PREFILTER_ROUNDS` rounds puts after
-    every ring point o the point farthest right of the edge from o to its
-    successor, if one lies right of it.  Then every point left of every
-    edge of the ring by more than a rounding bound is dropped.  The rounds
-    never stop early and always test all m points, so a cloud whose first
-    ring is a sliver (a far outlier and a dense cluster) costs what a
-    round cloud does: only the ring's length, at most 64, varies.
+    certifies nothing).  Each pass is one matrix product of the ring's edge
+    rows with the points still uncertified, and certifies each point left
+    of every edge by more than a rounding bound B.  The passes end when
+    fewer than `_PREFILTER_MIN_POINTS` points are left, after
+    `_PREFILTER_ROUNDS` refinements, or when the ring cannot grow; else the
+    same product puts after every ring point o the point farthest right of
+    the edge from o to its successor, if one lies right of it.
 
     Any closed ring of input points certifies: a point strictly left of
     every edge sees the ring's vertices at strictly increasing angles all
     the way round, which no point outside their convex hull does, so it
-    lies in the open interior of the hull.
+    lies in the open interior of the hull, whatever ring a later pass uses.
 
     The test evaluates n . q - t per edge as one matrix product, with
     e = a - o the rounded edge vector, n = (-ey, ex), q = p - c the point
@@ -162,10 +163,13 @@ def _prefilter(pts: np.ndarray) -> np.ndarray:
     1, n . q_o 1, adding B 1/2, and the three-term product 3, so the
     value is within 6 units of det - B, det = (a - o) x (p - o) exactly.
     With B = 12 units plus the smallest normal float (which covers
-    products that underflow), a dropped point has det over 6 units: its
+    products that underflow), a certified point has det over 6 units: its
     distance to every edge line is over 6 eps W, three times the 2.1 eps W
     by which the chain's own cross products can misplace a point, so the
-    filter removes nothing the chain could round onto the boundary.
+    filter removes nothing the chain could round onto the boundary.  A
+    grown point has a value below -2 B, so det < 6 units - B < 0: it lies
+    strictly right of its edge.  A ring vertex, det = 0 on its own edges,
+    is never certified.
     """
     picks = (_OCTAGON @ pts.T).argmax(axis=1)
     xmax, _, ymax, _, xmin, _, ymin, _ = picks.tolist()
@@ -178,18 +182,24 @@ def _prefilter(pts: np.ndarray) -> np.ndarray:
     q = np.empty((3, pts.shape[0]))  # columns (qx, qy, 1)
     np.subtract(pts.T, pts[xmin, :, None], out=q[:2])
     q[2] = 1.0
-    ring = _distinct(picks)
-    for _ in range(_PREFILTER_ROUNDS):
-        s = _edge_rows(pts, q, ring)[0] @ q
+    ring, cut = _distinct(picks), 12.0 * _EPS * span
+    live, q_live = np.arange(pts.shape[0]), q  # the points not yet certified
+    for rounds_left in range(_PREFILTER_ROUNDS, -1, -1):
+        rows, bound = _edge_rows(pts, q, ring, cut)
+        s = rows @ q_live
+        keep = np.flatnonzero(s.min(axis=0) <= 0.0)
+        if not rounds_left or keep.shape[0] < _PREFILTER_MIN_POINTS:
+            break
         far = s.argmin(axis=1)
-        right = s[np.arange(ring.shape[0]), far] < 0.0
+        grow = s[np.arange(ring.shape[0]), far] < -2.0 * bound
+        if not grow.any():  # the same ring would certify nothing more
+            break
         grown = np.empty(2 * ring.shape[0], dtype=ring.dtype)
         grown[0::2] = ring
-        grown[1::2] = np.where(right, far, ring)
+        grown[1::2] = np.where(grow, live[far], ring)
         ring = _distinct(grown)
-    rows, e = _edge_rows(pts, q, ring)
-    rows[:, 2] -= 12.0 * _EPS * span * np.abs(e).sum(axis=1) + _TINY
-    return pts[(rows @ q).min(axis=0) <= 0.0]
+        live, q_live = live[keep], q_live.take(keep, axis=1)
+    return pts[live[keep]]
 
 
 def _distinct(ring: np.ndarray) -> np.ndarray:
@@ -198,18 +208,20 @@ def _distinct(ring: np.ndarray) -> np.ndarray:
     return ring[ring != np.concatenate((ring[1:], ring[:1]))]
 
 
-def _edge_rows(pts: np.ndarray, q: np.ndarray, ring: np.ndarray):
-    """Rows (n, -n . q_o), n = (-ey, ex), for the ring's edges (o, a) with
-    e = a - o, so that rows @ q is det (a - o) x (p - o) evaluated at every
-    point; and e."""
+def _edge_rows(pts: np.ndarray, q: np.ndarray, ring: np.ndarray, cut: float):
+    """Rows (n, -n . q_o - B), n = (-ey, ex), for the ring's edges (o, a)
+    with e = a - o and B = cut (|ex| + |ey|) plus the smallest normal float,
+    so that rows @ q is det (a - o) x (p - o) - B evaluated at every point;
+    and B."""
     o = pts[ring]
     e = np.concatenate((o[1:], o[:1])) - o
     qo = q[:2, ring]
+    bound = cut * np.abs(e).sum(axis=1) + _TINY
     rows = np.empty((ring.shape[0], 3))
     rows[:, 0] = -e[:, 1]
     rows[:, 1] = e[:, 0]
-    rows[:, 2] = -(rows[:, 0] * qo[0] + rows[:, 1] * qo[1])
-    return rows, e
+    rows[:, 2] = -(rows[:, 0] * qo[0] + rows[:, 1] * qo[1]) - bound
+    return rows, bound
 
 
 _FRAME_LO, _FRAME_HI = -400, 500
@@ -236,7 +248,7 @@ def _hull_vertices_2d(pts: np.ndarray) -> list:
     lexicographically smallest vertex.
 
     Large inputs first go through an Akl-Toussaint prefilter: the input
-    points extreme in 8 directions, refined by quickhull rounds, form a
+    points extreme in 8 directions, refined by quickhull passes, form a
     ring inside the hull, and every point whose orientation determinant
     against each ring edge exceeds a stated rounding bound is dropped.
     Such a point lies in the open interior of the hull, more than the

@@ -140,7 +140,7 @@ class CounterexampleReport:
     rows: tuple[CounterexampleRow, ...]
     final_gap: float
     recursion_gap: float  # independent recursion value at p_max
-    limit_lower_bound: float  # rigorous floor on the limiting gap
+    limit_lower_bound: float  # exact v(p_max) (1 - 2^-p_max) rounded down: a floor on the limit
 
     @property
     def ok(self) -> bool:
@@ -200,8 +200,17 @@ def verify_counterexample(p_max: int = 64) -> CounterexampleReport:
         rows=tuple(rows),
         final_gap=final,
         recursion_gap=_gap_product(p_max),
-        limit_lower_bound=final * (1.0 - 2.0 ** (-p_max)),
+        limit_lower_bound=_limit_floor(p_max),
     )
+
+
+def _limit_floor(p: int) -> float:
+    """The largest float <= v(p) (1 - 2^-p) = N / 2^E, with N = (2^p - 1)
+    prod_{j=1..p} (2^j - 1) and E = p (p + 1) / 2 + p: a floor on the limit
+    v(p) prod_{j>p} (1 - 2^-j), as that product is at least 1 - 2^-p."""
+    n = math.prod(2**j - 1 for j in range(1, p + 1)) * (2**p - 1)
+    s = max(n.bit_length() - 53, 0)  # N's top 53 bits, truncated: rounded down
+    return math.ldexp(n >> s, s - p * (p + 1) // 2 - p)
 
 
 # ---------------------------------------------------------------------------

@@ -288,6 +288,8 @@ class ProbeSample:
     final_disagreement: float
     max_excursion: float
     consensus_time: Optional[int]
+    violations: int  # records not contained in the previous hull
+    records: int  # monitor records folded, one per span
 
 
 @dataclass(frozen=True)
@@ -338,8 +340,9 @@ def attractivity_probe(
     Each sample starts uniformly in the ball of the given radius around
     `center` (in the flattened state space).  Its run is `simulate`'s
     monitored run, cut after its first record below `tol`; its `summarize`
-    gives the consensus time (converged), the final disagreement and the
-    peak (`max_excursion`).  An unconverged run is diverged only when
+    gives the consensus time (converged), the final disagreement, the
+    peak (`max_excursion`), the monitor's `violations` and its `records`
+    count.  An unconverged run is diverged only when
     nothing can move it again: the graph at its last span's start is
     arc-free and the schedule's `next_change` there is None, so its state
     holds forever; any other is undetermined.  The radius must keep each
@@ -371,8 +374,8 @@ def attractivity_probe(
         if run.consensus_time is None:
             held = not schedule.graph_at(t)._keys.size and schedule.next_change(t) is None
             status = "diverged" if held else "undetermined"
-        out.append(ProbeSample(i, status, final_disagreement=run.final.diameter,
-                               max_excursion=run.peak, consensus_time=run.consensus_time))
+        out.append(ProbeSample(i, status, run.final.diameter, run.peak, run.consensus_time,
+                               run.violations, run.records))
     return ProbeReport(
         schedule_name=schedule.name,
         map_name=update_map.name,

@@ -159,10 +159,10 @@ def _hull_corpus():
     yield "sub-ulp-inside-edge", np.vstack(
         [_SUB_ULP_INSIDE, np.repeat([[1184.19, 60.99]], pad, axis=0)]
     )
-    # uniform clouds around the prefilter's size
+    # uniform clouds around 96 points and around the prefilter's size
     rng = np.random.default_rng(7)
     size = lyapunov._PREFILTER_MIN_POINTS
-    for n in (size - 1, size, size + 1):
+    for n in (95, 96, 97, size - 1, size, size + 1):
         yield f"uniform-{n}", rng.uniform(-1.0, 1.0, (n, 2))
 
 
@@ -184,6 +184,80 @@ def test_prefilter_skips_repeated_picks():
     inside = u[u.sum(axis=1) < 1.0]
     pts = np.vstack([[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], inside])
     assert len(lyapunov._prefilter(pts)) < len(pts) // 10
+
+
+def _prefilter_passes(monkeypatch, points) -> list:
+    """The ring of each pass the prefilter makes over `points`, as points."""
+    rings = []
+    edge_rows = lyapunov._edge_rows
+
+    def counted(pts, q, ring, cut):
+        rings.append(pts[ring])
+        return edge_rows(pts, q, ring, cut)
+
+    with monkeypatch.context() as m:
+        m.setattr(lyapunov, "_edge_rows", counted)
+        lyapunov._prefilter(points)
+    return rings
+
+
+def _disk(rng, m):
+    """m points uniform in the unit disk."""
+    angle, radius = rng.uniform(0.0, 2 * np.pi, m), np.sqrt(rng.uniform(0.0, 1.0, m))
+    return np.c_[radius * np.cos(angle), radius * np.sin(angle)]
+
+
+def test_prefilter_passes_stop_once_few_points_are_left(monkeypatch):
+    rng = np.random.default_rng(36)
+    disk, t = _disk(rng, 1000), rng.uniform(-1.0, 1.0, 1000)
+    # the octagon leaves a few dozen of a Gaussian's points uncertified, and
+    # about a tenth (1 - 2 sqrt(2) / pi) of a disk's
+    assert len(_prefilter_passes(monkeypatch, rng.normal(size=(1000, 2)))) == 1
+    assert len(_prefilter_passes(monkeypatch, _HULL_CORPUS["cluster-outliers-3"])) == 1
+    assert len(_prefilter_passes(monkeypatch, disk)) == 2
+    # each ring point is extreme in some direction, so it is a hull vertex,
+    # on later passes too, which read only the points still uncertified
+    big_disk = _disk(rng, 10**4)
+    rings = _prefilter_passes(monkeypatch, big_disk)
+    vertices = set(map(tuple, _reference_hull(big_disk).tolist()))
+    assert len(rings) == 4 and {tuple(p) for r in rings for p in r.tolist()} <= vertices
+    # slivers refine: the first ring of a near-collinear cloud has two points
+    near_collinear = np.c_[t, 0.5 * t + 1e-12 * rng.normal(size=1000)]
+    assert len(_prefilter_passes(monkeypatch, near_collinear)[0]) == 2
+    assert len(_prefilter_passes(monkeypatch, near_collinear)) > 1
+    assert len(_prefilter_passes(monkeypatch, _HULL_CORPUS["cluster-outliers-1"])) > 1
+    # a ring that cannot grow ends the passes: no grid point lies outside it
+    assert len(_prefilter_passes(monkeypatch, _HULL_CORPUS["grid-400"])) == 1
+    for name, points in _HULL_CORPUS.items():
+        assert len(_prefilter_passes(monkeypatch, points)) <= lyapunov._PREFILTER_ROUNDS + 1, name
+
+
+def _sliver(kind, n, seed, size):
+    """n points of a thin rotated segment of width `size`, a tight cluster of
+    radius `size` with 1-3 far outliers, or two far clusters of that radius."""
+    rng = np.random.default_rng(seed)
+    if kind == "segment":
+        a = rng.uniform(0.0, np.pi)
+        t, w = rng.uniform(-1.0, 1.0, n), size * rng.uniform(-1.0, 1.0, n)
+        return np.c_[t * np.cos(a) - w * np.sin(a), t * np.sin(a) + w * np.cos(a)]
+    if kind == "outliers":
+        k = int(rng.integers(1, 4))
+        cluster = rng.uniform(-5.0, 5.0, 2) + size * rng.normal(size=(n - k, 2))
+        return np.vstack([cluster, rng.uniform(-1e3, 1e3, (k, 2))])
+    centers = rng.uniform(-1e3, 1e3, (2, 2))
+    return centers[rng.integers(0, 2, n)] + size * rng.normal(size=(n, 2))
+
+
+@given(
+    st.sampled_from(["segment", "outliers", "two-clusters"]),
+    st.integers(96, 1500),
+    st.integers(0, 2**32 - 1),
+    st.integers(-15, -2),
+)
+@settings(max_examples=60, deadline=None)
+def test_prefiltered_slivers_keep_the_unfiltered_vertices(kind, n, seed, exponent):
+    points = _sliver(kind, n, seed, 10.0**exponent)
+    assert np.array_equal(hull(points).vertices, _reference_hull(points))
 
 
 @given(

@@ -3,6 +3,7 @@ schedules, and the stretching bidirectional schedule."""
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -191,6 +192,17 @@ def test_verification_flags_bad_rows():
     )
     assert not tampered.ok
     assert tampered.first_failure == 4
+
+
+@pytest.mark.parametrize("p_max", [2, 52, 53, 64])
+def test_limit_lower_bound_is_the_float_floor_of_the_exact_value(p_max):
+    # v(p) (1 - 2^-p) exactly: the float gaps drift above v(p), so a floor
+    # taken from the last gap need not be one
+    exact = Fraction(2**p_max - 1, 2**p_max)
+    for j in range(1, p_max + 1):
+        exact *= Fraction(2**j - 1, 2**j)
+    floor = verify_counterexample(p_max).limit_lower_bound
+    assert Fraction(floor) <= exact < Fraction(math.nextafter(floor, 1.0))
 
 
 def test_verification_rejects_small_pmax():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -668,7 +669,8 @@ def test_probe_calls_a_sample_diverged_only_when_nothing_can_move_it(schedule, c
 def _probe_by_the_span_loop(schedule, update_map, center, radius, samples, horizon, tol, seed,
                             t0):
     """The probe's own fold over spans, as it stood before each sample became
-    a `summarize` of its monitored run: a reference for the merged fold."""
+    a `summarize` of its monitored run: a reference for the merged fold,
+    as tuples of the five fields a sample had then."""
     c = AgentState(center)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(samples)]
     out = []
@@ -691,7 +693,7 @@ def _probe_by_the_span_loop(schedule, update_map, center, radius, samples, horiz
         else:
             if not schedule.graph_at(t)._keys.size and schedule.next_change(t) is None:
                 status = "diverged"
-        out.append(simulator.ProbeSample(i, status, d_now, max_exc, consensus_time))
+        out.append((i, status, d_now, max_exc, consensus_time))
     return out
 
 
@@ -713,9 +715,9 @@ def test_probe_samples_equal_the_span_loop_bit_for_bit(schedule, make_map, cente
     kwargs = dict(radius=radius, samples=4, horizon=50, tol=tol, seed=7, t0=t0)
     got = attractivity_probe(schedule, make_map(), center, **kwargs).samples
     ref = _probe_by_the_span_loop(schedule, make_map(), center, **kwargs)
-    assert [s.status for s in ref] == [want] * 4
+    assert [s[1] for s in ref] == [want] * 4
     # repr tells every float apart bit for bit, -0.0 from 0.0 too
-    assert list(map(repr, got)) == list(map(repr, ref))
+    assert [repr(astuple(s)[:5]) for s in got] == list(map(repr, ref))
     if t0 is not None:
         assert all(s.consensus_time == t0 for s in got)
 
@@ -756,9 +758,24 @@ def test_probe_json_shape():
     assert d["samples"] == 2
     assert d["schedule"] == "periodic" and d["map"] == "linear"
     assert len(d["per_sample"]) == 2
-    assert {"index", "status", "final_disagreement", "max_excursion", "consensus_time"} <= set(
-        d["per_sample"][0]
-    )
+    assert {"index", "status", "final_disagreement", "max_excursion", "consensus_time",
+            "violations", "records"} <= set(d["per_sample"][0])
+
+
+@pytest.mark.parametrize("make_map, escapes", [(MaxUpdate, True), (LinearAverage, False)])
+def test_probe_samples_report_what_their_monitor_found(make_map, escapes):
+    # on the 2-cycle the coordinate-wise max of (0, 1) and (1, 0) is (1, 1),
+    # outside their hull; averaging stays inside it
+    rep = attractivity_probe(PeriodicSchedule([PAIR]), make_map(), [[0.0, 1.0], [1.0, 0.0]],
+                             radius=0.1, samples=3, horizon=20, tol=1e-9, seed=2)
+    # one step takes both agents to one point: the start and that point
+    assert [(s.status, s.violations, s.records) for s in rep.samples] == [
+        ("converged", int(escapes), 2)
+    ] * 3
+    per_sample = rep.to_json_dict()["per_sample"]
+    assert [(d["violations"], d["records"]) for d in per_sample] == [
+        (s.violations, s.records) for s in rep.samples
+    ]
 
 
 def test_probe_validation():
