@@ -136,12 +136,13 @@ _TINY = float(np.finfo(float).tiny)
 _MAX = float(np.finfo(float).max)
 
 
-def _prefilter(pts: np.ndarray) -> np.ndarray:
-    """The points not certified strictly inside a ring of input points.
+def _prefilter(pts: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """The rows of the (m, 2) points `pts`, in their frame (`_frame_shift`),
+    not certified strictly inside a ring of input points, in input order.
 
     Akl & Toussaint's prefilter, refined quickhull-style.  The ring starts
-    as the input points extreme in the 8 `_OCTAGON` directions, in CCW
-    order, without repeated consecutive points (a zero-length edge
+    as the `picks`, the input rows extreme in the 8 `_OCTAGON` directions,
+    in CCW order, without repeated consecutive points (a zero-length edge
     certifies nothing).  Each pass is one matrix product of the ring's edge
     rows with the points still uncertified, and certifies each point left
     of every edge by more than a rounding bound B.  The passes end when
@@ -171,14 +172,13 @@ def _prefilter(pts: np.ndarray) -> np.ndarray:
     strictly right of its edge.  A ring vertex, det = 0 on its own edges,
     is never certified.
     """
-    picks = (_OCTAGON @ pts.T).argmax(axis=1)
     xmax, _, ymax, _, xmin, _, ymin, _ = picks.tolist()
     span = max(pts.item(xmax, 0) - pts.item(xmin, 0), pts.item(ymax, 1) - pts.item(ymin, 1))
-    # 4 W^2 bounds every term: finite means no product overflows, and
-    # positive that the points do not all coincide (in Python floats, which
-    # over- and underflow silently, as the chain's do)
-    if not 0.0 < 4.0 * span * span < math.inf:
-        return pts
+    # 4 W^2 bounds every term, and the frame keeps it finite; positive means
+    # the points neither coincide nor lie too close for products of their
+    # differences (in Python floats, which underflow silently, as the chain's do)
+    if not 0.0 < 4.0 * span * span:
+        return np.arange(pts.shape[0])
     q = np.empty((3, pts.shape[0]))  # columns (qx, qy, 1)
     np.subtract(pts.T, pts[xmin, :, None], out=q[:2])
     q[2] = 1.0
@@ -199,7 +199,7 @@ def _prefilter(pts: np.ndarray) -> np.ndarray:
         grown[1::2] = np.where(grow, live[far], ring)
         ring = _distinct(grown)
         live, q_live = live[keep], q_live.take(keep, axis=1)
-    return pts[live[keep]]
+    return live[keep]
 
 
 def _distinct(ring: np.ndarray) -> np.ndarray:
@@ -245,18 +245,9 @@ def _hull_vertices_2d(pts: np.ndarray) -> list:
     double cross product directly.  Collinear boundary points are dropped,
     so the vertex list is minimal: one point for a coincident set, two for
     a collinear set, otherwise a simple CCW polygon starting from the
-    lexicographically smallest vertex.
-
-    Large inputs first go through an Akl-Toussaint prefilter: the input
-    points extreme in 8 directions, refined by quickhull passes, form a
-    ring inside the hull, and every point whose orientation determinant
-    against each ring edge exceeds a stated rounding bound is dropped.
-    Such a point lies in the open interior of the hull, more than the
-    chain's own rounding away from its boundary, so it cannot be a vertex,
-    and the chain returns the same vertices without it.
+    lexicographically smallest vertex.  Among equal points (0.0 equals
+    -0.0) the first row is the vertex.
     """
-    if pts.shape[0] >= _PREFILTER_MIN_POINTS:
-        pts = _prefilter(pts)
     ordered = sorted(set(map(tuple, pts.tolist())))
     if len(ordered) == 1:
         return ordered
@@ -305,15 +296,15 @@ class HullPolytope:
         return h
 
     @classmethod
-    def _polygon(cls, v: np.ndarray, magnitude: float) -> "HullPolytope":
-        """The planar hull on the (m, 2) vertices `v` that `_hull_vertices_2d`
-        lists, whose largest coordinate magnitude is `magnitude`, and its
-        diameter: the largest `np.hypot` over all vertex pairs, taken in
-        blocks of rows so no temporary exceeds about a million entries."""
+    def _polygon(cls, v: np.ndarray) -> "HullPolytope":
+        """The planar hull on the (m, 2) vertices `v` that `_hull_of` picks,
+        and its diameter: the largest `np.hypot` over all vertex pairs, taken
+        in blocks of rows so no temporary exceeds about a million entries."""
         h = cls.__new__(cls)
         v.flags.writeable = False
         m = v.shape[0]
-        h.d, h.vertex_count, h.lo, h.hi, h.magnitude, h._vertices = 2, m, None, None, magnitude, v
+        h.d, h.vertex_count, h.lo, h.hi, h._vertices = 2, m, None, None, v
+        h.magnitude = float(np.abs(v).max())
         x, y = v[:, 0], v[:, 1]
         rows = max(1, _DIAMETER_BLOCK // m)
         with np.errstate(over="ignore"):
@@ -351,19 +342,25 @@ def hull(x) -> HullPolytope:
 
 
 def _hull_of(pts: np.ndarray) -> HullPolytope:
+    """The hull of validated (m, d) points.  A planar input is hulled once,
+    in the frame (`_frame_shift`) of its largest coordinate magnitude, which
+    the rows extreme in x and in y hold: they are among the `_OCTAGON` picks
+    that the prefilter starts from.  Out of the frame the vertices map back
+    to input rows, read only from the rows the prefilter kept: the first of
+    those equal in the frame, as the chain keeps the first of equal rows."""
     if pts.shape[1] == 1:
         return HullPolytope._interval(float(pts.min()), float(pts.max()))
-    v = np.array(_hull_vertices_2d(pts), dtype=float)
-    magnitude = float(np.abs(v).max())
-    # the vertices keep the input's largest magnitude; out of the frame, hull
-    # the points scaled into it and map the vertices back to input points
+    picks = (_OCTAGON @ pts.T).argmax(axis=1)
+    xmax, _, ymax, _, xmin, _, ymin, _ = picks.tolist()
+    magnitude = max(pts.item(xmax, 0), pts.item(ymax, 1), -pts.item(xmin, 0), -pts.item(ymin, 1))
     shift = _frame_shift(magnitude)
-    if shift:
-        q = np.ldexp(pts, shift)
-        originals = dict(zip(map(tuple, q.tolist()), pts.tolist()))
-        v = np.array([originals[u] for u in _hull_vertices_2d(q)], dtype=float)
-        magnitude = float(np.abs(v).max())
-    return HullPolytope._polygon(v, magnitude)
+    if pts.shape[0] >= _PREFILTER_MIN_POINTS:
+        pts = pts[_prefilter(np.ldexp(pts, shift) if shift else pts, picks)]
+    if not shift:
+        return HullPolytope._polygon(np.array(_hull_vertices_2d(pts)))
+    q = np.ldexp(pts, shift)
+    first = dict(zip(map(tuple, q[::-1].tolist()), pts[::-1].tolist()))
+    return HullPolytope._polygon(np.array([first[u] for u in _hull_vertices_2d(q)]))
 
 
 def _framed(h: HullPolytope, pts: np.ndarray, magnitude: float):

@@ -504,7 +504,7 @@ def test_simulate_csv_of_a_long_rest_is_written_in_bounded_memory(tmp_path, caps
         for r in monitor_stream(states):
             row = ",".join(
                 [str(r.t)]
-                + [f"{v:.17g}" for v in r.state.points.T.ravel()]
+                + [f"{v:.17g}" for v in r.state.points.T.ravel().tolist()]
                 + [f"{r.diameter:.17g}", "true" if r.contained else "false", str(r.vertex_count)]
             )
             assert fh.readline() == (row + "\n").encode()

@@ -175,6 +175,11 @@ def test_hull_vertices_match_unfiltered_chain(name):
     assert np.array_equal(hull(points).vertices, _reference_hull(points))
 
 
+def _octagon_picks(points):
+    """The rows extreme in the 8 directions the prefilter's ring starts from."""
+    return (lyapunov._OCTAGON @ points.T).argmax(axis=1)
+
+
 def test_prefilter_skips_repeated_picks():
     # A right triangle with its corners first: several of the 8 directions
     # pick the same corner.  Dropping the zero-length edges between them
@@ -183,7 +188,7 @@ def test_prefilter_skips_repeated_picks():
     u = rng.uniform(0.0, 1.0, (1000, 2))
     inside = u[u.sum(axis=1) < 1.0]
     pts = np.vstack([[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], inside])
-    assert len(lyapunov._prefilter(pts)) < len(pts) // 10
+    assert len(lyapunov._prefilter(pts, _octagon_picks(pts))) < len(pts) // 10
 
 
 def _prefilter_passes(monkeypatch, points) -> list:
@@ -197,7 +202,7 @@ def _prefilter_passes(monkeypatch, points) -> list:
 
     with monkeypatch.context() as m:
         m.setattr(lyapunov, "_edge_rows", counted)
-        lyapunov._prefilter(points)
+        lyapunov._prefilter(points, _octagon_picks(points))
     return rings
 
 
@@ -422,11 +427,19 @@ def test_distances_match_per_edge_reference(offset, scale):
 
 
 def _scale_cloud(rng, shape, n):
+    """n points of the shape, moved so that the greatest x and the least y
+    are 0.0; then the point of least y again, first, and the point of
+    greatest x again, last, each with the sign of its zero flipped."""
     if shape == "point":
-        return np.repeat(rng.uniform(-1.0, 1.0, (1, 2)), n, axis=0)
-    if shape == "segment":
-        return rng.uniform(-1.0, 1.0, (n, 1)) * rng.uniform(-1.0, 1.0, 2)
-    return rng.uniform(-1.0, 1.0, (n, 2))
+        pts = np.repeat(rng.uniform(-1.0, 1.0, (1, 2)), n, axis=0)
+    elif shape == "segment":
+        pts = rng.uniform(-1.0, 1.0, (n, 1)) * rng.uniform(-1.0, 1.0, 2)
+    else:
+        pts = rng.uniform(-1.0, 1.0, (n, 2))
+    pts[:, 0] -= pts[:, 0].max()
+    pts[:, 1] -= pts[:, 1].min()
+    low, right = pts[pts[:, 1].argmin()], pts[pts[:, 0].argmax()]
+    return np.vstack([low * [1.0, -1.0], pts, right * [-1.0, 1.0]])
 
 
 @given(
@@ -444,7 +457,12 @@ def test_hulls_distances_and_verdicts_are_scale_equivariant(seed, k, shape, n):
     pts = _scale_cloud(rng, shape, n)
     probes = rng.uniform(-1.5, 1.5, (6, 2))
     h, hk = hull(pts), hull(np.ldexp(pts, k))
-    assert np.array_equal(hk.vertices, np.ldexp(h.vertices, k))
+    assert hk.vertices.tobytes() == np.ldexp(h.vertices, k).tobytes()
+    # among equal points the first row is the vertex, the sign of a zero too
+    first = {}
+    for p in pts:
+        first.setdefault(tuple(p), p.tobytes())
+    assert [first[tuple(v)] for v in h.vertices] == [v.tobytes() for v in h.vertices]
     assert hk.magnitude == np.ldexp(h.magnitude, k)
     dists = [point_distance(h, p) for p in probes]
     assert [point_distance(hk, np.ldexp(p, k)) for p in probes] == list(np.ldexp(dists, k))
@@ -453,6 +471,30 @@ def test_hulls_distances_and_verdicts_are_scale_equivariant(seed, k, shape, n):
         gap = max(point_distance(h, p) for p in ih.vertices)
         for slack in (0.0, gap, float(np.nextafter(gap, 0.0))):
             assert contains(hk, ihk, float(np.ldexp(slack, k))) == contains(h, ih, slack)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300])
+def test_a_planar_hull_runs_one_prefiltered_chain_at_every_scale(monkeypatch, scale):
+    # the frame is picked before the hull, so an input outside it is not
+    # first hulled unfiltered and then again in the frame
+    pts = scale * np.random.default_rng(37).uniform(-1.0, 1.0, (10**4, 2))
+    chained, kept = [], []
+    chain, prefilter = lyapunov._hull_vertices_2d, lyapunov._prefilter
+
+    def counted_chain(points):
+        chained.append(len(points))
+        return chain(points)
+
+    def counted_prefilter(*args):
+        rows = prefilter(*args)
+        kept.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(lyapunov, "_hull_vertices_2d", counted_chain)
+    monkeypatch.setattr(lyapunov, "_prefilter", counted_prefilter)
+    hull(pts)
+    assert len(kept) == 1 and kept[0] < len(pts) // 100
+    assert chained == [kept[0]]
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e155, 1e300])
