@@ -354,13 +354,15 @@ def _hull_of(pts: np.ndarray) -> HullPolytope:
     xmax, _, ymax, _, xmin, _, ymin, _ = picks.tolist()
     magnitude = max(pts.item(xmax, 0), pts.item(ymax, 1), -pts.item(xmin, 0), -pts.item(ymin, 1))
     shift = _frame_shift(magnitude)
+    q = np.ldexp(pts, shift) if shift else pts
     if pts.shape[0] >= _PREFILTER_MIN_POINTS:
-        pts = pts[_prefilter(np.ldexp(pts, shift) if shift else pts, picks)]
-    if not shift:
-        return HullPolytope._polygon(np.array(_hull_vertices_2d(pts)))
-    q = np.ldexp(pts, shift)
-    first = dict(zip(map(tuple, q[::-1].tolist()), pts[::-1].tolist()))
-    return HullPolytope._polygon(np.array([first[u] for u in _hull_vertices_2d(q)]))
+        rows = _prefilter(q, picks)
+        pts, q = pts[rows], q[rows]
+    v = _hull_vertices_2d(q)
+    if shift:
+        first = dict(zip(map(tuple, q[::-1].tolist()), pts[::-1].tolist()))
+        v = [first[u] for u in v]
+    return HullPolytope._polygon(np.array(v))
 
 
 def _framed(h: HullPolytope, pts: np.ndarray, magnitude: float):

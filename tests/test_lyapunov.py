@@ -427,28 +427,31 @@ def test_distances_match_per_edge_reference(offset, scale):
 
 
 def _scale_cloud(rng, shape, n):
-    """n points of the shape, moved so that the greatest x and the least y
-    are 0.0; then the point of least y again, first, and the point of
-    greatest x again, last, each with the sign of its zero flipped."""
+    """n points of the shape, and hull points duplicated with the sign of a
+    zero coordinate flipped: for a cloud in the square [-1, 1]^2, (1.5, 0)
+    and (0, 2) outside it; for a segment through the origin, the origin
+    (a vertex when the segment ends there); an axis point is one nonzero
+    point on the x axis, the sign of its zero random in each row."""
     if shape == "point":
-        pts = np.repeat(rng.uniform(-1.0, 1.0, (1, 2)), n, axis=0)
-    elif shape == "segment":
+        return np.repeat(rng.uniform(-1.0, 1.0, (1, 2)), n, axis=0)
+    if shape == "axis point":
+        return np.c_[np.full(n, rng.uniform(-1.0, 1.0)), np.copysign(0.0, rng.uniform(-1.0, 1.0, n))]
+    if shape == "segment":
         pts = rng.uniform(-1.0, 1.0, (n, 1)) * rng.uniform(-1.0, 1.0, 2)
+        zeros = [[0.0, -0.0], [-0.0, 0.0]]
     else:
         pts = rng.uniform(-1.0, 1.0, (n, 2))
-    pts[:, 0] -= pts[:, 0].max()
-    pts[:, 1] -= pts[:, 1].min()
-    low, right = pts[pts[:, 1].argmin()], pts[pts[:, 0].argmax()]
-    return np.vstack([low * [1.0, -1.0], pts, right * [-1.0, 1.0]])
+        zeros = [[1.5, -0.0], [0.0, 2.0], [1.5, 0.0], [-0.0, 2.0]]
+    return np.vstack([pts, zeros])
 
 
 @given(
     st.integers(0, 2**32 - 1),
     st.integers(-900, 900),
-    st.sampled_from(["cloud", "segment", "point"]),
+    st.sampled_from(["cloud", "segment", "point", "axis point"]),
     st.sampled_from([1, 3, 12, 95, 96, 400]),
 )
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_hulls_distances_and_verdicts_are_scale_equivariant(seed, k, shape, n):
     # scaling by 2**k is exact here, so the hull, the distances and the
     # containment verdicts must scale with it, far past where products of
