@@ -344,8 +344,8 @@ def cmd_counterexample(args) -> int:
             f"{row.p:>4} {row.t:>8} {_fmt(row.gap):>24} {_fmt(row.predicted):>24} "
             f"{row.residual:>12.3e}"
         )
-    print(f"final_gap={_fmt(report.final_gap)}")
-    print(f"recursion_gap={_fmt(report.recursion_gap)}")
+    print(f"final_gap={_fmt(report.rows[-1].gap)}")
+    print(f"recursion_gap={_fmt(report.rows[-1].predicted)}")
     print(f"limit={_fmt(counterexample_limit())}")
     print(f"limit_lower_bound={_fmt(report.limit_lower_bound)}")
     print(f"ok={_bool(report.ok)}")

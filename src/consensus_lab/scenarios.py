@@ -19,9 +19,10 @@ Three constructions, each built by its class or function:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -106,18 +107,21 @@ def counterexample_sample_times(p_max: int) -> tuple[int, ...]:
     return tuple(1 + p * (p + 1) // 2 for p in range(1, p_max + 1))
 
 
-def _gap_product(p: int) -> float:
-    """v(p) = 1/2 prod_{j=2..p} (1 - 2^-j), the recursion's gap at sample p."""
-    v = 0.5
-    for j in range(2, p + 1):
-        v *= 1.0 - 2.0 ** (-j)
-    return v
+def _gap_numerators(p_max: int) -> Iterator[int]:
+    """N_p = prod_{j=1..p} (2^j - 1) for p = 1..p_max: the gap recursion
+    v(1) = 1/2, v(p) = v(p-1) (2^p - 1) / 2^p in integers, as
+    v(p) = N_p / 2^(p (p + 1) / 2)."""
+    n = 1
+    for p in range(1, p_max + 1):
+        n = (n << p) - n
+        yield n
 
 
 def counterexample_limit() -> float:
-    """Limit of the gap sequence: one half times prod_{j>=2} (1 - 2^-j),
-    whose factors past j = 53 round to 1.0."""
-    return _gap_product(63)
+    """Limit of the gap sequence, one half times prod_{j>=2} (1 - 2^-j): the
+    nearest float to v(64), which the limit undercuts by under 2^-64 v(64)."""
+    *_, n = _gap_numerators(64)
+    return n / (1 << 64 * 65 // 2)
 
 
 @dataclass(frozen=True)
@@ -125,21 +129,19 @@ class CounterexampleRow:
     p: int
     t: int
     gap: float  # x3 - x1 at the sample time
-    predicted: float  # from the product recursion
+    predicted: float  # v(p), correctly rounded
     residual: float
-    tol: float
+    bound: float  # derived in `verify_counterexample`
 
     @property
     def ok(self) -> bool:
-        return self.residual <= self.tol
+        return self.residual <= self.bound
 
 
 @dataclass(frozen=True)
 class CounterexampleReport:
     p_max: int
     rows: tuple[CounterexampleRow, ...]
-    final_gap: float
-    recursion_gap: float  # independent recursion value at p_max
     limit_lower_bound: float  # exact v(p_max) (1 - 2^-p_max) rounded down: a floor on the limit
 
     @property
@@ -154,18 +156,28 @@ class CounterexampleReport:
         return None
 
 
-def _recursion_tol(p: int) -> float:
-    # Accumulated roundoff grows with the run length; stay strict early.
-    return 1e-12 if p <= 20 else 1e-9
-
-
 def verify_counterexample(p_max: int = 64) -> CounterexampleReport:
     """Simulate the schedule and check the gap recursion at the sample times.
 
-    The gap v(p) = x3 - x1 at time t_p must satisfy v(1) = 1/2 and
-    v(p) = v(p-1) (2^p - 1) / 2^p.  Each row records the simulated gap,
-    the value the recursion predicts from the previous row, and their
-    difference.  A mismatch beyond tolerance is reported, not raised.
+    The gap x3 - x1 at time t_p must be v(p) = N_p / 2^(p (p + 1) / 2),
+    the solution of v(1) = 1/2, v(p) = v(p-1) (2^p - 1) / 2^p, from one
+    running integer product N_p (`_gap_numerators`).  Each row records
+    the float gap, v(p) correctly rounded, their difference, and the
+    bound eps (1.5 (t_p - 1) + 0.5) that a float run of the exact
+    dynamics keeps to, with eps the float epsilon 2^-52:
+
+    * every receiver in the four graphs has exactly one sender, of weight
+      1/2, so one float `linear_step` moves each coordinate at most 3/4 eps
+      from the exact map of its float input: eps/4 from the halved rounded
+      difference x_l - x_k and eps/2 from the sum, as values stay in [0, 1];
+    * the averaging map does not grow max-norm error, so after the
+      t_p - 1 steps from time 1 each coordinate is within 3/4 eps (t_p - 1)
+      of the exact one, and x3 - x1 within 1.5 eps (t_p - 1);
+    * the last subtraction and the rounding of v(p) each round a number
+      in [0, 1] to nearest, which moves it at most eps/4.  (The residual
+      itself is exact: both terms lie in [1/4, 1/2].)
+
+    A row past its bound is reported, not raised.
     """
     schedule = CounterexampleSchedule()
     update = LinearAverage()
@@ -177,39 +189,21 @@ def verify_counterexample(p_max: int = 64) -> CounterexampleReport:
         while len(gaps) < p_max and t_samples[len(gaps)] <= end:
             v = x.values
             gaps.append(float(v[2] - v[0]))
+    eps = sys.float_info.epsilon
     rows = []
-    for p in range(1, p_max + 1):
-        gap = gaps[p - 1]
-        if p == 1:
-            predicted = 0.5
-        else:
-            predicted = gaps[p - 2] * (1.0 - 2.0**-p)
-        rows.append(
-            CounterexampleRow(
-                p=p,
-                t=t_samples[p - 1],
-                gap=gap,
-                predicted=predicted,
-                residual=abs(gap - predicted),
-                tol=_recursion_tol(p),
-            )
-        )
-    final = gaps[-1]
-    return CounterexampleReport(
-        p_max=p_max,
-        rows=tuple(rows),
-        final_gap=final,
-        recursion_gap=_gap_product(p_max),
-        limit_lower_bound=_limit_floor(p_max),
-    )
+    for p, (n, t, gap) in enumerate(zip(_gap_numerators(p_max), t_samples, gaps), 1):
+        predicted = n / (1 << p * (p + 1) // 2)
+        bound = eps * (1.5 * (t - _CE_FIRST_TIME) + 0.5)
+        rows.append(CounterexampleRow(p, t, gap, predicted, abs(gap - predicted), bound))
+    return CounterexampleReport(p_max, tuple(rows), _limit_floor(n, p_max))  # n is N_p_max
 
 
-def _limit_floor(p: int) -> float:
-    """The largest float <= v(p) (1 - 2^-p) = N / 2^E, with N = (2^p - 1)
-    prod_{j=1..p} (2^j - 1) and E = p (p + 1) / 2 + p: a floor on the limit
-    v(p) prod_{j>p} (1 - 2^-j), as that product is at least 1 - 2^-p."""
-    n = math.prod(2**j - 1 for j in range(1, p + 1)) * (2**p - 1)
-    s = max(n.bit_length() - 53, 0)  # N's top 53 bits, truncated: rounded down
+def _limit_floor(n: int, p: int) -> float:
+    """The largest float <= v(p) (1 - 2^-p) = n (2^p - 1) / 2^E, with n = N_p
+    and E = p (p + 1) / 2 + p: a floor on the limit v(p) prod_{j>p} (1 - 2^-j),
+    as that product is at least 1 - 2^-p."""
+    n = (n << p) - n
+    s = max(n.bit_length() - 53, 0)  # the top 53 bits, truncated: rounded down
     return math.ldexp(n >> s, s - p * (p + 1) // 2 - p)
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, subcommands, exit codes, file outputs."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -305,15 +306,10 @@ def test_counterexample_rejects_tiny_pmax(capsys):
 
 
 def test_counterexample_failure_path(monkeypatch, capsys):
+    # (under 0.01 s)
     real = cli.verify_counterexample(3)
-    bad = real.rows[1].__class__(p=2, t=4, gap=0.9, predicted=0.375, residual=0.525, tol=1e-12)
-    tampered = real.__class__(
-        p_max=real.p_max,
-        rows=(real.rows[0], bad, real.rows[2]),
-        final_gap=real.final_gap,
-        recursion_gap=real.recursion_gap,
-        limit_lower_bound=real.limit_lower_bound,
-    )
+    bad = dataclasses.replace(real.rows[1], gap=0.9, residual=0.525)
+    tampered = dataclasses.replace(real, rows=(real.rows[0], bad, real.rows[2]))
     monkeypatch.setattr(cli, "verify_counterexample", lambda pmax: tampered)
     assert main(["counterexample", "--pmax", "3"]) == 2
     captured = capsys.readouterr()

@@ -1,6 +1,7 @@
 """Named schedules: the non-converging construction, random windowed
 schedules, and the stretching bidirectional schedule."""
 
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -140,6 +141,7 @@ def test_limit_value():
 
 
 def test_verification_report_small():
+    # (under 0.01 s)
     rep = verify_counterexample(8)
     assert rep.ok
     assert rep.p_max == 8
@@ -147,7 +149,7 @@ def test_verification_report_small():
     assert rep.rows[0].p == 1
     assert rep.rows[0].predicted == 0.5
     assert rep.rows[0].gap == 0.5
-    assert all(abs(r.residual) <= r.tol for r in rep.rows)
+    assert all(r.residual <= r.bound for r in rep.rows)
     assert rep.first_failure is None
     # gaps decrease but stay above the limit
     gaps = [r.gap for r in rep.rows]
@@ -168,30 +170,34 @@ def test_verification_exact_early_gaps():
     assert [r.gap for r in rep.rows] == expected
 
 
-def test_verification_predictions_are_the_ratio_spelling_bit_for_bit():
-    # (1 - 2^-p) scales exactly up to p = 53 and rounds to 1.0 from p = 54
-    # on, as the ratio (2^p - 1) / 2^p does; only the ratio overflows past
-    # p = 1023
+def test_verification_rows_are_the_exact_product_and_the_derived_bound():
+    # v(p) = N_p / 2^E_p, N_p = prod_{j<=p} (2^j - 1), E_p = p (p + 1) / 2,
+    # correctly rounded, and the bound eps (1.5 (t_p - 1) + 0.5) (about 0.03 s)
     rep = verify_counterexample(64)
-    gaps = [r.gap for r in rep.rows]
-    want = [0.5] + [gaps[p - 2] * (2.0**p - 1.0) / 2.0**p for p in range(2, 65)]
-    assert [r.predicted for r in rep.rows] == want
+    eps = np.finfo(float).eps
+    for r in rep.rows:
+        n = math.prod(2**j - 1 for j in range(1, r.p + 1))
+        assert r.predicted == float(Fraction(n, 2 ** (r.p * (r.p + 1) // 2))), r.p
+        assert r.bound == eps * (1.5 * (r.t - 1) + 0.5), r.p
+    assert rep.ok
 
 
 def test_verification_flags_bad_rows():
+    # (under 0.01 s)
     rep = verify_counterexample(6)
-    bad_row = rep.rows[3].__class__(
-        p=4, t=11, gap=0.9, predicted=0.3, residual=0.6, tol=1e-12
-    )
-    tampered = rep.__class__(
-        p_max=rep.p_max,
-        rows=rep.rows[:3] + (bad_row,) + rep.rows[4:],
-        final_gap=rep.final_gap,
-        recursion_gap=rep.recursion_gap,
-        limit_lower_bound=rep.limit_lower_bound,
-    )
-    assert not tampered.ok
-    assert tampered.first_failure == 4
+    row = rep.rows[3]
+
+    def with_row_4(**change):
+        return dataclasses.replace(
+            rep, rows=rep.rows[:3] + (dataclasses.replace(row, **change),) + rep.rows[4:]
+        )
+
+    wrong = with_row_4(gap=0.9, residual=abs(0.9 - row.predicted))
+    assert not wrong.ok and wrong.first_failure == 4
+    at_bound = with_row_4(residual=row.bound)
+    assert at_bound.ok and at_bound.first_failure is None
+    one_ulp_past = with_row_4(residual=math.nextafter(row.bound, 1.0))
+    assert not one_ulp_past.ok and one_ulp_past.first_failure == 4
 
 
 @pytest.mark.parametrize("p_max", [2, 52, 53, 64])
@@ -211,10 +217,14 @@ def test_verification_rejects_small_pmax():
 
 
 def test_disagreement_never_falls_below_limit_along_whole_run():
+    # The exact disagreement never drops below the limit, and the float one
+    # stays within verify_counterexample's bound eps (1.5 (t - 1) + 0.5) of
+    # it: at t = 501 the margin is 1.7e-13 (about 0.03 s)
     sched = CounterexampleSchedule()
-    lo = counterexample_limit() * (1.0 - 1e-9)
+    floor = verify_counterexample(64).limit_lower_bound
+    eps = np.finfo(float).eps
     for t, x in iter_states(sched, LinearAverage(), counterexample_initial_state(), steps=500, t0=1):
-        assert disagreement(x) > lo
+        assert disagreement(x) >= floor - eps * (1.5 * (t - 1) + 0.5), t
 
 
 # ---------------------------------------------------------------------------
