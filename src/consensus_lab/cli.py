@@ -367,20 +367,11 @@ def cmd_matrix(args) -> int:
     print("decimal:")
     for row in M:
         print(" ".join(_fmt(v) for v in row))
-    fracs = []
-    exact = True
-    for row in M:
-        frow = []
-        for v in row:
-            f = Fraction(v).limit_denominator(10**6)
-            if float(f) != v:
-                exact = False
-            frow.append(str(f))
-        fracs.append(" ".join(frow))
-    if exact:
+    fracs = [[Fraction(v).limit_denominator(10**6) for v in row] for row in M]
+    if all(float(f) == v for frow, row in zip(fracs, M) for f, v in zip(frow, row)):
         print("rational:")
-        for line in fracs:
-            print(line)
+        for frow in fracs:
+            print(" ".join(map(str, frow)))
     return 0
 
 

@@ -496,11 +496,10 @@ class VicsekHeading(UpdateMap):
     arctangent branch so they stay in the same interval.  The angle is
     computed relative to each agent's own heading (the circular mean is
     rotation invariant), so a neighborhood at a common heading keeps that
-    heading bit-exactly.  The sines and cosines of the agent, then of its
-    senders in ascending order (the graph's cached in-adjacency), are
-    summed by `np.sum`: left to right below 8 terms, else in numpy's
-    pairwise order (8 interleaved partial sums from 8 terms on, in-degree
-    7 or more), which can differ from the left-to-right sum in the last bit.
+    heading bit-exactly.  Each agent's sines and cosines are summed left
+    to right, from its own 0.0 and 1.0 through its senders in ascending
+    order, by `np.add.at` over the graph's `arc_arrays`, as `linear_step`
+    sums; the angle is `math.atan2` of the two sums.
     """
 
     name = "vicsek"
@@ -508,12 +507,13 @@ class VicsekHeading(UpdateMap):
 
     def _move(self, graph: DirectedGraph, state: AgentState) -> AgentState:
         theta = state.values
-        out = np.empty_like(theta)
-        ptr, src = graph._in_csr
-        for k in range(graph.n):
-            rel = theta[[k, *src[ptr[k] : ptr[k + 1]]]] - theta[k]
-            out[k] = theta[k] + math.atan2(np.sin(rel).sum(), np.cos(rel).sum())
-        return AgentState._own(out.reshape(-1, 1))
+        src, dst = graph.arc_arrays
+        rel = theta[src] - theta[dst]
+        y, x = np.zeros_like(theta), np.ones_like(theta)
+        np.add.at(y, dst, np.sin(rel))
+        np.add.at(x, dst, np.cos(rel))
+        turn = np.array(list(map(math.atan2, y.tolist(), x.tolist())))
+        return AgentState._own((theta + turn).reshape(-1, 1))
 
 
 class MaxUpdate(UpdateMap):
@@ -521,17 +521,19 @@ class MaxUpdate(UpdateMap):
 
     A reference map that respects the communication pattern but sits on
     the boundary of the neighborhood hull instead of strictly inside it;
-    useful as a negative example for the convexity checker.
+    useful as a negative example for the convexity checker.  Each maximum
+    runs left to right, from the agent through its senders in ascending
+    order, by `np.maximum.at` over the graph's `arc_arrays`, so of equal
+    values (0.0 and -0.0) the last one wins.
     """
 
     name = "max"
     supported_dims = (1, 2)
 
     def _move(self, graph: DirectedGraph, state: AgentState) -> AgentState:
-        out = np.empty_like(state.points)
-        ptr, src = graph._in_csr
-        for k in range(graph.n):
-            out[k] = state.points[[k, *src[ptr[k] : ptr[k + 1]]]].max(axis=0)
+        out = state.points.copy()
+        src, dst = graph.arc_arrays
+        np.maximum.at(out, dst, state.points[src])
         return AgentState._own(out)
 
 
@@ -714,8 +716,7 @@ def check_strict_convexity(
     if not lo < hi:
         raise ValueError(f"empty sampling box ({lo}, {hi})")
     rng = np.random.default_rng(seed)
-    ptr, src = graph._in_csr
-    closed_idx = {k: [k - 1, *src[ptr[k - 1] : ptr[k]]] for k in graph.nodes}
+    closed_idx = {k: [k - 1, *graph._senders(k - 1).tolist()] for k in graph.nodes}
     violations: list[ConvexityViolation] = []
     for s in range(samples):
         pts = rng.uniform(lo, hi, size=(graph.n, d))

@@ -60,14 +60,15 @@ class DirectedGraph:
 
     * `arcs`, a frozenset of int pairs, built on each read and not kept;
     * `arc_arrays`, the 0-based (sender, receiver) numpy arrays in key
-      order, for the update matrix and the flow maps;
-    * `_in_csr` and `_out_csr`, the in- and out-adjacency in compressed
-      sparse row layout, which `in_sources`, `out_targets`, the
-      connectivity searches and the Vicsek and max maps walk: lists of
-      Python ints, read-only by contract, since the searches index them
-      from the interpreter, where numpy's per-element cost would dominate.
+      order: the one in-adjacency, read by `arcs`, the update matrix and
+      maps, and, as one node's slice (`_senders`), by `in_sources`,
+      `neighbors` and the checkers;
+    * `_out_csr`, the out-adjacency in compressed sparse row layout, which
+      `out_targets` and the connectivity searches walk: lists of Python
+      ints, read-only by contract, since the searches index them from the
+      interpreter, where numpy's per-element cost would dominate.
 
-    The last three are cached on first use, which is safe because nothing
+    The last two are cached on first use, which is safe because nothing
     they are made from can change after construction and no view is
     written after it is built.
     """
@@ -92,8 +93,8 @@ class DirectedGraph:
         return g
 
     def _pairs(self) -> Iterable[Arc]:
-        """The arcs (k, l) in key order, built from the keys on each call."""
-        dst, src = np.divmod(self._keys, self.n)
+        """The arcs (k, l) in key order, built from `arc_arrays` on each call."""
+        src, dst = self.arc_arrays
         return zip((src + 1).tolist(), (dst + 1).tolist())
 
     @property
@@ -109,12 +110,10 @@ class DirectedGraph:
         src.flags.writeable = dst.flags.writeable = False
         return src, dst
 
-    @cached_property
-    def _in_csr(self) -> tuple[list[int], list[int]]:
-        """(ptr, src): the senders of node j + 1 are src[ptr[j]:ptr[j + 1]],
-        0-based and ascending."""
+    def _senders(self, j: int) -> np.ndarray:
+        """The 0-based senders of 0-based node j, ascending: a slice of `arc_arrays`."""
         src, dst = self.arc_arrays
-        return np.searchsorted(dst, np.arange(self.n + 1)).tolist(), src.tolist()
+        return src[slice(*np.searchsorted(dst, (j, j + 1)).tolist())]
 
     @cached_property
     def _out_csr(self) -> tuple[list[int], list[int]]:
@@ -142,9 +141,7 @@ class DirectedGraph:
 
     def in_sources(self, k: int) -> NodeSet:
         """Nodes that send an arc into node k."""
-        j = _node_index(self, k)
-        ptr, src = self._in_csr
-        return frozenset(v + 1 for v in src[ptr[j] : ptr[j + 1]])
+        return frozenset((self._senders(_node_index(self, k)) + 1).tolist())
 
     def out_targets(self, k: int) -> NodeSet:
         """Nodes that node k sends an arc to."""
@@ -329,10 +326,7 @@ def neighbors(g: DirectedGraph, L: Iterable[int]) -> NodeSet:
     influence L directly, in one step.  The empty set has no neighbors.
     """
     s = {_node_index(g, k) for k in L}
-    in_ptr, src = g._in_csr
-    senders: set[int] = set()
-    for l in s:
-        senders.update(src[in_ptr[l] : in_ptr[l + 1]])
+    senders = set().union(*(g._senders(l).tolist() for l in s))
     return frozenset(v + 1 for v in senders - s)
 
 

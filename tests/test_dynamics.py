@@ -872,10 +872,39 @@ def test_vicsek_and_max_read_self_then_ascending_senders():
         ref = np.empty_like(x)
         for k in g.nodes:
             rel = x[[k - 1, *sorted(i - 1 for i, l in g.arcs if l == k)]] - x[k - 1]
-            ref[k - 1] = x[k - 1] + math.atan2(np.sin(rel).sum(), np.cos(rel).sum())
+            ref[k - 1] = x[k - 1] + math.atan2(np.cumsum(np.sin(rel))[-1], np.cumsum(np.cos(rel))[-1])
         assert VicsekHeading().step(0, g, AgentState(x)).values.tobytes() == ref.tobytes()
         closed_max = [max([x[k - 1], *(x[i - 1] for i, l in g.arcs if l == k)]) for k in g.nodes]
         assert MaxUpdate().step(0, g, AgentState(x)).values.tolist() == closed_max
+
+
+def test_vicsek_and_max_on_a_3000_sender_hub_go_left_to_right():
+    # Agent 1 hears 3000 senders, agent 3002 four, and agent 3002's closed
+    # neighbourhood mixes 0.0 and -0.0 in both coordinates.  Vicsek sums left
+    # to right (`np.cumsum`; Python's `sum` compensates from 3.12 on, numpy's
+    # is pairwise from 8 terms).  Max keeps the later of equal values, as the
+    # per-agent `max(axis=0)` does in d = 2, where the hub's second column
+    # ties 0.0 and -0.0 at its maximum, and below 9 rows in d = 1, where the
+    # hub's maximum is unique (about 0.01 s)
+    rng = np.random.default_rng(21)
+    n = 3006
+    senders = {1: range(2, 3002), 3002: range(3003, n + 1)}
+    g = DirectedGraph(n, [(i, k) for k, ins in senders.items() for i in ins])
+    x = np.c_[rng.uniform(-1.0, 1.0, n), rng.choice([-1.0, 0.0, -0.0], n)]
+    x[3001:] = [[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [-0.0, -0.0], [-0.0, 0.0]]
+    theta = 1.5 * x[:, 0]
+    ref = theta + 0.0  # an agent with no senders turns by atan2(0.0, 1.0)
+    for k, ins in senders.items():
+        rel = theta[[k - 1, *(i - 1 for i in ins)]] - theta[k - 1]
+        ref[k - 1] = theta[k - 1] + math.atan2(np.cumsum(np.sin(rel))[-1], np.cumsum(np.cos(rel))[-1])
+    assert VicsekHeading().step(0, g, AgentState(theta)).values.tobytes() == ref.tobytes()
+    for pts in (x[:, :1], x):
+        ref = pts.copy()
+        for k, ins in senders.items():
+            ref[k - 1] = pts[[k - 1, *(i - 1 for i in ins)]].max(axis=0)
+        assert MaxUpdate().step(0, g, AgentState(pts)).points.tobytes() == ref.tobytes()
+    assert np.signbit(ref[3001]).tolist() == [True, False]
+    assert ref[0, 1] == 0.0
 
 
 def test_max_step_scalar():

@@ -743,10 +743,9 @@ def _assert_views_match_the_reference(g, arcs):
     assert type(g.arcs) is frozenset and g.arcs == arcs
     assert all(type(k) is int and type(l) is int for k, l in g.arcs)
     in_ptr, in_src = _reference_csr(n, ((l, k) for k, l in arcs))
-    assert g._in_csr == (in_ptr, in_src)
     assert g._out_csr == _reference_csr(n, arcs)
-    for ptr, idx in (g._in_csr, g._out_csr):
-        assert all(type(v) is int for v in ptr + idx)
+    ptr, idx = g._out_csr
+    assert all(type(v) is int for v in ptr + idx)
     src, dst = g.arc_arrays
     assert src.tolist() == in_src
     assert dst.tolist() == [j for j in range(n) for _ in range(in_ptr[j + 1] - in_ptr[j])]
