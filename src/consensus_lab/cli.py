@@ -9,8 +9,7 @@ killed by SIGPIPE) when the reader of an output pipe closes it early, as
 
 `simulate` and `probe` accept a flat key=value config file keyed by the
 subcommand's long option names; its values become argparse defaults, so
-they are checked like flags and flags override them.  Where a seed is used
-(a --scenario schedule, the probe), CONSENSUS_LAB_SEED is the default.
+they are checked like flags and flags override them.
 """
 
 from __future__ import annotations
@@ -59,9 +58,6 @@ from .simulator import (
     iter_spans,
 )
 
-SEED_ENV_VAR = "CONSENSUS_LAB_SEED"
-
-
 class CliError(Exception):
     pass
 
@@ -69,17 +65,6 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route usage errors to exit code 1
         raise CliError(message)
-
-
-def _seed(args) -> int:
-    """--seed (or the config's seed), else CONSENSUS_LAB_SEED, else 0."""
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get(SEED_ENV_VAR, "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise CliError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
 
 
 _fmt = "{:.17g}".format
@@ -108,7 +93,7 @@ def _pop(params: dict, spec: str, key: str, kind: type, default=None):
         raise CliError(f"{spec}: {key} must be {noun}, got {raw!r}")
 
 
-def _build(spec: str, what: str, factories: dict, *args):
+def _build(spec: str, what: str, factories: dict):
     """Build the `what` that 'name:key=value,...' names with its factory,
     which reads its parameters with `pop(key, kind, default)`."""
     name, _, rest = spec.partition(":")
@@ -120,15 +105,15 @@ def _build(spec: str, what: str, factories: dict, *args):
         params[key.strip()] = value.strip()
     if name not in factories:
         raise CliError(f"unknown {what} {name!r}; choose {', '.join(factories)}")
-    built = factories[name](functools.partial(_pop, params, spec), *args)
+    built = factories[name](functools.partial(_pop, params, spec))
     if params:
         raise CliError(f"{what} {name!r} got unknown parameters {sorted(params)}")
     return built
 
 
-def _windowed(pop, seed: int) -> GraphSchedule:
+def _windowed(pop) -> GraphSchedule:
     n, T = pop("n", int), pop("T", int)
-    return random_windowed_schedule(n, T, pop("length", int, 2 * (T + 1)), pop("seed", int, seed))
+    return random_windowed_schedule(n, T, pop("length", int, 2 * (T + 1)), pop("seed", int, 0))
 
 
 def _nonlinear(pop) -> UpdateMap:
@@ -139,9 +124,9 @@ def _nonlinear(pop) -> UpdateMap:
 
 
 _SCENARIOS = {
-    "counterexample": lambda pop, seed: CounterexampleSchedule(),
+    "counterexample": lambda pop: CounterexampleSchedule(),
     "windowed": _windowed,
-    "stretching": lambda pop, seed: StretchingSchedule(pop("n", int)),
+    "stretching": lambda pop: StretchingSchedule(pop("n", int)),
 }
 
 _MAPS = {
@@ -153,9 +138,9 @@ _MAPS = {
 }
 
 
-def make_scenario(spec: str, seed: int) -> GraphSchedule:
+def make_scenario(spec: str) -> GraphSchedule:
     """Build a schedule from 'counterexample', 'windowed:...', 'stretching:...'."""
-    return _build(spec, "scenario", _SCENARIOS, seed)
+    return _build(spec, "scenario", _SCENARIOS)
 
 
 def make_map(spec: str) -> UpdateMap:
@@ -235,7 +220,7 @@ def _resolve_schedule(args) -> GraphSchedule:
         raise CliError("give exactly one of --graph or --scenario")
     if args.graph is not None:
         return PeriodicSchedule([read_graph_file(args.graph)], name="constant")
-    return make_scenario(args.scenario, _seed(args))
+    return make_scenario(args.scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +361,6 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    seed = _seed(args)
     schedule = _resolve_schedule(args)
     update = make_map(args.map)
     if args.center is None:
@@ -389,7 +373,7 @@ def cmd_probe(args) -> int:
         samples=args.samples,
         horizon=args.horizon,
         tol=args.tol,
-        seed=seed,
+        seed=args.seed,
         t0=args.t0,
     )
     text = json.dumps(report.to_json_dict(), indent=2)
@@ -423,7 +407,6 @@ def build_parser() -> _Parser:
         help="scenario spec: counterexample | windowed:n=..,T=..[,length=..,seed=..] "
         "| stretching:n=..",
     )
-    schedule.add_argument("--seed", type=int)
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("--config", help="key=value config file")
     run.add_argument("--map", default="linear", help="update map spec (default linear)")
@@ -462,6 +445,7 @@ def build_parser() -> _Parser:
     p.add_argument("--radius", type=float, default=0.5)
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--horizon", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0, help="seed of the sampler")
     p.add_argument("--out", help="write the JSON report here ('-' for stdout)")
     p.set_defaults(func=cmd_probe)
 

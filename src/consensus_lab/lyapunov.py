@@ -111,7 +111,7 @@ class AgentState:
         return f"AgentState({self.points.tolist()!r})"
 
 
-def _cross(o, a, b) -> float:
+def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
@@ -164,10 +164,8 @@ def _prefilter(pts: np.ndarray, picks: np.ndarray) -> np.ndarray:
     1, n . q_o 1, adding B 1/2, and the three-term product 3, so the
     value is within 6 units of det - B, det = (a - o) x (p - o) exactly.
     With B = 12 units plus the smallest normal float (which covers
-    products that underflow), a certified point has det over 6 units: its
-    distance to every edge line is over 6 eps W, three times the 2.1 eps W
-    by which the chain's own cross products can misplace a point, so the
-    filter removes nothing the chain could round onto the boundary.  A
+    products that underflow), a certified point has det > 6 units on every
+    edge, so it is no vertex of the exact hull that the chain finds.  A
     grown point has a value below -2 B, so det < 6 units - B < 0: it lies
     strictly right of its edge.  A ring vertex, det = 0 on its own edges,
     is never certified.
@@ -239,23 +237,40 @@ def _frame_shift(magnitude: float) -> int:
     return 0 if _FRAME_LO <= e <= _FRAME_HI else _FRAME_HI - e
 
 
+def _exact_cross(o, a, b) -> int:
+    """`_cross` without rounding, times a positive integer."""
+    ratios = [v.as_integer_ratio() for v in (*o, *a, *b)]
+    den = max([d for _, d in ratios])
+    x = [k * (den // d) for k, d in ratios]
+    return (x[2] - x[0]) * (x[5] - x[1]) - (x[3] - x[1]) * (x[4] - x[0])
+
+
 def _hull_vertices_2d(pts: np.ndarray) -> list:
-    """Counterclockwise extreme points of validated (m, 2) points, as tuples,
-    by the monotone chain, whose orientation tests take the sign of the
-    double cross product directly.  Collinear boundary points are dropped,
-    so the vertex list is minimal: one point for a coincident set, two for
-    a collinear set, otherwise a simple CCW polygon starting from the
-    lexicographically smallest vertex.  Among equal points (0.0 equals
-    -0.0) the first row is the vertex.
+    """Counterclockwise extreme points of validated (m, 2) points in their
+    frame (`_frame_shift`), as tuples, by the monotone chain.  Collinear
+    boundary points are dropped, so the vertex list is minimal: one point for
+    a coincident set, two for a collinear set, otherwise a strictly convex CCW
+    polygon from the lexicographically smallest vertex.  Among equal points
+    (0.0 equals -0.0) the first row is the vertex.
+
+    The chain pops a unless det = (a - o) x (b - o) > 0.  `_cross` rounds
+    the four differences (at most 2M, M the largest coordinate magnitude),
+    the two products (at most 4 M^2) and their difference by at most eps/2
+    relative each: to first order, by 2 eps 8 M^2 = 16 eps M^2 in all.  In
+    the frame nothing overflows and an underflow costs at most 2**-1075 <<
+    eps M^2, so `_exact_cross` decides only the turns within B = 17 eps M^2.
     """
     ordered = sorted(set(map(tuple, pts.tolist())))
     if len(ordered) == 1:
         return ordered
+    bound = 17.0 * _EPS * float(np.abs(pts).max()) ** 2
     verts: list = []
     for sweep in (ordered, ordered[::-1]):  # the lower hull, then the upper one
         chain: list = []
         for p in sweep:
-            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0.0:
+            while len(chain) >= 2 and (c := _cross(chain[-2], chain[-1], p)) <= bound:
+                if c >= -bound and _exact_cross(chain[-2], chain[-1], p) > 0:
+                    break
                 chain.pop()
             chain.append(p)
         verts += chain[:-1]

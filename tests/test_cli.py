@@ -49,26 +49,26 @@ def test_make_map_specs():
 
 
 def test_make_scenario_specs():
-    assert cli.make_scenario("counterexample", seed=0).name == "counterexample"
-    w = cli.make_scenario("windowed:n=4,T=1", seed=9)
+    assert cli.make_scenario("counterexample").name == "counterexample"
+    w = cli.make_scenario("windowed:n=4,T=1,seed=9")
     assert w.n == 4 and w.period == 4  # default length 2 (T + 1)
     assert "seed=9" in w.name
-    s = cli.make_scenario("stretching:n=5", seed=0)
+    s = cli.make_scenario("stretching:n=5")
     assert s.n == 5
     with pytest.raises(cli.CliError, match="unknown scenario"):
-        cli.make_scenario("ring:n=3", seed=0)
+        cli.make_scenario("ring:n=3")
     with pytest.raises(cli.CliError, match="missing required"):
-        cli.make_scenario("windowed:T=1", seed=0)
+        cli.make_scenario("windowed:T=1")
     with pytest.raises(cli.CliError, match="must be an integer"):
-        cli.make_scenario("windowed:n=four,T=1", seed=0)
+        cli.make_scenario("windowed:n=four,T=1")
 
 
 
 @pytest.mark.parametrize("build,spec,message", [
     (cli.make_map, "bogus", "unknown map 'bogus'; choose linear, kuramoto, nonlinear, vicsek, max"),
-    (lambda spec: cli.make_scenario(spec, 0), "ring:n=3",
+    (cli.make_scenario, "ring:n=3",
      "unknown scenario 'ring'; choose counterexample, windowed, stretching"),
-    (lambda spec: cli.make_scenario(spec, 0), "windowed:n=3,T",
+    (cli.make_scenario, "windowed:n=3,T",
      "bad scenario 'windowed' parameter 'T', expected key=value"),
     (cli.make_map, "nonlinear:gain=square",
      "unknown gain 'square'; choose from ['arctan', 'cubic', 'identity']"),
@@ -422,7 +422,7 @@ def test_simulate_csv_after_rest_equals_a_row_by_row_reference(tmp_path, capsys,
                  "--steps", "150", "--csv", str(csv_path)]) == 0
     capsys.readouterr()
     # every record formatted on its own, from a loop that steps at every time
-    schedule, update = cli.make_scenario("windowed:n=4,T=1", seed=5), LinearAverage()
+    schedule, update = cli.make_scenario("windowed:n=4,T=1,seed=5"), LinearAverage()
     x = cli.parse_state(x0)
     states = [(0, x)]
     for t in range(150):
@@ -748,22 +748,23 @@ def test_only_a_config_call_builds_a_parser(chain_graph, tmp_path, monkeypatch, 
 # config file's keys are these names, so the table is the config surface too.
 OPTION_TABLE = {
     "simulate": {
-        "--graph": (None, None), "--scenario": (None, None), "--seed": (None, "int"),
+        "--graph": (None, None), "--scenario": (None, None),
         "--config": (None, None), "--map": ("linear", None), "--t0": (None, "int"),
         "--tol": (1e-6, "float"), "--x0": (None, None), "--steps": (None, "int"),
         "--slack": (1e-9, "float"), "--csv": (None, None),
     },
     "connectivity": {
-        "--graph": (None, None), "--scenario": (None, None), "--seed": (None, "int"),
+        "--graph": (None, None), "--scenario": (None, None),
         "--interval": (None, None),
     },
     "counterexample": {"--pmax": (64, "int")},
     "matrix": {"--graph": (None, None), "--emin": (None, "float"), "--emax": (None, "float")},
     "probe": {
-        "--graph": (None, None), "--scenario": (None, None), "--seed": (None, "int"),
+        "--graph": (None, None), "--scenario": (None, None),
         "--config": (None, None), "--map": ("linear", None), "--t0": (None, "int"),
         "--tol": (1e-6, "float"), "--center": (None, None), "--radius": (0.5, "float"),
-        "--samples": (20, "int"), "--horizon": (1000, "int"), "--out": (None, None),
+        "--samples": (20, "int"), "--horizon": (1000, "int"), "--seed": (0, "int"),
+        "--out": (None, None),
     },
 }
 
@@ -790,16 +791,6 @@ def test_map_spec_bad_number_names_spec_and_key(chain_graph, capsys):
     assert "linear:weight=abc" in err and "weight must be a number" in err
 
 
-@pytest.mark.parametrize("command", [
-    ["simulate", "--x0", "0,1,1", "--steps", "2"],
-    ["connectivity"],
-])
-def test_seed_env_var_unread_without_a_seeded_input(chain_graph, monkeypatch, capsys, command):
-    monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
-    assert main(command + ["--graph", chain_graph]) == 0
-    assert capsys.readouterr().err == ""
-
-
 def test_connectivity_graph_interval_does_not_change_output(worked_graph, capsys):
     assert main(["connectivity", "--graph", worked_graph]) == 0
     plain = capsys.readouterr().out
@@ -807,16 +798,46 @@ def test_connectivity_graph_interval_does_not_change_output(worked_graph, capsys
     assert capsys.readouterr().out == plain
 
 
-def test_seed_env_var(monkeypatch, capsys):
-    monkeypatch.setenv(cli.SEED_ENV_VAR, "17")
-    code = main(["probe", "--scenario", "windowed:n=3,T=0", "--center", "0,1,0.5",
-                 "--radius", "0.05", "--samples", "1", "--horizon", "100"])
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["seed"] == 17
-    monkeypatch.setenv(cli.SEED_ENV_VAR, "not-a-number")
-    assert main(["probe", "--scenario", "windowed:n=3,T=0", "--center", "0,1,0.5",
-                 "--radius", "0.05", "--samples", "1", "--horizon", "10"]) == 1
-    assert cli.SEED_ENV_VAR in capsys.readouterr().err
+@pytest.mark.parametrize("command", [
+    ["simulate", "--scenario", "windowed:n=3,T=0", "--x0", "0,1,0.5", "--steps", "5"],
+    ["connectivity", "--scenario", "windowed:n=5,T=2", "--interval", "0,2"],
+    ["probe", "--scenario", "windowed:n=3,T=0", "--center", "0,1,0.5", "--radius", "0.05",
+     "--samples", "1", "--horizon", "100"],
+], ids=["simulate", "connectivity", "probe"])
+@pytest.mark.parametrize("value", ["17", "abc"])
+def test_a_stray_seed_variable_changes_no_output(monkeypatch, capsys, command, value):
+    monkeypatch.delenv("CONSENSUS_LAB_SEED", raising=False)
+    assert main(command) == 0
+    alone = capsys.readouterr()
+    monkeypatch.setenv("CONSENSUS_LAB_SEED", value)
+    assert main(command) == 0
+    assert capsys.readouterr() == alone
+
+
+def test_probe_seed_seeds_the_sampler_and_not_the_schedule(capsys):
+    args = ["probe", "--scenario", "windowed:n=3,T=0", "--center", "0,1,0.5",
+            "--radius", "0.05", "--samples", "1", "--horizon", "100", "--seed", "5"]
+    assert main(args) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["seed"] == 5
+    assert report["schedule"] == cli.make_scenario("windowed:n=3,T=0,seed=0").name
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--graph", "g", "--x0", "0,1", "--steps", "1", "--seed", "3"],
+    ["connectivity", "--graph", "g", "--seed", "3"],
+], ids=["simulate", "connectivity"])
+def test_seed_is_a_probe_option_only(capsys, command):
+    assert main(command) == 1
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+def test_seed_key_in_a_simulate_config_is_unknown(chain_graph, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 3\n")
+    assert main(["simulate", "--graph", chain_graph, "--x0", "0,1,1", "--steps", "1",
+                 "--config", str(cfg)]) == 1
+    assert "unknown key 'seed'" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_1(capsys):

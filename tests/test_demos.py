@@ -60,7 +60,6 @@ def test_readme_command_block_runs_as_written(tmp_path, monkeypatch, capsys):
     assert text == re.search(r"## Graph file format\n\n```\n(.*?)```", readme, re.S).group(1)
     (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
     commands = re.findall(r"^consensus-lab (.*)$", block.replace("\\\n", " "), re.M)
     assert len(commands) == 7
     for command in commands:

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 from operator import attrgetter
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from consensus_lab import lyapunov
+from consensus_lab import dynamics, lyapunov
 from consensus_lab import (
     AgentState,
     DirectedGraph,
@@ -24,11 +25,12 @@ from consensus_lab import (
     disagreement,
     hull,
     monitor_stream,
+    parse_graph_text,
     point_distance,
     random_windowed_schedule,
     summarize,
 )
-from consensus_lab.simulator import iter_states
+from consensus_lab.simulator import iter_spans, iter_states
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -84,21 +86,27 @@ def _cross(o, a, b):
 
 
 def _reference_hull(points):
-    """The unfiltered monotone chain over np.float64 tuples."""
+    """The unfiltered monotone chain over np.float64 tuples, every turn
+    decided exactly: on the points as `Fraction`s, scaled to integers by
+    their common denominator, so no turn rounds."""
     pts = sorted(set(map(tuple, np.asarray(points, dtype=float))))
     if len(pts) == 1:
         return np.array(pts)
+    exact = [(Fraction(float(x)), Fraction(float(y))) for x, y in pts]
+    den = math.lcm(*(c.denominator for p in exact for c in p))
+    ints = [(int(x * den), int(y * den)) for x, y in exact]
+    back = dict(zip(ints, pts))
     lower: list = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0.0:
+    for p in ints:
+        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
     upper: list = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0.0:
+    for p in reversed(ints):
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    return np.array(lower[:-1] + upper[:-1])
+    return np.array([back[p] for p in lower[:-1] + upper[:-1]])
 
 
 def _near_pick_edges(rng, offset, scale, ulps):
@@ -116,9 +124,10 @@ def _near_pick_edges(rng, offset, scale, ulps):
 
 
 # Four points within rounding of the line through the first two, and one
-# above it.  The fourth lies 5e-16 inside that segment, but the chain judges
-# it against the third point, not the first, and keeps it as a vertex; a
-# prefilter without a rounding bound drops it.
+# above it.  The third lies 1.8e-15 below that line, so it is a vertex; the
+# fourth lies 5e-16 above it, inside the hull, so it is no vertex of the
+# exact hull, though a chain on float turns, which judges it against the
+# third point, keeps it.
 _SUB_ULP_INSIDE = np.array([
     [55.084523180666224, 0.1864195255723189],
     [1929.4473009803028, 12.225814575295999],
@@ -263,6 +272,75 @@ def _sliver(kind, n, seed, size):
 def test_prefiltered_slivers_keep_the_unfiltered_vertices(kind, n, seed, exponent):
     points = _sliver(kind, n, seed, 10.0**exponent)
     assert np.array_equal(hull(points).vertices, _reference_hull(points))
+
+
+# Eleven agents whose float turns keep (-1.9999999999999996,
+# -0.9999999999999998), a point that is no vertex of the exact hull, so the
+# hull's tiny edge there pointed the wrong way and cut off its interior.
+_ELEVEN = np.array([
+    [2.000000000000001, 2.000000000000001], [2.000000000000001, -2.0],
+    [1.9999999999999991, 1.0000000000000004], [1.0, 1.9999999999999996],
+    [2.0000000000000004, -0.9999999999999998], [-1.9999999999999998, -0.9999999999999999],
+    [8.881784197001252e-16, -1.0000000000000004], [0.9999999999999996, 1.0],
+    [2.0, -0.9999999999999999], [2.0, 1.9999999999999998],
+    [-1.9999999999999996, -0.9999999999999998],
+])
+
+
+def test_exact_turns_keep_no_point_that_is_not_a_vertex():
+    # 0.01 s
+    h = hull(_ELEVEN)
+    assert h.vertices.tolist() == [
+        [-1.9999999999999998, -0.9999999999999999], [2.000000000000001, -2.0],
+        [2.000000000000001, 2.000000000000001], [1.0, 1.9999999999999996],
+    ]
+    assert point_distance(h, (1.0, 1.0)) == 0.0
+    assert point_distance(h, (1.5, 1.0)) == 0.0
+    assert dynamics._strict_violation(np.array([1.0, 1.0]), _ELEVEN, 0.0) is None
+    g = parse_graph_text("n=11\narc 2 3\narc 8 4\narc 10 3\narc 11 3\n")
+    spans = iter_spans(PeriodicSchedule([g]), LinearAverage(), AgentState(_ELEVEN), 3)
+    run = summarize(monitor_stream((t, x) for t, _, x in spans), 1e-6)
+    assert run.violations == 0
+
+
+def test_exact_turns_keep_the_point_extreme_in_y():
+    # 0.001 s; float turns popped (0, 1), since 1.75 - 2**-53 rounds to 1.75
+    h = hull([[0.0, 1.0], [0.0, 1.0 - 2.0**-53], [0.5, -0.75]])
+    assert h.vertex_count == 3 and h.magnitude == 1.0
+    assert point_distance(h, (0.0, 1.0)) == 0.0
+
+
+def _near_degenerate_cloud(rng, kind):
+    """Points that float turns get wrong, scaled by a power of two: grid
+    points moved by a few ulps, points rounded onto a line and moved by a
+    few ulps, or a point with its `nextafter` neighbours and a few far ones."""
+    if kind == "grid":
+        pts = rng.integers(-1, 2, (int(rng.integers(3, 12)), 2)).astype(float)
+    elif kind == "collinear":
+        a, b = rng.uniform(-1.0, 1.0, (2, 2))
+        pts = a + rng.uniform(-1.0, 1.0, (int(rng.integers(3, 40)), 1)) * (b - a)
+    else:
+        p, far = rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, (int(rng.integers(0, 3)), 2))
+        steps = [np.nextafter(p, p + s) for s in ([1, 1], [1, -1], [-1, 1], [-1, -1])]
+        pts = np.vstack([[p], steps, [[steps[0][0], p[1]], [p[0], steps[3][1]]], far])
+    pts = np.ldexp(pts, int(rng.integers(-20, 21)))
+    ulps = rng.integers(-2, 3, pts.shape) * (kind != "neighbours")
+    return pts + ulps * np.spacing(pts)
+
+
+@pytest.mark.parametrize("kind", ["grid", "collinear", "neighbours"])
+def test_hulls_of_near_degenerate_clouds_are_exactly_convex(kind):
+    # 0.1-0.2 s each: every vertex triple turns strictly left in rationals,
+    # and every input point lies within 17 eps M of its own hull
+    rng = np.random.default_rng(["grid", "collinear", "neighbours"].index(kind))
+    for _ in range(300):
+        pts = _near_degenerate_cloud(rng, kind)
+        h = hull(pts)
+        v = [(Fraction(x), Fraction(y)) for x, y in h.vertices.tolist()]
+        if len(v) >= 3:
+            assert all(_cross(v[i - 2], v[i - 1], v[i]) > 0 for i in range(len(v))), pts
+        magnitude = float(np.abs(pts).max())
+        assert lyapunov._planar_gap(h, pts, magnitude) <= 17.0 * lyapunov._EPS * magnitude, pts
 
 
 @given(
