@@ -30,7 +30,7 @@ from typing import Callable, Mapping, Optional, Union
 import numpy as np
 
 from .graphs import Arc, DirectedGraph, WeightedDigraph, _valid_count, _valid_weight
-from .lyapunov import AgentState, _edge_depths, _segment_offsets, diameter, hull
+from .lyapunov import _EPS, _ROUNDING_ULPS, AgentState, _exact_cross, hull, point_distance
 
 GainFn = Callable[[float], float]
 
@@ -247,7 +247,8 @@ def validate_gain(gain: GainFn, label: str = "gain") -> None:
     """Sample a gain for oddness and strict monotonicity; raise ValueError if it fails.
 
     Checks gamma(0) = 0 exactly (a state at rest stays put), gamma(-s) =
-    -gamma(s) on a grid, and strict increase across the grid.  Smoothness
+    -gamma(s) exactly on a grid (odd float operations, as in `math.tanh`,
+    meet it bit for bit), and strict increase across the grid.  Smoothness
     is taken on trust.
     """
     g0 = float(gain(0.0))
@@ -256,7 +257,7 @@ def validate_gain(gain: GainFn, label: str = "gain") -> None:
     pos = np.array([float(gain(s)) for s in _GAIN_GRID])
     neg = np.array([float(gain(-s)) for s in _GAIN_GRID])
     asym = np.abs(pos + neg)
-    if np.any(asym > 1e-9 * np.maximum(1.0, np.abs(pos))):
+    if np.any(asym > 0.0):
         s = _GAIN_GRID[int(np.argmax(asym))]
         raise ValueError(f"{label}: not odd, gamma({s}) + gamma({-s}) != 0")
     seq = np.concatenate([-pos[::-1], [g0], pos])
@@ -297,10 +298,6 @@ class UpdateMap(ABC):
 
     name: str = "update"
     supported_dims: tuple[int, ...] = (1,)
-    #: True when the map is produced by numerical integration, in which
-    #: case equality-style checks allow a small tolerance instead of
-    #: bit-identical agreement.
-    integrator_backed: bool = False
     #: Open coordinate interval the map is defined on, or None for all reals.
     domain: Optional[tuple[float, float]] = None
 
@@ -376,8 +373,6 @@ class _FlowMap(UpdateMap):
     `OverflowError` (as `s**3` and `math.sinh` do past the largest float)
     fails the step as a non-finite state would.
     """
-
-    integrator_backed = True
 
     def __init__(self, substeps: int = 100):
         self.substeps = _valid_count(substeps, 1, "substeps")
@@ -541,17 +536,15 @@ class MaxUpdate(UpdateMap):
 # Assumption checkers
 
 
-def _checker_rules(update_map: UpdateMap) -> tuple[float, Optional[tuple[float, float]]]:
-    """The checkers' tolerance for outputs that should agree (1e-12 for an
-    integrator-backed map, else 0), and their sampling domain: the map's,
-    shrunk by 1% of its width at each end (None for all reals).  No map
-    reads the time argument of `step`, so the checkers step at t = 0."""
-    tol = 1e-12 if update_map.integrator_backed else 0.0
+def _checker_rules(update_map: UpdateMap) -> Optional[tuple[float, float]]:
+    """The checkers' sampling domain: the map's, shrunk by 1% of its width
+    at each end (None for all reals).  No map reads the time argument of
+    `step`, so the checkers step at t = 0."""
     if update_map.domain is None:
-        return tol, None
+        return None
     lo, hi = update_map.domain
     span = hi - lo
-    return tol, (lo + 0.01 * span, hi - 0.01 * span)
+    return lo + 0.01 * span, hi - 0.01 * span
 
 
 @dataclass(frozen=True)
@@ -568,7 +561,6 @@ class LocalityReport:
     map_name: str
     trials: int
     seed: int
-    tol: float
     violations: tuple[LocalityViolation, ...]
 
     @property
@@ -587,8 +579,9 @@ def check_communication_assumption(
 
     For every agent k, the states of all agents outside k's closed
     in-neighborhood are randomized `trials` times; component k of the
-    output must not move.  Deterministic algebraic maps are held to
-    bit-identical agreement, integrator-backed maps to 1e-12.
+    output must not move by a single bit.  That holds for the flow maps
+    too: a generated field for agent k reads only k's senders, so an agent
+    with no path to k never enters k's arithmetic.
 
     Note that time-1 maps of coupled flows genuinely fail this test on
     graphs with multi-hop paths: during the unit interval a sender's own
@@ -597,7 +590,7 @@ def check_communication_assumption(
     """
     trials = _valid_count(trials, 1, "trials")
     seed = _valid_count(seed, 0, "seed")
-    tol, domain = _checker_rules(update_map)
+    domain = _checker_rules(update_map)
     baseline = update_map.step(0, graph, state).points
     rng = np.random.default_rng(seed)
     violations: list[LocalityViolation] = []
@@ -614,7 +607,7 @@ def check_communication_assumption(
                 pts[outside] += rng.uniform(-1.0, 1.0, size=(len(outside), state.d))
             out = update_map.step(0, graph, AgentState(pts)).points
             delta = float(np.max(np.abs(out[k - 1] - baseline[k - 1])))
-            if delta > tol:
+            if delta > 0.0:
                 violations.append(
                     LocalityViolation(
                         agent=k,
@@ -628,7 +621,6 @@ def check_communication_assumption(
         map_name=update_map.name,
         trials=trials,
         seed=seed,
-        tol=tol,
         violations=tuple(violations),
     )
 
@@ -654,39 +646,39 @@ class ConvexityReport:
         return not self.violations
 
 
-_STRICT_MARGIN = 1e-9
-
-
-def _strict_violation(out: np.ndarray, nb: np.ndarray, eq_tol: float) -> Optional[str]:
-    """Why an agent's output is not strictly inside the hull of its neighbors
-    `nb` by the margin (for coincident ones: within `eq_tol`), or None."""
+def _strict_violation(out: np.ndarray, nb: np.ndarray) -> Optional[str]:
+    """Why an agent's output `out` is not strictly inside the relative
+    interior of the hull of its neighbors `nb`, or None, decided on the
+    float values: a point neighborhood must be reproduced exactly, an
+    interval or a segment needs each coordinate strictly between the ends'
+    (or equal to both where they agree), and a polygon needs `_exact_cross`
+    > 0 on every CCW edge.  No float point need lie on a segment, so the
+    output may be off one by the monitor's allowance, `_ROUNDING_ULPS` eps
+    M; inside the open box, its distance to the segment is that to the line."""
     if np.all(nb == nb[0]):
         delta = float(np.max(np.abs(out - nb[0])))
-        return f"consensus neighborhood moved by {delta!r}" if delta > eq_tol else None
+        return f"consensus neighborhood moved by {delta!r}" if delta > 0.0 else None
     h = hull(nb)
-    eps = _STRICT_MARGIN * diameter(h)
     if h.d == 1:
         x = float(out[0])
-        if x <= h.lo + eps:
+        if x <= h.lo:
             return f"output {x!r} not strictly above neighborhood min {h.lo!r}"
-        if x >= h.hi - eps:
+        if x >= h.hi:
             return f"output {x!r} not strictly below neighborhood max {h.hi!r}"
         return None
     if h.vertex_count == 2:
-        # relative interior of a segment
-        perp, from_a, from_b = _segment_offsets(h, out)
-        if perp > eps:
+        lo, hi = h.vertices.min(axis=0), h.vertices.max(axis=0)
+        flat = lo == hi
+        off = point_distance(h, out) > _ROUNDING_ULPS * _EPS * h.magnitude
+        if off or np.any(flat & (out != lo)):
             return f"output {out.tolist()} off the segment spanned by the neighborhood"
-        if from_a <= eps or from_b <= eps:
+        if not np.all(flat | ((lo < out) & (out < hi))):
             return f"output {out.tolist()} at or beyond a segment endpoint"
         return None
-    # inward depth > eps at every edge of the polygon
-    for depth in _edge_depths(h, out).tolist():
-        if depth <= eps:
-            return (
-                f"output {out.tolist()} within {eps!r} of the neighborhood hull "
-                f"boundary (edge depth {depth!r})"
-            )
+    p, ring = out.tolist(), h.vertices.tolist()
+    for a, b in zip(ring, ring[1:] + ring[:1]):
+        if not _exact_cross(a, b, p) > 0:
+            return f"output {p} on or outside the neighborhood hull boundary at edge {a} to {b}"
     return None
 
 
@@ -701,16 +693,16 @@ def check_strict_convexity(
 
     For each sampled state and each agent k, the updated position must lie
     strictly inside the relative interior of the convex hull of k's closed
-    in-neighborhood (within a margin of 1e-9 of the neighborhood diameter,
-    so honest strict interiority is not flagged over rounding).  If the
-    neighborhood states all coincide the update must reproduce that value
-    exactly (1e-12 for integrator-backed maps).  States are sampled in
-    (-10, 10)^d, cut to the checkers' sampling domain; a d the map does not
-    support fails the first `step`.
+    in-neighborhood, decided on the float values with no margin (see
+    `_strict_violation`; only a segment, which no float point need lie on,
+    allows rounding off its line).  If the neighborhood states all
+    coincide the update must reproduce that value exactly.  States are
+    sampled in (-10, 10)^d, cut to the checkers' sampling domain; a d the
+    map does not support fails the first `step`.
     """
     samples = _valid_count(samples, 1, "samples")
     seed = _valid_count(seed, 0, "seed")
-    eq_tol, domain = _checker_rules(update_map)
+    domain = _checker_rules(update_map)
     lo, hi = domain or (-10.0, 10.0)
     lo, hi = max(-10.0, lo), min(10.0, hi)
     if not lo < hi:
@@ -723,7 +715,7 @@ def check_strict_convexity(
         out = update_map.step(0, graph, AgentState(pts)).points
         for k in graph.nodes:
             nb = pts[closed_idx[k]]
-            reason = _strict_violation(out[k - 1], nb, eq_tol)
+            reason = _strict_violation(out[k - 1], nb)
             if reason is not None:
                 violations.append(
                     ConvexityViolation(

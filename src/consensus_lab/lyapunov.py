@@ -245,9 +245,10 @@ def _exact_cross(o, a, b) -> int:
     return (x[2] - x[0]) * (x[5] - x[1]) - (x[3] - x[1]) * (x[4] - x[0])
 
 
-def _hull_vertices_2d(pts: np.ndarray) -> list:
+def _hull_vertices_2d(pts: np.ndarray, magnitude: float) -> list:
     """Counterclockwise extreme points of validated (m, 2) points in their
-    frame (`_frame_shift`), as tuples, by the monotone chain.  Collinear
+    frame (`_frame_shift`), whose largest coordinate magnitude is
+    `magnitude`, as tuples, by the monotone chain.  Collinear
     boundary points are dropped, so the vertex list is minimal: one point for
     a coincident set, two for a collinear set, otherwise a strictly convex CCW
     polygon from the lexicographically smallest vertex.  Among equal points
@@ -263,7 +264,7 @@ def _hull_vertices_2d(pts: np.ndarray) -> list:
     ordered = sorted(set(map(tuple, pts.tolist())))
     if len(ordered) == 1:
         return ordered
-    bound = 17.0 * _EPS * float(np.abs(pts).max()) ** 2
+    bound = 17.0 * _EPS * magnitude**2
     verts: list = []
     for sweep in (ordered, ordered[::-1]):  # the lower hull, then the upper one
         chain: list = []
@@ -311,15 +312,16 @@ class HullPolytope:
         return h
 
     @classmethod
-    def _polygon(cls, v: np.ndarray) -> "HullPolytope":
+    def _polygon(cls, v: np.ndarray, magnitude: float) -> "HullPolytope":
         """The planar hull on the (m, 2) vertices `v` that `_hull_of` picks,
-        and its diameter: the largest `np.hypot` over all vertex pairs, taken
-        in blocks of rows so no temporary exceeds about a million entries."""
+        whose largest coordinate magnitude is `magnitude`, and its diameter:
+        the largest `np.hypot` over all vertex pairs, taken in blocks of rows
+        so no temporary exceeds about a million entries."""
         h = cls.__new__(cls)
         v.flags.writeable = False
         m = v.shape[0]
         h.d, h.vertex_count, h.lo, h.hi, h._vertices = 2, m, None, None, v
-        h.magnitude = float(np.abs(v).max())
+        h.magnitude = magnitude
         x, y = v[:, 0], v[:, 1]
         rows = max(1, _DIAMETER_BLOCK // m)
         with np.errstate(over="ignore"):
@@ -360,9 +362,12 @@ def _hull_of(pts: np.ndarray) -> HullPolytope:
     """The hull of validated (m, d) points.  A planar input is hulled once,
     in the frame (`_frame_shift`) of its largest coordinate magnitude, which
     the rows extreme in x and in y hold: they are among the `_OCTAGON` picks
-    that the prefilter starts from.  Out of the frame the vertices map back
-    to input rows, read only from the rows the prefilter kept: the first of
-    those equal in the frame, as the chain keeps the first of equal rows."""
+    that the prefilter starts from.  That magnitude is also the chain's
+    scale and the hull's `magnitude`, since the chain's exact turns keep a
+    row with an extreme coordinate as a vertex.  Out of the frame the
+    vertices map back to input rows, read only from the rows the prefilter
+    kept: the first of those equal in the frame, as the chain keeps the
+    first of equal rows."""
     if pts.shape[1] == 1:
         return HullPolytope._interval(float(pts.min()), float(pts.max()))
     picks = (_OCTAGON @ pts.T).argmax(axis=1)
@@ -373,11 +378,11 @@ def _hull_of(pts: np.ndarray) -> HullPolytope:
     if pts.shape[0] >= _PREFILTER_MIN_POINTS:
         rows = _prefilter(q, picks)
         pts, q = pts[rows], q[rows]
-    v = _hull_vertices_2d(q)
+    v = _hull_vertices_2d(q, math.ldexp(magnitude, shift))
     if shift:
         first = dict(zip(map(tuple, q[::-1].tolist()), pts[::-1].tolist()))
         v = [first[u] for u in v]
-    return HullPolytope._polygon(np.array(v))
+    return HullPolytope._polygon(np.array(v), magnitude + 0.0)  # +0.0, never -0.0
 
 
 def _framed(h: HullPolytope, pts: np.ndarray, magnitude: float):
@@ -390,18 +395,18 @@ def _framed(h: HullPolytope, pts: np.ndarray, magnitude: float):
     return h.vertices, pts, 0
 
 
-def _edge_distances(a: np.ndarray, b: np.ndarray, pts: np.ndarray, lo=0.0, hi=1.0):
+def _edge_distances(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """(k, m) distances from the (k, 2) `pts` to the points a + t (b - a)
     of the m segments from a[j] to b[j], t the foot point's parameter
-    clamped to [lo, hi] (0 on a zero-length segment); then t unclamped and
-    the squared lengths.  Its stacked `@` dot products equal single ones."""
+    clamped to [0, 1] (0 on a zero-length segment).  Its stacked `@` dot
+    products equal single ones."""
     ab = b - a
     denom = (ab[:, None, :] @ ab[:, :, None])[:, 0, 0]
     num = ((pts[:, None, :] - a)[:, :, None, :] @ ab[:, :, None])[..., 0, 0]
     t = np.zeros_like(num)
     np.divide(num, denom, out=t, where=denom != 0.0)
-    q = a + np.clip(t, lo, hi)[..., None] * ab
-    return np.hypot(pts[:, None, 0] - q[..., 0], pts[:, None, 1] - q[..., 1]), t, denom
+    q = a + np.clip(t, 0.0, 1.0)[..., None] * ab
+    return np.hypot(pts[:, None, 0] - q[..., 0], pts[:, None, 1] - q[..., 1])
 
 
 def _edge_crosses(v: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -421,12 +426,12 @@ def _planar_gap(h: HullPolytope, pts: np.ndarray, magnitude: float) -> float:
     left of or on all its CCW edges and measures the others against each."""
     v, pts, shift = _framed(h, pts, magnitude)
     if v.shape[0] < 3:
-        gap = _edge_distances(v[:1], v[-1:], pts)[0].max()
+        gap = _edge_distances(v[:1], v[-1:], pts).max()
     else:
         out = ~(_edge_crosses(v, pts) >= 0.0).all(axis=0)
         if not out.any():
             return 0.0
-        gap = _edge_distances(v, np.concatenate((v[1:], v[:1])), pts[out])[0].min(axis=1).max()
+        gap = _edge_distances(v, np.concatenate((v[1:], v[:1])), pts[out]).min(axis=1).max()
     return math.ldexp(gap, -shift)
 
 
@@ -462,23 +467,6 @@ def contains(outer: HullPolytope, inner: HullPolytope, slack: float = 0.0) -> bo
     if outer.d == 1:
         return outer.lo - inner.lo <= slack and inner.hi - outer.hi <= slack
     return _planar_gap(outer, inner.vertices, inner.magnitude) <= slack
-
-
-def _edge_depths(h: HullPolytope, point: np.ndarray) -> np.ndarray:
-    """Signed distances of a point inside the edge lines of the polygon
-    hull `h`, one per edge from vertex 0 on (negative outside)."""
-    v, p, shift = _framed(h, point[None, :], float(np.abs(point).max()))
-    e = np.concatenate((v[1:], v[:1])) - v
-    return np.ldexp(_edge_crosses(v, p)[:, 0] / np.hypot(e[:, 0], e[:, 1]), -shift)
-
-
-def _segment_offsets(h: HullPolytope, point: np.ndarray) -> tuple[float, float, float]:
-    """A point's distance from the line of a segment hull ab, and those of
-    its foot point on that line from a and from b (negative beyond them)."""
-    v, p, shift = _framed(h, point[None, :], float(np.abs(point).max()))
-    perp, t, denom = _edge_distances(v[:1], v[1:], p, -math.inf, math.inf)
-    s, length = float(t[0, 0]), math.ldexp(math.sqrt(float(denom[0])), -shift)
-    return math.ldexp(float(perp[0, 0]), -shift), s * length, (1.0 - s) * length
 
 
 def diameter(h: HullPolytope) -> float:
@@ -525,6 +513,8 @@ DEFAULT_SLACK = 1e-9
 # carries 9 relative roundings and t (b - a) 2 more, on differences of at
 # most 2M, and the sum rounds once at magnitude M: 23/2 per coordinate,
 # 23 sqrt(2)/2 in the plane.  To first order in eps the total is under 17.
+# `dynamics._strict_violation` reads the same allowance for an output on a
+# segment neighborhood, which a float point need not lie on exactly.
 _ROUNDING_ULPS = 17.0
 
 

@@ -1,9 +1,10 @@
 """Import hygiene of the package modules, read from their syntax trees.
 
-Every module-level import is used, no function imports anything (so no
-import cycle is dodged at call time), and the leaf modules `graphs` and
-`lyapunov` import nothing from the package.  `__init__.py` only re-exports
-and is not checked.
+Every module-level import is used, every private module-level name is
+read somewhere in the package (so a deletion leaves no orphaned helper), no
+function imports anything (so no import cycle is dodged at call time), and
+the leaf modules `graphs` and `lyapunov` import nothing from the package.
+`__init__.py` only re-exports and is not checked.
 """
 
 import ast
@@ -43,9 +44,33 @@ def _annotations(tree: ast.Module):
             yield node.annotation
 
 
+def _private_names(tree: ast.Module) -> dict[str, int]:
+    """Single-underscore name bound by each module-level def, class or
+    assignment -> its line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        names.update(
+            (name, node.lineno)
+            for name in bound
+            if name.startswith("_") and not name.startswith("__")
+        )
+    return names
+
+
 def _used_names(tree: ast.Module) -> set[str]:
     """Names loaded anywhere, including inside string annotations."""
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
     for annotation in _annotations(tree):
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -66,6 +91,20 @@ def test_no_unused_module_imports(path):
         (line, name) for name, line in _imported_names(tree).items() if name not in used
     )
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_every_private_module_name_is_read_in_the_package():
+    # 0.1 s
+    used = set().union(*(_used_names(_tree(p)) for p in PACKAGE.glob("*.py")))
+    defined = {p.name: _private_names(_tree(p)) for p in MODULES}
+    assert "_exact_cross" in defined["lyapunov.py"]  # the walk sees defs
+    unread = sorted(
+        (module, line, name)
+        for module, names in defined.items()
+        for name, line in names.items()
+        if name not in used
+    )
+    assert not unread, f"private names read nowhere in the package: {unread}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -296,7 +296,7 @@ def test_exact_turns_keep_no_point_that_is_not_a_vertex():
     ]
     assert point_distance(h, (1.0, 1.0)) == 0.0
     assert point_distance(h, (1.5, 1.0)) == 0.0
-    assert dynamics._strict_violation(np.array([1.0, 1.0]), _ELEVEN, 0.0) is None
+    assert dynamics._strict_violation(np.array([1.0, 1.0]), _ELEVEN) is None
     g = parse_graph_text("n=11\narc 2 3\narc 8 4\narc 10 3\narc 11 3\n")
     spans = iter_spans(PeriodicSchedule([g]), LinearAverage(), AgentState(_ELEVEN), 3)
     run = summarize(monitor_stream((t, x) for t, _, x in spans), 1e-6)
@@ -562,9 +562,9 @@ def test_a_planar_hull_runs_one_prefiltered_chain_at_every_scale(monkeypatch, sc
     chained, kept = [], []
     chain, prefilter = lyapunov._hull_vertices_2d, lyapunov._prefilter
 
-    def counted_chain(points):
+    def counted_chain(points, magnitude):
         chained.append(len(points))
-        return chain(points)
+        return chain(points, magnitude)
 
     def counted_prefilter(*args):
         rows = prefilter(*args)
