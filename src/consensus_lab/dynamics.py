@@ -25,12 +25,13 @@ import math
 import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
 from .graphs import Arc, DirectedGraph, WeightedDigraph, _valid_count, _valid_weight
-from .lyapunov import _EPS, _ROUNDING_ULPS, AgentState, _exact_cross, hull, point_distance
+from .lyapunov import _EPS, _ROUNDING_ULPS, AgentState, _exact_cross, hull
 
 GainFn = Callable[[float], float]
 
@@ -653,8 +654,9 @@ def _strict_violation(out: np.ndarray, nb: np.ndarray) -> Optional[str]:
     interval or a segment needs each coordinate strictly between the ends'
     (or equal to both where they agree), and a polygon needs `_exact_cross`
     > 0 on every CCW edge.  No float point need lie on a segment, so the
-    output may be off one by the monitor's allowance, `_ROUNDING_ULPS` eps
-    M; inside the open box, its distance to the segment is that to the line."""
+    output may be off its line by the monitor's allowance, `_ROUNDING_ULPS`
+    eps M, measured exactly; an output on the line but outside the open box
+    is at or beyond an endpoint."""
     if np.all(nb == nb[0]):
         delta = float(np.max(np.abs(out - nb[0])))
         return f"consensus neighborhood moved by {delta!r}" if delta > 0.0 else None
@@ -669,7 +671,14 @@ def _strict_violation(out: np.ndarray, nb: np.ndarray) -> Optional[str]:
     if h.vertex_count == 2:
         lo, hi = h.vertices.min(axis=0), h.vertices.max(axis=0)
         flat = lo == hi
-        off = point_distance(h, out) > _ROUNDING_ULPS * _EPS * h.magnitude
+        # off the line: |e x (p - a)| / |e| > allowance, in exact arithmetic
+        (ax, ay), (bx, by), (px, py) = (
+            map(Fraction, v) for v in (*h.vertices.tolist(), out.tolist())
+        )
+        ex, ey = bx - ax, by - ay
+        cross = ex * (py - ay) - ey * (px - ax)
+        allow = Fraction(_ROUNDING_ULPS * _EPS * h.magnitude)
+        off = cross * cross > allow * allow * (ex * ex + ey * ey)
         if off or np.any(flat & (out != lo)):
             return f"output {out.tolist()} off the segment spanned by the neighborhood"
         if not np.all(flat | ((lo < out) & (out < hi))):

@@ -12,7 +12,11 @@ The module provides:
   integer arc keys, and its subclass `WeightedDigraph`, which adds arc
   weights, so every query below takes either kind,
 * the neighbor calculus and reachability queries,
-* the lowest root, from the same search that decides weak connectivity,
+* the lowest root, from the same search that decides weak connectivity:
+  two nodes that no arc enters leave no root, one is the only candidate,
+  and a candidate's reach is marked level by level in numpy over all arcs
+  for at most n.bit_length() levels, then finished by a stack search, so a
+  query costs O(n + m) plus at most floor(log2 n) + 1 passes over the arcs,
 * a subset-pair connectivity oracle (brute force, independent of the
   path-based queries),
 * arc unions across time intervals of a graph schedule, and
@@ -64,9 +68,10 @@ class DirectedGraph:
       maps, and, as one node's slice (`_senders`), by `in_sources`,
       `neighbors` and the checkers;
     * `_out_csr`, the out-adjacency in compressed sparse row layout, which
-      `out_targets` and the connectivity searches walk: lists of Python
-      ints, read-only by contract, since the searches index them from the
-      interpreter, where numpy's per-element cost would dominate.
+      `out_targets` and the stack search of the connectivity queries walk:
+      lists of Python ints, read-only by contract, since the search indexes
+      them from the interpreter, where numpy's per-element cost would
+      dominate.
 
     The last two are cached on first use, which is safe because nothing
     they are made from can change after construction and no view is
@@ -118,7 +123,12 @@ class DirectedGraph:
     @cached_property
     def _out_csr(self) -> tuple[list[int], list[int]]:
         """(ptr, dst): the receivers of node j + 1 are dst[ptr[j]:ptr[j + 1]],
-        0-based and ascending, read from the sorted sender-major keys."""
+        0-based and ascending, read from the sorted sender-major keys.
+
+        Only `out_targets` and the stack search `_search` read it: a root
+        query builds it only when a reach outlasts its n.bit_length()
+        numpy levels, or when every node has a sender and node 1 misses
+        some (see `_lowest_root`)."""
         n = self.n
         src, dst = self.arc_arrays
         out = np.sort(src * n + dst)
@@ -330,32 +340,83 @@ def neighbors(g: DirectedGraph, L: Iterable[int]) -> NodeSet:
     return frozenset(v + 1 for v in senders - s)
 
 
+def _reach(g: DirectedGraph, k: int) -> bytearray:
+    """What 0-based node k reaches, k included, marked 1 in n bytes.
+
+    A level-synchronous search (Beamer, Asanovic & Patterson, SC 2012) on
+    the receiver-sorted `arc_arrays`: each level is one numpy pass over all
+    arcs, marking the receivers of the arcs that leave the frontier.  A
+    graph whose nodes lie within n.bit_length() arcs of k, such as a star
+    or a sparse random graph, is reached in numpy alone; past that level
+    budget `_search` finishes from what is left of the frontier, on
+    `_out_csr`.  So the cost is O(n + m) plus at most floor(log2 n) + 1
+    numpy passes over the arcs.
+    """
+    n = g.n
+    src, dst = g.arc_arrays
+    seen = np.zeros(n, dtype=bool)
+    seen[k] = True
+    frontier = seen
+    for _ in range(n.bit_length()):
+        hit = np.zeros(n, dtype=bool)
+        hit[dst.compress(frontier.take(src))] = True
+        frontier = hit & ~seen
+        if not frontier.any():
+            return bytearray(seen.tobytes())
+        seen |= frontier
+    marks = bytearray(seen.tobytes())
+    out_ptr, out_dst = g._out_csr
+    for u in np.flatnonzero(frontier).tolist():
+        _search(out_ptr, out_dst, marks, u)
+    return marks
+
+
 def is_connected_from(g: DirectedGraph, k: int) -> bool:
-    """True when node k has a directed path to every other node."""
-    return 0 not in _search(*g._out_csr, bytearray(g.n), _node_index(g, k))
+    """True when node k has a directed path to every other node, from the
+    level-by-level reach of `_reach`: at most floor(log2 n) + 1 numpy
+    passes over the arcs, then a stack search from what is left, if any."""
+    return 0 not in _reach(g, _node_index(g, k))
 
 
 def _lowest_root(g: DirectedGraph) -> Optional[int]:
     """The lowest 0-based root of g, or None: the one root search, which
     `is_weakly_connected` and `find_root` both call.
 
-    One iterative search over all nodes, then at most one reachability
-    query, in O(n + m) (as in Tarjan 1972).  Each search tree holds what
+    A root reaches every node, and only itself reaches a node that no arc
+    enters, so the sender-less nodes, counted from the receivers in
+    `arc_arrays`, settle most graphs: two or more leave no root, and
+    exactly one is the only candidate.  The candidate, or node 0 when
+    every node has a sender, is a root when its `_reach` misses nothing.
+
+    Only a graph in which every node has a sender and node 0 misses some
+    runs the full search, over all nodes, in O(n + m) (as in Tarjan 1972),
+    with node 0's reach as its first tree.  Each search tree holds what
     its start reaches among the nodes not yet seen, so the start of the
     last tree lies in a source strongly connected component: a node
     outside that tree which reached it would have reached it in an
     earlier tree.  A root exists exactly when that node reaches every
-    node, which needs no second search when the first tree spans them all.
-    Both searches walk the slices of the cached out-adjacency.
+    node.  So `_out_csr` is built only when this stack search runs, or
+    when a reach outlasts its level budget.
     """
+    n = g.n
+    has_sender = np.zeros(n, dtype=bool)
+    has_sender[g.arc_arrays[1]] = True
+    free = np.flatnonzero(~has_sender)[:2].tolist()
+    if len(free) > 1:
+        return None
+    start = free[0] if free else 0
+    seen = _reach(g, start)
+    if 0 not in seen:
+        return start
+    if free:
+        return None
     out_ptr, out_dst = g._out_csr
-    seen = bytearray(g.n)
     last = 0
-    for s in range(g.n):
+    for s in range(1, n):
         if not seen[s]:
             _search(out_ptr, out_dst, seen, s)
             last = s
-    return last if last == 0 or 0 not in _search(out_ptr, out_dst, bytearray(g.n), last) else None
+    return last if 0 not in _search(out_ptr, out_dst, bytearray(n), last) else None
 
 
 def is_weakly_connected(g: DirectedGraph) -> bool:
@@ -367,9 +428,14 @@ def find_root(g: DirectedGraph) -> Optional[int]:
     """The lowest root (a node with directed paths to all others), or None,
     from the same search as `is_weakly_connected` (see `_lowest_root`).
 
-    The root found is the start of the last search tree, and it is the
-    lowest one: every lower node lies in an earlier tree, and none there
-    reaches it, or that tree's start would have reached it too.
+    A single sender-less node is the only root there can be.  When every
+    node has a sender, the root is node 1 when its reach misses nothing,
+    and otherwise the start of the last search tree, the lowest one: every
+    lower node lies in an earlier tree, and none there reaches it, or that
+    tree's start would have reached it too.  The reach takes at most
+    n.bit_length() numpy passes over the arcs before a stack search
+    finishes it, so a query costs O(n + m) plus at most floor(log2 n) + 1
+    such passes.
     """
     r = _lowest_root(g)
     return None if r is None else r + 1

@@ -1269,7 +1269,7 @@ def _reference_violation_2d(out, h):
     if len(verts) == 2:
         (ax, ay), (bx, by) = verts
         ex, ey = bx - ax, by - ay
-        t = min(max(((px - ax) * ex + (py - ay) * ey) / (ex * ex + ey * ey), 0), 1)
+        t = ((px - ax) * ex + (py - ay) * ey) / (ex * ex + ey * ey)  # the foot on the line
         dist2 = (px - ax - t * ex) ** 2 + (py - ay - t * ey) ** 2
         allow = Fraction(17.0 * np.finfo(float).eps * h.magnitude)
         boxes = [sorted(pair) for pair in ((ax, bx), (ay, by))]
@@ -1340,6 +1340,16 @@ def test_convexity_consensus_neighborhood_must_stay_put():
     assert dynamics._strict_violation(np.array([1.5, 0.0]), nb) is None
     moved = np.array([1.5, 0.25])
     assert dynamics._strict_violation(moved, nb) == "consensus neighborhood moved by 0.25"
+
+
+def test_convexity_labels_an_output_on_a_segment_line_beyond_an_endpoint_by_the_endpoint():
+    # the output's distance is measured to the segment's line, not to the segment
+    nb = np.array([[0.0, -1.0], [1.0, 0.0]])
+    on_line, off_line = np.array([2.0, 1.0]), np.array([2.0, 1.5])
+    assert dynamics._strict_violation(on_line, nb) == "output [2.0, 1.0] at or beyond a segment endpoint"
+    assert dynamics._strict_violation(off_line, nb) == (
+        "output [2.0, 1.5] off the segment spanned by the neighborhood"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Graph construction, neighbor calculus, connectivity, and the text format."""
 
+import collections
 import itertools
 import math
 import random
@@ -471,6 +472,154 @@ def test_connectivity_is_relabeling_invariant(g, rnd):
     perm = list(range(1, g.n + 1))
     rnd.shuffle(perm)
     assert is_weakly_connected(relabel(g, perm)) == is_weakly_connected(g)
+
+
+# ---------------------------------------------------------------------------
+# Root queries past 60 nodes: sender-less nodes, long reaches, wide levels
+
+
+def _reference_roots(n, arcs):
+    """The roots of a digraph on 1..n, ascending, by a method that shares no
+    code with `graphs`.  The node that finishes last in a depth-first search
+    of the whole graph lies in a source strongly connected component; when
+    it reaches every node, the roots are the nodes that reach it, found by a
+    breadth-first search over the reversed arcs."""
+    out = [[] for _ in range(n + 1)]
+    into = [[] for _ in range(n + 1)]
+    for k, l in arcs:
+        out[k].append(l)
+        into[l].append(k)
+    done = [False] * (n + 1)
+    last = 1
+    for s in range(1, n + 1):
+        if done[s]:
+            continue
+        done[s] = True
+        stack = [iter(out[s])]
+        while stack:
+            for w in stack[-1]:
+                if not done[w]:
+                    done[w] = True
+                    stack.append(iter(out[w]))
+                    break
+            else:
+                stack.pop()
+        last = s  # a tree's start finishes after its whole tree
+
+    def bfs(adj):
+        seen, todo = {last}, collections.deque([last])
+        while todo:
+            for w in adj[todo.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        return seen
+
+    return sorted(bfs(into)) if len(bfs(out)) == n else []
+
+
+def _assert_root_queries_match_the_reference(n, arcs, probes, sender_less):
+    """find_root, is_weakly_connected, and is_connected_from at the probe
+    nodes and at the lowest and highest reference roots, against
+    `_reference_roots`; the count of nodes that no arc enters is checked as
+    planted.  Returns the reference roots."""
+    g = DirectedGraph(n, arcs)
+    roots = _reference_roots(n, arcs)
+    assert n - len({l for _, l in arcs}) == sender_less
+    assert find_root(g) == (roots[0] if roots else None)
+    assert is_weakly_connected(g) == bool(roots)
+    is_root = set(roots)
+    for k in {*probes, *roots[:1], *roots[-1:]}:
+        assert is_connected_from(g, k) == (k in is_root), k
+    return roots
+
+
+def _planted_root_graphs(n, rng):
+    """(name, arcs, sender-less count) on 1..n, labels shuffled: a random
+    arborescence plus about n random arcs, none into its root (one sender-less
+    node, rooted); that plus an arc into the root (none, rooted); two such
+    halves, each closed into a cycle at its root, with no arc between them
+    (none, no root: node 1's reach misses the other half); a half with one
+    sender-less node and a closed half that sends into it (one, no root);
+    one node's senders cut (two, no root); and a tree on half the nodes (more
+    than two, no root)."""
+    order = rng.sample(range(1, n + 1), n)
+    half = n // 2
+    a, b = order[:half], order[half:]
+
+    def tree(nodes):
+        return {(nodes[rng.randrange(i)], nodes[i]) for i in range(1, len(nodes))}
+
+    def noise(senders, receivers, count):
+        arcs = {(rng.choice(senders), rng.choice(receivers)) for _ in range(count)}
+        return {(k, l) for k, l in arcs if k != l}
+
+    rooted = tree(order) | noise(order, order[1:], n)
+    closed_a = tree(a) | {(a[-1], a[0])} | noise(a, a, half)
+    closed_b = tree(b) | {(b[-1], b[0])} | noise(b, b, n - half)
+    cut = order[half]
+    yield "one sender-less, rooted", rooted, 1
+    yield "none sender-less, rooted", rooted | {(order[-1], order[0])}, 0
+    yield "none sender-less, two closed halves", closed_a | closed_b, 0
+    open_a = tree(a) | noise(a, a[1:], half)
+    yield "one sender-less, no root", open_a | closed_b | noise(b, a[1:], half), 1
+    yield "two sender-less", {(k, l) for k, l in rooted if l != cut}, 2
+    yield "half the nodes sender-less", tree(a), n - half + 1
+
+
+def test_root_queries_match_the_reference_on_planted_graphs_up_to_10_000_nodes():
+    # about 0.9 s
+    rng = random.Random(44)
+    for n in (1000, 10_000):
+        rooted = []
+        for name, arcs, free in _planted_root_graphs(n, rng):
+            probes = rng.sample(range(1, n + 1), 40)
+            if _assert_root_queries_match_the_reference(n, arcs, probes, free):
+                rooted.append(name)
+        assert rooted == ["one sender-less, rooted", "none sender-less, rooted"], n
+
+
+def test_root_queries_on_a_100_000_node_path_in_both_directions():
+    # about 1.6 s.  A reach from an end runs 17 numpy levels, then the
+    # stack search finishes the other 99,983 nodes
+    n = 100_000
+    forward = {(k, k + 1) for k in range(1, n)}
+    backward = {(l, k) for k, l in forward}
+    probes = (1, 2, n - 1, n)
+    assert _assert_root_queries_match_the_reference(n, forward, probes, 1) == [1]
+    assert _assert_root_queries_match_the_reference(n, backward, probes, 1) == [n]
+
+
+def test_root_queries_on_stars_and_brooms():
+    # about 0.3 s.  A star is reached in one numpy level; a broom's 100-node
+    # handle outlasts the 14 levels of n = 10,000, so the stack search
+    # finishes its reach.
+    n = 10_000
+    rng = random.Random(45)
+    hub = 4321
+    star = {(hub, k) for k in range(1, n + 1) if k != hub}
+    probes = (1, hub, n)
+    assert _assert_root_queries_match_the_reference(n, star, probes, 1) == [hub]
+    inward = {(l, k) for k, l in star}
+    assert _assert_root_queries_match_the_reference(n, inward, probes, n - 1) == []
+    # node 1 is a bristle, so it is never a root
+    labels = rng.sample(range(2, n + 1), n - 1)
+    handle, bristles = labels[:100], [1, *labels[100:]]
+    broom = {(handle[i], handle[i + 1]) for i in range(99)} | {(handle[-1], k) for k in bristles}
+    probes = (1, handle[0], handle[1], handle[-1], bristles[-1])
+    assert _assert_root_queries_match_the_reference(n, broom, probes, 1) == [handle[0]]
+    # a bristle sends back to the handle's start: every node has a sender, and
+    # node 1's reach misses the others, so the search over all nodes runs
+    looped = broom | {(bristles[-1], handle[0])}
+    want = sorted([*handle, bristles[-1]])
+    assert _assert_root_queries_match_the_reference(n, looped, probes, 0) == want
+    # a broom beside a 2-cycle: one sender-less node, whose reach misses two
+    apart = {(k, l) for k, l in broom if l not in bristles[-2:]}
+    apart |= {(bristles[-2], bristles[-1]), (bristles[-1], bristles[-2])}
+    assert _assert_root_queries_match_the_reference(n, apart, probes, 1) == []
+    # the reversed broom leaves every bristle sender-less
+    reverse = {(l, k) for k, l in broom}
+    assert _assert_root_queries_match_the_reference(n, reverse, probes, len(bristles)) == []
 
 
 def test_relabel_requires_permutation():
