@@ -9,8 +9,8 @@ classical nonlinear examples (coupled oscillators in chart coordinates,
 odd-gain consensus flows, heading averaging) plus a deliberately
 non-contracting reference map (coordinate-wise max).  Each map is one
 `UpdateMap` subclass that defines only its move, `_move`, under the one
-shared `step`; the two flow maps each define a field and move through the
-generated RK4 of their shared base `_FlowMap`.
+shared `step`; the two flow maps each give the term rules of a field and
+move through the generated RK4 of their shared base `_FlowMap`.
 
 Two runtime checkers probe the structural assumptions the convergence
 theory rests on: that an agent's update depends only on its own state and
@@ -21,6 +21,7 @@ convex hull of those states unless they all coincide.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import weakref
 from abc import ABC, abstractmethod
@@ -216,27 +217,27 @@ def _rk4_kernel(n: int, substeps: int) -> Callable:
     return _kernel("\n".join(lines) + "\n", {}, "rk4")
 
 
-def _field_kernel(graph: DirectedGraph, terms: list, prelude: list, namespace: dict) -> Callable:
-    """`field(x0, ..., x{n-1})` for one graph: receiver k's rate is 0.0 plus
-    its arcs' `terms`, given in the order of the graph's `arc_arrays`, sorted
-    by (receiver, sender).  The `prelude` lines run first, and one return
-    tuple holds every rate's sum.  A receiver with more than `_SUM_CHUNK`
-    terms gets one statement `f{k} = ...` for each leading chunk of that
-    many, and its last chunk stays in the tuple; the terms are added in the
-    same order either way."""
-    by_receiver: dict[int, list[str]] = {}
-    for k, term in zip(graph.arc_arrays[1].tolist(), terms):
-        by_receiver.setdefault(k, []).append(term)
+def _field_kernel(graph: DirectedGraph, term: Callable, namespace: dict, prelude=None) -> Callable:
+    """`field(x0, ..., x{n-1})` for one graph: one walk over its `arc_arrays`
+    in key order calls `term(i, k)` for each 0-based arc i -> k, and receiver
+    k's rate is 0.0 plus its terms in that order.  The lines `prelude(i)`, if
+    given, run first, one per agent on an arc in ascending order, and one
+    return tuple holds every rate's sum.  A receiver with more than
+    `_SUM_CHUNK` terms gets one statement `f{k} = ...` for each leading chunk
+    of that many, and its last chunk stays in the tuple; the terms are added
+    in the same order either way."""
+    src, dst = (a.tolist() for a in graph.arc_arrays)
     lines = [f"def field({', '.join(f'x{k}' for k in range(graph.n))}):"]
-    lines += [f"    {line}" for line in prelude]
+    if prelude is not None:
+        lines += [f"    {prelude(i)}" for i in sorted({*src, *dst})]
     rates = ["0.0"] * graph.n
-    for k, ts in by_receiver.items():
-        chunks = [" + ".join(ts[c : c + _SUM_CHUNK]) for c in range(0, len(ts), _SUM_CHUNK)]
-        head = "0.0"
-        for chunk in chunks[:-1]:
-            lines.append(f"    f{k} = {head} + {chunk}")
-            head = f"f{k}"
-        rates[k] = f"{head} + {chunks[-1]}"
+    for k, arcs in itertools.groupby(zip(src, dst), key=lambda arc: arc[1]):
+        ts = [term(i, k) for i, _ in arcs]
+        for c in range(0, len(ts), _SUM_CHUNK):
+            rates[k] += " + " + " + ".join(ts[c : c + _SUM_CHUNK])
+            if c + _SUM_CHUNK < len(ts):
+                lines.append(f"    f{k} = {rates[k]}")
+                rates[k] = f"f{k}"
     lines.append(f"    return ({', '.join(rates)},)")
     return _kernel("\n".join(lines) + "\n", namespace, "field")
 
@@ -367,12 +368,14 @@ class _FlowMap(UpdateMap):
     The map compiles one field function per graph on first use and keeps
     each as `LinearAverage` keeps its matrices, under a weak key; its RK4
     kernel comes from `_rk4_kernel`, compiled once per (n, substeps) in the
-    process and shared by every flow map.  Compiling is O(n + m) for m
-    arcs, like a step, with a larger constant: on a few agents a graph's
-    field repays its compile within its first 100-substep step, while a
-    first step on thousands of agents mostly compiles.  A term that raises
-    `OverflowError` (as `s**3` and `math.sinh` do past the largest float)
-    fails the step as a non-finite state would.
+    process and shared by every flow map.  A subclass's `_field` gives
+    `_field_kernel` its term rules, and only that kernel walks the arcs.
+    Compiling is O(n + m) for m arcs, like a step, with a larger constant:
+    on a few agents a graph's field repays its compile within its first
+    100-substep step, while a first step on thousands of agents mostly
+    compiles.  A term that raises `OverflowError` (as `s**3` and
+    `math.sinh` do past the largest float) fails the step as a non-finite
+    state would.
     """
 
     def __init__(self, substeps: int = 100):
@@ -381,7 +384,7 @@ class _FlowMap(UpdateMap):
 
     @abstractmethod
     def _field(self, graph: DirectedGraph) -> Callable:
-        """Compile the field function of `graph` (see `_field_kernel`)."""
+        """Compile `graph`'s field: `_field_kernel` with this map's rules."""
 
     def _move(self, graph: DirectedGraph, state: AgentState) -> AgentState:
         """The flow of `graph`'s field from `state` over one time unit."""
@@ -401,10 +404,10 @@ class KuramotoTime1(_FlowMap):
     Integrates dx_k/dt = sum over senders i of
     (x_i - x_k) / (sqrt(1 + x_i^2) sqrt(1 + x_k^2)) over one time unit
     with `substeps` classical RK4 steps.  Coupling is unweighted; only the
-    arc pattern of the graph matters.  A graph's field function computes
-    r_i = 1 / sqrt(1 + x_i^2) once per agent on an arc and sums each
-    receiver's terms (x_i - x_k) r_i r_k from 0.0 in ascending sender order,
-    all in Python floats: O(n + m) for m arcs.
+    arc pattern of the graph matters.  The field has two one-line rules: a
+    prelude r_i = 1 / sqrt(1 + x_i^2), computed once per agent on an arc,
+    and the term (x_i - x_k) r_i r_k, each receiver's terms summed from 0.0
+    in ascending sender order, all in Python floats: O(n + m) for m arcs.
     """
 
     name = "kuramoto"
@@ -412,14 +415,11 @@ class KuramotoTime1(_FlowMap):
     step = UpdateMap.step  # perfbench's tracer wraps each class's own `step`
 
     def _field(self, graph: DirectedGraph) -> Callable:
-        src, dst = graph.arc_arrays
-        arcs = list(zip(src.tolist(), dst.tolist()))
-        on_arcs = sorted({i for arc in arcs for i in arc})
         return _field_kernel(
             graph,
-            [f"(x{i} - x{k}) * r{i} * r{k}" for i, k in arcs],
-            [f"r{i} = 1.0 / sqrt(1.0 + x{i} * x{i})" for i in on_arcs],
+            lambda i, k: f"(x{i} - x{k}) * r{i} * r{k}",
             {"sqrt": math.sqrt},
+            lambda i: f"r{i} = 1.0 / sqrt(1.0 + x{i} * x{i})",
         )
 
 
@@ -431,12 +431,14 @@ class NonlinearConsensus(_FlowMap):
     construction.  A mapping of per-arc gains must cover every arc of
     every graph the map is stepped with.  Integration is fixed-step RK4 in
     Python floats; a graph's field function sums each agent's terms from
-    0.0 in ascending sender order.  A term of a library gain (the very
-    object in `GAIN_LIBRARY`, matched with `is`) is written out, as
-    `(d)`, `(d) ** 3` or `atan(d)` for d = x_i - x_k: the float operation
-    of a call, without the call.  Any other gain is called by reference.
-    A gain that raises `OverflowError` (as `s**3` and `math.sinh` do past
-    the largest float) fails the step as a non-finite state would.
+    0.0 in ascending sender order.  The field's one rule is the arc's term:
+    a library gain (the very object in `GAIN_LIBRARY`, matched with `is`)
+    is written out as `(d)`, `(d) ** 3` or `atan(d)` for d = x_i - x_k,
+    the float operation of a call without the call; any other gain is
+    called by reference, as g0, g1, ... in the order the walk over the arcs
+    first meets it.  A gain that raises `OverflowError` (as `s**3` and
+    `math.sinh` do past the largest float) fails the step as a non-finite
+    state would.
     """
 
     name = "nonlinear"
@@ -458,29 +460,22 @@ class NonlinearConsensus(_FlowMap):
     step = UpdateMap.step  # perfbench's tracer wraps each class's own `step`
 
     def _field(self, graph: DirectedGraph) -> Callable:
-        src, dst = graph.arc_arrays
-        arcs = list(zip(src.tolist(), dst.tolist()))
-        if callable(self.gains):
-            arc_gains = [self.gains] * len(arcs)
-        else:
-            missing = graph.arcs.difference(self.gains)
-            if missing:
-                raise ValueError(f"no gain supplied for arcs {sorted(missing)}")
-            arc_gains = [self.gains[(i + 1, k + 1)] for i, k in arcs]
+        gains = self.gains
+        if not callable(gains) and (missing := graph.arcs.difference(gains)):
+            raise ValueError(f"no gain supplied for arcs {sorted(missing)}")
         # one term template per distinct gain object, keyed by id: a gain is
         # matched to the library by identity, never by == or its hash
-        templates = {id(lib): term for _, lib, term in _LIBRARY_TERMS}
+        templates = {id(lib): tpl for _, lib, tpl in _LIBRARY_TERMS}
         namespace: dict[str, Callable] = {"atan": math.atan}  # then g0, g1, ...
-        for fn in arc_gains:
+
+        def term(i: int, k: int) -> str:
+            fn = gains if callable(gains) else gains[(i + 1, k + 1)]
             if id(fn) not in templates:
                 name = f"g{len(namespace) - 1}"
                 namespace[name], templates[id(fn)] = fn, name + "({})"
-        return _field_kernel(
-            graph,
-            [templates[id(fn)].format(f"x{i} - x{k}") for fn, (i, k) in zip(arc_gains, arcs)],
-            [],
-            namespace,
-        )
+            return templates[id(fn)].format(f"x{i} - x{k}")
+
+        return _field_kernel(graph, term, namespace)
 
 
 class VicsekHeading(UpdateMap):

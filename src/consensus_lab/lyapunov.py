@@ -315,14 +315,18 @@ class HullPolytope:
     def _polygon(cls, v: np.ndarray, magnitude: float) -> "HullPolytope":
         """The planar hull on the (m, 2) vertices `v` that `_hull_of` picks,
         whose largest coordinate magnitude is `magnitude`, and its diameter:
-        the largest `np.hypot` over all vertex pairs, taken in blocks of rows
-        so no temporary exceeds about a million entries."""
+        the largest `np.hypot` over all vertex pairs: one array of at most
+        `_DIAMETER_BLOCK` entries below magnitude 2^1022, where no hypot of
+        two differences can overflow, else blocks of rows of about as many."""
         h = cls.__new__(cls)
         v.flags.writeable = False
         m = v.shape[0]
         h.d, h.vertex_count, h.lo, h.hi, h._vertices = 2, m, None, None, v
         h.magnitude = magnitude
         x, y = v[:, 0], v[:, 1]
+        if m * m <= _DIAMETER_BLOCK and magnitude < 2.0**1022:
+            h._diameter = float(np.hypot(x[:, None] - x, y[:, None] - y).max())
+            return h
         rows = max(1, _DIAMETER_BLOCK // m)
         with np.errstate(over="ignore"):
             h._diameter = max(

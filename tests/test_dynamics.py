@@ -798,6 +798,49 @@ def test_one_field_writes_library_gains_out_and_calls_the_others():
     ]
 
 
+def _twice_atan(s):
+    return 2.0 * math.atan(s)
+
+
+def _soft_sign(s):
+    return s / (1.0 + abs(s))
+
+
+def test_generated_field_sources_are_pinned():
+    # every field source and the names its namespace binds, for Kuramoto,
+    # the three library gains, one custom gain and a per-arc mapping of two
+    # custom gains and `math.atan`, on eight windowed graphs and a hub
+    # graph whose receivers hear 150, 65 and 64 senders (three, two and one
+    # chunks of `_SUM_CHUNK`); names first met along the arcs in key order
+    # become g0, g1, ... (about 0.05 s)
+    schedule = random_windowed_schedule(6, 1, 8, seed=3)
+    hub_arcs = [(k, 1) for k in range(2, 152)] + [(k, 2) for k in range(3, 68)]
+    hub = DirectedGraph(151, hub_arcs + [(k, 3) for k in range(4, 68)])
+    graphs = [schedule.graph_at(t) for t in range(8)] + [hub]
+    cycle = [_twice_atan, math.atan, _soft_sign]
+    arcs = sorted(set().union(*(g.arcs for g in graphs)))
+    per_arc = {a: cycle[j % 3] for j, a in enumerate(arcs)}
+    maps = [KuramotoTime1(substeps=1)] + [
+        NonlinearConsensus(gains, substeps=1)
+        for gains in (*GAIN_LIBRARY.values(), _twice_atan, per_arc)
+    ]
+    labels = {id(fn): fn.__name__ for fn in (math.atan, math.sqrt, _twice_atan, _soft_sign)}
+    with mock.patch.object(dynamics, "_kernel", wraps=dynamics._kernel) as spy:
+        for update in maps:
+            for g in graphs:
+                x = np.linspace(-0.5, 0.5, g.n)
+                assert np.all(np.isfinite(update.step(0, g, AgentState(x)).values))
+    fields = []
+    for source, namespace, name in (c.args for c in spy.call_args_list):
+        if name == "field":
+            bound = sorted((k, labels[id(v)]) for k, v in namespace.items() if k != "__builtins__")
+            fields.append((source, bound))
+    assert len(fields) == len(maps) * len(graphs)
+    assert hashlib.sha256(repr(fields).encode()).hexdigest() == (
+        "04d84057a82e5b6f73f66fca3665b4aa367bc1a26c04a585c77ed0f559eb73de"
+    )
+
+
 def test_flow_maps_share_one_rk4_kernel_per_n_and_substeps():
     g = DirectedGraph(3, {(1, 2), (2, 3), (3, 1)})
     x = AgentState([0.5, -0.25, 0.75])

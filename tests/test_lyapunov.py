@@ -748,6 +748,22 @@ def test_a_planar_hull_holds_its_diameter_as_soon_as_it_is_built(monkeypatch, bl
     assert disagreement(st) is held
 
 
+@pytest.mark.parametrize("half", [math.nextafter(2.0**1022, 0.0), 2.0**1022, 2.0**1023])
+def test_a_small_polygon_near_the_largest_float_keeps_the_blockwise_diameter(half):
+    # below magnitude 2^1022 one array of vertex pairs cannot overflow; from
+    # it on the blockwise scan runs, and a diameter past the largest float
+    # is a quiet inf, with warnings as errors
+    pts = half * np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [0.0, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = hull(pts)
+    assert h.vertex_count == 4 and h.magnitude == half
+    with np.errstate(over="ignore"):
+        want = _blockwise_diameter(h.vertices, lyapunov._DIAMETER_BLOCK)
+    assert _bits(h._diameter) == _bits(want)
+    assert math.isfinite(want) == (half < 2.0**1023)
+
+
 @pytest.mark.parametrize("scale", [1e160, 1e-200])
 def test_a_hull_out_of_the_frame_scans_only_the_polygon_it_returns(monkeypatch, scale):
     pts = scale * np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.2], [1.0, 1.0], [0.0, 1.0]])
