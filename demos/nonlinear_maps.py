@@ -52,8 +52,8 @@ def main():
     print(f"  oscillator map on a chain: ok = {rep.ok}")
     if not rep.ok:
         v = rep.violations[0]
-        print(f"    agent {v.agent} moved by {v.delta:.2e} when a two-hop state changed;")
-        print("    during the unit interval its sender relays information onward.")
+        print(f"    witness (agent {v.agent}, draw {v.draw}): {v.reason};")
+        print("    during the unit interval its sender relays a two-hop state onward.")
     rep = check_communication_assumption(LinearAverage(), chain, AgentState([0.5, -0.5, 1.0]))
     print(f"  one-shot averaging on the same chain: ok = {rep.ok}\n")
 

@@ -15,7 +15,9 @@ move through the generated RK4 of their shared base `_FlowMap`.
 Two runtime checkers probe the structural assumptions the convergence
 theory rests on: that an agent's update depends only on its own state and
 its in-senders' states, and that the update lands strictly inside the
-convex hull of those states unless they all coincide.
+convex hull of those states unless they all coincide.  Both return a
+`CheckReport` whose witnesses are `Violation`s: an agent, a draw, a
+reason, the agent's output and its closed in-neighborhood's states.
 """
 
 from __future__ import annotations
@@ -26,13 +28,12 @@ import math
 import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
 from .graphs import Arc, DirectedGraph, WeightedDigraph, _valid_count, _valid_weight
-from .lyapunov import _EPS, _ROUNDING_ULPS, AgentState, _exact_cross, hull
+from .lyapunov import _EPS, _ROUNDING_ULPS, AgentState, _exact_cross, _scaled, hull
 
 GainFn = Callable[[float], float]
 
@@ -190,7 +191,9 @@ def _rk4_kernel(n: int, substeps: int) -> Callable:
     so every map instance in the process shares it.  The cache keeps the 8
     most recently used kernels.  A kernel holds up to about 1.2 kB per
     agent (2.4 MB at n = 2000, measured with `tracemalloc`), so the cache
-    holds at most about 19 MB while all eight are at n = 2000.
+    holds at most about 19 MB while all eight are at n = 2000.  Compiling
+    one briefly takes about 15 times what it keeps: at 4 substeps a peak
+    of 35 MB for 2.4 MB held at n = 2000, 3.5 MB for 0.14 MB at n = 200.
     """
     ks = range(n)
 
@@ -533,35 +536,58 @@ class MaxUpdate(UpdateMap):
 
 
 def _checker_rules(update_map: UpdateMap) -> Optional[tuple[float, float]]:
-    """The checkers' sampling domain: the map's, shrunk by 1% of its width
-    at each end (None for all reals).  No map reads the time argument of
-    `step`, so the checkers step at t = 0."""
+    """The checkers' sampling box: the map's domain cut to (-10, 10), then
+    shrunk by 1% of the cut's width at each end (None for all reals); a
+    domain that misses (-10, 10) raises ValueError.  No map reads the
+    time argument of `step`, so the checkers step at t = 0."""
     if update_map.domain is None:
         return None
-    lo, hi = update_map.domain
+    lo, hi = max(-10.0, update_map.domain[0]), min(10.0, update_map.domain[1])
+    if not lo < hi:
+        raise ValueError(f"empty sampling box ({lo}, {hi})")
     span = hi - lo
     return lo + 0.01 * span, hi - 0.01 * span
 
 
+def _closed_neighborhoods(graph: DirectedGraph) -> list[list[int]]:
+    """Each agent's closed in-neighborhood, 0-based: the agent, then its
+    senders ascending."""
+    return [[k, *graph._senders(k).tolist()] for k in range(graph.n)]
+
+
 @dataclass(frozen=True)
-class LocalityViolation:
+class Violation:
+    """A checker's witness: on draw `draw`, agent `agent` (1-based) gave
+    `output`, for `reason`.  `neighborhood` holds the states of its closed
+    in-neighborhood in that draw, the agent first, then its senders
+    ascending.  A locality witness's output is the one after the states
+    outside that neighborhood were redrawn, and its reason states the move
+    and the baseline output exactly."""
+
     agent: int
-    trial: int
-    delta: float
-    baseline: tuple[float, ...]
-    perturbed: tuple[float, ...]
+    draw: int
+    reason: str
+    output: tuple[float, ...]
+    neighborhood: tuple[tuple[float, ...], ...]
 
 
 @dataclass(frozen=True)
-class LocalityReport:
+class CheckReport:
+    """A checker's verdict: every `Violation` of `draws` draws from `seed`."""
+
     map_name: str
-    trials: int
+    draws: int
     seed: int
-    violations: tuple[LocalityViolation, ...]
+    violations: tuple[Violation, ...]
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+
+def _witness(k: int, draw: int, reason: str, out: np.ndarray, nb: np.ndarray) -> Violation:
+    """Agent k's (0-based) `Violation` from its output row and neighborhood rows."""
+    return Violation(k + 1, draw, reason, tuple(out.tolist()), tuple(map(tuple, nb.tolist())))
 
 
 def check_communication_assumption(
@@ -570,14 +596,16 @@ def check_communication_assumption(
     state: AgentState,
     trials: int = 20,
     seed: int = 0,
-) -> LocalityReport:
+) -> CheckReport:
     """Probe whether each agent's update uses only its own and its senders' states.
 
     For every agent k, the states of all agents outside k's closed
-    in-neighborhood are randomized `trials` times; component k of the
-    output must not move by a single bit.  That holds for the flow maps
-    too: a generated field for agent k reads only k's senders, so an agent
-    with no path to k never enters k's arithmetic.
+    in-neighborhood are redrawn `trials` times, in the sampling box of
+    `_checker_rules` (or, for a map on all reals, each moved by up to 1
+    per coordinate); component k of the output must not move by a single
+    bit.  That holds for the flow maps too: a generated field for agent k
+    reads only k's senders, so an agent with no path to k never enters
+    k's arithmetic.
 
     Note that time-1 maps of coupled flows genuinely fail this test on
     graphs with multi-hop paths: during the unit interval a sender's own
@@ -586,60 +614,26 @@ def check_communication_assumption(
     """
     trials = _valid_count(trials, 1, "trials")
     seed = _valid_count(seed, 0, "seed")
-    domain = _checker_rules(update_map)
+    box = _checker_rules(update_map)
     baseline = update_map.step(0, graph, state).points
     rng = np.random.default_rng(seed)
-    violations: list[LocalityViolation] = []
-    for k in graph.nodes:
-        closed = {k} | set(graph.in_sources(k))
-        outside = [j - 1 for j in graph.nodes if j not in closed]
-        if not outside:
+    violations: list[Violation] = []
+    for k, closed in enumerate(_closed_neighborhoods(graph)):
+        outside = np.setdiff1d(np.arange(graph.n), closed)
+        if not outside.size:
             continue
-        for trial in range(trials):
+        for draw in range(trials):
             pts = state.points.copy()
-            if domain is not None:
-                pts[outside] = rng.uniform(*domain, size=(len(outside), state.d))
+            if box is None:
+                pts[outside] += rng.uniform(-1.0, 1.0, size=(outside.size, state.d))
             else:
-                pts[outside] += rng.uniform(-1.0, 1.0, size=(len(outside), state.d))
-            out = update_map.step(0, graph, AgentState(pts)).points
-            delta = float(np.max(np.abs(out[k - 1] - baseline[k - 1])))
+                pts[outside] = rng.uniform(*box, size=(outside.size, state.d))
+            out = update_map.step(0, graph, AgentState(pts)).points[k]
+            delta = float(np.max(np.abs(out - baseline[k])))
             if delta > 0.0:
-                violations.append(
-                    LocalityViolation(
-                        agent=k,
-                        trial=trial,
-                        delta=delta,
-                        baseline=tuple(map(float, baseline[k - 1])),
-                        perturbed=tuple(map(float, out[k - 1])),
-                    )
-                )
-    return LocalityReport(
-        map_name=update_map.name,
-        trials=trials,
-        seed=seed,
-        violations=tuple(violations),
-    )
-
-
-@dataclass(frozen=True)
-class ConvexityViolation:
-    agent: int
-    sample: int
-    reason: str
-    output: tuple[float, ...]
-    neighborhood: tuple[tuple[float, ...], ...]
-
-
-@dataclass(frozen=True)
-class ConvexityReport:
-    map_name: str
-    samples: int
-    seed: int
-    violations: tuple[ConvexityViolation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+                reason = f"output moved by {delta!r} from the baseline {baseline[k].tolist()!r}"
+                violations.append(_witness(k, draw, reason, out, state.points[closed]))
+    return CheckReport(update_map.name, trials, seed, tuple(violations))
 
 
 def _strict_violation(out: np.ndarray, nb: np.ndarray) -> Optional[str]:
@@ -650,8 +644,8 @@ def _strict_violation(out: np.ndarray, nb: np.ndarray) -> Optional[str]:
     (or equal to both where they agree), and a polygon needs `_exact_cross`
     > 0 on every CCW edge.  No float point need lie on a segment, so the
     output may be off its line by the monitor's allowance, `_ROUNDING_ULPS`
-    eps M, measured exactly; an output on the line but outside the open box
-    is at or beyond an endpoint."""
+    eps M, measured exactly on `_scaled` integers; an output on the line
+    but outside the open box is at or beyond an endpoint."""
     if np.all(nb == nb[0]):
         delta = float(np.max(np.abs(out - nb[0])))
         return f"consensus neighborhood moved by {delta!r}" if delta > 0.0 else None
@@ -667,12 +661,10 @@ def _strict_violation(out: np.ndarray, nb: np.ndarray) -> Optional[str]:
         lo, hi = h.vertices.min(axis=0), h.vertices.max(axis=0)
         flat = lo == hi
         # off the line: |e x (p - a)| / |e| > allowance, in exact arithmetic
-        (ax, ay), (bx, by), (px, py) = (
-            map(Fraction, v) for v in (*h.vertices.tolist(), out.tolist())
-        )
+        allow = _ROUNDING_ULPS * _EPS * h.magnitude
+        ax, ay, bx, by, px, py, allow = _scaled(*h.vertices.ravel().tolist(), *out.tolist(), allow)
         ex, ey = bx - ax, by - ay
         cross = ex * (py - ay) - ey * (px - ax)
-        allow = Fraction(_ROUNDING_ULPS * _EPS * h.magnitude)
         off = cross * cross > allow * allow * (ex * ex + ey * ey)
         if off or np.any(flat & (out != lo)):
             return f"output {out.tolist()} off the segment spanned by the neighborhood"
@@ -692,7 +684,7 @@ def check_strict_convexity(
     samples: int = 100,
     seed: int = 0,
     d: int = 1,
-) -> ConvexityReport:
+) -> CheckReport:
     """Sample random states and test strict neighborhood-hull contraction.
 
     For each sampled state and each agent k, the updated position must lie
@@ -701,38 +693,21 @@ def check_strict_convexity(
     `_strict_violation`; only a segment, which no float point need lie on,
     allows rounding off its line).  If the neighborhood states all
     coincide the update must reproduce that value exactly.  States are
-    sampled in (-10, 10)^d, cut to the checkers' sampling domain; a d the
-    map does not support fails the first `step`.
+    sampled in the box of `_checker_rules`, or in (-10, 10)^d for a map on
+    all reals; a d the map does not support fails the first `step`.
     """
     samples = _valid_count(samples, 1, "samples")
     seed = _valid_count(seed, 0, "seed")
-    domain = _checker_rules(update_map)
-    lo, hi = domain or (-10.0, 10.0)
-    lo, hi = max(-10.0, lo), min(10.0, hi)
-    if not lo < hi:
-        raise ValueError(f"empty sampling box ({lo}, {hi})")
+    lo, hi = _checker_rules(update_map) or (-10.0, 10.0)
     rng = np.random.default_rng(seed)
-    closed_idx = {k: [k - 1, *graph._senders(k - 1).tolist()] for k in graph.nodes}
-    violations: list[ConvexityViolation] = []
-    for s in range(samples):
+    closed = _closed_neighborhoods(graph)
+    violations: list[Violation] = []
+    for draw in range(samples):
         pts = rng.uniform(lo, hi, size=(graph.n, d))
         out = update_map.step(0, graph, AgentState(pts)).points
-        for k in graph.nodes:
-            nb = pts[closed_idx[k]]
-            reason = _strict_violation(out[k - 1], nb)
+        for k, idx in enumerate(closed):
+            nb = pts[idx]
+            reason = _strict_violation(out[k], nb)
             if reason is not None:
-                violations.append(
-                    ConvexityViolation(
-                        agent=k,
-                        sample=s,
-                        reason=reason,
-                        output=tuple(map(float, out[k - 1])),
-                        neighborhood=tuple(tuple(map(float, row)) for row in nb),
-                    )
-                )
-    return ConvexityReport(
-        map_name=update_map.name,
-        samples=samples,
-        seed=seed,
-        violations=tuple(violations),
-    )
+                violations.append(_witness(k, draw, reason, out[k], nb))
+    return CheckReport(update_map.name, samples, seed, tuple(violations))

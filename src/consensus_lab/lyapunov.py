@@ -237,11 +237,19 @@ def _frame_shift(magnitude: float) -> int:
     return 0 if _FRAME_LO <= e <= _FRAME_HI else _FRAME_HI - e
 
 
+def _scaled(*values: float) -> list[int]:
+    """The floats `values`, each times the one power of two that makes
+    them all integers.  A sign or a comparison of two homogeneous
+    polynomials of equal degree in them is then decided exactly, as it
+    would be on the floats' exact values."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max([d for _, d in ratios])
+    return [k * (den // d) for k, d in ratios]
+
+
 def _exact_cross(o, a, b) -> int:
     """`_cross` without rounding, times a positive integer."""
-    ratios = [v.as_integer_ratio() for v in (*o, *a, *b)]
-    den = max([d for _, d in ratios])
-    x = [k * (den // d) for k, d in ratios]
+    x = _scaled(*o, *a, *b)
     return (x[2] - x[0]) * (x[5] - x[1]) - (x[3] - x[1]) * (x[4] - x[0])
 
 

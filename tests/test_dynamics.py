@@ -1164,12 +1164,17 @@ def test_locality_kuramoto_star_passes():
 def test_locality_kuramoto_chain_relays_information():
     # agent 1 reaches agent 3 through agent 2's motion during the unit interval
     g = DirectedGraph(3, {(1, 2), (2, 3)})
-    rep = check_communication_assumption(
-        KuramotoTime1(substeps=20), g, AgentState([0.5, -0.5, 1.0]), trials=5
-    )
+    x = AgentState([0.5, -0.5, 1.0])
+    rep = check_communication_assumption(KuramotoTime1(substeps=20), g, x, trials=5)
+    baseline = float(KuramotoTime1(substeps=20).step(0, g, x).values[2])
     assert not rep.ok
-    assert all(v.agent == 3 for v in rep.violations)
-    assert all(v.delta > 1e-12 for v in rep.violations)
+    assert [v.draw for v in rep.violations] == [0, 1, 2, 3, 4]
+    for v in rep.violations:
+        # the witness: agent 3 and its sender 2 as they were, and the moved output
+        assert (v.agent, v.neighborhood) == (3, ((1.0,), (-0.5,)))
+        delta = abs(v.output[0] - baseline)
+        assert delta > 1e-12
+        assert v.reason.startswith(f"output moved by {delta!r} from the baseline [{baseline!r}]")
 
 
 def test_locality_vicsek_resamples_inside_domain():
@@ -1188,7 +1193,7 @@ def test_convexity_linear_average_passes():
     g = DirectedGraph(3, {(1, 2), (2, 1), (3, 2)})
     rep = check_strict_convexity(LinearAverage(), g, samples=300)
     assert rep.ok
-    assert rep.samples == 300
+    assert rep.draws == 300
 
 
 def test_convexity_linear_average_passes_planar():
@@ -1225,8 +1230,35 @@ def test_convexity_rejects_a_domain_outside_the_sampling_box():
     class FarMax(MaxUpdate):
         domain = (20.0, 30.0)
 
+    g = DirectedGraph(2, {(1, 2)})
+    with pytest.raises(ValueError, match=r"empty sampling box \(20.0, 10.0\)"):
+        check_strict_convexity(FarMax(), g)
     with pytest.raises(ValueError, match="empty sampling box"):
-        check_strict_convexity(FarMax(), DirectedGraph(2, {(1, 2)}))
+        check_communication_assumption(FarMax(), g, AgentState([21.0, 22.0]))
+
+
+@pytest.mark.parametrize(
+    "domain, box", [((0.0, math.inf), (0.1, 9.9)), ((-math.inf, math.inf), (-9.8, 9.8))]
+)
+def test_checkers_sample_an_infinite_domain_cut_to_ten(domain, box):
+    # 0.01 s.  The domain is cut to (-10, 10), then shrunk by 1% of the
+    # cut's width at each end; the max map's witnesses show the samples.
+    class CutMax(MaxUpdate):
+        pass
+
+    class CutLinear(LinearAverage):
+        pass
+
+    CutMax.domain = CutLinear.domain = domain
+    assert dynamics._checker_rules(CutMax()) == box
+    chain = DirectedGraph(3, {(1, 2), (2, 3)})
+    rep = check_strict_convexity(CutMax(), chain, samples=20)
+    assert len(rep.violations) == 40
+    assert all(box[0] <= x <= box[1] for v in rep.violations for (x,) in v.neighborhood)
+    assert check_strict_convexity(CutLinear(), chain, samples=20, d=2).ok
+    x = AgentState([1.0, 2.0, 3.0])
+    assert check_communication_assumption(CutLinear(), chain, x).ok
+    assert check_communication_assumption(CutMax(), DirectedGraph(3, {(1, 2)}), x).ok
 
 
 class _MaxOnUnitInterval(MaxUpdate):
@@ -1240,42 +1272,50 @@ class _KuramotoOnTwo(KuramotoTime1):
 _CHECKED_MAPS = {
     "linear": LinearAverage,
     "kuramoto": KuramotoTime1,
+    "nonlinear arctan": lambda: NonlinearConsensus(GAIN_LIBRARY["arctan"]),
     "vicsek": VicsekHeading,
     "max": MaxUpdate,
     "max on (-1, 1)": _MaxOnUnitInterval,
     "kuramoto on (-2, 2)": _KuramotoOnTwo,
 }
 
-# Both checkers' reports on the chain 1 -> 2 -> 3 at the default seeds, as
-# recorded before the checkers lost their `box` and `t` options (the
-# locality reports since without their `tol` field): (map, d,
-# checker, violation count, first 32 hex digits of the sha256 of the
-# report's repr, which covers every field bit for bit).  The maps on a
-# narrowed domain pin where the checkers sample: the domain shrunk by 1% of
-# its width at each end.
+# Both checkers' reports on the chain 1 -> 2 -> 3 at the default seeds:
+# (map, d, checker, violation count, first 32 hex digits of the sha256 of
+# the report's repr, which covers every field bit for bit).  The counts
+# date from before the checkers lost their `box` and `t` options; the
+# digests were re-recorded when the witnesses became `Violation`s in a
+# `CheckReport`, whose fields matched the old types' field for field.  The
+# maps on a narrowed domain pin where the checkers sample: the domain
+# shrunk by 1% of its width at each end.  The digest is not in a test's
+# id, so a re-recorded digest renames no test.
 _PINNED_REPORTS = [
-    ("linear", 1, "locality", 0, "7484dd195cb50032e59295e4dcd0015f"),
-    ("linear", 1, "convexity", 0, "19e96d94bf655f3532a0a190db8cc5ec"),
-    ("linear", 2, "locality", 0, "7484dd195cb50032e59295e4dcd0015f"),
-    ("linear", 2, "convexity", 0, "19e96d94bf655f3532a0a190db8cc5ec"),
-    ("kuramoto", 1, "locality", 20, "2389eede709818bb711f10fdcb631dd4"),
-    ("kuramoto", 1, "convexity", 0, "507fad74545d8f8df5061645a426d7ea"),
-    ("vicsek", 1, "locality", 0, "13c827896cde2722e715f8b1dd569030"),
-    ("vicsek", 1, "convexity", 0, "a691941230ccf8f241c5ba30938d514e"),
-    ("max", 1, "locality", 0, "e3a636718fce0db7e34a5ccf9c72fe7f"),
-    ("max", 1, "convexity", 200, "535fe3055222449f09f97717b92b8186"),
-    ("max", 2, "locality", 0, "e3a636718fce0db7e34a5ccf9c72fe7f"),
-    ("max", 2, "convexity", 200, "02352054b904570172c9bff52f926ec2"),
-    ("max on (-1, 1)", 1, "locality", 0, "e3a636718fce0db7e34a5ccf9c72fe7f"),
-    ("max on (-1, 1)", 1, "convexity", 200, "23e4f50d480a8ebad36627358cb9d8c7"),
-    ("max on (-1, 1)", 2, "locality", 0, "e3a636718fce0db7e34a5ccf9c72fe7f"),
-    ("max on (-1, 1)", 2, "convexity", 200, "e8d2708f28e27731b6da0b6d24b69719"),
-    ("kuramoto on (-2, 2)", 1, "locality", 20, "0fc4f0cb116528d4d234d5d0376a2303"),
-    ("kuramoto on (-2, 2)", 1, "convexity", 17, "3791d31d253e93eca365294063a331f3"),
+    ("linear", 1, "locality", 0, "eb449c36ae4b3e9704acec1ec9a292df"),
+    ("linear", 1, "convexity", 0, "9adb182c96b8410d48a34368d8965735"),
+    ("linear", 2, "locality", 0, "eb449c36ae4b3e9704acec1ec9a292df"),
+    ("linear", 2, "convexity", 0, "9adb182c96b8410d48a34368d8965735"),
+    ("kuramoto", 1, "locality", 20, "a3c213a22631dffa9ca830c490021e9f"),
+    ("kuramoto", 1, "convexity", 0, "b7dcf0603398678a1d90dd80c2c1cfec"),
+    ("nonlinear arctan", 1, "locality", 20, "e62d844dccfb11f4a1958e37fee967d5"),
+    ("nonlinear arctan", 1, "convexity", 7, "80040168dfca6956e5e919a6de676602"),
+    ("vicsek", 1, "locality", 0, "8569b9f28e44f45aa9ba325a06154e28"),
+    ("vicsek", 1, "convexity", 0, "1b463e4aefd86985cfc8ce02be20ec7c"),
+    ("max", 1, "locality", 0, "e10d2adea4d8b1fbf169899693a7eb31"),
+    ("max", 1, "convexity", 200, "86199669082a137b5a5ad9aad81983a2"),
+    ("max", 2, "locality", 0, "e10d2adea4d8b1fbf169899693a7eb31"),
+    ("max", 2, "convexity", 200, "aaf3c711ccdba32e3abf04befb8651c2"),
+    ("max on (-1, 1)", 1, "locality", 0, "e10d2adea4d8b1fbf169899693a7eb31"),
+    ("max on (-1, 1)", 1, "convexity", 200, "b193950c7666c5ad51e8921ffbe360b5"),
+    ("max on (-1, 1)", 2, "locality", 0, "e10d2adea4d8b1fbf169899693a7eb31"),
+    ("max on (-1, 1)", 2, "convexity", 200, "6393f2c81fe8929cc04c1d877c7f3f31"),
+    ("kuramoto on (-2, 2)", 1, "locality", 20, "211a924d11a0f38573754bdd13c02ac8"),
+    ("kuramoto on (-2, 2)", 1, "convexity", 17, "f614bfb70f401f7cfb065f680d519125"),
 ]
 
 
-@pytest.mark.parametrize("name, d, checker, count, digest", _PINNED_REPORTS)
+@pytest.mark.parametrize(
+    "name, d, checker, count, digest",
+    [pytest.param(*row, id="-".join(map(str, row[:4]))) for row in _PINNED_REPORTS],
+)
 def test_checker_reports_are_pinned(name, d, checker, count, digest):
     update_map = _CHECKED_MAPS[name]()
     chain = DirectedGraph(3, {(1, 2), (2, 3)})
@@ -1364,18 +1404,23 @@ _REASON_WORDS = ("above", "below", "off the segment", "endpoint", "boundary")
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_convexity_verdicts_match_the_reference_arithmetic(d):
-    # 0.1 s (d = 1), 0.8 s (d = 2)
+    # 0.5 s (d = 1), 2.8 s (d = 2).  The same cases at three scales, each
+    # exact: verdicts that depend on the scale would differ between them.
     rng = np.random.default_rng(31 + d)
     reference = _reference_violation_1d if d == 1 else _reference_violation_2d
-    kinds = set()
-    for _, nb in zip(range(400), _neighborhoods(rng, d)):
-        shape = nb[:, 0] if d == 1 else hull(nb)
-        for out in _outputs(rng, nb):
-            want = reference(out, shape)
-            assert dynamics._strict_violation(out, nb) == want, (out, nb)
-            kinds.add(want and next(w for w in _REASON_WORDS if w in want))
-    # every verdict of the reference occurs
-    assert kinds == ({None, "above", "below"} if d == 1 else {None, *_REASON_WORDS[2:]})
+    cases = [(nb, list(_outputs(rng, nb))) for _, nb in zip(range(400), _neighborhoods(rng, d))]
+    for scale in (2.0**-900, 1.0, 2.0**900):
+        kinds = set()
+        for nb, outs in cases:
+            nb = scale * nb
+            shape = nb[:, 0] if d == 1 else hull(nb)
+            for out in outs:
+                out = scale * out
+                want = reference(out, shape)
+                assert dynamics._strict_violation(out, nb) == want, (scale, out, nb)
+                kinds.add(want and next(w for w in _REASON_WORDS if w in want))
+        # every verdict of the reference occurs
+        assert kinds == ({None, "above", "below"} if d == 1 else {None, *_REASON_WORDS[2:]})
 
 
 def test_convexity_consensus_neighborhood_must_stay_put():

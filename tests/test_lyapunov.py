@@ -835,6 +835,23 @@ def test_monitor_stream_linear_averaging_never_expands():
     assert diam[-1] < 1e-6
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="a hub's linear step rounds off its hull by more than the monitor's 17 eps M",
+)
+def test_monitor_keeps_a_hub_of_many_senders_inside_its_hull():
+    # 0.04 s.  A hub at (0.1, 1) hears 17,211 agents at (1, 0.3); one more
+    # agent sits at (0, 0), heard by nobody.  The hub's output lies on the
+    # hull's edge from (1, 0.3) to (0.1, 1) in exact arithmetic, and its
+    # 17,211-term sum rounds it 161.9 eps M outside, where the monitor
+    # allows 17.  The default slack of 1e-9 hides this.
+    j = 17_211
+    x = AgentState([(0.1, 1.0)] + [(1.0, 0.3)] * j + [(0.0, 0.0)])
+    g = DirectedGraph(j + 2, {(k, 1) for k in range(2, j + 2)})
+    y = LinearAverage().step(0, g, x)
+    assert all(r.contained for r in monitor_stream([(0, x), (1, y)], slack=0.0))
+
+
 def test_monitor_composes_across_sparse_sampling():
     # keeping only every 7th state must not create false violations
     g = DirectedGraph(3, {(1, 2), (2, 1), (3, 2), (2, 3)})
