@@ -38,7 +38,7 @@ def main():
         print(f"  {rec.t}  {rec.diameter:<12.8f}  {str(rec.contained):<9}  {rec.vertex_count}")
     print("  every step stays inside the previous hull and the diameter falls.\n")
 
-    pair = WeightedDigraph(DirectedGraph(2, {(1, 2), (2, 1)}), {(1, 2): 0.5, (2, 1): 0.5})
+    pair = WeightedDigraph(2, {(1, 2): 0.5, (2, 1): 0.5})
     x0 = AgentState([0.0, 1.0])
     spans = iter_spans(PeriodicSchedule([pair]), LinearAverage(), x0, steps=6)
     run = summarize(monitor_stream((t, x) for t, _, x in spans), tol=1e-9)

@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from consensus_lab import (
     AgentState,
-    DirectedGraph,
     WeightedDigraph,
     build_update_matrix,
     linear_step,
@@ -18,10 +17,8 @@ from consensus_lab import (
 
 
 def main():
-    graph = WeightedDigraph(
-        DirectedGraph(4, {(2, 1), (1, 2), (3, 2)}),
-        {(2, 1): 0.5, (1, 2): 1.0, (3, 2): 5.0},
-    )
+    # the arcs are the keys of the weight mapping
+    graph = WeightedDigraph(4, {(2, 1): 0.5, (1, 2): 1.0, (3, 2): 5.0})
     print("arcs and weights:")
     for (k, l), w in sorted(graph.weights.items()):
         print(f"  {k} -> {l}   weight {w}")

@@ -8,9 +8,10 @@ node is called a root.
 
 The module provides:
 
-* immutable graph types: `DirectedGraph`, stored as one sorted array of
-  integer arc keys, and its subclass `WeightedDigraph`, which adds arc
-  weights, so every query below takes either kind,
+* immutable graph types: `DirectedGraph(n, arcs)`, stored as one sorted
+  array of integer arc keys, and its subclass `WeightedDigraph(n, weights)`,
+  whose arcs are its weight mapping's keys, so every query below takes
+  either kind,
 * the neighbor calculus and reachability queries,
 * the lowest root, from the same search that decides weak connectivity:
   two nodes that no arc enters leave no root, one is the only candidate,
@@ -218,12 +219,12 @@ def _node_index(g: DirectedGraph, k: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class WeightedDigraph(DirectedGraph):
-    """Directed graph with a positive weight on every arc.
-
-    It is the `DirectedGraph` on the arcs of `graph`, sharing its keys, so
-    every query, adjacency view, update map and schedule takes it as it
-    is; only the update matrix, `relabel` and the text format read the
-    weights, stored once as `_weights`, a read-only float array in key order.
+    """Directed graph on nodes 1..n whose arcs are the keys of its
+    positive `weights`, checked as `DirectedGraph`'s arcs.  It is a
+    `DirectedGraph`, so every query, adjacency view, update map and
+    schedule takes it as it is; only the update matrix, `relabel` and the
+    text format read the weights, stored once as `_weights`, a read-only
+    float array in key order.
 
     `bounds = (e_min, e_max)` declares the admissible weight range,
     0 < e_min <= e_max; every weight must lie inside it.  When bounds are
@@ -231,7 +232,8 @@ class WeightedDigraph(DirectedGraph):
     (1, 1) for an arc-free graph).
 
     A weighted graph equals only a weighted graph with the same arcs,
-    weights and bounds (its `_form`), never its unweighted `graph`.
+    weights and bounds (its `_form`), never the unweighted graph on its
+    arcs (`as_directed`).
     """
 
     _weights: np.ndarray
@@ -239,21 +241,12 @@ class WeightedDigraph(DirectedGraph):
 
     def __init__(
         self,
-        graph: DirectedGraph,
+        n: int,
         weights: Mapping[Arc, float],
         bounds: Optional[tuple[float, float]] = None,
     ):
         wmap = {(index(k), index(l)): float(w) for (k, l), w in weights.items()}
-        in_order = list(graph._pairs())
-        given, arcs = set(wmap), set(in_order)
-        if given != arcs:
-            missing, extra = arcs - given, given - arcs
-            parts = []
-            if missing:
-                parts.append(f"missing weights for arcs {sorted(missing)}")
-            if extra:
-                parts.append(f"weights for absent arcs {sorted(extra)}")
-            raise ValueError("; ".join(parts))
+        super().__init__(n, wmap)
         for arc, w in wmap.items():
             _valid_weight(w, arc)
         if bounds is None:
@@ -266,9 +259,9 @@ class WeightedDigraph(DirectedGraph):
                 raise ValueError(
                     f"weight {w} for arc {arc} outside declared bounds [{e_min}, {e_max}]"
                 )
-        w = np.array([wmap[arc] for arc in in_order], dtype=float)
+        w = np.array([wmap[arc] for arc in self._pairs()], dtype=float)
         w.flags.writeable = False
-        vars(self).update(n=graph.n, _keys=graph._keys, _weights=w, bounds=(e_min, e_max))
+        vars(self).update(_weights=w, bounds=(e_min, e_max))
 
     @property
     def weights(self) -> Mapping[Arc, float]:
@@ -554,14 +547,14 @@ def union_across(schedule, interval: IntervalSpec) -> DirectedGraph:
 def relabel(
     g: DirectedGraph, perm: Sequence[int]
 ) -> DirectedGraph:
-    """Apply the node relabeling k -> perm[k-1].  perm must permute 1..n."""
+    """Apply the node relabeling k -> perm[k-1], which must permute 1..n;
+    a weighted graph's arcs keep their weights, and the graph its bounds."""
     n = g.n
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"perm must be a permutation of 1..{n}, got {list(perm)}")
     if isinstance(g, WeightedDigraph):
-        base = DirectedGraph(n, {(perm[k - 1], perm[l - 1]) for k, l in g.arcs})
         weights = {(perm[k - 1], perm[l - 1]): w for (k, l), w in g.weights.items()}
-        return WeightedDigraph(base, weights, g.bounds)
+        return WeightedDigraph(n, weights, g.bounds)
     return DirectedGraph(n, {(perm[k - 1], perm[l - 1]) for k, l in g.arcs})
 
 
@@ -586,10 +579,11 @@ def parse_graph_text(
     """Parse the graph text format.  Each line is checked by the graph types'
     own rules, and an error raises GraphFormatError with its line number.
 
-    Weighted text gives a `WeightedDigraph` with `bounds`, unweighted text a
-    plain `DirectedGraph`.  Bounds are checked for either: invalid bounds
-    raise `WeightedDigraph`'s ValueError, and since an unweighted arc weighs
-    1.0 in the update matrix, bounds that exclude 1.0 fail on the first arc.
+    Weighted text gives `WeightedDigraph(n, weights, bounds)`, unweighted
+    text `DirectedGraph(n, arcs)`.  Bounds are checked for either: invalid
+    bounds raise `WeightedDigraph`'s ValueError, and since an unweighted arc
+    weighs 1.0 in the update matrix, bounds that exclude 1.0 fail on the
+    first arc.
     """
     n: Optional[int] = None
     arcs: dict[Arc, Optional[float]] = {}
@@ -624,12 +618,11 @@ def parse_graph_text(
         weighted, arcs[arc] = w is not None, w
     if n is None:
         raise GraphFormatError(1, "empty input: expected 'n=<count>'")
-    base = DirectedGraph(n, arcs)
     if weighted:
-        return WeightedDigraph(base, arcs, bounds)
+        return WeightedDigraph(n, arcs, bounds)
     if bounds is not None:  # checked against the unit weight an unweighted arc has
-        WeightedDigraph(base, dict.fromkeys(arcs, 1.0), bounds)
-    return base
+        WeightedDigraph(n, dict.fromkeys(arcs, 1.0), bounds)
+    return DirectedGraph(n, arcs)
 
 
 def _number(kind, fields: list[str], message: str) -> list:

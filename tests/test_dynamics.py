@@ -3,7 +3,6 @@
 import gc
 import hashlib
 import math
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -36,10 +35,7 @@ from consensus_lab.dynamics import GAIN_LIBRARY, UpdateMap
 from consensus_lab.graphs import as_directed
 from consensus_lab.simulator import iter_spans
 
-WORKED_GRAPH = WeightedDigraph(
-    DirectedGraph(4, {(2, 1), (1, 2), (3, 2)}),
-    {(2, 1): 0.5, (1, 2): 1.0, (3, 2): 5.0},
-)
+WORKED_GRAPH = WeightedDigraph(4, {(2, 1): 0.5, (1, 2): 1.0, (3, 2): 5.0})
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +169,7 @@ def test_linear_step_preserves_consensus_exactly():
 def _random_weighted_graph(rng, n):
     pairs = [(k, l) for k in range(1, n + 1) for l in range(1, n + 1) if k != l]
     arcs = [p for p in pairs if rng.random() < 0.3]
-    return WeightedDigraph(
-        DirectedGraph(n, arcs), {a: float(rng.uniform(0.1, 5.0)) for a in arcs}
-    )
+    return WeightedDigraph(n, {a: float(rng.uniform(0.1, 5.0)) for a in arcs})
 
 
 def test_update_matrix_and_linear_step_match_python_reference():
@@ -224,7 +218,7 @@ def test_update_matrix_stores_one_triple_per_arc():
 
 def test_update_matrix_drops_entries_that_round_to_zero():
     # 5e-324 / 2 rounds to 0: the stored triples stay the nonzero entries.
-    g = WeightedDigraph(DirectedGraph(3, {(1, 3), (2, 3)}), {(1, 3): 5e-324, (2, 3): 1.0})
+    g = WeightedDigraph(3, {(1, 3): 5e-324, (2, 3): 1.0})
     M = build_update_matrix(g)
     assert M.rows.tolist() == [2] and M.cols.tolist() == [1]
     assert M.entries.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]]
@@ -236,7 +230,7 @@ def test_update_matrix_arc_weight_matches_unit_weighted_graph():
     for g in graphs:
         for w in (1.0, 0.25, 3.0, 1e-3, 1e6, 5e-324):
             direct = build_update_matrix(g, w)
-            via_weights = build_update_matrix(WeightedDigraph(g, {a: w for a in g.arcs}, (w, w)))
+            via_weights = build_update_matrix(WeightedDigraph(g.n, {a: w for a in g.arcs}, (w, w)))
             assert direct.n == via_weights.n
             for name in ("diag", "rows", "cols", "weights"):
                 assert np.array_equal(getattr(direct, name), getattr(via_weights, name))
@@ -279,7 +273,7 @@ def test_built_matrices_are_stochastic_by_construction():
         pairs = [(k, l) for k in range(1, n + 1) for l in range(1, n + 1) if k != l]
         arcs = [p for p in pairs if rng.random() < density]
         weights = {a: float(10.0 ** rng.uniform(-12.0, 12.0)) for a in arcs}
-        g = WeightedDigraph(DirectedGraph(n, arcs), weights)
+        g = WeightedDigraph(n, weights)
         _assert_stochastic_by_construction(build_update_matrix(g), g)
     g = _star(1_000)
     for w in STAR_WEIGHTS:
@@ -303,7 +297,7 @@ def test_overflowing_in_weight_names_its_node():
     g = DirectedGraph(3, {(1, 3), (2, 3)})
     message = "^the arc weights into node 3 sum past the largest float$"
     with pytest.raises(ValueError, match=message):
-        build_update_matrix(WeightedDigraph(g, {(1, 3): 1e308, (2, 3): 1e308}))
+        build_update_matrix(WeightedDigraph(3, {(1, 3): 1e308, (2, 3): 1e308}))
     with pytest.raises(ValueError, match=message):
         build_update_matrix(g, 1e308)
 
@@ -1213,7 +1207,7 @@ def test_convexity_passes_an_output_a_hair_inside_its_neighborhood(d):
     # 0.01 s.  At weight 1e-10 agent 2's output sits about 1e-10 of the
     # diameter inside the segment to agent 1: strictly inside, though a
     # margin of 1e-9 of the diameter flagged all 50 samples.
-    g = WeightedDigraph(DirectedGraph(2, {(1, 2)}), {(1, 2): 1e-10})
+    g = WeightedDigraph(2, {(1, 2): 1e-10})
     assert check_strict_convexity(LinearAverage(), g, samples=50, d=d).violations == ()
 
 
@@ -1333,40 +1327,65 @@ def test_convexity_rejects_unsupported_dim():
         check_strict_convexity(KuramotoTime1(), DirectedGraph(2), d=2)
 
 
-# The checker's verdicts in exact rational arithmetic, which shares no code
-# with the hull module's integer cross products.  Only a segment allows an
-# output off it, by the monitor's rounding allowance of 17 eps M.
+# The checker's verdicts in exact integer arithmetic, which shares no code
+# with the hull module's integer cross products: a case's floats (its
+# neighbourhood, all its outputs and the allowance) are integers over one
+# power-of-two denominator, 2**-low, taken from frexp.  Only a segment
+# allows an output off it, by the monitor's rounding allowance of 17 eps M.
 
-def _reference_violation_1d(out, values):
-    out, lo, hi = float(out[0]), float(values.min()), float(values.max())
-    if Fraction(out) <= Fraction(lo):
-        return f"output {out!r} not strictly above neighborhood min {lo!r}"
-    if Fraction(out) >= Fraction(hi):
-        return f"output {out!r} not strictly below neighborhood max {hi!r}"
-    return None
+def _dyadic(xs):
+    """The floats xs times one power of two, as integers: each x is
+    m 2**e with m, frexp's mantissa times 2**53, an integer, and every m is
+    shifted to the least e, so order and sign are those of the floats."""
+    parts = [(int(m * 2.0**53), e - 53) for m, e in map(math.frexp, xs)]
+    low = min(e for _, e in parts)
+    return [m << (e - low) for m, e in parts]
 
 
-def _reference_violation_2d(out, h):
-    verts = [tuple(map(Fraction, v)) for v in h.vertices.tolist()]
-    px, py = map(Fraction, out.tolist())
+def _reference_violations_1d(outs, values):
+    """The verdict on each (1,) output in outs for the neighbourhood values."""
+    lo, hi = float(values.min()), float(values.max())
+    a, b, *ps = _dyadic([lo, hi, *(float(out[0]) for out in outs)])
+    return [
+        f"output {float(out[0])!r} not strictly above neighborhood min {lo!r}" if p <= a
+        else f"output {float(out[0])!r} not strictly below neighborhood max {hi!r}" if p >= b
+        else None
+        for out, p in zip(outs, ps)
+    ]
+
+
+def _reference_violations_2d(outs, h):
+    """The verdict on each (2,) output in outs for the neighbourhood hull h."""
+    ring = h.vertices.tolist()
+    allow = 17.0 * np.finfo(float).eps * h.magnitude
+    coords = [c for v in ring + [out.tolist() for out in outs] for c in v]
+    allow, *x = _dyadic([allow, *coords])
+    pairs = list(zip(x[::2], x[1::2]))
+    verts, points = pairs[: len(ring)], pairs[len(ring) :]
+    return [_reference_violation_2d(out, p, verts, ring, allow) for out, p in zip(outs, points)]
+
+
+def _reference_violation_2d(out, p, verts, ring, allow):
+    px, py = p
     if len(verts) == 2:
         (ax, ay), (bx, by) = verts
         ex, ey = bx - ax, by - ay
-        t = ((px - ax) * ex + (py - ay) * ey) / (ex * ex + ey * ey)  # the foot on the line
-        dist2 = (px - ax - t * ex) ** 2 + (py - ay - t * ey) ** 2
-        allow = Fraction(17.0 * np.finfo(float).eps * h.magnitude)
+        den = ex * ex + ey * ey
+        t = (px - ax) * ex + (py - ay) * ey  # the foot on the line is a + (t / den) e
+        fx, fy = (px - ax) * den - t * ex, (py - ay) * den - t * ey  # den (p - foot)
         boxes = [sorted(pair) for pair in ((ax, bx), (ay, by))]
-        if dist2 > allow * allow or any(lo == hi != p for (lo, hi), p in zip(boxes, (px, py))):
+        if fx * fx + fy * fy > (allow * den) ** 2 or any(
+            lo == hi != q for (lo, hi), q in zip(boxes, p)
+        ):
             return f"output {out.tolist()} off the segment spanned by the neighborhood"
-        if not all(lo == hi or lo < p < hi for (lo, hi), p in zip(boxes, (px, py))):
+        if not all(lo == hi or lo < q < hi for (lo, hi), q in zip(boxes, p)):
             return f"output {out.tolist()} at or beyond a segment endpoint"
         return None
-    for (ox, oy), (ax, ay) in zip(verts, verts[1:] + verts[:1]):
+    for j, ((ox, oy), (ax, ay)) in enumerate(zip(verts, verts[1:] + verts[:1])):
         if not (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0:
-            a, b = [float(ox), float(oy)], [float(ax), float(ay)]
             return (
                 f"output {out.tolist()} on or outside the neighborhood hull boundary "
-                f"at edge {a} to {b}"
+                f"at edge {ring[j]} to {ring[(j + 1) % len(ring)]}"
             )
     return None
 
@@ -1404,19 +1423,17 @@ _REASON_WORDS = ("above", "below", "off the segment", "endpoint", "boundary")
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_convexity_verdicts_match_the_reference_arithmetic(d):
-    # 0.5 s (d = 1), 2.8 s (d = 2).  The same cases at three scales, each
+    # 0.3 s (d = 1), 1.8 s (d = 2).  The same cases at three scales, each
     # exact: verdicts that depend on the scale would differ between them.
     rng = np.random.default_rng(31 + d)
-    reference = _reference_violation_1d if d == 1 else _reference_violation_2d
+    reference = _reference_violations_1d if d == 1 else _reference_violations_2d
     cases = [(nb, list(_outputs(rng, nb))) for _, nb in zip(range(400), _neighborhoods(rng, d))]
     for scale in (2.0**-900, 1.0, 2.0**900):
         kinds = set()
         for nb, outs in cases:
-            nb = scale * nb
+            nb, outs = scale * nb, [scale * out for out in outs]
             shape = nb[:, 0] if d == 1 else hull(nb)
-            for out in outs:
-                out = scale * out
-                want = reference(out, shape)
+            for out, want in zip(outs, reference(outs, shape)):
                 assert dynamics._strict_violation(out, nb) == want, (scale, out, nb)
                 kinds.add(want and next(w for w in _REASON_WORDS if w in want))
         # every verdict of the reference occurs
@@ -1476,7 +1493,7 @@ _REST_GRAPHS = [
     DirectedGraph(3, {(1, 2)}),
     DirectedGraph(3, {(1, 2), (2, 3), (3, 1)}),
     DirectedGraph(3, {(k, l) for k in (1, 2, 3) for l in (1, 2, 3) if k != l}),
-    WeightedDigraph(DirectedGraph(3, {(2, 1), (3, 1)}), {(2, 1): 0.25, (3, 1): 7.0}),
+    WeightedDigraph(3, {(2, 1): 0.25, (3, 1): 7.0}),
 ]
 
 

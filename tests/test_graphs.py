@@ -85,42 +85,69 @@ def test_in_and_out_adjacency():
     assert (3, 2) in g.arcs and (2, 3) not in g.arcs
 
 
-def test_weighted_digraph_requires_matching_weights():
-    g = DirectedGraph(2, {(1, 2)})
-    with pytest.raises(ValueError, match="missing weights"):
-        WeightedDigraph(g, {})
-    with pytest.raises(ValueError, match="absent arcs"):
-        WeightedDigraph(g, {(1, 2): 1.0, (2, 1): 1.0})
+def test_weighted_digraph_requires_positive_weights():
     with pytest.raises(ValueError, match="positive"):
-        WeightedDigraph(g, {(1, 2): 0.0})
+        WeightedDigraph(2, {(1, 2): 0.0})
+
+
+def _raised(make):
+    """The (type, message) of the exception make() raises."""
+    with pytest.raises(Exception) as err:
+        make()
+    return err.type, str(err.value)
+
+
+@pytest.mark.parametrize(
+    "n, arc",
+    [(3, (2, 2)), (3, (1, 4)), (3, (1.5, 2))],
+    ids=["self-loop", "out-of-range", "float-key"],
+)
+def test_weighted_digraph_refuses_an_arc_as_a_graph_does(n, arc):
+    # under 0.01 s.  A weight key is an arc: it passes the arc rule alone,
+    # and fails with a graph's own error for that arc
+    want = _raised(lambda: DirectedGraph(n, {arc, (1, 3)}))
+    assert _raised(lambda: WeightedDigraph(n, {arc: 1.0, (1, 3): 1.0})) == want
+
+
+def test_weighted_digraph_refuses_a_graph_for_its_node_count():
+    # under 0.01 s.  A graph given where the node count goes builds nothing
+    g = DirectedGraph(2, {(1, 2)})
+    with pytest.raises(TypeError, match="DirectedGraph"):
+        WeightedDigraph(g, {(1, 2): 1.0})
+    with pytest.raises(TypeError):
+        WeightedDigraph(WeightedDigraph(2, {(1, 2): 1.0}), {(1, 2): 1.0})
+
+
+def test_weighted_digraph_is_the_graph_on_its_weight_keys():
+    # under 0.01 s
+    cases = [(1, {}), (3, {}), (3, {(2, 1): 0.5, (3, 1): 7.0}), (4, {(4, 1): 2.0, (1, 4): 3.0})]
+    for n, w in cases:
+        assert as_directed(WeightedDigraph(n, w)) == DirectedGraph(n, w)
 
 
 def test_weighted_digraph_bounds():
-    g = DirectedGraph(2, {(1, 2), (2, 1)})
-    wg = WeightedDigraph(g, {(1, 2): 0.5, (2, 1): 2.0})
+    wg = WeightedDigraph(2, {(1, 2): 0.5, (2, 1): 2.0})
     assert wg.bounds == (0.5, 2.0)  # tight by default
     with pytest.raises(ValueError, match=r"\(1, 2\)"):
-        WeightedDigraph(g, {(1, 2): 0.5, (2, 1): 2.0}, bounds=(1.0, 2.0))
+        WeightedDigraph(2, {(1, 2): 0.5, (2, 1): 2.0}, bounds=(1.0, 2.0))
     with pytest.raises(ValueError, match="e_min"):
-        WeightedDigraph(g, {(1, 2): 0.5, (2, 1): 2.0}, bounds=(-1.0, 2.0))
+        WeightedDigraph(2, {(1, 2): 0.5, (2, 1): 2.0}, bounds=(-1.0, 2.0))
 
 
 def test_weighted_digraph_equality_and_hash():
-    g = DirectedGraph(2, {(1, 2)})
-    a = WeightedDigraph(g, {(1, 2): 1.5})
-    b = WeightedDigraph(g, {(1, 2): 1.5})
+    a = WeightedDigraph(2, {(1, 2): 1.5})
+    b = WeightedDigraph(2, {(1, 2): 1.5})
     assert a == b and hash(a) == hash(b)
-    assert a != WeightedDigraph(g, {(1, 2): 2.5})
+    assert a != WeightedDigraph(2, {(1, 2): 2.5})
     # the order the weights are given in is not part of the graph
-    pair = DirectedGraph(2, {(1, 2), (2, 1)})
-    c = WeightedDigraph(pair, {(2, 1): 0.5, (1, 2): 2.0})
-    d = WeightedDigraph(pair, {(1, 2): 2.0, (2, 1): 0.5})
+    c = WeightedDigraph(2, {(2, 1): 0.5, (1, 2): 2.0})
+    d = WeightedDigraph(2, {(1, 2): 2.0, (2, 1): 0.5})
     assert c == d and hash(c) == hash(d)
-    assert c != WeightedDigraph(pair, {(1, 2): 2.0, (2, 1): 0.5}, bounds=(0.5, 4.0))
+    assert c != WeightedDigraph(2, {(1, 2): 2.0, (2, 1): 0.5}, bounds=(0.5, 4.0))
 
 
 def test_weighted_digraph_repr_sorts_its_weights():
-    g = WeightedDigraph(DirectedGraph(3, {(2, 1), (1, 2)}), {(2, 1): 0.5, (1, 2): 2.0})
+    g = WeightedDigraph(3, {(2, 1): 0.5, (1, 2): 2.0})
     assert repr(g) == "WeightedDigraph(n=3, weights={(1, 2): 2.0, (2, 1): 0.5}, bounds=(0.5, 2.0))"
 
 
@@ -146,8 +173,7 @@ def test_construction_coerces_pairs_to_ints():
     once = DirectedGraph(3, ((k, k + 1) for k in (1, 2)))  # a one-shot iterator
     assert once.arcs == {(1, 2), (2, 3)}
     i64 = np.int64
-    h = DirectedGraph(3, {(1, 2)})
-    assert WeightedDigraph(h, {(i64(1), i64(2)): 0.5}) == WeightedDigraph(h, {(1, 2): 0.5})
+    assert WeightedDigraph(3, {(i64(1), i64(2)): 0.5}) == WeightedDigraph(3, {(1, 2): 0.5})
     spec = IntervalSpec(i64(2), i64(9))
     assert spec == IntervalSpec(2, 9) and type(spec.start) is int and type(spec.end) is int
 
@@ -157,7 +183,7 @@ def test_construction_coerces_pairs_to_ints():
     [
         lambda: DirectedGraph(2.7),
         lambda: DirectedGraph(3, {(1.9, 2)}),
-        lambda: WeightedDigraph(DirectedGraph(3, {(1, 2)}), {(1.5, 2): 1.0}),
+        lambda: WeightedDigraph(3, {(1.5, 2): 1.0}),
         lambda: IntervalSpec(0.5, 3),
         lambda: IntervalSpec(0, 3.0),
         lambda: neighbors(DirectedGraph(3, {(1, 2)}), [2.0]),
@@ -222,12 +248,12 @@ def test_weighted_digraph_is_the_graph_of_its_arcs():
     rng = random.Random(41)
     weighted = []
     for g in _random_digraphs(count=120, seed=43):
-        wg = WeightedDigraph(g, {a: rng.uniform(0.1, 10.0) for a in g.arcs})
+        wg = WeightedDigraph(g.n, {a: rng.uniform(0.1, 10.0) for a in g.arcs})
         weighted.append(wg)
         assert isinstance(wg, DirectedGraph)
         assert (wg.n, wg.arcs) == (g.n, g.arcs)
         assert wg != g and g != wg and as_directed(wg) == g
-        again = WeightedDigraph(DirectedGraph(g.n, list(g.arcs)), dict(wg.weights))
+        again = WeightedDigraph(g.n, dict(wg.weights))
         assert again == wg and hash(again) == hash(wg)
         assert all(np.array_equal(x, y) for x, y in zip(wg.arc_arrays, g.arc_arrays))
         for k in g.nodes:
@@ -248,7 +274,7 @@ def test_weighted_digraph_is_the_graph_of_its_arcs():
         plain = union_across(PeriodicSchedule([as_directed(wg) for wg in members]), interval)
         assert (union.n, union.arcs) == (plain.n, plain.arcs)
     # A weighted graph and its unweighted graph are two cache keys.
-    wg = WeightedDigraph(DirectedGraph(2, {(1, 2)}), {(1, 2): 3.0})
+    wg = WeightedDigraph(2, {(1, 2): 3.0})
     avg, x = LinearAverage(), AgentState([0.0, 1.0])
     assert avg.step(0, wg, x).values.tolist() == [0.0, 0.25]
     assert avg.step(0, as_directed(wg), x).values.tolist() == [0.0, 0.5]
@@ -628,9 +654,7 @@ def test_relabel_requires_permutation():
 
 
 def test_relabel_carries_each_weight_and_the_bounds_with_the_arc():
-    g = WeightedDigraph(
-        DirectedGraph(3, {(1, 2), (2, 3)}), {(1, 2): 0.5, (2, 3): 4.0}, bounds=(0.25, 8.0)
-    )
+    g = WeightedDigraph(3, {(1, 2): 0.5, (2, 3): 4.0}, bounds=(0.25, 8.0))
     perm = [2, 3, 1]
     h = relabel(g, perm)
     assert isinstance(h, WeightedDigraph)
@@ -641,13 +665,14 @@ def test_relabel_carries_each_weight_and_the_bounds_with_the_arc():
 
 
 def test_weighted_digraph_stores_its_weights_once_in_key_order():
-    # no second graph and no arc-keyed dict: the graph's own key array and
-    # one read-only weight array in key order, whatever the mapping's order
+    # no second graph and no arc-keyed dict: one key array, as a
+    # DirectedGraph's, and one read-only weight array in key order, whatever
+    # the mapping's order
     g = DirectedGraph(3, {(1, 2), (3, 1), (2, 3), (2, 1)})
-    wg = WeightedDigraph(g, {(2, 3): 4.0, (1, 2): 0.5, (3, 1): 2.0, (2, 1): 1.5})
-    assert set(vars(wg)) == {"n", "_keys", "_weights", "bounds"}
+    wg = WeightedDigraph(3, {(2, 3): 4.0, (1, 2): 0.5, (3, 1): 2.0, (2, 1): 1.5})
+    assert set(vars(wg)) == {"n", "_keys", "arc_arrays", "_weights", "bounds"}
     assert not any(isinstance(v, (Mapping, DirectedGraph)) for v in vars(wg).values())
-    assert wg._keys is g._keys
+    assert np.array_equal(wg._keys, g._keys) and not wg._keys.flags.writeable
     src, dst = g.arc_arrays
     assert list(zip((src + 1).tolist(), (dst + 1).tolist())) == [(2, 1), (3, 1), (1, 2), (2, 3)]
     assert wg._weights.dtype == float and wg._weights.tolist() == [1.5, 2.0, 0.5, 4.0]
@@ -656,15 +681,15 @@ def test_weighted_digraph_stores_its_weights_once_in_key_order():
     assert dict(wg.weights) == {(2, 3): 4.0, (1, 2): 0.5, (3, 1): 2.0, (2, 1): 1.5}
     with pytest.raises(TypeError):
         wg.weights[(2, 3)] = 1.0
-    assert WeightedDigraph(DirectedGraph(2), {})._weights.tolist() == []
+    assert WeightedDigraph(2, {})._weights.tolist() == []
 
 
 def test_as_directed_returns_the_unweighted_graph():
     base = DirectedGraph(2, {(1, 2)})
-    wg = WeightedDigraph(base, {(1, 2): 3.0})
+    wg = WeightedDigraph(2, {(1, 2): 3.0})
     plain = as_directed(wg)
     assert plain.__class__ is DirectedGraph and plain == base and hash(plain) == hash(base)
-    assert plain._keys is wg._keys is base._keys
+    assert plain._keys is wg._keys
     assert as_directed(base) is base
 
 
@@ -788,8 +813,7 @@ def test_parse_unweighted_round_trip():
 
 
 def test_parse_weighted_round_trip():
-    g = DirectedGraph(4, {(2, 1), (1, 2), (3, 2)})
-    wg = WeightedDigraph(g, {(2, 1): 0.5, (1, 2): 1.0, (3, 2): 5.0})
+    wg = WeightedDigraph(4, {(2, 1): 0.5, (1, 2): 1.0, (3, 2): 5.0})
     again = parse_graph_text(format_graph_text(wg))
     assert isinstance(again, WeightedDigraph)
     assert again == wg
@@ -833,10 +857,9 @@ def test_parse_checks_each_weight_by_the_weight_rule_on_its_line(weight):
 
 
 def test_weight_rule_names_the_arc_of_a_weighted_digraph():
-    g = DirectedGraph(2, {(1, 2)})
     for bad in (math.inf, math.nan, 0.0, -1.0):
         with pytest.raises(ValueError, match=r"weight of arc \(1, 2\) must be positive and finite"):
-            WeightedDigraph(g, {(1, 2): bad})
+            WeightedDigraph(2, {(1, 2): bad})
 
 
 def test_parse_with_declared_bounds():
@@ -940,7 +963,7 @@ def test_views_equality_and_hash_match_the_tuple_reference_up_to_60_nodes():
     assert DirectedGraph(n, sorted(arcs)[1:]) != g
     assert DirectedGraph(n + 1, arcs) != g
     # a weighted graph never equals an unweighted one on the same arcs
-    wg = WeightedDigraph(g, dict.fromkeys(arcs, 1.0))
+    wg = WeightedDigraph(n, dict.fromkeys(arcs, 1.0))
     assert wg != g and g != wg and as_directed(wg) == g
 
 

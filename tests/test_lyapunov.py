@@ -903,9 +903,7 @@ def test_monitor_max_map_stays_contained():
 
 
 def test_half_weight_pair_diameter_contracts_by_a_third_per_step():
-    g = WeightedDigraph(
-        DirectedGraph(2, {(1, 2), (2, 1)}), {(1, 2): 0.5, (2, 1): 0.5}
-    )
+    g = WeightedDigraph(2, {(1, 2): 0.5, (2, 1): 0.5})
     states = iter_states(PeriodicSchedule([g]), LinearAverage(), AgentState([0.0, 1.0]), steps=10)
     recs = list(monitor_stream(states))
     # each step the gap contracts by (2/3 - 1/3) = 1/3

@@ -624,7 +624,7 @@ def test_probe_diverges_when_nothing_moves():
 
 
 def test_probe_reports_undetermined_for_slow_contraction():
-    slow = WeightedDigraph(PAIR, {(1, 2): 0.01, (2, 1): 0.01})
+    slow = WeightedDigraph(2, {(1, 2): 0.01, (2, 1): 0.01})
     rep = attractivity_probe(
         PeriodicSchedule([slow]), LinearAverage(), center=[0.0, 1.0],
         radius=0.0, samples=1, horizon=100, tol=1e-9, seed=0,
@@ -636,7 +636,7 @@ def test_probe_leaves_a_run_that_ends_in_a_silent_stretch_undetermined():
     # arcs at 0, 45 and 90: the run ends in the arc-free span [91, 100],
     # but the schedule has an arc again at 135, so nothing shows that the
     # state holds forever
-    slow = WeightedDigraph(PAIR, {(1, 2): 0.01, (2, 1): 0.01})
+    slow = WeightedDigraph(2, {(1, 2): 0.01, (2, 1): 0.01})
     sched = PeriodicSchedule([slow] + [DirectedGraph(2)] * 44)
     rep = attractivity_probe(
         sched, LinearAverage(), center=[0.0, 1.0], radius=0.0, samples=1,
