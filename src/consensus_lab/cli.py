@@ -36,6 +36,7 @@ from .dynamics import (
     build_update_matrix,
 )
 from .graphs import (
+    _ORACLE_NODE_CAP,
     IntervalSpec,
     find_root,
     is_bidirectional,
@@ -309,7 +310,7 @@ def cmd_connectivity(args) -> int:
     print(f"root={root if root is not None else 'none'}")
     print(f"bidirectional={_bool(is_bidirectional(g))}")
     code = 0
-    if g.n <= 7:
+    if g.n <= _ORACLE_NODE_CAP:
         oracle = weakly_connected_oracle(g)
         agrees = oracle == wc
         print(f"oracle={_bool(oracle)}")

@@ -4,7 +4,8 @@ The discrete-time system acts on n agents whose states are points in R^d
 with d in {1, 2}.  Each time step is driven by the current communication
 graph: agent k hears from its in-senders (nodes with an arc into k) and
 moves to a convex combination of what it hears.  The linear map is given
-by a stochastic matrix built from arc weights; the other maps here are
+by the stochastic matrix A(t) of the graph's arc weights, which
+`build_update_matrix` alone builds; the other maps here are
 classical nonlinear examples (coupled oscillators in chart coordinates,
 odd-gain consensus flows, heading averaging) plus a deliberately
 non-contracting reference map (coordinate-wise max).  Each map is one
@@ -43,38 +44,13 @@ class StochasticMatrix:
 
     Holds the diagonal `diag` and the nonzero off-diagonal entries as
     0-based triples (`rows[i]`, `cols[i]`, `weights[i]`) sorted by
-    (row, col); all arrays are read-only.  `StochasticMatrix(entries)`
-    checks a dense matrix (square, finite, nonnegative, rows within
-    `_ROW_SUM_TOL` of 1, positive diagonal); `build_update_matrix` wraps
-    its own with `_own`, unchecked.  `entries` builds the dense array.
+    (row, col); all arrays are read-only.  `entries` builds the dense array.
+
+    `build_update_matrix` is the one constructor, so every matrix is the
+    A(t) of a weighted graph: `StochasticMatrix(...)` raises TypeError.
     """
 
     __slots__ = ("n", "diag", "rows", "cols", "weights")
-
-    _ROW_SUM_TOL = 1e-12
-
-    def __init__(self, entries):
-        arr = np.array(entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-            raise ValueError(f"matrix must be square, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("matrix entries must be finite")
-        if np.any(arr < 0.0):
-            raise ValueError("matrix entries must be nonnegative")
-        off = arr != 0.0
-        np.fill_diagonal(off, False)
-        rows, cols = np.nonzero(off)
-        diag, weights = arr.diagonal().copy(), arr[rows, cols]
-        sums = diag + np.bincount(rows, weights, minlength=len(arr))
-        bad = np.nonzero(np.abs(sums - 1.0) > self._ROW_SUM_TOL)[0]
-        if bad.size:
-            k = int(bad[0])
-            raise ValueError(f"row {k + 1} sums to {float(sums[k])!r}, not 1")
-        if np.any(diag <= 0.0):
-            raise ValueError("diagonal entries must be strictly positive")
-        M = self._own(len(arr), diag, rows, cols, weights)
-        for name in self.__slots__:
-            setattr(self, name, getattr(M, name))
 
     @classmethod
     def _own(cls, n, diag, rows, cols, weights) -> "StochasticMatrix":
@@ -100,7 +76,8 @@ class StochasticMatrix:
 
 
 def build_update_matrix(g: DirectedGraph, weight: float = 1.0) -> StochasticMatrix:
-    """Stochastic update matrix of a weighted communication graph.
+    """Stochastic update matrix of a weighted communication graph, and the
+    one constructor of `StochasticMatrix`.
 
     Row k averages agent k's own state with its in-senders' states:
 
@@ -135,7 +112,8 @@ def build_update_matrix(g: DirectedGraph, weight: float = 1.0) -> StochasticMatr
 
 
 def linear_step(matrix: StochasticMatrix, state: AgentState) -> AgentState:
-    """One linear averaging step x -> A x (applied per coordinate).
+    """One linear averaging step x -> A x (applied per coordinate), for a
+    matrix from `build_update_matrix`.
 
     Evaluated in increment form, x_k + sum_l A[k, l] (x_l - x_k), which is
     the same product because rows sum to 1.  This way common-point states

@@ -634,7 +634,10 @@ def _number(kind, fields: list[str], message: str) -> list:
 
 
 def format_graph_text(g: DirectedGraph) -> str:
-    """Render a graph in the text format (round-trips through the parser)."""
+    """Render a graph in the text format.  The text holds no bounds, so a
+    weighted graph comes back whole given its own: `parse_graph_text(text)
+    == g` for an unweighted g, `parse_graph_text(text, g.bounds) == g` for
+    a weighted one."""
     lines = [f"n={g.n}"]
     if isinstance(g, WeightedDigraph):
         for (k, l), w in sorted(g.weights.items()):

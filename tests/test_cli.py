@@ -270,6 +270,18 @@ def test_connectivity_stretching_arc_free_window(capsys):
     assert "weakly_connected=false" in capsys.readouterr().out
 
 
+def test_connectivity_runs_the_oracle_up_to_its_own_node_cap(tmp_path, capsys):
+    # stars from node 1; the oracle takes about 15 ms on the 12-node one
+    for n in (12, 13):
+        path = tmp_path / f"star{n}.graph"
+        path.write_text(f"n={n}\n" + "".join(f"arc 1 {k}\n" for k in range(2, n + 1)))
+        assert main(["connectivity", "--graph", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["weakly_connected=true", "root=1"]
+        oracle_lines = [line for line in lines if line.startswith("oracle")]
+        assert oracle_lines == (["oracle=true", "oracle_agrees=true"] if n == 12 else [])
+
+
 def test_connectivity_exits_2_when_the_oracle_disagrees(chain_graph, monkeypatch, capsys):
     monkeypatch.setattr(cli, "weakly_connected_oracle", lambda g: False)
     assert main(["connectivity", "--graph", chain_graph]) == 2

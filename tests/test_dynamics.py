@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -86,27 +87,9 @@ def test_state_is_read_only():
         s.points[0] = 5.0
 
 
-def test_stochastic_matrix_validation():
-    StochasticMatrix([[0.5, 0.5], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="square"):
-        StochasticMatrix([[0.5, 0.5]])
-    with pytest.raises(ValueError, match="nonnegative"):
-        StochasticMatrix([[1.5, -0.5], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="row 1 sums"):
-        StochasticMatrix([[0.5, 0.6], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="diagonal"):
-        StochasticMatrix([[0.0, 1.0], [0.0, 1.0]])
-
-
-def test_stochastic_matrix_rejects_an_infinite_entry():
-    with pytest.raises(ValueError, match="matrix entries must be finite"):
-        StochasticMatrix([[1.0, math.inf], [0.0, 1.0]])
-
-
-def test_stochastic_matrix_prints_a_bad_row_sum_as_a_float():
-    with pytest.raises(ValueError) as e:
-        StochasticMatrix([[0.5, 0.6], [0.0, 1.0]])
-    assert str(e.value) == "row 1 sums to 1.1, not 1"
+def test_stochastic_matrix_is_made_only_by_build_update_matrix():
+    with pytest.raises(TypeError):
+        StochasticMatrix([[1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +190,10 @@ def test_update_matrix_stores_one_triple_per_arc():
         g = _random_weighted_graph(rng, n)
         M = build_update_matrix(g)
         assert M.n == n and M.rows.size == len(g.arcs)
-        dense = StochasticMatrix(M.entries)
+        assert np.all(np.diff(M.rows * n + M.cols) > 0)  # sorted by (row, col)
+        assert np.array_equal(M.entries[M.rows, M.cols], M.weights)
+        assert np.array_equal(M.entries.diagonal(), M.diag)
         for name in ("diag", "rows", "cols", "weights"):
-            assert np.array_equal(getattr(dense, name), getattr(M, name))
             with pytest.raises(ValueError):
                 getattr(M, name)[...] = 0
         with pytest.raises(ValueError):
@@ -1438,6 +1422,29 @@ def test_convexity_verdicts_match_the_reference_arithmetic(d):
                 kinds.add(want and next(w for w in _REASON_WORDS if w in want))
         # every verdict of the reference occurs
         assert kinds == ({None, "above", "below"} if d == 1 else {None, *_REASON_WORDS[2:]})
+
+
+def test_convexity_allows_a_segment_output_off_its_line_by_the_allowance_alone():
+    # A slanted segment, so that no coordinate is flat, and two outputs off
+    # its line by about 1.5 and 0.5 allowances of 17 eps M (M = 1 at scale
+    # 1).  Each distance is measured here in exact rationals: |e x (p - a)|
+    # over |e| = 1.25, in units of the allowance.
+    allow = Fraction(17.0 * np.finfo(float).eps)
+    mid, normal = np.array([0.5, 0.375]), np.array([-0.6, 0.8])
+    for scale in (2.0**-900, 1.0, 2.0**900):
+        nb = scale * np.array([[0.0, 0.0], [1.0, 0.75], [0.5, 0.375]])
+        ax, ay, bx, by = map(Fraction, nb[:2].ravel().tolist())
+        for k, want_flagged in ((1.5, True), (0.5, False)):
+            out = scale * (mid + k * float(allow) * normal)
+            px, py = map(Fraction, out.tolist())
+            off = abs((bx - ax) * (py - ay) - (by - ay) * (px - ax)) / Fraction(1.25 * scale)
+            ratio = off / (allow * Fraction(scale))
+            assert (1 < ratio < 2) if want_flagged else (ratio < 1), (scale, k, float(ratio))
+            verdict = dynamics._strict_violation(out, nb)
+            if want_flagged:
+                assert verdict == f"output {out.tolist()} off the segment spanned by the neighborhood"
+            else:
+                assert verdict is None, (scale, k, verdict)
 
 
 def test_convexity_consensus_neighborhood_must_stay_put():

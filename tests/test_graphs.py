@@ -817,6 +817,10 @@ def test_parse_weighted_round_trip():
     again = parse_graph_text(format_graph_text(wg))
     assert isinstance(again, WeightedDigraph)
     assert again == wg
+    # the text holds no bounds: declared ones come back only when given
+    declared = WeightedDigraph(2, {(1, 2): 1.0}, bounds=(0.5, 2.0))
+    assert parse_graph_text(format_graph_text(declared)).bounds == (1.0, 1.0)
+    assert parse_graph_text(format_graph_text(declared), declared.bounds) == declared
 
 
 def test_parse_comments_and_blank_lines():
