@@ -80,8 +80,8 @@ def _bool(v: bool) -> str:
 
 
 def _pop(params: dict, spec: str, key: str, kind: type, default=None):
-    """Remove and convert (int, float or str) a spec parameter; a None
-    default makes it required."""
+    """Remove and convert (int or str) a spec parameter; a None default
+    makes it required."""
     if key not in params:
         if default is None:
             raise CliError(f"{spec}: missing required parameter {key}")
@@ -90,8 +90,7 @@ def _pop(params: dict, spec: str, key: str, kind: type, default=None):
     try:
         return kind(raw)
     except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise CliError(f"{spec}: {key} must be {noun}, got {raw!r}")
+        raise CliError(f"{spec}: {key} must be an integer, got {raw!r}")
 
 
 def _build(spec: str, what: str, factories: dict):
@@ -131,7 +130,7 @@ _SCENARIOS = {
 }
 
 _MAPS = {
-    "linear": lambda pop: LinearAverage(pop("weight", float, 1.0)),
+    "linear": lambda pop: LinearAverage(),
     "kuramoto": lambda pop: KuramotoTime1(pop("substeps", int, 100)),
     "nonlinear": _nonlinear,
     "vicsek": lambda pop: VicsekHeading(),
@@ -342,13 +341,7 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    bounds = None
-    if (args.emin is None) != (args.emax is None):
-        raise CliError("give both --emin and --emax, or neither")
-    if args.emin is not None:
-        bounds = (args.emin, args.emax)
-    g = read_graph_file(args.graph, bounds)
-    M = build_update_matrix(g).entries
+    M = build_update_matrix(read_graph_file(args.graph)).entries
     print(f"n={M.shape[0]}")
     print("decimal:")
     for row in M:
@@ -435,8 +428,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("matrix", help="print the update matrix of a weighted graph")
     p.add_argument("--graph", required=True)
-    p.add_argument("--emin", type=float, help="declared lower weight bound")
-    p.add_argument("--emax", type=float, help="declared upper weight bound")
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser(

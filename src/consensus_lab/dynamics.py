@@ -33,7 +33,7 @@ from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
-from .graphs import Arc, DirectedGraph, WeightedDigraph, _valid_count, _valid_weight
+from .graphs import Arc, DirectedGraph, WeightedDigraph, _valid_count
 from .lyapunov import _EPS, _ROUNDING_ULPS, AgentState, _exact_cross, _scaled, hull
 
 GainFn = Callable[[float], float]
@@ -75,7 +75,7 @@ class StochasticMatrix:
         return f"StochasticMatrix({self.entries.tolist()!r})"
 
 
-def build_update_matrix(g: DirectedGraph, weight: float = 1.0) -> StochasticMatrix:
+def build_update_matrix(g: DirectedGraph) -> StochasticMatrix:
     """Stochastic update matrix of a weighted communication graph, and the
     one constructor of `StochasticMatrix`.
 
@@ -87,21 +87,20 @@ def build_update_matrix(g: DirectedGraph, weight: float = 1.0) -> StochasticMatr
     order: the arcs are read from the graph's cached `arc_arrays`, which
     are sorted by (receiver, sender).  A `WeightedDigraph` uses its own
     weight array, stored in that key order (no map reads weights elsewhere);
-    any other graph gets `weight` (positive and finite, default 1) on every
-    arc.  The arc-free graph yields the identity.  Builds one triple per arc in
-    O(n + m) and allocates no n x n array.
+    an arc of any other graph weighs 1.  The arc-free graph yields the
+    identity.  Builds one triple per arc in O(n + m) and allocates no
+    n x n array.
 
-    Stochastic by construction: `_valid_weight` makes every weight
+    Stochastic by construction: each weight is 1 or, checked on its graph,
     positive and finite, so unless 1 + S_k overflows (the one check, a
     ValueError naming node k) it lies in [1, inf), the diagonal in (0, 1],
     each entry is finite and nonnegative, and a row with j senders sums to
     1 within (j + 2) eps, one j-term sum and j + 1 quotients to first order
     (Higham, Accuracy and Stability of Numerical Algorithms, section 4.2).
     """
-    weight = _valid_weight(weight)
     n = g.n
     src, dst = g.arc_arrays
-    w = g._weights if isinstance(g, WeightedDigraph) else np.full(src.size, weight)
+    w = g._weights if isinstance(g, WeightedDigraph) else np.ones(src.size)
     denom = 1.0 + np.bincount(dst, w, minlength=n)
     k = int(np.argmax(denom))  # the first infinite 1 + S_k, if any
     if denom[k] == math.inf:
@@ -316,7 +315,7 @@ class LinearAverage(UpdateMap):
     """Weighted averaging through the stochastic update matrix.
 
     Weighted graphs use their own weights; unweighted graphs get
-    `default_weight` on every arc.  Matrices are cached per graph under a
+    weight 1 on every arc.  Matrices are cached per graph under a
     weak key, shared by equal graphs and dropped with the graph they were
     built for, so a generator that returns equal graphs as fresh objects
     gets a matrix built for each, as it gets their views rebuilt.  An
@@ -326,14 +325,13 @@ class LinearAverage(UpdateMap):
     name = "linear"
     supported_dims = (1, 2)
 
-    def __init__(self, default_weight: float = 1.0):
-        self.default_weight = _valid_weight(default_weight)
+    def __init__(self):
         self._cache = weakref.WeakKeyDictionary()
 
     def matrix_for(self, graph) -> StochasticMatrix:
         M = self._cache.get(graph)
         if M is None:
-            M = self._cache[graph] = build_update_matrix(graph, self.default_weight)
+            M = self._cache[graph] = build_update_matrix(graph)
         return M
 
     step = UpdateMap.step  # perfbench's tracer wraps each class's own `step`

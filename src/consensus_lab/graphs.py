@@ -11,7 +11,8 @@ The module provides:
 * immutable graph types: `DirectedGraph(n, arcs)`, stored as one sorted
   array of integer arc keys, and its subclass `WeightedDigraph(n, weights)`,
   whose arcs are its weight mapping's keys, so every query below takes
-  either kind,
+  either kind; its weights are the only arc weights, and an unweighted arc
+  weighs 1,
 * the neighbor calculus and reachability queries,
 * the lowest root, from the same search that decides weak connectivity:
   two nodes that no arc enters leave no root, one is the only candidate,
@@ -220,48 +221,28 @@ def _node_index(g: DirectedGraph, k: int) -> int:
 @dataclass(frozen=True, eq=False)
 class WeightedDigraph(DirectedGraph):
     """Directed graph on nodes 1..n whose arcs are the keys of its
-    positive `weights`, checked as `DirectedGraph`'s arcs.  It is a
+    positive, finite `weights`, checked as `DirectedGraph`'s arcs.  It is a
     `DirectedGraph`, so every query, adjacency view, update map and
     schedule takes it as it is; only the update matrix, `relabel` and the
     text format read the weights, stored once as `_weights`, a read-only
-    float array in key order.
+    float array in key order.  These weights are the only arc weights the
+    package knows: an arc of an unweighted graph weighs 1.
 
-    `bounds = (e_min, e_max)` declares the admissible weight range,
-    0 < e_min <= e_max; every weight must lie inside it.  When bounds are
-    omitted they default to the tight range spanned by the weights (or
-    (1, 1) for an arc-free graph).
-
-    A weighted graph equals only a weighted graph with the same arcs,
-    weights and bounds (its `_form`), never the unweighted graph on its
-    arcs (`as_directed`).
+    A weighted graph equals only a weighted graph with the same arcs and
+    weights (its `_form`), never the unweighted graph on its arcs
+    (`as_directed`).
     """
 
     _weights: np.ndarray
-    bounds: tuple[float, float]
 
-    def __init__(
-        self,
-        n: int,
-        weights: Mapping[Arc, float],
-        bounds: Optional[tuple[float, float]] = None,
-    ):
+    def __init__(self, n: int, weights: Mapping[Arc, float]):
         wmap = {(index(k), index(l)): float(w) for (k, l), w in weights.items()}
         super().__init__(n, wmap)
         for arc, w in wmap.items():
             _valid_weight(w, arc)
-        if bounds is None:
-            bounds = (min(wmap.values(), default=1.0), max(wmap.values(), default=1.0))
-        e_min, e_max = float(bounds[0]), float(bounds[1])
-        if not (0.0 < e_min <= e_max):
-            raise ValueError(f"bounds must satisfy 0 < e_min <= e_max, got {bounds}")
-        for arc, w in wmap.items():
-            if not (e_min <= w <= e_max):
-                raise ValueError(
-                    f"weight {w} for arc {arc} outside declared bounds [{e_min}, {e_max}]"
-                )
         w = np.array([wmap[arc] for arc in self._pairs()], dtype=float)
         w.flags.writeable = False
-        vars(self).update(_weights=w, bounds=(e_min, e_max))
+        vars(self).update(_weights=w)
 
     @property
     def weights(self) -> Mapping[Arc, float]:
@@ -269,13 +250,10 @@ class WeightedDigraph(DirectedGraph):
         return MappingProxyType(dict(zip(self._pairs(), self._weights.tolist())))
 
     def _form(self) -> tuple:
-        return super()._form() + (self._weights.tobytes(), self.bounds)
+        return super()._form() + (self._weights.tobytes(),)
 
     def __repr__(self) -> str:
-        return (
-            f"WeightedDigraph(n={self.n}, weights={dict(sorted(self.weights.items()))!r}, "
-            f"bounds={self.bounds!r})"
-        )
+        return f"WeightedDigraph(n={self.n}, weights={dict(sorted(self.weights.items()))!r})"
 
 
 def as_directed(g: DirectedGraph) -> DirectedGraph:
@@ -544,17 +522,15 @@ def union_across(schedule, interval: IntervalSpec) -> DirectedGraph:
 # Relabeling (a public helper; the symmetry tests use it)
 
 
-def relabel(
-    g: DirectedGraph, perm: Sequence[int]
-) -> DirectedGraph:
+def relabel(g: DirectedGraph, perm: Sequence[int]) -> DirectedGraph:
     """Apply the node relabeling k -> perm[k-1], which must permute 1..n;
-    a weighted graph's arcs keep their weights, and the graph its bounds."""
+    a weighted graph's arcs keep their weights."""
     n = g.n
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"perm must be a permutation of 1..{n}, got {list(perm)}")
     if isinstance(g, WeightedDigraph):
         weights = {(perm[k - 1], perm[l - 1]): w for (k, l), w in g.weights.items()}
-        return WeightedDigraph(n, weights, g.bounds)
+        return WeightedDigraph(n, weights)
     return DirectedGraph(n, {(perm[k - 1], perm[l - 1]) for k, l in g.arcs})
 
 
@@ -573,17 +549,12 @@ def relabel(
 _N_LINE = re.compile(r"^n\s*=\s*(\d+)$")
 
 
-def parse_graph_text(
-    text: str, bounds: Optional[tuple[float, float]] = None
-) -> DirectedGraph:
+def parse_graph_text(text: str) -> DirectedGraph:
     """Parse the graph text format.  Each line is checked by the graph types'
     own rules, and an error raises GraphFormatError with its line number.
 
-    Weighted text gives `WeightedDigraph(n, weights, bounds)`, unweighted
-    text `DirectedGraph(n, arcs)`.  Bounds are checked for either: invalid
-    bounds raise `WeightedDigraph`'s ValueError, and since an unweighted arc
-    weighs 1.0 in the update matrix, bounds that exclude 1.0 fail on the
-    first arc.
+    Weighted text gives `WeightedDigraph(n, weights)`, unweighted text
+    (arc-free text too) `DirectedGraph(n, arcs)`.
     """
     n: Optional[int] = None
     arcs: dict[Arc, Optional[float]] = {}
@@ -618,11 +589,7 @@ def parse_graph_text(
         weighted, arcs[arc] = w is not None, w
     if n is None:
         raise GraphFormatError(1, "empty input: expected 'n=<count>'")
-    if weighted:
-        return WeightedDigraph(n, arcs, bounds)
-    if bounds is not None:  # checked against the unit weight an unweighted arc has
-        WeightedDigraph(n, dict.fromkeys(arcs, 1.0), bounds)
-    return DirectedGraph(n, arcs)
+    return WeightedDigraph(n, arcs) if weighted else DirectedGraph(n, arcs)
 
 
 def _number(kind, fields: list[str], message: str) -> list:
@@ -634,10 +601,10 @@ def _number(kind, fields: list[str], message: str) -> list:
 
 
 def format_graph_text(g: DirectedGraph) -> str:
-    """Render a graph in the text format.  The text holds no bounds, so a
-    weighted graph comes back whole given its own: `parse_graph_text(text)
-    == g` for an unweighted g, `parse_graph_text(text, g.bounds) == g` for
-    a weighted one."""
+    """Render a graph in the text format.  Each weight is written by its
+    `repr`, which reads back as the same float, so `parse_graph_text(text)
+    == g` for every g with arcs, weighted or not; an arc-free graph has no
+    line to carry weights and comes back as a `DirectedGraph`."""
     lines = [f"n={g.n}"]
     if isinstance(g, WeightedDigraph):
         for (k, l), w in sorted(g.weights.items()):
@@ -648,10 +615,7 @@ def format_graph_text(g: DirectedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_graph_file(
-    path, bounds: Optional[tuple[float, float]] = None
-) -> DirectedGraph:
-    """Parse the graph file at `path`; `bounds` are checked as in
-    `parse_graph_text`, on unweighted files against unit weights."""
+def read_graph_file(path) -> DirectedGraph:
+    """Parse the graph file at `path` as `parse_graph_text` does."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph_text(fh.read(), bounds)
+        return parse_graph_text(fh.read())

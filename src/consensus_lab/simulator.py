@@ -151,7 +151,7 @@ class FiniteSchedule(_TableSchedule):
         if after is None:
             after = DirectedGraph(graphs[0].n, ())
         super().__init__(graphs, (after,), first_time, name)
-        self.graphs, self.after = graphs, after
+        self.graphs = graphs
 
 
 class PeriodicSchedule(_TableSchedule):

@@ -35,7 +35,6 @@ def chain_graph(tmp_path):
 
 def test_make_map_specs():
     assert cli.make_map("linear").name == "linear"
-    assert cli.make_map("linear:weight=2.5").default_weight == 2.5
     assert cli.make_map("kuramoto:substeps=7").substeps == 7
     assert cli.make_map("nonlinear:gain=cubic,substeps=12").substeps == 12
     assert cli.make_map("vicsek").name == "vicsek"
@@ -46,6 +45,10 @@ def test_make_map_specs():
         cli.make_map("nonlinear:gain=square")
     with pytest.raises(cli.CliError, match="unknown parameters"):
         cli.make_map("linear:speed=3")
+    # An arc's weight comes from its graph alone, so the spec takes none.
+    with pytest.raises(cli.CliError) as info:
+        cli.make_map("linear:weight=2.5")
+    assert str(info.value) == "map 'linear' got unknown parameters ['weight']"
 
 
 def test_make_scenario_specs():
@@ -72,8 +75,7 @@ def test_make_scenario_specs():
      "bad scenario 'windowed' parameter 'T', expected key=value"),
     (cli.make_map, "nonlinear:gain=square",
      "unknown gain 'square'; choose from ['arctan', 'cubic', 'identity']"),
-    (cli.make_map, "linear:weight=heavy", "linear:weight=heavy: weight must be a number, got 'heavy'"),
-], ids=["map", "scenario", "parameter", "gain", "number"])
+], ids=["map", "scenario", "parameter", "gain"])
 def test_spec_errors_are_spelled_out(build, spec, message):
     with pytest.raises(cli.CliError) as info:
         build(spec)
@@ -152,34 +154,6 @@ def test_matrix_skips_rational_block_for_tiny_diagonal(tmp_path, capsys):
         "9.9999999999999991e-309 1\n"
         "1 9.9999999999999991e-309\n"
     )
-
-
-def test_matrix_bounds_flags(worked_graph, capsys):
-    assert main(["matrix", "--graph", worked_graph, "--emin", "0.5", "--emax", "5"]) == 0
-    capsys.readouterr()
-    assert main(["matrix", "--graph", worked_graph, "--emin", "0.5"]) == 1
-    assert "both --emin and --emax" in capsys.readouterr().err
-    assert main(["matrix", "--graph", worked_graph, "--emin", "1", "--emax", "5"]) == 1
-    assert "outside declared bounds" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("emin, emax, fragment", [
-    ("2", "1", "bounds must satisfy 0 < e_min <= e_max"),
-    ("0", "5", "bounds must satisfy 0 < e_min <= e_max"),
-    ("2", "5", "weight 1.0 for arc (1, 2) outside declared bounds [2.0, 5.0]"),
-])
-def test_matrix_bounds_on_an_unweighted_graph(chain_graph, capsys, emin, emax, fragment):
-    assert main(["matrix", "--graph", chain_graph, "--emin", emin, "--emax", emax]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: {fragment}")
-
-
-def test_matrix_bounds_admitting_unit_weight_keep_the_unweighted_output(chain_graph, capsys):
-    assert main(["matrix", "--graph", chain_graph]) == 0
-    plain = capsys.readouterr().out
-    assert main(["matrix", "--graph", chain_graph, "--emin", "0.5", "--emax", "1"]) == 0
-    assert capsys.readouterr().out == plain
 
 
 @pytest.mark.parametrize("weight", ["inf", "1e400"])
@@ -770,7 +744,7 @@ OPTION_TABLE = {
         "--interval": (None, None),
     },
     "counterexample": {"--pmax": (64, "int")},
-    "matrix": {"--graph": (None, None), "--emin": (None, "float"), "--emax": (None, "float")},
+    "matrix": {"--graph": (None, None)},
     "probe": {
         "--graph": (None, None), "--scenario": (None, None),
         "--config": (None, None), "--map": ("linear", None), "--t0": (None, "int"),
@@ -796,11 +770,12 @@ def test_each_subcommand_keeps_its_options_and_defaults():
 
 
 def test_map_spec_bad_number_names_spec_and_key(chain_graph, capsys):
+    # under 0.01 s
     code = main(["simulate", "--graph", chain_graph, "--x0", "0,1,1", "--steps", "1",
-                 "--map", "linear:weight=abc"])
+                 "--map", "kuramoto:substeps=abc"])
     assert code == 1
     err = capsys.readouterr().err
-    assert "linear:weight=abc" in err and "weight must be a number" in err
+    assert err == "error: kuramoto:substeps=abc: substeps must be an integer, got 'abc'\n"
 
 
 def test_connectivity_graph_interval_does_not_change_output(worked_graph, capsys):

@@ -1,5 +1,6 @@
 """State containers, update matrices, nonlinear maps, and assumption checkers."""
 
+import functools
 import gc
 import hashlib
 import math
@@ -33,7 +34,6 @@ from consensus_lab import (
 )
 from consensus_lab import dynamics
 from consensus_lab.dynamics import GAIN_LIBRARY, UpdateMap
-from consensus_lab.graphs import as_directed
 from consensus_lab.simulator import iter_spans
 
 WORKED_GRAPH = WeightedDigraph(4, {(2, 1): 0.5, (1, 2): 1.0, (3, 2): 5.0})
@@ -208,30 +208,20 @@ def test_update_matrix_drops_entries_that_round_to_zero():
     assert M.entries.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]]
 
 
-def test_update_matrix_arc_weight_matches_unit_weighted_graph():
-    rng = np.random.default_rng(8)
-    graphs = [DirectedGraph(3)] + [as_directed(_random_weighted_graph(rng, n)) for n in (2, 5, 12)]
-    for g in graphs:
-        for w in (1.0, 0.25, 3.0, 1e-3, 1e6, 5e-324):
-            direct = build_update_matrix(g, w)
-            via_weights = build_update_matrix(WeightedDigraph(g.n, {a: w for a in g.arcs}, (w, w)))
-            assert direct.n == via_weights.n
-            for name in ("diag", "rows", "cols", "weights"):
-                assert np.array_equal(getattr(direct, name), getattr(via_weights, name))
-        assert LinearAverage(0.25).matrix_for(g).weights.tolist() == (
-            build_update_matrix(g, 0.25).weights.tolist()
-        )
-    for bad in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="arc weight must be positive and finite"):
-            build_update_matrix(graphs[1], bad)
-
-
 STAR_WEIGHTS = (1.0, 0.3, 3.0, 1e-300, 1e300)
 
 
 def _star(senders):
     """Nodes 2..senders+1 each send one arc into node 1."""
     return DirectedGraph(senders + 1, [(i, 1) for i in range(2, senders + 2)])
+
+
+@functools.lru_cache(maxsize=None)
+def _weighted_star(senders, w):
+    """`_star(senders)` with weight w on every arc, built once per (senders, w):
+    a 10^5-arc one takes about 0.25 s."""
+    g = _star(senders)
+    return WeightedDigraph(g.n, dict.fromkeys(g.arcs, w))
 
 
 def _assert_stochastic_by_construction(M, g):
@@ -250,6 +240,7 @@ def _assert_stochastic_by_construction(M, g):
 
 
 def test_built_matrices_are_stochastic_by_construction():
+    # about 0.4 s
     rng = np.random.default_rng(24)
     for _ in range(300):
         n = int(rng.integers(1, 41))
@@ -259,16 +250,18 @@ def test_built_matrices_are_stochastic_by_construction():
         weights = {a: float(10.0 ** rng.uniform(-12.0, 12.0)) for a in arcs}
         g = WeightedDigraph(n, weights)
         _assert_stochastic_by_construction(build_update_matrix(g), g)
-    g = _star(1_000)
     for w in STAR_WEIGHTS:
-        _assert_stochastic_by_construction(build_update_matrix(g, w), g)
+        g = _weighted_star(1_000, w)
+        _assert_stochastic_by_construction(build_update_matrix(g), g)
 
 
 def test_a_hundred_thousand_senders_get_their_matrix_and_step():
-    # a fixed 1e-12 bound on the float row sum rejected these matrices
-    g = _star(100_000)
+    # a fixed 1e-12 bound on the float row sum rejected these matrices; about
+    # 1.8 s, 1.3 s of it building the five weighted stars
     for w in STAR_WEIGHTS:
-        _assert_stochastic_by_construction(build_update_matrix(g, w), g)
+        g = _weighted_star(100_000, w)
+        _assert_stochastic_by_construction(build_update_matrix(g), g)
+    g = _star(100_000)
     M = build_update_matrix(g)
     assert M.rows.size == 100_000 and M.diag[0] == 1.0 / 100_001.0
     x = np.ones(g.n)
@@ -278,18 +271,10 @@ def test_a_hundred_thousand_senders_get_their_matrix_and_step():
 
 
 def test_overflowing_in_weight_names_its_node():
-    g = DirectedGraph(3, {(1, 3), (2, 3)})
+    # under 0.01 s
     message = "^the arc weights into node 3 sum past the largest float$"
     with pytest.raises(ValueError, match=message):
         build_update_matrix(WeightedDigraph(3, {(1, 3): 1e308, (2, 3): 1e308}))
-    with pytest.raises(ValueError, match=message):
-        build_update_matrix(g, 1e308)
-
-
-def test_linear_average_checks_its_weight_by_the_weight_rule():
-    for bad in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="arc weight must be positive and finite"):
-            LinearAverage(bad)
 
 
 def test_linear_step_on_a_large_ring():
