@@ -6,10 +6,6 @@ Exit codes: 0 success, 1 usage or input errors, 2 verification failure
 oracle disagreement), 141 (128 + SIGPIPE, as a shell reports a process
 killed by SIGPIPE) when the reader of an output pipe closes it early, as
 `| head` does; nothing is written to stderr then.
-
-`simulate` and `probe` accept a flat key=value config file keyed by the
-subcommand's long option names; its values become argparse defaults, so
-they are checked like flags and flags override them.
 """
 
 from __future__ import annotations
@@ -184,37 +180,6 @@ def parse_interval(spec: str) -> IntervalSpec:
         raise CliError(f"bad interval {spec!r}: {e}")
 
 
-# ---------------------------------------------------------------------------
-# Config files
-
-
-def _config_defaults(sub: argparse.ArgumentParser, path: str) -> dict[str, str]:
-    """Read a key=value config file ('#' starts a comment) into defaults for
-    `sub` by option dest; each key must be a long option name of `sub`."""
-    dests = {
-        opt[2:]: action.dest
-        for action in sub._actions
-        for opt in action.option_strings
-        if opt.startswith("--") and action.dest not in ("help", "config")
-    }
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise CliError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in dests:
-                raise CliError(
-                    f"{path}:{lineno}: unknown key {key!r}; "
-                    f"{sub.prog} takes {', '.join(sorted(dests))}"
-                )
-            out[dests[key]] = value
-    return out
-
-
 def _resolve_schedule(args) -> GraphSchedule:
     if (args.graph is None) == (args.scenario is None):
         raise CliError("give exactly one of --graph or --scenario")
@@ -230,15 +195,11 @@ def _resolve_schedule(args) -> GraphSchedule:
 def cmd_simulate(args) -> int:
     schedule = _resolve_schedule(args)
     update = make_map(args.map)
-    if args.x0 is None:
-        raise CliError("missing --x0")
     x0 = parse_state(args.x0)
-    if args.steps is None:
-        raise CliError("missing --steps")
     t0 = schedule.first_time if args.t0 is None else args.t0
 
     spans = iter_spans(schedule, update, x0, args.steps, t0)
-    records = monitor_stream(((t, x) for t, _, x in spans), args.slack)
+    records = monitor_stream((t, x) for t, _, x in spans)
     if args.csv is not None:
         records = _write_csv(records, args.csv, x0, t0 + args.steps)
     run = summarize(records, args.tol)
@@ -255,7 +216,7 @@ def cmd_simulate(args) -> int:
         "consensus_time": run.consensus_time,
         "monitor_violations": run.violations,
         "tol": args.tol,
-        "slack": args.slack,
+        "slack": DEFAULT_SLACK,
     }
     print(json.dumps(summary, indent=2))
     return 2 if run.violations else 0
@@ -273,14 +234,14 @@ def _write_csv(records, path: str, x0: AgentState, end: int):
     with open(path, "w", encoding="utf-8") as fh:
         header = ["t"] + [f"{a}{k}" for a in "xy"[: x0.d] for k in range(1, x0.n + 1)]
         fh.write(",".join(header + ["diameter", "contained", "vertices"]) + "\n")
+        values = ",%.17g" * (x0.n * x0.d + 1)  # the coordinates, then the diameter
         tail = None  # the last record's row after its time, for the rest of its stretch
         for rec in records:
             if tail is not None:
                 _write_rows(fh, tail, since + 1, rec.t)
-            xs = ",".join(map(_fmt, rec.state.points.T.ravel().tolist()))
-            dia = _fmt(rec.diameter)
-            fh.write(f"{rec.t},{xs},{dia},{_bool(rec.contained)},{rec.vertex_count}\n")
-            tail, since = f",{xs},{dia},true,{rec.vertex_count}\n", rec.t
+            row = values % (*rec.state.points.T.ravel().tolist(), rec.diameter)
+            fh.write(f"{rec.t}{row},{_bool(rec.contained)},{rec.vertex_count}\n")
+            tail, since = f"{row},true,{rec.vertex_count}\n", rec.t
             yield rec
         if tail is not None:
             _write_rows(fh, tail, since + 1, end + 1)
@@ -357,8 +318,6 @@ def cmd_matrix(args) -> int:
 def cmd_probe(args) -> int:
     schedule = _resolve_schedule(args)
     update = make_map(args.map)
-    if args.center is None:
-        raise CliError("missing --center")
     report = attractivity_probe(
         schedule,
         update,
@@ -383,14 +342,10 @@ def cmd_probe(args) -> int:
 
 
 def build_parser() -> _Parser:
-    """Build the parser of every subcommand.
-
-    `main` parses with the one parser built at import; only a `--config`
-    call builds another, whose defaults its config file then sets.
-    """
+    """Build the parser of every subcommand; `main` parses with the one
+    built at import."""
     parser = _Parser(prog="consensus-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.subcommands = sub.choices  # name -> subparser, for --config
 
     # Options that several subcommands share, each defined once; the
     # subcommands share their actions, so build the parents per parser.
@@ -402,7 +357,6 @@ def build_parser() -> _Parser:
         "| stretching:n=..",
     )
     run = argparse.ArgumentParser(add_help=False)
-    run.add_argument("--config", help="key=value config file")
     run.add_argument("--map", default="linear", help="update map spec (default linear)")
     run.add_argument("--t0", type=int)
     run.add_argument("--tol", type=float, default=1e-6, help="consensus detection tolerance")
@@ -410,9 +364,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "simulate", parents=[schedule, run], help="run a schedule and write trajectory CSV"
     )
-    p.add_argument("--x0", help="initial state, e.g. '0,1,1' or '0 0; 1 0'")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--slack", type=float, default=DEFAULT_SLACK, help="hull containment slack")
+    p.add_argument("--x0", required=True, help="initial state, e.g. '0,1,1' or '0 0; 1 0'")
+    p.add_argument("--steps", type=int, required=True)
     p.add_argument("--csv", help="write per-step CSV here")
     p.set_defaults(func=cmd_simulate)
 
@@ -433,7 +386,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "probe", parents=[schedule, run], help="attractivity probe from random initial states"
     )
-    p.add_argument("--center", help="center state, e.g. '0,1,1'")
+    p.add_argument("--center", required=True, help="center state, e.g. '0,1,1'")
     p.add_argument("--radius", type=float, default=0.5)
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--horizon", type=int, default=1000)
@@ -448,19 +401,9 @@ _PARSER = build_parser()  # parse_args leaves it unchanged, so every call shares
 
 
 def main(argv=None) -> int:
-    """Run one command line and return its exit code.
-
-    Every call parses with the shared parser.  A `--config` call parses
-    again with a parser of its own, so its config values, set there as
-    defaults, never reach a later call.
-    """
+    """Run one command line and return its exit code."""
     try:
         args = _PARSER.parse_args(argv)
-        if getattr(args, "config", None):
-            parser = build_parser()
-            sub = parser.subcommands[args.command]
-            sub.set_defaults(**_config_defaults(sub, args.config))
-            args = parser.parse_args(argv)
         # Every non-finite result fails a finiteness check with a clear
         # message, so numpy's floating-point warnings would only repeat it.
         with np.errstate(all="ignore"):

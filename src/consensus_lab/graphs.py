@@ -85,7 +85,7 @@ class DirectedGraph:
 
     def __init__(self, n: int, arcs: Iterable[Arc] = ()):
         n = _valid_count(n, 1, "node count")
-        keys = np.array(_valid_arcs(n, arcs), dtype=np.intp)
+        keys = np.array(sorted(set(_valid_arcs(n, arcs))), dtype=np.intp)
         keys.flags.writeable = False
         vars(self).update(n=n, _keys=keys)  # once, past the frozen __setattr__
 
@@ -170,22 +170,23 @@ class DirectedGraph:
 
 
 def _valid_arcs(n: int, arcs: Iterable[Arc]) -> list[int]:
-    """The sorted, distinct keys (l - 1) n + (k - 1) of the arcs, each a pair
-    of ints with distinct endpoints in 1..n.  Raises for the first bad arc
-    (a float endpoint raises TypeError, as in `range`), checking for a
-    self-loop before the node range, then for any n past `_KEYED_NODES`.
+    """The keys (l - 1) n + (k - 1) of the arcs in their given order, repeats
+    kept, each a pair of ints with distinct endpoints in 1..n.  Raises for
+    the first bad arc (a float endpoint raises TypeError, as in `range`),
+    checking for a self-loop before the node range, then for any n past
+    `_KEYED_NODES`.
     """
-    keys = set()
+    keys = []
     for k, l in arcs:
         k, l = index(k), index(l)
         if k == l:
             raise ValueError(f"self-loop ({k}, {l}) is not allowed")
         if not (1 <= k <= n and 1 <= l <= n):
             raise ValueError(f"arc ({k}, {l}) outside node range 1..{n}")
-        keys.add((l - 1) * n + k - 1)
+        keys.append((l - 1) * n + k - 1)
     if n > _KEYED_NODES:
         raise ValueError(f"a graph has at most {_KEYED_NODES} nodes, got n={n}")
-    return sorted(keys)
+    return keys
 
 
 _KEYED_NODES = math.isqrt(np.iinfo(np.intp).max)  # so that n * n - 1 is an intp
@@ -236,13 +237,20 @@ class WeightedDigraph(DirectedGraph):
     _weights: np.ndarray
 
     def __init__(self, n: int, weights: Mapping[Arc, float]):
-        wmap = {(index(k), index(l)): float(w) for (k, l), w in weights.items()}
-        super().__init__(n, wmap)
-        for arc, w in wmap.items():
-            _valid_weight(w, arc)
-        w = np.array([wmap[arc] for arc in self._pairs()], dtype=float)
-        w.flags.writeable = False
-        vars(self).update(_weights=w)
+        n = _valid_count(n, 1, "node count")
+        # Keyed by arc key, so keys that name one arc twice keep the last weight.
+        wmap = dict(zip(_valid_arcs(n, weights), map(float, weights.values())))
+        keys = np.fromiter(wmap, np.intp, len(wmap))
+        w = np.fromiter(wmap.values(), float, len(wmap))
+        ok = (w > 0.0) & (w < math.inf)
+        if not ok.all():
+            i = int(ok.argmin())
+            l, k = divmod(int(keys[i]), n)
+            _valid_weight(w[i], (k + 1, l + 1))
+        order = keys.argsort()
+        keys, w = keys[order], w[order]
+        keys.flags.writeable = w.flags.writeable = False
+        vars(self).update(n=n, _keys=keys, _weights=w)
 
     @property
     def weights(self) -> Mapping[Arc, float]:

@@ -219,7 +219,7 @@ def _star(senders):
 @functools.lru_cache(maxsize=None)
 def _weighted_star(senders, w):
     """`_star(senders)` with weight w on every arc, built once per (senders, w):
-    a 10^5-arc one takes about 0.25 s."""
+    a 10^5-arc one takes about 0.2 s."""
     g = _star(senders)
     return WeightedDigraph(g.n, dict.fromkeys(g.arcs, w))
 
@@ -257,7 +257,7 @@ def test_built_matrices_are_stochastic_by_construction():
 
 def test_a_hundred_thousand_senders_get_their_matrix_and_step():
     # a fixed 1e-12 bound on the float row sum rejected these matrices; about
-    # 1.8 s, 1.3 s of it building the five weighted stars
+    # 1.6-2.0 s, 0.9-1.1 s of it building the five weighted stars
     for w in STAR_WEIGHTS:
         g = _weighted_star(100_000, w)
         _assert_stochastic_by_construction(build_update_matrix(g), g)

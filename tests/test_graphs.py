@@ -659,7 +659,7 @@ def test_weighted_digraph_stores_its_weights_once_in_key_order():
     # the mapping's order
     g = DirectedGraph(3, {(1, 2), (3, 1), (2, 3), (2, 1)})
     wg = WeightedDigraph(3, {(2, 3): 4.0, (1, 2): 0.5, (3, 1): 2.0, (2, 1): 1.5})
-    assert set(vars(wg)) == {"n", "_keys", "arc_arrays", "_weights"}
+    assert set(vars(wg)) == {"n", "_keys", "_weights"}
     assert not any(isinstance(v, (Mapping, DirectedGraph)) for v in vars(wg).values())
     assert np.array_equal(wg._keys, g._keys) and not wg._keys.flags.writeable
     src, dst = g.arc_arrays
@@ -671,6 +671,23 @@ def test_weighted_digraph_stores_its_weights_once_in_key_order():
     with pytest.raises(TypeError):
         wg.weights[(2, 3)] = 1.0
     assert WeightedDigraph(2, {})._weights.tolist() == []
+
+
+class _Label:
+    """An int label that equals no other key, so a mapping can name one arc twice."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_weight_keys_that_name_one_arc_twice_keep_the_last_weight():
+    # under 0.01 s
+    wg = WeightedDigraph(3, {(_Label(1), 2): 0.5, (2, 3): 4.0, (1, 2): 3.0})
+    assert dict(wg.weights) == {(1, 2): 3.0, (2, 3): 4.0}
+    assert wg == WeightedDigraph(3, {(1, 2): 3.0, (2, 3): 4.0})
 
 
 def test_as_directed_returns_the_unweighted_graph():
